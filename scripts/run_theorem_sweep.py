@@ -30,7 +30,11 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
 
-    workers = args.workers if args.workers is not None else default_workers()
+    try:
+        workers = args.workers if args.workers is not None else default_workers()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     params = SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
     report = run_sweep(params, workers=workers)
 

@@ -18,7 +18,8 @@ admissibility, tail-slope stability, multiplicity profiles with the
 three-term inequality m_r <= m_{r-2} + m_{r+2}, characteristic-polynomial
 coefficients of the Higgs field (nilpotent-cone membership), and bounded
 exhaustive enumeration.  All arithmetic is exact; nothing here touches
-floating point.
+floating point: the stability verdict is decided from integer prefix
+sums, and slopes become Fractions only when a report reads them.
 """
 
 from __future__ import annotations
@@ -138,13 +139,23 @@ class StabilityReport:
     tail_slopes[i] is the slope of the span of the last n-k+1 summands for
     k = i+2 (the canonical Higgs-invariant subobjects of a chain).  The
     chain is tail-stable when every tail slope is strictly below the total
-    slope; an exact tie is reported as marginal, never as stable.
+    slope; an exact tie is reported as marginal, never as stable.  The
+    slopes are computed from the roots when read.
     """
 
-    total_slope: Fraction
-    tail_slopes: tuple[Fraction, ...]
+    roots: tuple[int, ...]
     kind: str  # "stable" | "strictly-destabilized" | "marginal"
     at_k: int | None
+
+    @property
+    def total_slope(self) -> Fraction:
+        return Fraction(sum(self.roots), len(self.roots))
+
+    @property
+    def tail_slopes(self) -> tuple[Fraction, ...]:
+        r = self.roots
+        n = len(r)
+        return tuple(Fraction(sum(r[k - 1 :]), n - k + 1) for k in range(2, n + 1))
 
     @property
     def is_stable(self) -> bool:
@@ -178,22 +189,28 @@ def is_admissible(seq: RootSequence) -> tuple[bool, list[int]]:
 
 
 def tail_slopes(seq: RootSequence) -> StabilityReport:
-    """Exact total and tail slopes with the stability verdict.
+    """Tail-slope stability verdict, decided in integers.
 
-    A strict destabilizer wins over a marginal tie when both occur; the
+    With prefix sums P_j, the tail from k = j+1 has slope above (equal to)
+    the total slope exactly when n*P_j - j*P_n is negative (zero).  A
+    strict destabilizer wins over a marginal tie when both occur; the
     reported k is the first offender in k = 2..n.
     """
     r = seq.roots
     n = len(r)
-    total = Fraction(sum(r), n)
-    tails = tuple(Fraction(sum(r[k - 1 :]), n - k + 1) for k in range(2, n + 1))
-    strict = next((k for k, mu in enumerate(tails, start=2) if mu > total), None)
-    if strict is not None:
-        return StabilityReport(total, tails, "strictly-destabilized", strict)
-    marginal = next((k for k, mu in enumerate(tails, start=2) if mu == total), None)
+    total = sum(r)
+    prefix = 0
+    marginal = None
+    for j in range(1, n):
+        prefix += r[j - 1]
+        gap = n * prefix - j * total
+        if gap < 0:
+            return StabilityReport(r, "strictly-destabilized", j + 1)
+        if gap == 0 and marginal is None:
+            marginal = j + 1
     if marginal is not None:
-        return StabilityReport(total, tails, "marginal", marginal)
-    return StabilityReport(total, tails, "stable", None)
+        return StabilityReport(r, "marginal", marginal)
+    return StabilityReport(r, "stable", None)
 
 
 def multiplicities(seq: RootSequence) -> MultiplicityProfile:
@@ -218,38 +235,16 @@ def three_term_holds(profile: MultiplicityProfile) -> tuple[bool, list[ThreeTerm
 def hitchin_invariants(seq: RootSequence) -> list[Fraction]:
     """Characteristic-polynomial coefficients of the Higgs field.
 
-    Returns (c_1, ..., c_n) with char(x) = x^n + c_1 x^{n-1} + ... + c_n,
-    computed exactly from the chain matrix.  A chain field is strictly
-    lower triangular, hence nilpotent, so every coefficient vanishes: the
-    chain sits in the zero fiber (the nilpotent cone) of the map sending a
-    Higgs bundle to these coefficients.
+    Returns (c_1, ..., c_n) with char(x) = x^n + c_1 x^{n-1} + ... + c_n.
+    A chain field is strictly lower triangular, hence nilpotent, so every
+    coefficient vanishes: the chain sits in the zero fiber (the nilpotent
+    cone) of the map sending a Higgs bundle to these coefficients.
     """
     mat = ChainHiggsBundle.from_roots(seq).theta_structure()
-    return _charpoly_coefficients(mat)
-
-
-def _charpoly_coefficients(mat: list[list[int]]) -> list[Fraction]:
-    # Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k)/k, M_{k+1} = A M_k + c_k I.
     n = len(mat)
-    a = [[Fraction(v) for v in row] for row in mat]
-
-    def mul(p: list[list[Fraction]], q: list[list[Fraction]]) -> list[list[Fraction]]:
-        return [
-            [sum(p[i][t] * q[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs: list[Fraction] = []
-    for k in range(1, n + 1):
-        am = mul(a, m)
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        if k < n:
-            m = [row[:] for row in am]
-            for i in range(n):
-                m[i][i] += c
-    return coeffs
+    if any(mat[i][j] for i in range(n) for j in range(i, n)):
+        raise ValueError(f"Higgs field of {seq.roots} is not strictly lower triangular")
+    return [Fraction(0)] * n
 
 
 def enumeration_steps(max_rise: int) -> tuple[int, ...]:
@@ -282,25 +277,29 @@ def enumerate_chains(
 
     def generate() -> Iterator[RootSequence]:
         for n in range(n_min, n_max + 1):
-            yield from _extend((0,), n, steps, root_bound, require_stable)
+            for roots in extend_chain((0,), n, steps, root_bound):
+                seq = RootSequence(roots)
+                if not require_stable or tail_slopes(seq).is_stable:
+                    yield seq
 
     return generate()
 
 
-def _extend(
-    prefix: tuple[int, ...],
-    n: int,
-    steps: tuple[int, ...],
-    bound: int,
-    require_stable: bool,
-) -> Iterator[RootSequence]:
+def extend_chain(
+    prefix: tuple[int, ...], n: int, steps: tuple[int, ...], bound: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield every length-n root tuple that extends prefix by the given steps
+    and keeps |r_j| <= bound from the prefix's last root on.
+
+    The order is lexicographic when the steps ascend.  A prefix whose last
+    root already leaves the box yields nothing.
+    """
     if abs(prefix[-1]) > bound:
         return
     if len(prefix) == n:
-        seq = RootSequence(prefix)
-        if not require_stable or tail_slopes(seq).is_stable:
-            yield seq
+        yield prefix
         return
     last = prefix[-1]
     for delta in steps:
-        yield from _extend(prefix + (last + delta,), n, steps, bound, require_stable)
+        if abs(last + delta) <= bound:  # skip a generator that would yield nothing
+            yield from extend_chain(prefix + (last + delta,), n, steps, bound)

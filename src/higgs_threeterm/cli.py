@@ -43,6 +43,7 @@ from .pairing import (
     HypothesisViolationError,
     PairingFailure,
     build_matching,
+    certified_heights,
     verify_certificate,
 )
 
@@ -168,10 +169,9 @@ def _cmd_pair(args) -> int:
         raise UsageError("pair needs --height R or --all-heights")
     try:
         if args.all_heights:
-            heights = sorted(set(seq.roots))
+            certs = list(certified_heights(seq).values())
         else:
-            heights = [args.height]
-        certs = [build_matching(seq, r) for r in heights]
+            certs = [build_matching(seq, args.height)]
     except HypothesisViolationError as exc:
         raise UsageError(str(exc)) from None
 
@@ -326,7 +326,8 @@ def _cmd_verify_metric(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = sweep.SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    report = sweep.run_sweep(params, workers=args.workers)
+    workers = sweep.default_workers() if args.workers is None else args.workers
+    report = sweep.run_sweep(params, workers=workers)
     rows = [
         [n, bucket["generated"], bucket["admissible"], bucket["stable"]]
         for n, bucket in report["per_n"].items()
@@ -416,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and args.command == "sweep":
-        args.workers = sweep.default_workers()
     try:
         return args.handler(args)
     except UsageError as exc:

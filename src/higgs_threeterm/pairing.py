@@ -25,6 +25,10 @@ height-r vertex sits at r+2 (label LEFT_BOUNDARY).
 
 Vertex indices are 1-based throughout: source j refers to the root r_j.
 The certificate checker shares no code with the builder.
+
+The public entry points check the hypotheses (admissible, tail-stable) once
+per call, never per height; the sweep, which establishes both itself, calls
+the per-height builder `_match_height` directly.
 """
 
 from __future__ import annotations
@@ -158,6 +162,11 @@ def build_matching(seq: RootSequence, r: int) -> MatchingCertificate:
     chains because the path must then descend from r_1 > r).
     """
     _require_hypotheses(seq)
+    return _match_height(seq, r)
+
+
+def _match_height(seq: RootSequence, r: int) -> MatchingCertificate:
+    """`build_matching` for a chain known to be admissible and tail-stable."""
     roots = seq.roots
     n = len(roots)
     srcs = _sources(roots, r)
@@ -231,5 +240,6 @@ def verify_certificate(
 
 def certified_heights(seq: RootSequence) -> dict[int, MatchingCertificate]:
     """Build one certificate per realized height, keyed by the height."""
+    _require_hypotheses(seq)
     profile: MultiplicityProfile = multiplicities(seq)
-    return {r: build_matching(seq, r) for r in sorted(profile.counts)}
+    return {r: _match_height(seq, r) for r in sorted(profile.counts)}

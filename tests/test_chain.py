@@ -11,7 +11,6 @@ from higgs_threeterm.chain import (
     MalformedSequenceError,
     MultiplicityProfile,
     RootSequence,
-    _charpoly_coefficients,
     enumerate_chains,
     hitchin_invariants,
     is_admissible,
@@ -125,6 +124,42 @@ def test_marginal_is_not_stable():
     assert not report.is_stable
 
 
+def reference_stability(roots: tuple[int, ...]) -> tuple:
+    """(kind, at_k, total slope, tail slopes) straight from the Fraction definition."""
+    n = len(roots)
+    total = Fraction(sum(roots), n)
+    tails = tuple(Fraction(sum(roots[k - 1 :]), n - k + 1) for k in range(2, n + 1))
+    strict = next((k for k, mu in enumerate(tails, start=2) if mu > total), None)
+    if strict is not None:
+        return ("strictly-destabilized", strict, total, tails)
+    marginal = next((k for k, mu in enumerate(tails, start=2) if mu == total), None)
+    if marginal is not None:
+        return ("marginal", marginal, total, tails)
+    return ("stable", None, total, tails)
+
+
+def observed_stability(roots: tuple[int, ...]) -> tuple:
+    report = tail_slopes(RootSequence(roots))
+    return (report.kind, report.at_k, report.total_slope, report.tail_slopes)
+
+
+@pytest.mark.parametrize(
+    "n_max, max_rise, root_bound", [(8, 2, 5), (7, 2, 4), (5, 6, 7), (4, 8, 9)]
+)
+def test_tail_slopes_matches_fraction_reference_exhaustively(n_max, max_rise, root_bound):
+    kinds = set()
+    for seq in enumerate_chains(2, n_max, max_rise, root_bound, require_stable=False):
+        expected = reference_stability(seq.roots)
+        assert observed_stability(seq.roots) == expected, seq.roots
+        kinds.add(expected[0])
+    assert kinds == {"stable", "strictly-destabilized", "marginal"}
+
+
+@given(root_lists)
+def test_tail_slopes_matches_fraction_reference(roots):
+    assert observed_stability(roots) == reference_stability(roots)
+
+
 def test_strict_destabilizer_wins_over_marginal():
     # (0, 0, 4): k=2 tail slope 2 > 4/3 total; k=3 tail slope 4 > total too
     report = tail_slopes(RootSequence((0, 0, 4)))
@@ -189,15 +224,6 @@ def test_shift_invariance(roots, shift):
 # --- Hitchin invariants ---------------------------------------------------------
 
 
-def test_charpoly_known_cases():
-    assert _charpoly_coefficients([[2]]) == [Fraction(-2)]
-    assert _charpoly_coefficients([[1, 0], [0, 2]]) == [Fraction(-3), Fraction(2)]
-    assert _charpoly_coefficients([[0, 1], [0, 0]]) == [Fraction(0), Fraction(0)]
-    # companion matrix of x^3 - 6x^2 + 11x - 6 = (x-1)(x-2)(x-3)
-    comp = [[0, 0, 6], [1, 0, -11], [0, 1, 6]]
-    assert _charpoly_coefficients(comp) == [Fraction(-6), Fraction(11), Fraction(-6)]
-
-
 @pytest.mark.parametrize("roots", [(2, 0, -2), (0,), (4, 2, 0, 4, 2, 0, -2)])
 def test_hitchin_invariants_vanish(roots):
     assert hitchin_invariants(RootSequence(roots)) == [Fraction(0)] * len(roots)
@@ -207,6 +233,24 @@ def test_hitchin_invariants_vanish(roots):
 def test_hitchin_vanishes_on_admissible_chains(start, steps):
     seq = seq_from_steps(start, steps)
     assert all(c == 0 for c in hitchin_invariants(seq))
+
+
+def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(-4, 4).map(lambda k: 2 * k), admissible_steps)
+def test_theta_is_nilpotent_on_admissible_chains(start, steps):
+    # theta^n = 0 by exact integer powers: the characteristic polynomial is
+    # x^n, independently of how hitchin_invariants reaches its zeros
+    theta = ChainHiggsBundle.from_roots(seq_from_steps(start, steps)).theta_structure()
+    n = len(theta)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n - 1):
+        power = matmul(power, theta)
+    assert power[n - 1][0] == 1  # every component is a nonzero map: index exactly n
+    assert matmul(power, theta) == [[0] * n for _ in range(n)]
 
 
 def test_theta_structure_respects_missing_forms():

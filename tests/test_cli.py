@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -326,6 +327,29 @@ def test_sweep_workers_env_default(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-3"])
+def test_sweep_workers_env_invalid(capsys, monkeypatch, value):
+    monkeypatch.setenv("HIGGS_THREETERM_WORKERS", value)
+    code, out, err = run_cli(
+        capsys, "sweep", "--n-min", "2", "--n-max", "2", "--max-rise", "2", "--bound", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "HIGGS_THREETERM_WORKERS" in err and repr(value) in err
+
+
+def test_sweep_script_rejects_invalid_workers_env():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n-max", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "HIGGS_THREETERM_WORKERS": "junk"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: HIGGS_THREETERM_WORKERS must be an integer >= 1, got 'junk'\n"
 
 
 def test_sweep_out_file(capsys, tmp_path):

@@ -13,6 +13,7 @@ from higgs_threeterm.chain import (
     multiplicities,
     three_term_holds,
 )
+from higgs_threeterm import pairing
 from higgs_threeterm.pairing import (
     HypothesisViolationError,
     MatchedPair,
@@ -24,6 +25,7 @@ from higgs_threeterm.pairing import (
     classify_regions,
     verify_certificate,
 )
+from higgs_threeterm.sweep import SweepParams, run_sweep
 
 ZIGZAG = RootSequence((4, 2, 0, 4, 2, 0, -2))
 
@@ -219,6 +221,31 @@ def test_targets_stay_in_their_region():
                 else:
                     nxt = min(s for s in sources if s > pair.source)
                     assert pair.source < pair.target < nxt
+
+
+def test_hypotheses_checked_once_per_call(monkeypatch):
+    checked = []
+    check = pairing._require_hypotheses
+
+    def counting_check(seq):
+        checked.append(seq.roots)
+        check(seq)
+
+    monkeypatch.setattr(pairing, "_require_hypotheses", counting_check)
+    # the sweep establishes both hypotheses itself and never re-checks them
+    report = run_sweep(SweepParams(2, 6, 8, 10), workers=1)
+    assert report["totals"]["certificates"] > 0
+    assert checked == []
+    # a public entry point checks once per call, not once per height
+    entry_points = (
+        certified_heights,
+        lambda seq: build_matching(seq, 2),
+        lambda seq: classify_regions(seq, 2),
+    )
+    for call in entry_points:
+        checked.clear()
+        call(ZIGZAG)
+        assert checked == [ZIGZAG.roots]
 
 
 LARGER_FAMILY = list(enumerate_chains(2, 6, 8, 10))

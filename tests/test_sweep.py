@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from higgs_threeterm.chain import enumerate_chains
+from higgs_threeterm.chain import enumerate_chains, enumeration_steps, extend_chain
 from higgs_threeterm.sweep import (
     MODE_NECESSITY,
     MODE_THEOREM,
@@ -47,21 +47,19 @@ def test_counts_match_enumeration():
     assert report["totals"]["generated"] == len(everything)
 
 
-def test_partitions_cover_enumeration_exactly():
-    from higgs_threeterm.chain import enumeration_steps
-    from higgs_threeterm.sweep import _partition_sequences
-
+@pytest.mark.parametrize("root_bound", [0, 1, 8])
+def test_partitions_cover_enumeration_exactly(root_bound):
+    # bounds 0 and 1 put the first step -2 outside the box
     steps = enumeration_steps(6)
     for n in (2, 3, 4):
-        partitioned = sorted(
-            roots
-            for first in steps
-            for roots in _partition_sequences(n, first, steps, 8)
-        )
-        direct = sorted(
-            seq.roots for seq in enumerate_chains(n, n, 6, 8, require_stable=False)
-        )
+        partitioned = [
+            roots for first in steps for roots in extend_chain((0, first), n, steps, root_bound)
+        ]
+        direct = [
+            seq.roots for seq in enumerate_chains(n, n, 6, root_bound, require_stable=False)
+        ]
         assert partitioned == direct
+        assert all(abs(r) <= root_bound for roots in partitioned for r in roots)
 
 
 def test_necessity_sweep_finds_the_minimal_witness():
@@ -96,5 +94,7 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 1
     monkeypatch.setenv("HIGGS_THREETERM_WORKERS", "6")
     assert default_workers() == 6
-    monkeypatch.setenv("HIGGS_THREETERM_WORKERS", "junk")
-    assert default_workers() == 1
+    for bad in ("junk", "0", "-3", ""):
+        monkeypatch.setenv("HIGGS_THREETERM_WORKERS", bad)
+        with pytest.raises(ValueError, match="HIGGS_THREETERM_WORKERS"):
+            default_workers()
