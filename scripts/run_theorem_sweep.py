@@ -7,8 +7,14 @@ at every height, the tail order r_n < r_1, and carry a verified matching
 certificate per height; the run fails loudly on any violation.  Necessity
 mode collects three-term violations among the non-stable chains instead.
 
-Example:
+Theorem mode walks only prefixes that can still complete to a stable
+chain, and counts the generated chains without walking them, so the
+frontier box (n up to 16, rises up to 12, |r_j| <= 24; about 1.3e9 chains)
+is a sweep of seconds.
+
+Examples:
     python scripts/run_theorem_sweep.py --n-max 7 --out results/sweep.json
+    python scripts/run_theorem_sweep.py --n-max 16 --max-rise 12 --bound 24 --workers 2
 """
 
 import argparse

@@ -17,7 +17,8 @@ This module implements the exact combinatorics attached to such chains:
 admissibility, tail-slope stability, multiplicity profiles with the
 three-term inequality m_r <= m_{r-2} + m_{r+2}, characteristic-polynomial
 coefficients of the Higgs field (nilpotent-cone membership), and bounded
-exhaustive enumeration.  All arithmetic is exact; nothing here touches
+exhaustive enumeration, pruned by branch and bound when only stable chains
+are wanted and counted by a dynamic program.  All arithmetic is exact; nothing here touches
 floating point: the stability verdict is decided from integer prefix
 sums, and slopes become Fractions only when a report reads them.
 """
@@ -266,6 +267,9 @@ def enumerate_chains(
     Output order is deterministic: ascending length, then lexicographic on
     the root tuple.  Normalizing r_1 = 0 loses nothing because every chain
     statistic checked here is invariant under an even shift of all roots.
+    With require_stable the walk skips prefixes that cannot complete to a
+    stable chain (see extend_chain); tail_slopes still decides every chain
+    it yields.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -277,7 +281,7 @@ def enumerate_chains(
 
     def generate() -> Iterator[RootSequence]:
         for n in range(n_min, n_max + 1):
-            for roots in extend_chain((0,), n, steps, root_bound):
+            for roots in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
                 seq = RootSequence(roots)
                 if not require_stable or tail_slopes(seq).is_stable:
                     yield seq
@@ -286,20 +290,69 @@ def enumerate_chains(
 
 
 def extend_chain(
-    prefix: tuple[int, ...], n: int, steps: tuple[int, ...], bound: int
+    prefix: tuple[int, ...],
+    n: int,
+    steps: tuple[int, ...],
+    bound: int,
+    *,
+    stable_only: bool = False,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every length-n root tuple that extends prefix by the given steps
     and keeps |r_j| <= bound from the prefix's last root on.
 
-    The order is lexicographic when the steps ascend.  A prefix whose last
-    root already leaves the box yields nothing.
+    The order is lexicographic when the steps ascend.  A prefix longer
+    than n, or whose last root already leaves the box, yields nothing.
+
+    With stable_only, a prefix of length k < n is cut when no completion
+    can be stable (branch and bound).  A stable chain has its total mean
+    P_n/n strictly below every prefix mean P_j/j, j < n.  No completion
+    totals less than L = P_k + sum of max(last - 2t, -bound) over
+    t = 1..n-k (drop at every step, clamped at the box), so the prefix is
+    cut when L*j >= n*P_j for the pair (P_j, j) of smallest prefix mean.
+    The cut is only a necessary condition: the walk yields, in the same
+    order, a part of the unpruned output that holds every stable chain,
+    and callers still decide stability with tail_slopes.
     """
-    if abs(prefix[-1]) > bound:
+    if abs(prefix[-1]) > bound or len(prefix) > n:
         return
-    if len(prefix) == n:
-        yield prefix
-        return
-    last = prefix[-1]
-    for delta in steps:
-        if abs(last + delta) <= bound:  # skip a generator that would yield nothing
-            yield from extend_chain(prefix + (last + delta,), n, steps, bound)
+    total, low_sum, low_len = 0, prefix[0], 1
+    for j, r in enumerate(prefix, start=1):
+        total += r
+        if total * low_len < low_sum * j:
+            low_sum, low_len = total, j
+
+    def walk(roots, total, low_sum, low_len):
+        k = len(roots)
+        if k == n:
+            yield roots
+            return
+        last = roots[-1]
+        if stable_only:
+            left = n - k
+            drops = min(left, (last + bound) // 2)  # drops that stay inside the box
+            floor = total + drops * last - drops * (drops + 1) - (left - drops) * bound
+            if floor * low_len >= n * low_sum:
+                return
+        for delta in steps:
+            nxt = last + delta
+            if abs(nxt) <= bound:  # skip a generator that would yield nothing
+                grown = total + nxt
+                low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
+                yield from walk(roots + (nxt,), grown, *low)
+
+    yield from walk(prefix, total, low_sum, low_len)
+
+
+def count_chains(prefix: tuple[int, ...], n: int, steps: tuple[int, ...], bound: int) -> int:
+    """Number of tuples extend_chain(prefix, n, steps, bound) yields, unpruned.
+
+    A dynamic program over (remaining length, height): walks of m more
+    steps from height h inside the box, summed over the steps.
+    """
+    if abs(prefix[-1]) > bound or len(prefix) > n:
+        return 0
+    heights = range(-bound, bound + 1)
+    ways = dict.fromkeys(heights, 1)
+    for _ in range(n - len(prefix)):
+        ways = {h: sum(ways.get(h + delta, 0) for delta in steps) for h in heights}
+    return ways[prefix[-1]]

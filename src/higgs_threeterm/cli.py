@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import harmonic, serialize, sweep
+from . import serialize, sweep
 from .chain import (
     MalformedSequenceError,
     RootSequence,
@@ -298,6 +298,8 @@ def _cmd_filtered_degree(args) -> int:
 
 
 def _cmd_verify_metric(args) -> int:
+    from . import harmonic  # the only numpy user; other subcommands skip its import
+
     grid = None
     if args.tau is not None:
         try:

@@ -15,9 +15,13 @@ report's pass flag is true when at least one witness exists.
 The search space is partitioned by (length, first step), walking each
 partition from the prefix (0, first step); partitions share nothing and
 are merged in canonical order, so the report is independent of the worker
-count (the timing field aside).  Every walked chain is admissible by its
-step set (so `admissible` equals `generated`) and its stability is tested
-once, so certificates are built without re-checking either hypothesis.
+count (the timing field aside).  Theorem mode walks only prefixes that can
+still be stable (the branch-and-bound cut of chain.extend_chain);
+necessity mode needs every unstable chain and walks the whole partition.
+`generated` is counted, not walked, by chain.count_chains.  Every chain is
+admissible by its step set (so `admissible` equals `generated`) and each
+walked chain's stability is tested once, so certificates are built
+without re-checking either hypothesis.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .chain import (
     RootSequence,
+    count_chains,
     enumeration_steps,
     extend_chain,
     multiplicities,
@@ -153,11 +157,12 @@ def _check_stable_chain(seq: RootSequence) -> tuple[list[dict], int]:
 def _run_partition(args: tuple[int, int, int, int, str]) -> dict:
     n, first_step, max_rise, bound, mode = args
     steps = enumeration_steps(max_rise)
-    generated = stable = certificates = 0
+    prefix = (0, first_step)
+    generated = count_chains(prefix, n, steps, bound)
+    stable = certificates = 0
     violations: list[dict] = []
-    for roots in extend_chain((0, first_step), n, steps, bound):
+    for roots in extend_chain(prefix, n, steps, bound, stable_only=mode == MODE_THEOREM):
         seq = RootSequence(roots)
-        generated += 1
         if tail_slopes(seq).is_stable:
             stable += 1
             if mode == MODE_THEOREM:
@@ -209,6 +214,8 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
     if workers == 1:
         results = [_run_partition(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costly import, pool runs only
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_partition, tasks))
 

@@ -1,9 +1,10 @@
 """Exact chain combinatorics: admissibility, slopes, profiles, enumeration."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from higgs_threeterm.chain import (
@@ -11,7 +12,10 @@ from higgs_threeterm.chain import (
     MalformedSequenceError,
     MultiplicityProfile,
     RootSequence,
+    count_chains,
     enumerate_chains,
+    enumeration_steps,
+    extend_chain,
     hitchin_invariants,
     is_admissible,
     multiplicities,
@@ -313,3 +317,80 @@ STABLE_FAMILY = list(enumerate_chains(2, 4, 6, 6))
 @given(st.sampled_from(STABLE_FAMILY))
 def test_enumerated_stable_chains_satisfy_tail_order(seq):
     assert seq.roots[-1] < seq.roots[0]
+
+
+# --- the stability cut and the counting DP ---------------------------------------
+
+# every n <= 7 in each box; odd bounds, max_rise 2, and bounds 0 and 1 where
+# a first step leaves the box
+CUT_BOXES = pytest.mark.parametrize("max_rise", [2, 4, 6])
+CUT_BOUNDS = pytest.mark.parametrize("bound", [0, 1, 3, 5, 8])
+
+
+def box_prefixes(max_rise: int) -> list[tuple[int, ...]]:
+    return [(0,)] + [(0, step) for step in enumeration_steps(max_rise)]
+
+
+def is_stable(roots: tuple[int, ...]) -> bool:
+    return tail_slopes(RootSequence(roots)).is_stable
+
+
+@CUT_BOXES
+@CUT_BOUNDS
+def test_stable_only_walk_keeps_every_stable_chain_in_order(max_rise, bound):
+    steps = enumeration_steps(max_rise)
+    for n, prefix in itertools.product(range(2, 8), box_prefixes(max_rise)):
+        full = list(extend_chain(prefix, n, steps, bound))
+        pruned = list(extend_chain(prefix, n, steps, bound, stable_only=True))
+        assert [r for r in pruned if is_stable(r)] == [r for r in full if is_stable(r)]
+        remaining = iter(full)
+        assert all(roots in remaining for roots in pruned)  # a subsequence of the full walk
+
+
+@CUT_BOXES
+@CUT_BOUNDS
+def test_count_chains_matches_the_walk(max_rise, bound):
+    steps = enumeration_steps(max_rise)
+    for n, prefix in itertools.product(range(2, 8), box_prefixes(max_rise)):
+        walked = len(list(extend_chain(prefix, n, steps, bound)))
+        assert count_chains(prefix, n, steps, bound) == walked
+        if abs(prefix[-1]) > bound:
+            assert walked == 0
+
+
+def test_count_chains_edge_cases():
+    steps = enumeration_steps(4)
+    assert count_chains((0, -2), 5, steps, 1) == 0
+    assert count_chains((0, 4), 5, steps, 3) == 0
+    assert count_chains((0,), 1, steps, 0) == 1
+    # a prefix longer than n has no extension of length n
+    assert count_chains((0, 2, 4), 2, steps, 4) == 0
+    assert list(extend_chain((0, 2, 4), 2, steps, 4)) == []
+    assert list(extend_chain((0, 2, 4), 2, steps, 4, stable_only=True)) == []
+
+
+@given(st.data())
+def test_cut_prefixes_have_no_stable_completion(data):
+    n = data.draw(st.integers(2, 7))
+    max_rise = data.draw(st.sampled_from([2, 4, 6]))
+    bound = data.draw(st.integers(0, 9))
+    steps = enumeration_steps(max_rise)
+    prefix = (0,)
+    for _ in range(data.draw(st.integers(0, n - 2))):
+        inside = [prefix[-1] + d for d in steps if abs(prefix[-1] + d) <= bound]
+        assume(inside)
+        prefix += (data.draw(st.sampled_from(inside)),)
+    k, last = len(prefix), prefix[-1]
+    # the cut as defined: the all-drops completion clamped at -bound cannot
+    # bring the total mean below the smallest prefix mean
+    floor = sum(prefix) + sum(max(last - 2 * t, -bound) for t in range(1, n - k + 1))
+    lowest_mean = min(Fraction(sum(prefix[:j]), j) for j in range(1, k + 1))
+    completions = [
+        prefix + tuple(itertools.accumulate(deltas, initial=last))[1:]
+        for deltas in itertools.product(steps, repeat=n - k)
+    ]
+    completions = [roots for roots in completions if all(abs(r) <= bound for r in roots)]
+    assert all(sum(roots) >= floor for roots in completions)
+    if Fraction(floor, n) >= lowest_mean:
+        assert not any(is_stable(roots) for roots in completions)
+        assert list(extend_chain(prefix, n, steps, bound, stable_only=True)) == []

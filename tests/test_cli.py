@@ -101,6 +101,20 @@ def test_enumerate_all_includes_unstable(capsys):
     validate(report, "enumerateReport")
 
 
+def test_enumerate_stable_equals_all_filtered_by_check(capsys):
+    box = ["--n-min", "2", "--n-max", "3", "--max-rise", "4", "--bound", "8"]
+    _, out, _ = run_cli(capsys, "enumerate", *box)
+    stable = json.loads(out)["sequences"]
+    _, out, _ = run_cli(capsys, "enumerate", *box, "--all")
+    everything = json.loads(out)["sequences"]
+    verdicts = []
+    for roots in everything:
+        _, out, _ = run_cli(capsys, "check", "--roots", ",".join(map(str, roots)))
+        verdicts.append(json.loads(out)["stability"]["verdict"])
+    assert stable == [roots for roots, v in zip(everything, verdicts) if v == "stable"]
+    assert len(stable) < len(everything)
+
+
 # --- pair ------------------------------------------------------------------------
 
 
@@ -394,3 +408,20 @@ def test_usage_error_no_command():
         [sys.executable, "-m", "higgs_threeterm"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+NUMPY_PROBE = """
+import os, sys
+import higgs_threeterm.cli as cli
+print("numpy" in sys.modules)
+cli.main(["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--out", os.devnull])
+print("numpy" in sys.modules)
+cli.main(["verify-metric", "--grid", "2", "--out", os.devnull])
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_loaded_only_for_verify_metric():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]

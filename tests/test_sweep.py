@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from higgs_threeterm import sweep
 from higgs_threeterm.chain import enumerate_chains, enumeration_steps, extend_chain
 from higgs_threeterm.sweep import (
     MODE_NECESSITY,
@@ -60,6 +61,23 @@ def test_partitions_cover_enumeration_exactly(root_bound):
         ]
         assert partitioned == direct
         assert all(abs(r) <= root_bound for roots in partitioned for r in roots)
+
+
+def test_theorem_sweep_tests_stability_only_on_unpruned_chains(monkeypatch):
+    # the theorem-wide box: 67,739 chains, 104 stable; the unpruned walk tests all of them
+    calls = 0
+    original = sweep.tail_slopes
+
+    def counted(seq):
+        nonlocal calls
+        calls += 1
+        return original(seq)
+
+    monkeypatch.setattr(sweep, "tail_slopes", counted)
+    report = run_sweep(SweepParams(2, 8, 16, 20))
+    assert report["totals"]["generated"] == 67739
+    assert report["totals"]["stable"] == 104
+    assert calls <= 1000
 
 
 def test_necessity_sweep_finds_the_minimal_witness():
