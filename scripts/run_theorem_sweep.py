@@ -6,6 +6,7 @@ theorem mode each tail-stable chain must satisfy the three-term inequality
 at every height, the tail order r_n < r_1, and carry a verified matching
 certificate per height; the run fails loudly on any violation.  Necessity
 mode collects three-term violations among the non-stable chains instead.
+Exit codes: 0 pass, 1 violation, 2 invalid bounds or worker count.
 
 Theorem mode walks only prefixes that can still complete to a stable
 chain, and counts the generated chains without walking them, so the
@@ -38,11 +39,11 @@ def main() -> int:
 
     try:
         workers = args.workers if args.workers is not None else default_workers()
+        params = SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
+        report = run_sweep(params, workers=workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    params = SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    report = run_sweep(params, workers=workers)
 
     totals = report["totals"]
     print(

@@ -55,51 +55,3 @@ from .pairing import (
 from .sweep import MODE_NECESSITY, MODE_THEOREM, SweepParams, run_sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainHiggsBundle",
-    "MalformedSequenceError",
-    "MultiplicityProfile",
-    "RootSequence",
-    "StabilityReport",
-    "ThreeTermViolation",
-    "enumerate_chains",
-    "hitchin_invariants",
-    "is_admissible",
-    "multiplicities",
-    "tail_slopes",
-    "three_term_holds",
-    "weight_has_nonzero_form",
-    "BranchError",
-    "FilteredBundleData",
-    "FilteredJumpData",
-    "ResidueBlock",
-    "SideMismatchError",
-    "SideResidue",
-    "connection_to_rep",
-    "filtered_degree_bundle",
-    "filtered_degree_rep",
-    "higgs_to_rep",
-    "rank1_degrees",
-    "rank1_jump",
-    "rank1_residue_angle",
-    "rep_to_connection",
-    "rep_to_higgs",
-    "slope_bundle",
-    "slope_rep",
-    "HypothesisViolationError",
-    "MatchedPair",
-    "MatchingCertificate",
-    "PairingFailure",
-    "Region",
-    "RegionKind",
-    "build_matching",
-    "certified_heights",
-    "classify_regions",
-    "verify_certificate",
-    "MODE_NECESSITY",
-    "MODE_THEOREM",
-    "SweepParams",
-    "run_sweep",
-    "__version__",
-]

@@ -89,10 +89,6 @@ class ChainHiggsBundle:
     def from_roots(cls, seq: RootSequence) -> ChainHiggsBundle:
         return cls(seq, seq.step_weights)
 
-    @property
-    def admissible(self) -> bool:
-        return all(weight_has_nonzero_form(w) for w in self.step_weights)
-
     def theta_structure(self) -> list[list[int]]:
         """0/1 matrix of the Higgs field in the line-bundle splitting.
 
@@ -178,14 +174,11 @@ def weight_has_nonzero_form(k: int) -> bool:
 def is_admissible(seq: RootSequence) -> tuple[bool, list[int]]:
     """Check the three step rules; return (ok, violated 1-based step indices).
 
-    Step j fails when the path moves horizontally (w_j = 2), drops by more
-    than 2 (w_j < 0), or changes parity (w_j odd; impossible for even roots,
-    kept for safety).
+    Step j fails when no nonzero form of weight w_j exists: the path moves
+    horizontally (w_j = 2), drops by more than 2 (w_j < 0), or changes
+    parity (w_j odd; impossible for even roots, kept for safety).
     """
-    bad = []
-    for j, w in enumerate(seq.step_weights, start=1):
-        if w < 0 or w == 2 or w % 2 != 0:
-            bad.append(j)
+    bad = [j for j, w in enumerate(seq.step_weights, start=1) if not weight_has_nonzero_form(w)]
     return (not bad, bad)
 
 
@@ -253,6 +246,17 @@ def enumeration_steps(max_rise: int) -> tuple[int, ...]:
     return (-2,) + tuple(range(2, max_rise + 1, 2))
 
 
+def check_box(n_min: int, n_max: int, max_rise: int, root_bound: int) -> None:
+    """Raise ValueError unless 2 <= n_min <= n_max, max_rise is even and
+    >= 2, and root_bound >= 0."""
+    if not 2 <= n_min <= n_max:
+        raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    if max_rise < 2 or max_rise % 2 != 0:
+        raise ValueError(f"max_rise must be even and >= 2, got {max_rise}")
+    if root_bound < 0:
+        raise ValueError(f"root_bound must be >= 0, got {root_bound}")
+
+
 def enumerate_chains(
     n_min: int,
     n_max: int,
@@ -271,12 +275,7 @@ def enumerate_chains(
     stable chain (see extend_chain); tail_slopes still decides every chain
     it yields.
     """
-    if not 2 <= n_min <= n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    if max_rise < 2 or max_rise % 2 != 0:
-        raise ValueError(f"max_rise must be even and >= 2, got {max_rise}")
-    if root_bound < 0:
-        raise ValueError(f"root_bound must be >= 0, got {root_bound}")
+    check_box(n_min, n_max, max_rise, root_bound)
     steps = enumeration_steps(max_rise)
 
     def generate() -> Iterator[RootSequence]:

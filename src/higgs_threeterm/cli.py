@@ -16,13 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import serialize, sweep
-from .chain import (
-    MalformedSequenceError,
-    RootSequence,
-    enumerate_chains,
-)
+from .chain import RootSequence, enumerate_chains
 from .filtered import (
-    BranchError,
     FilteredBundleData,
     FilteredJumpData,
     ResidueBlock,
@@ -39,17 +34,14 @@ from .filtered import (
     slope_bundle,
     slope_rep,
 )
-from .pairing import (
-    HypothesisViolationError,
-    PairingFailure,
-    build_matching,
-    certified_heights,
-    verify_certificate,
-)
+from .pairing import PairingFailure, build_matching, certified_heights, verify_certificate
 
 
 class UsageError(Exception):
-    """Bad input that argparse could not catch itself."""
+    """Bad input that argparse could not catch itself.
+
+    `main` reports it, and any ValueError or OSError, as exit 2.
+    """
 
 
 def _parse_roots(text: str) -> RootSequence:
@@ -57,10 +49,7 @@ def _parse_roots(text: str) -> RootSequence:
         roots = tuple(int(part) for part in text.replace(" ", "").split(",") if part != "")
     except ValueError as exc:
         raise UsageError(f"could not parse --roots {text!r}: {exc}") from None
-    try:
-        return RootSequence(roots)
-    except MalformedSequenceError as exc:
-        raise UsageError(str(exc)) from None
+    return RootSequence(roots)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -167,13 +156,10 @@ def _cmd_pair(args) -> int:
     seq = _parse_roots(args.roots)
     if args.height is None and not args.all_heights:
         raise UsageError("pair needs --height R or --all-heights")
-    try:
-        if args.all_heights:
-            certs = list(certified_heights(seq).values())
-        else:
-            certs = [build_matching(seq, args.height)]
-    except HypothesisViolationError as exc:
-        raise UsageError(str(exc)) from None
+    if args.all_heights:
+        certs = list(certified_heights(seq).values())
+    else:
+        certs = [build_matching(seq, args.height)]
 
     failures = []
     for cert in certs:
@@ -201,12 +187,9 @@ def _cmd_translate(args) -> int:
     if args.source_side == "representation":
         if args.beta is None or args.u is None or args.v is None:
             raise UsageError("translate --from representation needs --beta, --u, --v")
-        try:
-            block = ResidueBlock(
-                _parse_fraction(args.beta), _parse_fraction(args.u), _parse_fraction(args.v)
-            )
-        except BranchError as exc:
-            raise UsageError(str(exc)) from None
+        block = ResidueBlock(
+            _parse_fraction(args.beta), _parse_fraction(args.u), _parse_fraction(args.v)
+        )
     else:
         if args.jump is None or args.re is None or args.im is None:
             raise UsageError(f"translate --from {args.source_side} needs --jump, --re, --im")
@@ -214,10 +197,7 @@ def _cmd_translate(args) -> int:
             _parse_fraction(args.jump),
             (_parse_fraction(args.re), _parse_fraction(args.im)),
         )
-        try:
-            block = connection_to_rep(data) if args.source_side == "connection" else higgs_to_rep(data)
-        except BranchError as exc:
-            raise UsageError(str(exc)) from None
+        block = connection_to_rep(data) if args.source_side == "connection" else higgs_to_rep(data)
 
     connection = rep_to_connection(block)
     higgs = rep_to_higgs(block)
@@ -272,20 +252,17 @@ def _cmd_rank1(args) -> int:
 
 def _cmd_filtered_degree(args) -> int:
     cusps = tuple(tuple(_parse_jumps(text)) for text in args.jumps)
-    try:
-        if args.side == "representation":
-            data = FilteredJumpData("representation", cusps)
-            degree, slope = filtered_degree_rep(data), slope_rep(data)
-            extra = {"dimension": data.dimension}
-        else:
-            if args.rank is None or args.base_degree is None:
-                raise UsageError("filtered-degree --side bundle needs --rank and --base-degree")
-            jump_data = FilteredJumpData("bundle", cusps)
-            data = FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jump_data)
-            degree, slope = filtered_degree_bundle(data), slope_bundle(data)
-            extra = {"rank": args.rank}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.side == "representation":
+        data = FilteredJumpData("representation", cusps)
+        degree, slope = filtered_degree_rep(data), slope_rep(data)
+        extra = {"dimension": data.dimension}
+    else:
+        if args.rank is None or args.base_degree is None:
+            raise UsageError("filtered-degree --side bundle needs --rank and --base-degree")
+        jump_data = FilteredJumpData("bundle", cusps)
+        data = FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jump_data)
+        degree, slope = filtered_degree_bundle(data), slope_bundle(data)
+        extra = {"rank": args.rank}
     report = {
         "side": args.side,
         "degree": serialize.format_rational(degree),
@@ -306,18 +283,15 @@ def _cmd_verify_metric(args) -> int:
             grid = [harmonic.UpperHalfPoint.parse(args.tau)]
         except ValueError as exc:
             raise UsageError(f"bad --tau: {exc}") from None
-    try:
-        report = harmonic.verification_report(
-            grid=grid,
-            count=args.grid,
-            seed=args.seed,
-            h=args.h,
-            h_nested=args.h_nested,
-            only=args.check,
-            tolerance=args.tolerance,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = harmonic.verification_report(
+        grid=grid,
+        count=args.grid,
+        seed=args.seed,
+        h=args.h,
+        h_nested=args.h_nested,
+        only=args.check,
+        tolerance=args.tolerance,
+    )
     rows = [
         [row["check_name"], repr(row["max_residual"]), repr(row["tolerance"]), row["pass"]]
         for row in report["checks"]
@@ -421,18 +395,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PairingFailure as exc:
         print(json.dumps({"counterexample": exc.report()}, indent=2), file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

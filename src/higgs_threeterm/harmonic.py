@@ -83,6 +83,8 @@ class FiniteDiffScheme:
     order: Literal["central-2nd"] = "central-2nd"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.h):
+            raise ValueError(f"step must be finite, got {self.h}")
         if self.h <= 0:
             raise ValueError(f"step must be positive, got {self.h}")
         if self.h < 1e-6:
@@ -460,6 +462,8 @@ def verification_report(
     Returns {parameters, checks: [{check_name, max_residual, tolerance,
     pass}], pass}; the order-deviation row reports |empirical order - 2|.
     """
+    if tolerance is not None and not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     if grid is None:
         grid = sample_grid(count=count, seed=seed)
     if only is not None and only not in _CHECKS:

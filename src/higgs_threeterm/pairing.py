@@ -231,11 +231,8 @@ def verify_certificate(
         elif roots[p.target - 1] not in (r - 2, r + 2):
             reasons.append("target height")
 
-    seen: list[str] = []
-    for why in reasons:
-        if why not in seen:
-            seen.append(why)
-    return (not seen, seen)
+    reasons = list(dict.fromkeys(reasons))
+    return (not reasons, reasons)
 
 
 def certified_heights(seq: RootSequence) -> dict[int, MatchingCertificate]:

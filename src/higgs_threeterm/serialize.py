@@ -60,10 +60,7 @@ def check_report(seq: RootSequence) -> dict:
         "multiplicities": profile_json(profile),
         "three_term": {
             "holds": holds,
-            "violations": [
-                {"height": v.height, "count": v.count, "below": v.below, "above": v.above}
-                for v in violations
-            ],
+            "violations": [v._asdict() for v in violations],
         },
     }
 

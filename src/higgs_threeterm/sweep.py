@@ -18,10 +18,11 @@ are merged in canonical order, so the report is independent of the worker
 count (the timing field aside).  Theorem mode walks only prefixes that can
 still be stable (the branch-and-bound cut of chain.extend_chain);
 necessity mode needs every unstable chain and walks the whole partition.
-`generated` is counted, not walked, by chain.count_chains.  Every chain is
-admissible by its step set (so `admissible` equals `generated`) and each
-walked chain's stability is tested once, so certificates are built
-without re-checking either hypothesis.
+`generated` is counted, not walked, by chain.count_chains, once per
+length.  Every chain is admissible by its step set (so `admissible` equals
+`generated`) and each walked chain's stability is tested once, so
+certificates are built without re-checking either hypothesis.  The pool
+never has more workers than partitions, and one worker runs inline.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 from .chain import (
     RootSequence,
+    check_box,
     count_chains,
     enumeration_steps,
     extend_chain,
@@ -59,12 +61,7 @@ class SweepParams:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_THEOREM, MODE_NECESSITY):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if not 2 <= self.n_min <= self.n_max:
-            raise ValueError(f"need 2 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
-        if self.max_rise < 2 or self.max_rise % 2 != 0:
-            raise ValueError(f"max_rise must be even and >= 2, got {self.max_rise}")
-        if self.root_bound < 0:
-            raise ValueError(f"root_bound must be >= 0, got {self.root_bound}")
+        check_box(self.n_min, self.n_max, self.max_rise, self.root_bound)
 
 
 def default_workers() -> int:
@@ -93,75 +90,44 @@ def _check_stable_chain(seq: RootSequence) -> tuple[list[dict], int]:
     roots = list(seq.roots)
     violations: list[dict] = []
 
+    def record(kind: str, detail: dict) -> None:
+        violations.append({"roots": roots, "kind": kind, "detail": detail})
+
     profile = multiplicities(seq)
     counting_ok, tt_violations = three_term_holds(profile)
     for v in tt_violations:
-        violations.append(
-            {
-                "roots": roots,
-                "kind": "three-term",
-                "detail": {"height": v.height, "count": v.count, "below": v.below, "above": v.above},
-            }
-        )
+        record("three-term", v._asdict())
 
     if seq.roots[-1] >= seq.roots[0]:
-        violations.append(
-            {
-                "roots": roots,
-                "kind": "tail-order",
-                "detail": {"first": seq.roots[0], "last": seq.roots[-1]},
-            }
-        )
+        record("tail-order", {"first": seq.roots[0], "last": seq.roots[-1]})
 
-    certificates_ok = True
+    before = len(violations)
     for r in sorted(profile.counts):
         try:
             cert = _match_height(seq, r)
         except PairingFailure as failure:
-            certificates_ok = False
-            violations.append(
-                {"roots": roots, "kind": "certificate-build", "detail": failure.report()}
-            )
+            record("certificate-build", failure.report())
             continue
         ok, reasons = verify_certificate(seq, cert)
         if not ok:
-            certificates_ok = False
-            violations.append(
-                {
-                    "roots": roots,
-                    "kind": "certificate-verify",
-                    "detail": {"height": r, "reasons": reasons},
-                }
-            )
+            record("certificate-verify", {"height": r, "reasons": reasons})
         if len(cert.pairs) != profile[r]:
-            certificates_ok = False
-            violations.append(
-                {
-                    "roots": roots,
-                    "kind": "certificate-count",
-                    "detail": {"height": r, "pairs": len(cert.pairs), "multiplicity": profile[r]},
-                }
-            )
+            detail = {"height": r, "pairs": len(cert.pairs), "multiplicity": profile[r]}
+            record("certificate-count", detail)
+    certificates_ok = len(violations) == before
 
     if certificates_ok != counting_ok:
-        violations.append(
-            {
-                "roots": roots,
-                "kind": "route-disagreement",
-                "detail": {"counting": counting_ok, "certificates": certificates_ok},
-            }
-        )
+        record("route-disagreement", {"counting": counting_ok, "certificates": certificates_ok})
     return violations, len(profile.counts)
 
 
-def _run_partition(args: tuple[int, int, int, int, str]) -> dict:
+def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, list[dict]]:
+    """Walk one (n, first step) partition; return (stable, certificates, violations)."""
     n, first_step, max_rise, bound, mode = args
     steps = enumeration_steps(max_rise)
-    prefix = (0, first_step)
-    generated = count_chains(prefix, n, steps, bound)
     stable = certificates = 0
     violations: list[dict] = []
-    for roots in extend_chain(prefix, n, steps, bound, stable_only=mode == MODE_THEOREM):
+    for roots in extend_chain((0, first_step), n, steps, bound, stable_only=mode == MODE_THEOREM):
         seq = RootSequence(roots)
         if tail_slopes(seq).is_stable:
             stable += 1
@@ -170,29 +136,12 @@ def _run_partition(args: tuple[int, int, int, int, str]) -> dict:
                 violations.extend(found)
                 certificates += n_heights
         elif mode == MODE_NECESSITY:
-            holds, tt_violations = three_term_holds(multiplicities(seq))
-            if not holds:
-                for v in tt_violations:
-                    violations.append(
-                        {
-                            "roots": list(roots),
-                            "kind": "three-term",
-                            "detail": {
-                                "height": v.height,
-                                "count": v.count,
-                                "below": v.below,
-                                "above": v.above,
-                            },
-                        }
-                    )
-    return {
-        "n": n,
-        "generated": generated,
-        "admissible": generated,
-        "stable": stable,
-        "certificates": certificates,
-        "violations": violations,
-    }
+            _, tt_violations = three_term_holds(multiplicities(seq))
+            violations.extend(
+                {"roots": list(roots), "kind": "three-term", "detail": v._asdict()}
+                for v in tt_violations
+            )
+    return stable, certificates, violations
 
 
 def run_sweep(params: SweepParams, workers: int = 1) -> dict:
@@ -205,12 +154,14 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
         raise ValueError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
     steps = enumeration_steps(params.max_rise)
+    lengths = range(params.n_min, params.n_max + 1)
     tasks = [
         (n, first_step, params.max_rise, params.root_bound, params.mode)
-        for n in range(params.n_min, params.n_max + 1)
+        for n in lengths
         for first_step in steps
     ]
 
+    workers = min(workers, len(tasks))  # a pool forks every worker up front
     if workers == 1:
         results = [_run_partition(task) for task in tasks]
     else:
@@ -220,17 +171,20 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
             results = list(pool.map(_run_partition, tasks))
 
     per_n: dict[str, dict] = {}
-    totals = {"generated": 0, "admissible": 0, "stable": 0, "certificates": 0}
+    for n in lengths:
+        generated = count_chains((0,), n, steps, params.root_bound)
+        per_n[str(n)] = {"generated": generated, "admissible": generated, "stable": 0}
+    certificates = 0
     violations: list[dict] = []
-    for res in results:
-        bucket = per_n.setdefault(
-            str(res["n"]), {"generated": 0, "admissible": 0, "stable": 0}
-        )
-        for key in ("generated", "admissible", "stable"):
-            bucket[key] += res[key]
-            totals[key] += res[key]
-        totals["certificates"] += res["certificates"]
-        violations.extend(res["violations"])
+    for (n, *_), (stable, n_certificates, found) in zip(tasks, results):
+        per_n[str(n)]["stable"] += stable
+        certificates += n_certificates
+        violations.extend(found)
+    totals = {
+        key: sum(bucket[key] for bucket in per_n.values())
+        for key in ("generated", "admissible", "stable")
+    }
+    totals["certificates"] = certificates
 
     violations.sort(
         key=lambda v: (len(v["roots"]), v["roots"], v["kind"], json.dumps(v["detail"], sort_keys=True))
@@ -251,7 +205,7 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
             "mode": params.mode,
         },
         "totals": totals,
-        "per_n": {k: per_n[k] for k in sorted(per_n, key=int)},
+        "per_n": per_n,
         "violations": violations,
         "pass": passed,
         "timing_seconds": elapsed,

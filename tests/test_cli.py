@@ -300,6 +300,27 @@ def test_verify_metric_bad_tau(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_metric_rejects_non_finite_h(capsys, value):
+    code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--h", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: step must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_metric_rejects_non_finite_h_nested(capsys, value):
+    code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--h-nested", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: step must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_metric_rejects_non_finite_tolerance(capsys, value):
+    code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--tolerance", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be finite, got {value}\n"
+
+
 def test_verify_metric_csv(capsys):
     code, out, _ = run_cli(capsys, "verify-metric", "--grid", "4", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
@@ -364,6 +385,27 @@ def test_sweep_script_rejects_invalid_workers_env():
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: HIGGS_THREETERM_WORKERS must be an integer >= 1, got 'junk'\n"
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--max-rise", "3", "max_rise must be even and >= 2, got 3"),
+        ("--n-min", "1", "need 2 <= n_min <= n_max, got [1, 2]"),
+        ("--workers", "0", "workers must be >= 1, got 0"),
+    ],
+    ids=["max-rise", "n-min", "workers"],
+)
+def test_sweep_script_rejects_invalid_bounds(flag, value, message):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n-max", "2", flag, value],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_sweep_out_file(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Sweep harness: counts, violations, worker determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from higgs_threeterm import sweep
-from higgs_threeterm.chain import enumerate_chains, enumeration_steps, extend_chain
+from higgs_threeterm.chain import RootSequence, enumerate_chains, enumeration_steps, extend_chain
+from higgs_threeterm.pairing import MatchingCertificate
 from higgs_threeterm.sweep import (
     MODE_NECESSITY,
     MODE_THEOREM,
@@ -94,6 +96,39 @@ def test_worker_determinism():
     assert canonical(single) == canonical(eight)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    ("n_max", "max_rise", "workers", "pools"),
+    [(2, 2, 64, [2]), (3, 2, 64, [4]), (2, 2, 1, []), (2, 4, 2, [2])],
+)
+def test_worker_pool_never_exceeds_partitions(monkeypatch, n_max, max_rise, workers, pools):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    params = SweepParams(2, n_max, max_rise, 2)
+    report = run_sweep(params, workers=workers)
+    assert RecordingPool.created == pools
+    assert canonical(report) == canonical(run_sweep(params, workers=1))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         SweepParams(1, 3, 4, 4)
@@ -116,3 +151,55 @@ def test_default_workers_env(monkeypatch):
         monkeypatch.setenv("HIGGS_THREETERM_WORKERS", bad)
         with pytest.raises(ValueError, match="HIGGS_THREETERM_WORKERS"):
             default_workers()
+
+
+# sha256 of the report as the CLI writes it, timing_seconds removed; the
+# last box has 571 necessity violations, so the violation sort is pinned too
+PINNED_REPORTS = {
+    ((2, 7, 6, 3), MODE_THEOREM): "db698d031e3f3170168234e343f0f9adad5c721a77fa5d11438130adb75f1fb0",
+    ((2, 7, 6, 3), MODE_NECESSITY): "6348040de25f7571dc5a4f6d849a38f1d515abd49d3e2bd49b084e93c9ec4047",
+    ((2, 9, 2, 5), MODE_THEOREM): "d0d8cb0dd7fcbff0f543d5daa97799b089803128156b6a3948fa03990b7ddc1d",
+    ((2, 9, 2, 5), MODE_NECESSITY): "784dcafb8d479ca1e1c78119589280a2bb198db60b6d85162fb7a3ab1611a20d",
+    ((2, 6, 8, 10), MODE_THEOREM): "9f8cfe9f18d3427700430108dbfae21a3f15652db312e6fe354aba0e3bd01a3f",
+    ((2, 6, 8, 10), MODE_NECESSITY): "8e74b051e9154cb03bda1dd941dba75ff1424f5a58971ad30f4fac07fbc4736b",
+}
+
+
+@pytest.mark.parametrize(("box", "mode"), list(PINNED_REPORTS))
+def test_report_bytes_are_pinned(box, mode):
+    report = run_sweep(SweepParams(*box, mode))
+    del report["timing_seconds"]
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[box, mode]
+
+
+def test_stable_chain_check_records_every_kind():
+    # (0, 4) is not stable, so every counting and build check fires on it
+    found, heights = sweep._check_stable_chain(RootSequence((0, 4)))
+    unmatched = "no trailing drop and no r+2 vertex before the leftmost source"
+    expected = [
+        ("three-term", {"height": 0, "count": 1, "below": 0, "above": 0}),
+        ("three-term", {"height": 4, "count": 1, "below": 0, "above": 0}),
+        ("tail-order", {"first": 0, "last": 4}),
+        ("certificate-build", {"roots": [0, 4], "height": 0, "source": 1, "reason": unmatched}),
+        ("certificate-build", {"roots": [0, 4], "height": 4, "source": 2, "reason": unmatched}),
+    ]
+    assert heights == 2
+    # compared as JSON text, so the key order of every record is pinned too
+    assert json.dumps(found) == json.dumps(
+        [{"roots": [0, 4], "kind": kind, "detail": detail} for kind, detail in expected]
+    )
+
+
+def test_stable_chain_check_records_bad_certificates(monkeypatch):
+    monkeypatch.setattr(sweep, "_match_height", lambda seq, r: MatchingCertificate(r, ()))
+    found, heights = sweep._check_stable_chain(RootSequence((0, -2)))
+    assert heights == 2
+    assert [list(v) for v in found] == [["roots", "kind", "detail"]] * len(found)
+    assert [(v["kind"], v["detail"]) for v in found] == [
+        ("certificate-verify", {"height": -2, "reasons": ["source coverage"]}),
+        ("certificate-count", {"height": -2, "pairs": 0, "multiplicity": 1}),
+        ("certificate-verify", {"height": 0, "reasons": ["source coverage"]}),
+        ("certificate-count", {"height": 0, "pairs": 0, "multiplicity": 1}),
+        ("route-disagreement", {"counting": True, "certificates": False}),
+    ]
