@@ -24,6 +24,10 @@ in floating point with central finite differences:
 
 Derivatives use Wirtinger operators d = (d/dx - i d/dy)/2 and
 dbar = (d/dx + i d/dy)/2 with second-order central differences.
+
+Every operator takes one point or an array of points: matrices come back
+with shape (..., 2, 2), residuals as a float for one point and an array
+for a batch, so each check runs once over the whole sample grid.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ DEFAULT_MIN_Y = 0.1
 GAMMA_S = ((0, -1), (1, 0))
 GAMMA_T = ((1, 1), (0, 1))
 
-MatrixFn = Callable[[complex], np.ndarray]
+MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,13 @@ class UpperHalfPoint:
         return cls.from_complex(z)
 
 
+def _require_step(h: float) -> None:
+    if not math.isfinite(h):
+        raise ValueError(f"step must be finite, got {h}")
+    if h <= 0:
+        raise ValueError(f"step must be positive, got {h}")
+
+
 @dataclass(frozen=True)
 class FiniteDiffScheme:
     """Central second-order differences with step h.
@@ -83,10 +94,7 @@ class FiniteDiffScheme:
     order: Literal["central-2nd"] = "central-2nd"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.h):
-            raise ValueError(f"step must be finite, got {self.h}")
-        if self.h <= 0:
-            raise ValueError(f"step must be positive, got {self.h}")
+        _require_step(self.h)
         if self.h < 1e-6:
             warnings.warn(f"step underflow: h = {self.h} < 1e-6, roundoff will dominate")
         elif self.h > 1e-2:
@@ -95,68 +103,88 @@ class FiniteDiffScheme:
 
 @dataclass(frozen=True)
 class OperatorSample:
-    """A matrix-valued form sampled at one point, tagged with its form type."""
+    """A matrix-valued form sampled at one point or a batch, tagged with its form type."""
 
     mat: np.ndarray
     form: Literal["dtau", "dtaubar"]
 
 
-def _as_tau(point: UpperHalfPoint | complex) -> complex:
-    if isinstance(point, UpperHalfPoint):
-        return point.tau
-    z = complex(point)
-    if z.imag <= 0:
-        raise ValueError(f"point {z} is not in the upper half-plane")
-    return z
+def _as_tau(point: UpperHalfPoint | complex | np.ndarray) -> tuple[np.ndarray, bool]:
+    """tau as a complex array of at least one axis, and whether it was one point.
+
+    One point is evaluated as a batch of one: numpy rounds complex products
+    of scalars differently from its array loops, and a point must give the
+    same bits alone as inside a batch.
+    """
+    z = np.asarray(point.tau if isinstance(point, UpperHalfPoint) else point, dtype=complex)
+    low = z.imag <= 0
+    if low.any():
+        raise ValueError(f"point {complex(z[low][0])} is not in the upper half-plane")
+    return (z.reshape(1), True) if z.ndim == 0 else (z, False)
 
 
-def metric_at(z: complex) -> np.ndarray:
+def _unbatch(out, one: bool):
+    """A one-point result without its batch axis, a residual as a float."""
+    if one and np.ndim(out) and np.shape(out)[0] == 1:
+        out = out[0]
+    return out.item() if one and np.ndim(out) == 0 else out
+
+
+def _stack(a, b, c, d, dtype=complex) -> np.ndarray:
+    """[[a, b], [c, d]] with the entries broadcast together: shape (..., 2, 2)."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _max_entry(mat: np.ndarray, one: bool) -> float | np.ndarray:
+    """Max |entry| over the matrix axes: a float for one point, an array for a batch."""
+    return _unbatch(np.abs(mat).max(axis=(-2, -1)), one)
+
+
+def metric_at(z) -> np.ndarray:
     """The totally geodesic metric for the inclusion representation."""
+    z, one = _as_tau(z)
     x, y = z.real, z.imag
-    if y <= 0:
-        raise ValueError(f"point {z} is not in the upper half-plane")
-    return np.array([[1.0, -x], [-x, x * x + y * y]]) / y
+    return _unbatch(_stack(1.0, -x, -x, x * x + y * y, dtype=float) / y[..., None, None], one)
 
 
-def eval_metric(point: UpperHalfPoint | complex) -> np.ndarray:
-    return metric_at(_as_tau(point))
-
-
-def moebius_apply(gamma, z: complex) -> complex:
-    (a, b), (c, d) = gamma
-    return (a * z + b) / (c * z + d)
+eval_metric = metric_at
 
 
 def equivariance_residual(
     point: UpperHalfPoint | complex, gamma, min_y: float = DEFAULT_MIN_Y
-) -> float:
+) -> float | np.ndarray:
     """Max-entry gap between K(gamma tau) and g^{-T} K(tau) conj(g)^{-1}.
 
-    gamma must be an integer matrix of determinant 1; its Moebius image of
-    tau must stay above the conditioning floor.
+    gamma must be an integer matrix of determinant 1, or a stack of them
+    (..., 2, 2) broadcast against the points; every Moebius image must stay
+    above the conditioning floor, and the first one that does not (in C
+    order of the broadcast shape) is named in the error.
     """
-    (a, b), (c, d) = gamma
-    if a * d - b * c != 1:
+    (a, b), (c, d) = np.moveaxis(np.asarray(gamma), (-2, -1), (0, 1))
+    if np.any(a * d - b * c != 1):
         raise ValueError(f"gamma must have determinant 1, got {gamma}")
-    z = _as_tau(point)
-    w = moebius_apply(gamma, z)
-    if w.imag <= min_y:
-        raise ValueError(f"gamma tau = {w} fell below the floor y = {min_y}")
-    ginv = np.array([[d, -b], [-c, a]], dtype=float)  # exact unimodular inverse
+    z, one = _as_tau(point)
+    w = (a * z + b) / (c * z + d)
+    low = w.imag <= min_y
+    if low.any():
+        raise ValueError(f"gamma tau = {complex(w[low][0])} fell below the floor y = {min_y}")
+    ginv = _stack(d, -b, -c, a, dtype=float)  # exact unimodular inverse
     lhs = metric_at(w)
-    rhs = ginv.T @ metric_at(z) @ np.conj(ginv)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = np.swapaxes(ginv, -1, -2) @ metric_at(z) @ np.conj(ginv)
+    return _max_entry(lhs - rhs, one)
 
 
 def wirtinger(
     fn: MatrixFn, point: UpperHalfPoint | complex, scheme: FiniteDiffScheme
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise (d, dbar) of fn at the point, by central differences."""
-    z = _as_tau(point)
+    """Entrywise (d, dbar) of fn at the point(s), by central differences."""
+    z, one = _as_tau(point)
     h = scheme.h
     fx = (np.asarray(fn(z + h), dtype=complex) - np.asarray(fn(z - h), dtype=complex)) / (2 * h)
     fy = (np.asarray(fn(z + 1j * h), dtype=complex) - np.asarray(fn(z - 1j * h), dtype=complex)) / (2 * h)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+    return _unbatch(0.5 * (fx - 1j * fy), one), _unbatch(0.5 * (fx + 1j * fy), one)
 
 
 def log_derivative(
@@ -168,27 +196,27 @@ def log_derivative(
     """D log G = G^{-1} (D applied entrywise to G), D in {d, dbar}."""
     if selector not in ("d", "dbar"):
         raise ValueError(f"selector must be 'd' or 'dbar', got {selector!r}")
-    z = _as_tau(point)
+    z, one = _as_tau(point)
     d, dbar = wirtinger(fn, z, scheme)
     g = np.asarray(fn(z), dtype=complex)
     mat = np.linalg.inv(g) @ (d if selector == "d" else dbar)
-    return OperatorSample(mat, "dtau" if selector == "d" else "dtaubar")
+    return OperatorSample(_unbatch(mat, one), "dtau" if selector == "d" else "dtaubar")
 
 
 def theta_closed_form(point: UpperHalfPoint | complex) -> OperatorSample:
     """Higgs field of the inclusion metric, as a dtau form."""
-    z = _as_tau(point)
+    z, one = _as_tau(point)
     zb = z.conjugate()
-    mat = np.array([[-zb, zb * zb], [-1.0, zb]], dtype=complex) / (z - zb) ** 2
-    return OperatorSample(mat, "dtau")
+    mat = _stack(-zb, zb * zb, -1.0, zb) / ((z - zb) ** 2)[..., None, None]
+    return OperatorSample(_unbatch(mat, one), "dtau")
 
 
 def dbar_correction_closed_form(point: UpperHalfPoint | complex) -> OperatorSample:
     """Matrix N with dbar_K = dbar + N dtaubar for the inclusion metric."""
-    z = _as_tau(point)
+    z, one = _as_tau(point)
     zb = z.conjugate()
-    mat = np.array([[z, -z * z], [1.0, -z]], dtype=complex) / (z - zb) ** 2
-    return OperatorSample(mat, "dtaubar")
+    mat = _stack(z, -z * z, 1.0, -z) / ((z - zb) ** 2)[..., None, None]
+    return OperatorSample(_unbatch(mat, one), "dtaubar")
 
 
 def theta_finite_difference(
@@ -202,7 +230,7 @@ def theta_finite_difference(
     real, so the operator stays correct for Hermitian inputs.
     """
 
-    def fn_bar(z: complex) -> np.ndarray:
+    def fn_bar(z: np.ndarray) -> np.ndarray:
         return np.conj(np.asarray(fn(z), dtype=complex))
 
     sample = log_derivative("d", point, scheme, fn=fn_bar)
@@ -213,7 +241,7 @@ def harmonic_residual(
     point: UpperHalfPoint | complex,
     scheme: FiniteDiffScheme,
     fn: MatrixFn = metric_at,
-) -> float:
+) -> float | np.ndarray:
     """Max-entry residual of d dbar log K - (1/2)[dbar log K, d log K].
 
     The outer derivative nests finite differences; steps below 1e-4 make
@@ -223,62 +251,63 @@ def harmonic_residual(
         warnings.warn(
             f"h = {scheme.h} < 1e-4 conditions the nested second difference poorly"
         )
-    z = _as_tau(point)
+    z, one = _as_tau(point)
 
-    def dbar_log(w: complex) -> np.ndarray:
+    def dbar_log(w: np.ndarray) -> np.ndarray:
         return log_derivative("dbar", w, scheme, fn=fn).mat
 
     outer_d, _ = wirtinger(dbar_log, z, scheme)
     a = dbar_log(z)
     b = log_derivative("d", z, scheme, fn=fn).mat
-    return float(np.max(np.abs(outer_d - 0.5 * (a @ b - b @ a))))
+    return _max_entry(outer_d - 0.5 * (a @ b - b @ a), one)
 
 
 def higgs_form_basis(point: UpperHalfPoint | complex) -> np.ndarray:
     """Basis matrix M(tau) carrying a pair of holomorphic functions to a
     dbar_K-closed section."""
-    z = _as_tau(point)
+    z, one = _as_tau(point)
     zb = z.conjugate()
-    return np.array([[-zb / (z - zb), z], [-1.0 / (z - zb), 1.0]], dtype=complex)
+    return _unbatch(_stack(-zb / (z - zb), z, -1.0 / (z - zb), 1.0), one)
 
 
 def higgs_form_residual(
-    g: Callable[[complex], complex],
-    h: Callable[[complex], complex],
+    g: Callable[[np.ndarray], complex],
+    h: Callable[[np.ndarray], complex],
     point: UpperHalfPoint | complex,
     scheme: FiniteDiffScheme,
-) -> float:
+) -> float | np.ndarray:
     """Residual of dbar f + N f for f = M(tau) (g, h)^T.
 
     Vanishes (to truncation) whenever g and h are holomorphic near the
     point; only this local identity is checked, no automorphy is imposed.
     """
-    z = _as_tau(point)
+    z, one = _as_tau(point)
 
-    def section(w: complex) -> np.ndarray:
-        return higgs_form_basis(w) @ np.array([g(w), h(w)], dtype=complex)
+    def section(w: np.ndarray) -> np.ndarray:
+        """f as a column (..., 2, 1); a constant g or h is broadcast to w."""
+        gw, hw, _ = np.broadcast_arrays(g(w), h(w), w)
+        return higgs_form_basis(w) @ np.stack([gw, hw], axis=-1)[..., None]
 
     _, dbar_f = wirtinger(section, z, scheme)
     n_mat = dbar_correction_closed_form(z).mat
-    return float(np.max(np.abs(dbar_f + n_mat @ section(z))))
+    return _max_entry(dbar_f + n_mat @ section(z), one)
 
 
 def conjugated_higgs(point: UpperHalfPoint | complex) -> np.ndarray:
     """M(tau)^{-1} theta M(tau); constant [[0, 1], [0, 0]] up to roundoff."""
-    z = _as_tau(point)
+    z, one = _as_tau(point)
     m = higgs_form_basis(z)
-    return np.linalg.inv(m) @ theta_closed_form(z).mat @ m
+    return _unbatch(np.linalg.inv(m) @ theta_closed_form(z).mat @ m, one)
 
 
 def a_lambda(point: UpperHalfPoint | complex, lam: complex) -> np.ndarray:
     """Automorphism rescaling the Higgs field by lambda (nonzero)."""
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    z = _as_tau(point)
+    z, one = _as_tau(point)
     zb = z.conjugate()
-    return np.array(
-        [[z - lam * zb, (lam - 1) * z * zb], [1 - lam, lam * z - zb]], dtype=complex
-    ) / (z - zb)
+    mat = _stack(z - lam * zb, (lam - 1) * z * zb, 1 - lam, lam * z - zb) / (z - zb)[..., None, None]
+    return _unbatch(mat, one)
 
 
 def sample_grid(
@@ -322,13 +351,8 @@ DEFAULT_TOLERANCES = {
     "higgs_form_closedness": 1e-5,
 }
 
-_EQUIVARIANCE_GAMMAS = {
-    "S": GAMMA_S,
-    "T": GAMMA_T,
-    "ST": ((0, -1), (1, 1)),
-    "TS": ((1, -1), (1, 0)),
-    "TTS": ((2, -1), (1, 0)),
-}
+# the words S, T, ST, TS and TTS, stacked
+_EQUIVARIANCE_GAMMAS = np.array([GAMMA_S, GAMMA_T, ((0, -1), (1, 1)), ((1, -1), (1, 0)), ((2, -1), (1, 0))])
 
 _POLY_PAIRS = (
     (lambda z: 1.0 + 0j, lambda z: 0j),
@@ -337,101 +361,74 @@ _POLY_PAIRS = (
 )
 
 
-def _check_metric_shape(grid, h, h_nested) -> float:
-    worst = 0.0
-    for pt in grid:
-        k = eval_metric(pt)
-        worst = max(worst, float(np.max(np.abs(k - k.T))))
-        worst = max(worst, abs(float(np.linalg.det(k)) - 1.0))
-        # positive definite: both leading minors strictly positive
-        if not (k[0, 0] > 0 and np.linalg.det(k) > 0):
-            worst = max(worst, math.inf)
-    return worst
+def _worst(*gaps) -> float:
+    """The largest |entry| over all the arrays given."""
+    return max(float(np.max(np.abs(gap))) for gap in gaps)
 
 
-def _check_equivariance(grid, h, h_nested) -> float:
-    return max(
-        equivariance_residual(pt, gamma)
-        for pt in grid
-        for gamma in _EQUIVARIANCE_GAMMAS.values()
-    )
+def _check_metric_shape(z, h, h_nested) -> float:
+    k = metric_at(z)
+    det = np.linalg.det(k)
+    # positive definite: both leading minors strictly positive
+    if not np.all((k[..., 0, 0] > 0) & (det > 0)):
+        return math.inf
+    return _worst(k - np.swapaxes(k, -1, -2), det - 1.0)
 
 
-def _check_theta_fd(grid, h, h_nested) -> float:
-    scheme = FiniteDiffScheme(h)
-    return max(
-        float(np.max(np.abs(theta_closed_form(pt).mat - theta_finite_difference(pt, scheme).mat)))
-        for pt in grid
-    )
+def _check_equivariance(z, h, h_nested) -> float:
+    # points on axis 0, gammas on axis 1: a low image is named point-major
+    return _worst(equivariance_residual(z[:, None], _EQUIVARIANCE_GAMMAS))
 
 
-def _check_harmonic(grid, h, h_nested) -> float:
-    scheme = FiniteDiffScheme(h_nested)
-    return max(harmonic_residual(pt, scheme) for pt in grid)
+def _check_theta_fd(z, h, h_nested) -> float:
+    return _worst(theta_closed_form(z).mat - theta_finite_difference(z, FiniteDiffScheme(h)).mat)
 
 
-def _check_convergence_order(grid, h, h_nested) -> float:
+def _check_harmonic(z, h, h_nested) -> float:
+    return _worst(harmonic_residual(z, FiniteDiffScheme(h_nested)))
+
+
+def _check_convergence_order(z, h, h_nested) -> float:
     h_big, h_small = 1e-2, 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        slopes = []
-        for pt in grid:
-            big = harmonic_residual(pt, FiniteDiffScheme(h_big))
-            small = harmonic_residual(pt, FiniteDiffScheme(h_small))
-            slopes.append(math.log(big / small) / math.log(h_big / h_small))
-    slopes.sort()
-    order = slopes[len(slopes) // 2]
-    return abs(order - 2.0)
-
-
-def _check_theta_nilpotent(grid, h, h_nested) -> float:
-    worst = 0.0
-    for pt in grid:
-        th = theta_closed_form(pt).mat
-        worst = max(worst, float(np.max(np.abs(th @ th))))
-        worst = max(worst, abs(complex(np.trace(th))))
-        worst = max(worst, abs(complex(np.linalg.det(th))))
-    return worst
-
-
-def _check_conjugated(grid, h, h_nested) -> float:
-    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return max(float(np.max(np.abs(conjugated_higgs(pt) - raising))) for pt in grid)
-
-
-def _check_scaling_conjugation(grid, h, h_nested) -> float:
-    worst = 0.0
-    for pt in grid:
-        th = theta_closed_form(pt).mat
-        for lam in (2.0 + 0j, 1j):
-            al = a_lambda(pt, lam)
-            worst = max(
-                worst, float(np.max(np.abs(al @ th @ np.linalg.inv(al) - lam * th)))
-            )
-    return worst
-
-
-def _check_scaling_group_law(grid, h, h_nested) -> float:
-    worst = 0.0
-    samples = ((2.0 + 0j, 1j), (1j, 1j), (0.5 + 0.5j, 3.0 + 0j))
-    for pt in grid:
-        ident = a_lambda(pt, 1.0)
-        worst = max(worst, float(np.max(np.abs(ident - np.eye(2)))))
-        for lam, mu in samples:
-            worst = max(
-                worst,
-                float(np.max(np.abs(a_lambda(pt, lam) @ a_lambda(pt, mu) - a_lambda(pt, lam * mu)))),
-            )
-    return worst
-
-
-def _check_higgs_forms(grid, h, h_nested) -> float:
-    scheme = FiniteDiffScheme(h)
-    return max(
-        higgs_form_residual(g, hh, pt, scheme)
-        for pt in grid
-        for g, hh in _POLY_PAIRS
+        big = harmonic_residual(z, FiniteDiffScheme(h_big))
+        small = harmonic_residual(z, FiniteDiffScheme(h_small))
+    # math.log, not np.log: numpy's may differ in the last ulp between CPUs
+    slopes = sorted(
+        math.log(b / s) / math.log(h_big / h_small) for b, s in zip(big.tolist(), small.tolist())
     )
+    return abs(slopes[len(slopes) // 2] - 2.0)
+
+
+def _check_theta_nilpotent(z, h, h_nested) -> float:
+    th = theta_closed_form(z).mat
+    return _worst(th @ th, np.trace(th, axis1=-2, axis2=-1), np.linalg.det(th))
+
+
+def _check_conjugated(z, h, h_nested) -> float:
+    return _worst(conjugated_higgs(z) - np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _check_scaling_conjugation(z, h, h_nested) -> float:
+    th = theta_closed_form(z).mat
+    worst = 0.0
+    for lam in (2.0 + 0j, 1j):
+        al = a_lambda(z, lam)
+        worst = max(worst, _worst(al @ th @ np.linalg.inv(al) - lam * th))
+    return worst
+
+
+def _check_scaling_group_law(z, h, h_nested) -> float:
+    worst = _worst(a_lambda(z, 1.0) - np.eye(2))
+    for lam, mu in ((2.0 + 0j, 1j), (1j, 1j), (0.5 + 0.5j, 3.0 + 0j)):
+        worst = max(worst, _worst(a_lambda(z, lam) @ a_lambda(z, mu) - a_lambda(z, lam * mu)))
+    return worst
+
+
+def _check_higgs_forms(z, h, h_nested) -> float:
+    scheme = FiniteDiffScheme(h)
+    return max(_worst(higgs_form_residual(g, hh, z, scheme)) for g, hh in _POLY_PAIRS)
 
 
 _CHECKS = {
@@ -462,6 +459,8 @@ def verification_report(
     Returns {parameters, checks: [{check_name, max_residual, tolerance,
     pass}], pass}; the order-deviation row reports |empirical order - 2|.
     """
+    _require_step(h)
+    _require_step(h_nested)
     if tolerance is not None and not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance}")
     if grid is None:
@@ -469,9 +468,10 @@ def verification_report(
     if only is not None and only not in _CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {sorted(_CHECKS)}")
     names = [only] if only else list(_CHECKS)
+    z = np.array([pt.tau for pt in grid], dtype=complex)
     rows = []
     for name in names:
-        residual = _CHECKS[name](grid, h, h_nested)
+        residual = _CHECKS[name](z, h, h_nested)
         tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[name]
         rows.append(
             {

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -319,6 +320,29 @@ def test_verify_metric_rejects_non_finite_tolerance(capsys, value):
     code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--tolerance", value)
     assert (code, out) == (2, "")
     assert err == f"error: tolerance must be finite, got {value}\n"
+
+
+BAD_STEPS = {
+    "nan": "step must be finite, got nan",
+    "inf": "step must be finite, got inf",
+    "0": "step must be positive, got 0.0",
+    "-1": "step must be positive, got -1.0",
+}
+
+
+@pytest.mark.parametrize("flag", ["--h", "--h-nested"])
+@pytest.mark.parametrize("value", list(BAD_STEPS))
+def test_verify_metric_rejects_bad_step_for_a_check_without_differences(capsys, flag, value):
+    # metric_shape takes no step, so only the up-front check can reject it
+    code, out, err = run_cli(capsys, "verify-metric", "--grid", "2", "--check", "metric_shape", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {BAD_STEPS[value]}\n"
+
+
+def test_verify_metric_low_equivariance_image(capsys):
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", "5+0.2i")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: gamma tau = \(\S+\) fell below the floor y = 0\.1\n", err), err
 
 
 def test_verify_metric_csv(capsys):

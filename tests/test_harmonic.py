@@ -307,3 +307,150 @@ def test_verification_report_tolerance_override_can_fail():
 def test_verification_report_unknown_check():
     with pytest.raises(ValueError):
         verification_report(only="nope")
+
+
+# --- the batched battery against the point-wise loop ------------------------------------
+
+GAMMAS = (GAMMA_S, GAMMA_T, ((0, -1), (1, 1)), ((1, -1), (1, 0)), ((2, -1), (1, 0)))
+POLY_PAIRS = (
+    (lambda z: 1.0 + 0j, lambda z: 0j),
+    (lambda z: 0j, lambda z: 1.0 + 0j),
+    (lambda z: z * z, lambda z: z),
+)
+# the battery's checks in report order, with their default tolerances
+TOLERANCES = {
+    "metric_shape": 1e-12,
+    "equivariance": 1e-10,
+    "theta_vs_finite_difference": 1e-5,
+    "harmonic_equation": 1e-4,
+    "harmonic_convergence_order_deviation": 0.3,
+    "theta_nilpotent": 1e-12,
+    "conjugated_higgs_constant": 1e-10,
+    "scaling_conjugation": 1e-10,
+    "scaling_group_law": 1e-10,
+    "higgs_form_closedness": 1e-5,
+}
+# checks whose batched max_residual is bit-identical to the loop's; the
+# others sit at the roundoff floor
+FINITE_DIFFERENCE_CHECKS = {
+    "metric_shape",
+    "theta_vs_finite_difference",
+    "harmonic_equation",
+    "harmonic_convergence_order_deviation",
+    "higgs_form_closedness",
+}
+
+
+def pointwise_residuals(grid) -> dict:
+    """Every check at the default steps, as a loop over the points through the
+    single-point functions."""
+    scheme = FiniteDiffScheme(1e-4)
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    found = {name: [] for name in TOLERANCES}
+    for pt in grid:
+        k = eval_metric(pt)
+        shape = max(maxabs(k - k.T), abs(float(np.linalg.det(k)) - 1.0))
+        found["metric_shape"].append(shape if k[0, 0] > 0 and np.linalg.det(k) > 0 else math.inf)
+        found["equivariance"] += [equivariance_residual(pt, gamma) for gamma in GAMMAS]
+        th = theta_closed_form(pt).mat
+        found["theta_vs_finite_difference"].append(maxabs(th - theta_finite_difference(pt, scheme).mat))
+        small = harmonic_residual(pt, FiniteDiffScheme(1e-3))  # h_nested is 1e-3 as well
+        found["harmonic_equation"].append(small)
+        big = harmonic_residual(pt, FiniteDiffScheme(1e-2))
+        found["harmonic_convergence_order_deviation"].append(math.log(big / small) / math.log(1e-2 / 1e-3))
+        found["theta_nilpotent"] += [
+            maxabs(th @ th), abs(complex(np.trace(th))), abs(complex(np.linalg.det(th)))
+        ]
+        found["conjugated_higgs_constant"].append(maxabs(conjugated_higgs(pt) - raising))
+        for lam in (2.0 + 0j, 1j):
+            al = a_lambda(pt, lam)
+            found["scaling_conjugation"].append(maxabs(al @ th @ np.linalg.inv(al) - lam * th))
+        found["scaling_group_law"].append(maxabs(a_lambda(pt, 1.0) - np.eye(2)))
+        for lam, mu in ((2.0 + 0j, 1j), (1j, 1j), (0.5 + 0.5j, 3.0 + 0j)):
+            gap = a_lambda(pt, lam) @ a_lambda(pt, mu) - a_lambda(pt, lam * mu)
+            found["scaling_group_law"].append(maxabs(gap))
+        found["higgs_form_closedness"] += [higgs_form_residual(g, hh, pt, scheme) for g, hh in POLY_PAIRS]
+    out = {name: max(values) for name, values in found.items()}
+    slopes = sorted(found["harmonic_convergence_order_deviation"])
+    out["harmonic_convergence_order_deviation"] = abs(slopes[len(slopes) // 2] - 2.0)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 20, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_batched_battery_matches_pointwise_loop(count, seed):
+    grid = sample_grid(count=count, seed=seed)
+    report = verification_report(grid=grid, seed=seed)
+    reference = pointwise_residuals(grid)
+    assert [row["check_name"] for row in report["checks"]] == list(reference)
+    for row in report["checks"]:
+        name, expected = row["check_name"], reference[row["check_name"]]
+        assert row["tolerance"] == TOLERANCES[name]
+        assert row["pass"] == (expected < row["tolerance"]), name
+        if name in FINITE_DIFFERENCE_CHECKS:
+            assert row["max_residual"] == expected, name
+        else:
+            assert abs(row["max_residual"] - expected) <= 1e-14, name
+
+
+def test_batched_operators_equal_each_point_bit_for_bit():
+    grid = sample_grid(count=50, seed=7)
+    z = np.array([pt.tau for pt in grid])
+    scheme = FiniteDiffScheme(1e-3)
+
+    residuals = harmonic_residual(z, scheme)
+    assert residuals.shape == (50,)
+    assert type(harmonic_residual(grid[0], scheme)) is float
+    assert residuals.tobytes() == np.array([harmonic_residual(pt, scheme) for pt in grid]).tobytes()
+
+    theta = theta_finite_difference(z, scheme).mat
+    assert theta.shape == (50, 2, 2)
+    pointwise = np.array([theta_finite_difference(pt, scheme).mat for pt in grid])
+    assert theta.tobytes() == pointwise.tobytes()
+
+    for g, hh in POLY_PAIRS:
+        forms = higgs_form_residual(g, hh, z, scheme)
+        expected = np.array([higgs_form_residual(g, hh, pt, scheme) for pt in grid])
+        assert forms.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        metric_at,
+        theta_closed_form,
+        higgs_form_basis,
+        lambda z: harmonic_residual(z, FiniteDiffScheme(1e-3)),
+        lambda z: equivariance_residual(z, GAMMA_T),
+    ],
+    ids=["metric_at", "theta_closed_form", "higgs_form_basis", "harmonic_residual", "equivariance"],
+)
+def test_batch_names_its_first_lower_half_plane_point(operator):
+    with pytest.raises(ValueError) as alone:
+        operator(0.5 - 0.2j)
+    with pytest.raises(ValueError) as batch:
+        operator(np.array([1j, 0.5 - 0.2j, 2 - 1j]))
+    assert str(batch.value) == str(alone.value) == "point (0.5-0.2j) is not in the upper half-plane"
+
+
+def test_low_image_error_names_the_first_point_then_the_first_gamma():
+    # (2.5, 1) falls below the floor only under ST, the third word; (0.2, 12)
+    # already under S, the first: a gamma-major scan would name the latter.
+    grid = [UpperHalfPoint(0.3, 1.2), UpperHalfPoint(2.5, 1.0), UpperHalfPoint(0.2, 12.0)]
+
+    def low_image_messages(pairs):
+        messages = []
+        for pt, gamma in pairs:
+            try:
+                equivariance_residual(pt, gamma)
+            except ValueError as exc:
+                messages.append(str(exc))
+        return messages
+
+    point_major = low_image_messages((pt, gamma) for pt in grid for gamma in GAMMAS)
+    gamma_major = low_image_messages((pt, gamma) for gamma in GAMMAS for pt in grid)
+    assert point_major[0] != gamma_major[0]
+    for only in ("equivariance", None):
+        with pytest.raises(ValueError) as caught:
+            verification_report(grid=grid, only=only)
+        assert str(caught.value) == point_major[0]
