@@ -26,7 +26,7 @@ sums, and slopes become Fractions only when a report reads them.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -129,15 +129,15 @@ class ThreeTermViolation(NamedTuple):
     above: int  # m_{r+2}
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Tail-slope comparison against the total slope.
 
     tail_slopes[i] is the slope of the span of the last n-k+1 summands for
     k = i+2 (the canonical Higgs-invariant subobjects of a chain).  The
     chain is tail-stable when every tail slope is strictly below the total
     slope; an exact tie is reported as marginal, never as stable.  The
-    slopes are computed from the roots when read.
+    slopes are computed from the roots when read.  A named tuple: the sweep
+    builds one per walked chain.
     """
 
     roots: tuple[int, ...]
@@ -182,29 +182,29 @@ def is_admissible(seq: RootSequence) -> tuple[bool, list[int]]:
     return (not bad, bad)
 
 
-def tail_slopes(seq: RootSequence) -> StabilityReport:
-    """Tail-slope stability verdict, decided in integers.
+def tail_slopes(roots: tuple[int, ...]) -> StabilityReport:
+    """Tail-slope stability verdict of a root tuple, decided in integers.
 
-    With prefix sums P_j, the tail from k = j+1 has slope above (equal to)
+    The tuple is read as given (a RootSequence passes its .roots).  With
+    prefix sums P_j, the tail from k = j+1 has slope above (equal to)
     the total slope exactly when n*P_j - j*P_n is negative (zero).  A
     strict destabilizer wins over a marginal tie when both occur; the
     reported k is the first offender in k = 2..n.
     """
-    r = seq.roots
-    n = len(r)
-    total = sum(r)
+    n = len(roots)
+    total = sum(roots)
     prefix = 0
     marginal = None
     for j in range(1, n):
-        prefix += r[j - 1]
+        prefix += roots[j - 1]
         gap = n * prefix - j * total
         if gap < 0:
-            return StabilityReport(r, "strictly-destabilized", j + 1)
+            return StabilityReport(roots, "strictly-destabilized", j + 1)
         if gap == 0 and marginal is None:
             marginal = j + 1
     if marginal is not None:
-        return StabilityReport(r, "marginal", marginal)
-    return StabilityReport(r, "stable", None)
+        return StabilityReport(roots, "marginal", marginal)
+    return StabilityReport(roots, "stable", None)
 
 
 def multiplicities(seq: RootSequence) -> MultiplicityProfile:
@@ -212,15 +212,16 @@ def multiplicities(seq: RootSequence) -> MultiplicityProfile:
     return MultiplicityProfile(dict(Counter(seq.roots)))
 
 
-def three_term_holds(profile: MultiplicityProfile) -> tuple[bool, list[ThreeTermViolation]]:
-    """Check m_r <= m_{r-2} + m_{r+2} at every height.
+def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermViolation]]:
+    """Check m_r <= m_{r-2} + m_{r+2} at every height of a {r: m_r} mapping.
 
-    Heights with m_r = 0 hold trivially, so only realized heights are
-    scanned; violations carry the three counts.
+    Absent heights read 0 and hold trivially, so only the mapping's keys
+    are scanned, ascending; violations carry the three counts.
     """
     violations = []
-    for r in sorted(profile.counts):
-        m, below, above = profile[r], profile[r - 2], profile[r + 2]
+    get = counts.get
+    for r in sorted(counts):
+        m, below, above = counts[r], get(r - 2, 0), get(r + 2, 0)
         if m > below + above:
             violations.append(ThreeTermViolation(r, m, below, above))
     return (not violations, violations)
@@ -281,9 +282,8 @@ def enumerate_chains(
     def generate() -> Iterator[RootSequence]:
         for n in range(n_min, n_max + 1):
             for roots in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
-                seq = RootSequence(roots)
-                if not require_stable or tail_slopes(seq).is_stable:
-                    yield seq
+                if not require_stable or tail_slopes(roots).is_stable:
+                    yield RootSequence(roots)
 
     return generate()
 
@@ -295,6 +295,7 @@ def extend_chain(
     bound: int,
     *,
     stable_only: bool = False,
+    counts: dict[int, int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every length-n root tuple that extends prefix by the given steps
     and keeps |r_j| <= bound from the prefix's last root on.
@@ -311,20 +312,29 @@ def extend_chain(
     The cut is only a necessary condition: the walk yields, in the same
     order, a part of the unpruned output that holds every stable chain,
     and callers still decide stability with tail_slopes.
+
+    The walk carries the multiplicities {r: m_r} of the tuple it builds, in
+    the dict counts if one is passed (it is cleared first): a push adds one
+    at the new root, a pop takes it away, and a count of 0 is deleted.  At
+    each yield counts equals multiplicities(RootSequence(roots)).counts.
     """
+    counts = {} if counts is None else counts
+    counts.clear()
     if abs(prefix[-1]) > bound or len(prefix) > n:
         return
     total, low_sum, low_len = 0, prefix[0], 1
     for j, r in enumerate(prefix, start=1):
         total += r
+        counts[r] = counts.get(r, 0) + 1
         if total * low_len < low_sum * j:
             low_sum, low_len = total, j
 
+    if len(prefix) == n:
+        yield prefix
+        return
+
     def walk(roots, total, low_sum, low_len):
         k = len(roots)
-        if k == n:
-            yield roots
-            return
         last = roots[-1]
         if stable_only:
             left = n - k
@@ -332,12 +342,21 @@ def extend_chain(
             floor = total + drops * last - drops * (drops + 1) - (left - drops) * bound
             if floor * low_len >= n * low_sum:
                 return
+        leaf = k + 1 == n  # yield the last push directly, with no generator per leaf
         for delta in steps:
             nxt = last + delta
-            if abs(nxt) <= bound:  # skip a generator that would yield nothing
-                grown = total + nxt
-                low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
-                yield from walk(roots + (nxt,), grown, *low)
+            if abs(nxt) <= bound:
+                counts[nxt] = counts.get(nxt, 0) + 1
+                if leaf:
+                    yield roots + (nxt,)
+                else:
+                    grown = total + nxt
+                    low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
+                    yield from walk(roots + (nxt,), grown, *low)
+                if counts[nxt] == 1:
+                    del counts[nxt]
+                else:
+                    counts[nxt] -= 1
 
     yield from walk(prefix, total, low_sum, low_len)
 

@@ -84,8 +84,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _emit(args, json_obj, csv_header, csv_rows) -> None:
+    """Write the report; a NaN or infinity in a JSON report raises ValueError
+    (exit 2) before anything is written, since JSON cannot hold it."""
     if args.format == "json":
-        text = json.dumps(json_obj, indent=2) + "\n"
+        text = json.dumps(json_obj, indent=2, allow_nan=False) + "\n"
     else:
         text = _csv_text(csv_header, csv_rows)
     if args.out:

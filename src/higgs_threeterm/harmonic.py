@@ -50,13 +50,15 @@ MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """A point tau = x + iy with y above a configurable conditioning floor."""
+    """A finite point tau = x + iy with y above a configurable conditioning floor."""
 
     x: float
     y: float
     min_y: float = field(default=DEFAULT_MIN_Y, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"need finite x and y, got x = {self.x}, y = {self.y}")
         if not self.y > self.min_y:
             raise ValueError(f"need y > {self.min_y}, got y = {self.y}")
 

@@ -110,7 +110,7 @@ def _require_hypotheses(seq: RootSequence) -> None:
     ok, bad = is_admissible(seq)
     if not ok:
         raise HypothesisViolationError(f"chain {seq.roots} is inadmissible at steps {bad}")
-    report = tail_slopes(seq)
+    report = tail_slopes(seq.roots)
     if not report.is_stable:
         raise HypothesisViolationError(f"chain {seq.roots} is not tail-stable ({report.verdict})")
 

@@ -52,11 +52,11 @@ def check_report(seq: RootSequence) -> dict:
     """The full informational report for one chain."""
     admissible, _ = is_admissible(seq)
     profile = multiplicities(seq)
-    holds, violations = three_term_holds(profile)
+    holds, violations = three_term_holds(profile.counts)
     return {
         "roots": list(seq.roots),
         "admissible": admissible,
-        "stability": stability_json(tail_slopes(seq)),
+        "stability": stability_json(tail_slopes(seq.roots)),
         "multiplicities": profile_json(profile),
         "three_term": {
             "holds": holds,

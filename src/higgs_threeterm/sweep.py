@@ -23,6 +23,14 @@ length.  Every chain is admissible by its step set (so `admissible` equals
 `generated`) and each walked chain's stability is tested once, so
 certificates are built without re-checking either hypothesis.  The pool
 never has more workers than partitions, and one worker runs inline.
+
+The walk hands each chain over as a plain tuple and carries its
+multiplicities {r: m_r}, one push or pop at a time, so a leaf builds no
+per-chain object: tail_slopes tests the tuple, three_term_holds reads the
+carried counts, and a RootSequence is built only for a stable chain that
+goes to pairing.  Records are ordered per chain: chains arrive in (length,
+roots) order, so sorting each chain's records by (kind, detail as JSON
+with sorted keys) orders the whole report without a global sort.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ from .chain import (
     count_chains,
     enumeration_steps,
     extend_chain,
-    multiplicities,
     tail_slopes,
     three_term_holds,
 )
@@ -82,8 +89,8 @@ def default_workers() -> int:
     return workers
 
 
-def _check_stable_chain(seq: RootSequence) -> tuple[list[dict], int]:
-    """All theorem-mode assertions for one tail-stable chain.
+def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list[dict], int]:
+    """All theorem-mode assertions for one tail-stable chain with multiplicities counts.
 
     Returns (violations, number of heights certified).
     """
@@ -93,8 +100,7 @@ def _check_stable_chain(seq: RootSequence) -> tuple[list[dict], int]:
     def record(kind: str, detail: dict) -> None:
         violations.append({"roots": roots, "kind": kind, "detail": detail})
 
-    profile = multiplicities(seq)
-    counting_ok, tt_violations = three_term_holds(profile)
+    counting_ok, tt_violations = three_term_holds(counts)
     for v in tt_violations:
         record("three-term", v._asdict())
 
@@ -102,7 +108,7 @@ def _check_stable_chain(seq: RootSequence) -> tuple[list[dict], int]:
         record("tail-order", {"first": seq.roots[0], "last": seq.roots[-1]})
 
     before = len(violations)
-    for r in sorted(profile.counts):
+    for r in sorted(counts):
         try:
             cert = _match_height(seq, r)
         except PairingFailure as failure:
@@ -111,36 +117,55 @@ def _check_stable_chain(seq: RootSequence) -> tuple[list[dict], int]:
         ok, reasons = verify_certificate(seq, cert)
         if not ok:
             record("certificate-verify", {"height": r, "reasons": reasons})
-        if len(cert.pairs) != profile[r]:
-            detail = {"height": r, "pairs": len(cert.pairs), "multiplicity": profile[r]}
+        if len(cert.pairs) != counts[r]:
+            detail = {"height": r, "pairs": len(cert.pairs), "multiplicity": counts[r]}
             record("certificate-count", detail)
     certificates_ok = len(violations) == before
 
     if certificates_ok != counting_ok:
         record("route-disagreement", {"counting": counting_ok, "certificates": certificates_ok})
-    return violations, len(profile.counts)
+    return violations, len(counts)
+
+
+def _in_report_order(records: list[dict]) -> list[dict]:
+    """Sort one chain's records, in place, into their report order.
+
+    The key is (kind, detail as JSON with sorted keys), so numbers compare
+    as text ("above": 10 before "above": 2).  Partitions yield chains in
+    (length, roots) order, so sorting each chain's records orders the
+    whole report.
+    """
+    if len(records) > 1:
+        records.sort(key=lambda v: (v["kind"], json.dumps(v["detail"], sort_keys=True)))
+    return records
 
 
 def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, list[dict]]:
-    """Walk one (n, first step) partition; return (stable, certificates, violations)."""
+    """Walk one (n, first step) partition; return (stable, certificates, violations).
+
+    The walk hands over plain root tuples and carries their multiplicities;
+    a RootSequence is built only for a stable chain that goes to pairing.
+    """
     n, first_step, max_rise, bound, mode = args
-    steps = enumeration_steps(max_rise)
+    theorem = mode == MODE_THEOREM
     stable = certificates = 0
     violations: list[dict] = []
-    for roots in extend_chain((0, first_step), n, steps, bound, stable_only=mode == MODE_THEOREM):
-        seq = RootSequence(roots)
-        if tail_slopes(seq).is_stable:
+    counts: dict[int, int] = {}
+    steps = enumeration_steps(max_rise)
+    for roots in extend_chain((0, first_step), n, steps, bound, stable_only=theorem, counts=counts):
+        if tail_slopes(roots).is_stable:
             stable += 1
-            if mode == MODE_THEOREM:
-                found, n_heights = _check_stable_chain(seq)
-                violations.extend(found)
+            if theorem:
+                found, n_heights = _check_stable_chain(RootSequence(roots), counts)
+                violations += _in_report_order(found)
                 certificates += n_heights
-        elif mode == MODE_NECESSITY:
-            _, tt_violations = three_term_holds(multiplicities(seq))
-            violations.extend(
-                {"roots": list(roots), "kind": "three-term", "detail": v._asdict()}
-                for v in tt_violations
-            )
+        elif not theorem:
+            _, found = three_term_holds(counts)
+            if found:
+                listed = list(roots)  # one list for all of the chain's records
+                violations += _in_report_order(
+                    [{"roots": listed, "kind": "three-term", "detail": v._asdict()} for v in found]
+                )
     return stable, certificates, violations
 
 
@@ -186,9 +211,6 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
     }
     totals["certificates"] = certificates
 
-    violations.sort(
-        key=lambda v: (len(v["roots"]), v["roots"], v["kind"], json.dumps(v["detail"], sort_keys=True))
-    )
     elapsed = time.perf_counter() - started
 
     if params.mode == MODE_THEOREM:

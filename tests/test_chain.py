@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from higgs_threeterm.chain import (
     ChainHiggsBundle,
     MalformedSequenceError,
-    MultiplicityProfile,
     RootSequence,
     count_chains,
     enumerate_chains,
@@ -96,7 +95,7 @@ def test_weight_has_nonzero_form():
 
 
 def test_tail_slopes_stable_example():
-    report = tail_slopes(RootSequence((2, 0, -2)))
+    report = tail_slopes(RootSequence((2, 0, -2)).roots)
     assert report.total_slope == 0
     assert report.tail_slopes == (Fraction(-1), Fraction(-2))
     assert report.verdict == "stable"
@@ -104,7 +103,7 @@ def test_tail_slopes_stable_example():
 
 
 def test_tail_slopes_unstable_example():
-    report = tail_slopes(RootSequence((0, 4)))
+    report = tail_slopes(RootSequence((0, 4)).roots)
     assert report.total_slope == 2
     assert report.tail_slopes == (Fraction(4),)
     assert report.verdict == "strictly-destabilized-at-2"
@@ -112,7 +111,7 @@ def test_tail_slopes_unstable_example():
 
 
 def test_tail_slopes_singleton():
-    report = tail_slopes(RootSequence((6,)))
+    report = tail_slopes(RootSequence((6,)).roots)
     assert report.total_slope == 6
     assert report.tail_slopes == ()
     assert report.is_stable
@@ -121,7 +120,7 @@ def test_tail_slopes_singleton():
 def test_marginal_is_not_stable():
     # (0, -2, -4, -2): every tail is strictly below the total slope -2
     # except the last summand alone, which ties it exactly
-    report = tail_slopes(RootSequence((0, -2, -4, -2)))
+    report = tail_slopes(RootSequence((0, -2, -4, -2)).roots)
     assert report.total_slope == -2
     assert report.tail_slopes == (Fraction(-8, 3), Fraction(-3), Fraction(-2))
     assert report.verdict == "marginal-at-4"
@@ -143,7 +142,7 @@ def reference_stability(roots: tuple[int, ...]) -> tuple:
 
 
 def observed_stability(roots: tuple[int, ...]) -> tuple:
-    report = tail_slopes(RootSequence(roots))
+    report = tail_slopes(RootSequence(roots).roots)
     return (report.kind, report.at_k, report.total_slope, report.tail_slopes)
 
 
@@ -166,7 +165,7 @@ def test_tail_slopes_matches_fraction_reference(roots):
 
 def test_strict_destabilizer_wins_over_marginal():
     # (0, 0, 4): k=2 tail slope 2 > 4/3 total; k=3 tail slope 4 > total too
-    report = tail_slopes(RootSequence((0, 0, 4)))
+    report = tail_slopes(RootSequence((0, 0, 4)).roots)
     assert report.kind == "strictly-destabilized"
     assert report.at_k == 2
 
@@ -188,17 +187,17 @@ def test_multiplicities_total(roots):
 
 
 def test_three_term_examples():
-    ok, violations = three_term_holds(MultiplicityProfile({4: 2, 2: 2, 0: 2, -2: 1}))
+    ok, violations = three_term_holds({4: 2, 2: 2, 0: 2, -2: 1})
     assert ok and violations == []
 
-    ok, violations = three_term_holds(MultiplicityProfile({0: 1, 4: 1}))
+    ok, violations = three_term_holds({0: 1, 4: 1})
     assert not ok
     assert [(v.height, v.count, v.below, v.above) for v in violations] == [
         (0, 1, 0, 0),
         (4, 1, 0, 0),
     ]
 
-    ok, violations = three_term_holds(MultiplicityProfile({}))
+    ok, violations = three_term_holds({})
     assert ok and violations == []
 
 
@@ -209,7 +208,7 @@ def test_shift_invariance(roots, shift):
 
     assert is_admissible(seq) == is_admissible(moved)
 
-    rep_a, rep_b = tail_slopes(seq), tail_slopes(moved)
+    rep_a, rep_b = tail_slopes(seq.roots), tail_slopes(moved.roots)
     assert rep_a.kind == rep_b.kind
     assert rep_a.at_k == rep_b.at_k
     assert rep_b.total_slope == rep_a.total_slope + shift
@@ -217,8 +216,8 @@ def test_shift_invariance(roots, shift):
     prof_a, prof_b = multiplicities(seq), multiplicities(moved)
     assert prof_b.counts == {r + shift: m for r, m in prof_a.counts.items()}
 
-    ok_a, viol_a = three_term_holds(prof_a)
-    ok_b, viol_b = three_term_holds(prof_b)
+    ok_a, viol_a = three_term_holds(prof_a.counts)
+    ok_b, viol_b = three_term_holds(prof_b.counts)
     assert ok_a == ok_b
     assert [(v.height + shift, v.count, v.below, v.above) for v in viol_a] == [
         tuple(v) for v in viol_b
@@ -292,7 +291,7 @@ def test_enumerate_all_admissible_and_normalized():
 def test_enumerate_stable_filter_matches_tail_slopes():
     everything = list(enumerate_chains(2, 4, 6, 8, require_stable=False))
     stable = [s.roots for s in enumerate_chains(2, 4, 6, 8, require_stable=True)]
-    recomputed = [s.roots for s in everything if tail_slopes(s).is_stable]
+    recomputed = [s.roots for s in everything if tail_slopes(s.roots).is_stable]
     assert stable == recomputed
 
 
@@ -332,7 +331,7 @@ def box_prefixes(max_rise: int) -> list[tuple[int, ...]]:
 
 
 def is_stable(roots: tuple[int, ...]) -> bool:
-    return tail_slopes(RootSequence(roots)).is_stable
+    return tail_slopes(RootSequence(roots).roots).is_stable
 
 
 @CUT_BOXES
@@ -367,6 +366,44 @@ def test_count_chains_edge_cases():
     assert count_chains((0, 2, 4), 2, steps, 4) == 0
     assert list(extend_chain((0, 2, 4), 2, steps, 4)) == []
     assert list(extend_chain((0, 2, 4), 2, steps, 4, stable_only=True)) == []
+
+
+def walk_with_counts(prefix, n, steps, bound, stable_only):
+    """Every (roots, carried counts) pair the walk yields, with the brute-force
+    multiplicities beside them."""
+    counts = {99: 1}  # stale entries must be cleared
+    return [
+        (roots, dict(counts), multiplicities(RootSequence(roots)).counts)
+        for roots in extend_chain(prefix, n, steps, bound, stable_only=stable_only, counts=counts)
+    ]
+
+
+@CUT_BOXES
+@CUT_BOUNDS
+@pytest.mark.parametrize("stable_only", [False, True])
+def test_walk_carries_the_multiplicities_of_every_leaf(max_rise, bound, stable_only):
+    steps = enumeration_steps(max_rise)
+    for n, prefix in itertools.product(range(1, 8), box_prefixes(max_rise)):
+        leaves = walk_with_counts(prefix, n, steps, bound, stable_only)
+        assert [roots for roots, _, _ in leaves] == list(
+            extend_chain(prefix, n, steps, bound, stable_only=stable_only)
+        )
+        for roots, carried, expected in leaves:
+            assert carried == expected, roots
+
+
+@given(
+    root_lists,
+    st.integers(0, 4),
+    st.sampled_from([2, 4, 6, 8]),
+    st.integers(0, 12),
+    st.booleans(),
+)
+def test_walk_carries_the_multiplicities_from_any_prefix(prefix, extra, max_rise, bound, stable_only):
+    # the depth-first walk is a sequence of pushes and pops from the prefix on
+    n = len(prefix) + extra
+    for roots, carried, expected in walk_with_counts(prefix, n, enumeration_steps(max_rise), bound, stable_only):
+        assert carried == expected, roots
 
 
 @given(st.data())

@@ -322,6 +322,31 @@ def test_verify_metric_rejects_non_finite_tolerance(capsys, value):
     assert err == f"error: tolerance must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("tau", ["nan+1.2i", "inf+1.2i", "0.3+infi"])
+def test_verify_metric_rejects_non_finite_tau(capsys, tau):
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", tau, "--check", "metric_shape")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --tau: ")
+
+
+def test_non_finite_number_in_a_json_report_exits_two(capsys, monkeypatch, tmp_path):
+    from higgs_threeterm import harmonic
+
+    def infinite(**kwargs):
+        row = {"check_name": "metric_shape", "max_residual": float("inf"), "tolerance": 1e-10, "pass": False}
+        return {"parameters": {}, "checks": [row], "pass": False}
+
+    monkeypatch.setattr(harmonic, "verification_report", infinite)
+    code, out, err = run_cli(capsys, "verify-metric", "--grid", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    path = tmp_path / "report.json"
+    assert run_cli(capsys, "verify-metric", "--grid", "2", "--out", str(path))[0] == 2
+    assert not path.exists()
+    code, out, _ = run_cli(capsys, "verify-metric", "--grid", "2", "--format", "csv")
+    assert code == 1 and "inf" in out
+
+
 BAD_STEPS = {
     "nan": "step must be finite, got nan",
     "inf": "step must be finite, got inf",

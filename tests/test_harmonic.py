@@ -59,6 +59,9 @@ def test_metric_rejects_lower_half_plane():
         metric_at(1 - 1j)
     with pytest.raises(ValueError):
         UpperHalfPoint(0.0, 0.05)  # below the conditioning floor
+    for x, y in [(math.nan, 1.2), (math.inf, 1.2), (0.3, math.inf), (0.3, math.nan)]:
+        with pytest.raises(ValueError, match="need finite x and y"):
+            UpperHalfPoint(x, y)
 
 
 def test_point_parsing():

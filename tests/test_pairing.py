@@ -199,7 +199,7 @@ def test_every_stable_chain_certifies_every_height():
 
 def test_certificates_and_counting_agree():
     for seq in small_stable_chains():
-        holds, _ = three_term_holds(multiplicities(seq))
+        holds, _ = three_term_holds(multiplicities(seq).counts)
         certified = True
         try:
             certified_heights(seq)

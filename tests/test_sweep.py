@@ -1,12 +1,21 @@
 """Sweep harness: counts, violations, worker determinism."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
 from higgs_threeterm import sweep
-from higgs_threeterm.chain import RootSequence, enumerate_chains, enumeration_steps, extend_chain
+from higgs_threeterm.chain import (
+    RootSequence,
+    enumerate_chains,
+    enumeration_steps,
+    extend_chain,
+    multiplicities,
+    tail_slopes,
+    three_term_holds,
+)
 from higgs_threeterm.pairing import MatchingCertificate
 from higgs_threeterm.sweep import (
     MODE_NECESSITY,
@@ -80,6 +89,103 @@ def test_theorem_sweep_tests_stability_only_on_unpruned_chains(monkeypatch):
     assert report["totals"]["generated"] == 67739
     assert report["totals"]["stable"] == 104
     assert calls <= 1000
+
+
+def count_calls(monkeypatch) -> dict[str, int]:
+    """Count sweep's stability tests and every RootSequence built anywhere."""
+    calls = {"tail_slopes": 0, "RootSequence": 0}
+    original_test, original_check = sweep.tail_slopes, RootSequence.__post_init__
+
+    def counted_test(roots):
+        calls["tail_slopes"] += 1
+        return original_test(roots)
+
+    def counted_check(seq):
+        calls["RootSequence"] += 1
+        original_check(seq)
+
+    monkeypatch.setattr(sweep, "tail_slopes", counted_test)
+    monkeypatch.setattr(RootSequence, "__post_init__", counted_check)
+    return calls
+
+
+def test_necessity_walk_tests_each_chain_once_and_builds_no_root_sequence(monkeypatch):
+    calls = count_calls(monkeypatch)
+    report = run_sweep(SweepParams(2, 7, 6, 3, MODE_NECESSITY))
+    assert report["violations"]
+    assert calls == {"tail_slopes": report["totals"]["generated"], "RootSequence": 0}
+
+
+def test_theorem_walk_builds_a_root_sequence_only_for_stable_chains(monkeypatch):
+    calls = count_calls(monkeypatch)
+    report = run_sweep(SweepParams(2, 7, 6, 3))
+    assert report["totals"]["stable"] > 0
+    assert calls["RootSequence"] == report["totals"]["stable"]
+
+
+def old_global_key(record: dict) -> tuple:
+    """The sort key the whole violation list was once sorted by."""
+    detail = json.dumps(record["detail"], sort_keys=True)
+    return (len(record["roots"]), record["roots"], record["kind"], detail)
+
+
+def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) -> tuple[int, list[dict]]:
+    """One partition's (stable, violations), rebuilt per chain from a RootSequence
+    and sorted by the old global key."""
+    stable, records = 0, []
+    for roots in extend_chain((0, first_step), n, enumeration_steps(max_rise), bound):
+        seq = RootSequence(roots)
+        if tail_slopes(seq.roots).is_stable:
+            stable += 1
+            continue
+        _, found = three_term_holds(multiplicities(seq).counts)
+        records += [{"roots": list(roots), "kind": "three-term", "detail": v._asdict()} for v in found]
+    return stable, sorted(records, key=old_global_key)
+
+
+@pytest.mark.parametrize("max_rise", [2, 4, 6])
+@pytest.mark.parametrize("bound", [0, 1, 3, 5, 8])
+def test_necessity_partition_matches_brute_force(max_rise, bound):
+    for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise)):
+        stable, certificates, found = sweep._run_partition((n, first_step, max_rise, bound, MODE_NECESSITY))
+        assert (stable, found) == brute_force_necessity(n, first_step, max_rise, bound)
+        assert certificates == 0
+
+
+def test_records_of_one_chain_sort_by_the_old_global_key():
+    roots = [0, 4, 2, 0]
+
+    def three_term(height, count, below, above):
+        detail = {"height": height, "count": count, "below": below, "above": above}
+        return {"roots": roots, "kind": "three-term", "detail": detail}
+
+    records = [
+        three_term(0, 12, 0, 2),
+        three_term(6, 12, 0, 10),
+        three_term(4, 1, 0, 0),  # the next five tie on every field but the height
+        three_term(-2, 1, 0, 0),
+        three_term(10, 1, 0, 0),
+        three_term(2, 1, 0, 0),
+        three_term(20, 1, 0, 0),
+        {"roots": roots, "kind": "tail-order", "detail": {"first": 0, "last": 4}},
+        {"roots": roots, "kind": "certificate-count", "detail": {"height": 2, "pairs": 0, "multiplicity": 1}},
+    ]
+    ordered = sweep._in_report_order(list(records))
+    assert ordered == sorted(records, key=old_global_key)
+    # numbers compare as JSON text: "above" 0 < 10 < 2, and a height is
+    # followed by "}", so 20 comes before 2
+    assert [(r["kind"], r["detail"].get("height")) for r in ordered] == [
+        ("certificate-count", 2),
+        ("tail-order", None),
+        ("three-term", -2),
+        ("three-term", 10),
+        ("three-term", 20),
+        ("three-term", 2),
+        ("three-term", 4),
+        ("three-term", 6),
+        ("three-term", 0),
+    ]
+    assert sweep._in_report_order(records[:1]) == records[:1]
 
 
 def test_necessity_sweep_finds_the_minimal_witness():
@@ -175,7 +281,7 @@ def test_report_bytes_are_pinned(box, mode):
 
 def test_stable_chain_check_records_every_kind():
     # (0, 4) is not stable, so every counting and build check fires on it
-    found, heights = sweep._check_stable_chain(RootSequence((0, 4)))
+    found, heights = sweep._check_stable_chain(RootSequence((0, 4)), {0: 1, 4: 1})
     unmatched = "no trailing drop and no r+2 vertex before the leftmost source"
     expected = [
         ("three-term", {"height": 0, "count": 1, "below": 0, "above": 0}),
@@ -193,7 +299,7 @@ def test_stable_chain_check_records_every_kind():
 
 def test_stable_chain_check_records_bad_certificates(monkeypatch):
     monkeypatch.setattr(sweep, "_match_height", lambda seq, r: MatchingCertificate(r, ()))
-    found, heights = sweep._check_stable_chain(RootSequence((0, -2)))
+    found, heights = sweep._check_stable_chain(RootSequence((0, -2)), {0: 1, -2: 1})
     assert heights == 2
     assert [list(v) for v in found] == [["roots", "kind", "detail"]] * len(found)
     assert [(v["kind"], v["detail"]) for v in found] == [
