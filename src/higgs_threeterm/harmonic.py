@@ -72,9 +72,9 @@ class UpperHalfPoint:
 
     @classmethod
     def parse(cls, text: str) -> UpperHalfPoint:
-        """Parse 'x+yi' (also plain 'i', '2i', '0.3+1.2i')."""
-        z = complex(text.strip().replace(" ", "").replace("i", "j"))
-        return cls.from_complex(z)
+        """Parse 'x+yi' (also plain 'i', '2i', '0.3+1.2i'); 'inf' and 'nan' stay intact."""
+        text = text.strip().replace(" ", "")
+        return cls.from_complex(complex(text[:-1] + "j" if text.endswith("i") else text))
 
 
 def _require_step(h: float) -> None:
@@ -371,10 +371,10 @@ def _worst(*gaps) -> float:
 def _check_metric_shape(z, h, h_nested) -> float:
     k = metric_at(z)
     det = np.linalg.det(k)
-    # positive definite: both leading minors strictly positive
-    if not np.all((k[..., 0, 0] > 0) & (det > 0)):
-        return math.inf
-    return _worst(k - np.swapaxes(k, -1, -2), det - 1.0)
+    gap = _worst(k - np.swapaxes(k, -1, -2), det - 1.0)
+    # positive definite: both leading minors strictly positive; a metric that
+    # is not (det cancels to 0 at large |x|) fails by a finite gap of at least 1
+    return gap if np.all((k[..., 0, 0] > 0) & (det > 0)) else max(gap, 1.0)
 
 
 def _check_equivariance(z, h, h_nested) -> float:

@@ -23,12 +23,17 @@ chain the boundary rule always applies: either the trailing region starts
 with a drop (label B), or r < r_1 and the vertex just before the leftmost
 height-r vertex sits at r+2 (label LEFT_BOUNDARY).
 
+One left-to-right pass (`_certify`) builds every height at once.  Vertex k
+at height r closes the region opened by j = last[r]: it is A when vertex
+j+1 lies above r (target k-1, at r+2); otherwise the target is j+1, at
+r-2, and it is C when vertex k-1 lies above r and B when not.  So a label
+takes O(1): moving in even steps and dropping by exactly 2, the path comes
+back to r from above only by landing on it from r+2.  The public entry
+points check the hypotheses (admissible, tail-stable) once per call; the
+sweep, which establishes both itself, calls `_certify` directly.
+
 Vertex indices are 1-based throughout: source j refers to the root r_j.
 The certificate checker shares no code with the builder.
-
-The public entry points check the hypotheses (admissible, tail-stable) once
-per call, never per height; the sweep, which establishes both itself, calls
-the per-height builder `_match_height` directly.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import MultiplicityProfile, RootSequence, is_admissible, multiplicities, tail_slopes
+from .chain import RootSequence, is_admissible, tail_slopes
 
 
 class HypothesisViolationError(ValueError):
@@ -115,20 +120,41 @@ def _require_hypotheses(seq: RootSequence) -> None:
         raise HypothesisViolationError(f"chain {seq.roots} is not tail-stable ({report.verdict})")
 
 
-def _sources(roots: tuple[int, ...], r: int) -> list[int]:
-    return [j for j in range(1, len(roots) + 1) if roots[j - 1] == r]
+def _certify(roots: tuple[int, ...]) -> dict[int, tuple[MatchingCertificate, PairingFailure | None]]:
+    """Every realized height's certificate from one pass, ascending by height.
 
+    Each value is (certificate, failure): failure is None when every height-r
+    vertex is paired, else the rightmost vertex's PairingFailure, and the
+    certificate pairs the others.  The caller checks the hypotheses.
+    """
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    pairs: dict[int, list[MatchedPair]] = {}
+    for k, r in enumerate(roots, 1):
+        j = last.get(r)
+        if j is None:
+            first[r] = k
+            pairs[r] = []
+        elif roots[j] > r:  # vertex j+1 is above r: an A region, closed from r+2
+            pairs[r].append(MatchedPair(j, k - 1, RegionKind.A))
+        else:  # a drop to j+1; the region is C when it returns from above
+            label = RegionKind.C if roots[k - 2] > r else RegionKind.B
+            pairs[r].append(MatchedPair(j, j + 1, label))
+        last[r] = k
 
-def _interior_kind(roots: tuple[int, ...], j_left: int, j_right: int, r: int) -> RegionKind:
-    inner = roots[j_left : j_right - 1]  # 1-based vertices j_left+1 .. j_right-1
-    if inner[0] > r:
-        # an upward start cannot cross back below r without a vertex at r
-        assert all(v > r for v in inner)
-        return RegionKind.A
-    assert inner[0] == r - 2, "drops are exactly 2"
-    if all(v < r for v in inner):
-        return RegionKind.B
-    return RegionKind.C
+    built = {}
+    for r in sorted(first):
+        j, failure = last[r], None
+        if j < len(roots) and roots[j] < r:
+            # the trailing region starts with a drop; its first vertex is at r-2
+            pairs[r].append(MatchedPair(j, j + 1, RegionKind.B))
+        elif first[r] > 1 and roots[first[r] - 2] == r + 2:
+            pairs[r].append(MatchedPair(j, first[r] - 1, RegionKind.LEFT_BOUNDARY))
+        else:
+            reason = "no trailing drop and no r+2 vertex before the leftmost source"
+            failure = PairingFailure(roots, r, j, reason)
+        built[r] = (MatchingCertificate(r, tuple(pairs[r])), failure)
+    return built
 
 
 def classify_regions(seq: RootSequence, r: int) -> list[Region]:
@@ -140,66 +166,36 @@ def classify_regions(seq: RootSequence, r: int) -> list[Region]:
     the classification is empty.
     """
     _require_hypotheses(seq)
-    roots = seq.roots
-    srcs = _sources(roots, r)
-    if not srcs:
+    built = _certify(seq.roots)
+    if r not in built:
         return []
-    regions = [Region(RegionKind.LEFT_BOUNDARY, 1, srcs[0] - 1)]
-    for j, nxt in zip(srcs, srcs[1:]):
-        regions.append(Region(_interior_kind(roots, j, nxt, r), j + 1, nxt - 1))
-    regions.append(Region(RegionKind.RIGHT_BOUNDARY, srcs[-1] + 1, len(roots)))
+    cert, failure = built[r]
+    sources = [p.source for p in cert.pairs] + ([failure.source] if failure else [])
+    # every source but the rightmost is paired inside its region, by its label
+    regions = [Region(RegionKind.LEFT_BOUNDARY, 1, sources[0] - 1)]
+    for p, nxt in zip(cert.pairs, sources[1:]):
+        regions.append(Region(p.label, p.source + 1, nxt - 1))
+    regions.append(Region(RegionKind.RIGHT_BOUNDARY, sources[-1] + 1, len(seq.roots)))
     return regions
 
 
 def build_matching(seq: RootSequence, r: int) -> MatchingCertificate:
     """Pair every height-r vertex with a distinct vertex at height r-2 or r+2.
 
-    Interior sources pair inside their own region: through the following
-    r-2 vertex after a drop (B and C regions) or through the r+2 vertex
-    that ends an A region from above.  The rightmost source pairs right
-    with the trailing drop when there is one, and otherwise left with the
-    r+2 vertex preceding the leftmost source (which exists for tail-stable
-    chains because the path must then descend from r_1 > r).
+    Interior sources pair inside their own region, by the module's A/B/C
+    rule.  The rightmost source pairs right with the trailing drop when
+    there is one, and otherwise left with the r+2 vertex preceding the
+    leftmost source (which exists for tail-stable chains because the path
+    must then descend from r_1 > r).
     """
     _require_hypotheses(seq)
-    return _match_height(seq, r)
+    return _unless_failed(*_certify(seq.roots).get(r, (MatchingCertificate(r, ()), None)))
 
 
-def _match_height(seq: RootSequence, r: int) -> MatchingCertificate:
-    """`build_matching` for a chain known to be admissible and tail-stable."""
-    roots = seq.roots
-    n = len(roots)
-    srcs = _sources(roots, r)
-    if not srcs:
-        return MatchingCertificate(r, ())
-
-    pairs: list[MatchedPair] = []
-    for j, nxt in zip(srcs, srcs[1:]):
-        kind = _interior_kind(roots, j, nxt, r)
-        if kind is RegionKind.A:
-            target = nxt - 1
-            if roots[target - 1] != r + 2:
-                raise PairingFailure(roots, r, j, "A region does not end at r+2")
-        else:
-            target = j + 1
-            if roots[target - 1] != r - 2:
-                raise PairingFailure(roots, r, j, "region drop is not to r-2")
-        pairs.append(MatchedPair(j, target, kind))
-
-    rightmost = srcs[-1]
-    if rightmost < n and roots[rightmost] < r:
-        # trailing region starts with a drop; its first vertex is at r-2
-        target = rightmost + 1
-        if roots[target - 1] != r - 2:
-            raise PairingFailure(roots, r, rightmost, "trailing drop is not to r-2")
-        pairs.append(MatchedPair(rightmost, target, RegionKind.B))
-    elif srcs[0] > 1 and roots[srcs[0] - 2] == r + 2:
-        pairs.append(MatchedPair(rightmost, srcs[0] - 1, RegionKind.LEFT_BOUNDARY))
-    else:
-        raise PairingFailure(
-            roots, r, rightmost, "no trailing drop and no r+2 vertex before the leftmost source"
-        )
-    return MatchingCertificate(r, tuple(pairs))
+def _unless_failed(cert: MatchingCertificate, failure: PairingFailure | None) -> MatchingCertificate:
+    if failure is not None:
+        raise failure
+    return cert
 
 
 def verify_certificate(
@@ -238,5 +234,4 @@ def verify_certificate(
 def certified_heights(seq: RootSequence) -> dict[int, MatchingCertificate]:
     """Build one certificate per realized height, keyed by the height."""
     _require_hypotheses(seq)
-    profile: MultiplicityProfile = multiplicities(seq)
-    return {r: _match_height(seq, r) for r in sorted(profile.counts)}
+    return {r: _unless_failed(*built) for r, built in _certify(seq.roots).items()}

@@ -20,8 +20,9 @@ still be stable (the branch-and-bound cut of chain.extend_chain);
 necessity mode needs every unstable chain and walks the whole partition.
 `generated` is counted, not walked, by chain.count_chains, once per
 length.  Every chain is admissible by its step set (so `admissible` equals
-`generated`) and each walked chain's stability is tested once, so
-certificates are built without re-checking either hypothesis.  The pool
+`generated`) and each walked chain's stability is tested once, so one
+pass over a stable chain builds every height's certificate without
+re-checking either hypothesis, and each is verified on its own.  The pool
 never has more workers than partitions, and one worker runs inline.
 
 The walk hands each chain over as a plain tuple and carries its
@@ -49,7 +50,7 @@ from .chain import (
     tail_slopes,
     three_term_holds,
 )
-from .pairing import PairingFailure, _match_height, verify_certificate
+from .pairing import _certify, verify_certificate
 
 WORKERS_ENV_VAR = "HIGGS_THREETERM_WORKERS"
 
@@ -108,10 +109,8 @@ def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list
         record("tail-order", {"first": seq.roots[0], "last": seq.roots[-1]})
 
     before = len(violations)
-    for r in sorted(counts):
-        try:
-            cert = _match_height(seq, r)
-        except PairingFailure as failure:
+    for r, (cert, failure) in _certify(seq.roots).items():
+        if failure is not None:
             record("certificate-build", failure.report())
             continue
         ok, reasons = verify_certificate(seq, cert)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -322,11 +323,23 @@ def test_verify_metric_rejects_non_finite_tolerance(capsys, value):
     assert err == f"error: tolerance must be finite, got {value}\n"
 
 
-@pytest.mark.parametrize("tau", ["nan+1.2i", "inf+1.2i", "0.3+infi"])
+NON_FINITE_TAU = {"nan+1.2i": "x = nan, y = 1.2", "inf+1.2i": "x = inf, y = 1.2", "0.3+infi": "x = 0.3, y = inf"}
+
+
+@pytest.mark.parametrize("tau", list(NON_FINITE_TAU))
 def test_verify_metric_rejects_non_finite_tau(capsys, tau):
     code, out, err = run_cli(capsys, "verify-metric", "--tau", tau, "--check", "metric_shape")
     assert (code, out) == (2, "")
-    assert err.startswith("error: bad --tau: ")
+    assert err == f"error: bad --tau: need finite x and y, got {NON_FINITE_TAU[tau]}\n"
+
+
+def test_verify_metric_fails_a_metric_that_is_not_positive_definite(capsys):
+    # at x = 1e10 the determinant (x^2 + y^2 - x^2) / y^2 cancels to 0
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", "1e10+1i", "--check", "metric_shape")
+    assert (code, err) == (1, "")
+    [row] = json.loads(out)["checks"]
+    assert row["check_name"] == "metric_shape" and row["pass"] is False
+    assert 1.0 <= row["max_residual"] < math.inf
 
 
 def test_non_finite_number_in_a_json_report_exits_two(capsys, monkeypatch, tmp_path):

@@ -67,6 +67,7 @@ def test_metric_rejects_lower_half_plane():
 def test_point_parsing():
     assert UpperHalfPoint.parse("0.3+1.2i").tau == complex(0.3, 1.2)
     assert UpperHalfPoint.parse("i").tau == 1j
+    assert UpperHalfPoint.parse("2i").tau == 2j
     assert UpperHalfPoint.parse("-0.5+2.5i").tau == complex(-0.5, 2.5)
     with pytest.raises(ValueError):
         UpperHalfPoint.parse("1-2i")
@@ -353,7 +354,7 @@ def pointwise_residuals(grid) -> dict:
     for pt in grid:
         k = eval_metric(pt)
         shape = max(maxabs(k - k.T), abs(float(np.linalg.det(k)) - 1.0))
-        found["metric_shape"].append(shape if k[0, 0] > 0 and np.linalg.det(k) > 0 else math.inf)
+        found["metric_shape"].append(shape if k[0, 0] > 0 and np.linalg.det(k) > 0 else max(shape, 1.0))
         found["equivariance"] += [equivariance_residual(pt, gamma) for gamma in GAMMAS]
         th = theta_closed_form(pt).mat
         found["theta_vs_finite_difference"].append(maxabs(th - theta_finite_difference(pt, scheme).mat))

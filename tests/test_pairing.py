@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from higgs_threeterm.chain import (
     RootSequence,
     enumerate_chains,
+    enumeration_steps,
+    extend_chain,
     multiplicities,
+    tail_slopes,
     three_term_holds,
 )
 from higgs_threeterm import pairing
@@ -19,6 +22,7 @@ from higgs_threeterm.pairing import (
     MatchedPair,
     MatchingCertificate,
     PairingFailure,
+    Region,
     RegionKind,
     build_matching,
     certified_heights,
@@ -70,6 +74,13 @@ def test_classify_off_parity_is_empty():
 
 def test_classify_unrealized_height_is_empty():
     assert classify_regions(ZIGZAG, -8) == []
+
+
+def test_classify_singleton_has_only_boundary_regions():
+    assert classify_regions(RootSequence((0,)), 0) == [
+        Region(RegionKind.LEFT_BOUNDARY, 1, 0),
+        Region(RegionKind.RIGHT_BOUNDARY, 2, 1),
+    ]
 
 
 def test_classify_rejects_unstable():
@@ -260,3 +271,127 @@ def test_random_stable_chain_full_certification(seq):
         assert len(cert.pairs) == profile[r]
         for pair in cert.pairs:
             assert seq.roots[pair.target - 1] in (r - 2, r + 2)
+
+
+# --- the one-pass builder against the per-height construction it replaced -----------
+#
+# The reference below is the earlier per-height builder, kept here only as a
+# test oracle: for each height it rescans the chain for the sources and each
+# region for its kind, and re-checks every target height.  Instead of
+# raising, it returns the pairs built so far with the PairingFailure.
+
+
+def reference_kind(roots, j_left, j_right, r):
+    inner = roots[j_left : j_right - 1]  # 1-based vertices j_left+1 .. j_right-1
+    if inner[0] > r:
+        assert all(v > r for v in inner)
+        return RegionKind.A
+    assert inner[0] == r - 2, "drops are exactly 2"
+    if all(v < r for v in inner):
+        return RegionKind.B
+    return RegionKind.C
+
+
+def reference_match(roots, r):
+    n = len(roots)
+    srcs = [j for j in range(1, n + 1) if roots[j - 1] == r]
+    pairs = []
+
+    def failed(source, reason):
+        return MatchingCertificate(r, tuple(pairs)), PairingFailure(roots, r, source, reason)
+
+    if not srcs:
+        return MatchingCertificate(r, ()), None
+    for j, nxt in zip(srcs, srcs[1:]):
+        kind = reference_kind(roots, j, nxt, r)
+        if kind is RegionKind.A:
+            target = nxt - 1
+            if roots[target - 1] != r + 2:
+                return failed(j, "A region does not end at r+2")
+        else:
+            target = j + 1
+            if roots[target - 1] != r - 2:
+                return failed(j, "region drop is not to r-2")
+        pairs.append(MatchedPair(j, target, kind))
+    rightmost = srcs[-1]
+    if rightmost < n and roots[rightmost] < r:
+        target = rightmost + 1
+        if roots[target - 1] != r - 2:
+            return failed(rightmost, "trailing drop is not to r-2")
+        pairs.append(MatchedPair(rightmost, target, RegionKind.B))
+    elif srcs[0] > 1 and roots[srcs[0] - 2] == r + 2:
+        pairs.append(MatchedPair(rightmost, srcs[0] - 1, RegionKind.LEFT_BOUNDARY))
+    else:
+        return failed(rightmost, "no trailing drop and no r+2 vertex before the leftmost source")
+    return MatchingCertificate(r, tuple(pairs)), None
+
+
+def reference_regions(roots, r):
+    srcs = [j for j in range(1, len(roots) + 1) if roots[j - 1] == r]
+    if not srcs:
+        return []
+    regions = [Region(RegionKind.LEFT_BOUNDARY, 1, srcs[0] - 1)]
+    for j, nxt in zip(srcs, srcs[1:]):
+        regions.append(Region(reference_kind(roots, j, nxt, r), j + 1, nxt - 1))
+    regions.append(Region(RegionKind.RIGHT_BOUNDARY, srcs[-1] + 1, len(roots)))
+    return regions
+
+
+def as_comparable(cert, failure):
+    return cert, None if failure is None else failure.report()
+
+
+# every admissible chain with n 1-8, rise 2/4/6/10 and bound 5/7/9: 15,386
+# walks, 3,929 distinct chains, 90 of them tail-stable (singleton included)
+DIFFERENTIAL_BOX = sorted(
+    {
+        roots
+        for rise in (2, 4, 6, 10)
+        for bound in (5, 7, 9)
+        for n in range(1, 9)
+        for roots in extend_chain((0,), n, enumeration_steps(rise), bound)
+    }
+)
+STABLE_BOX = [roots for roots in DIFFERENTIAL_BOX if tail_slopes(roots).is_stable]
+
+
+def test_differential_box_covers_both_verdicts_and_the_singleton():
+    assert (len(DIFFERENTIAL_BOX), len(STABLE_BOX)) == (3929, 90)
+    assert (0,) in STABLE_BOX
+
+
+def test_one_pass_builder_matches_the_reference_on_unstable_chains():
+    for roots in DIFFERENTIAL_BOX:
+        if tail_slopes(roots).is_stable:
+            continue
+        built = pairing._certify(roots)
+        assert list(built) == sorted(set(roots)), roots
+        for r, (cert, failure) in built.items():
+            assert as_comparable(cert, failure) == as_comparable(*reference_match(roots, r))
+
+
+def test_public_builders_match_the_reference_on_stable_chains():
+    for roots in STABLE_BOX:
+        seq = RootSequence(roots)
+        # every realized height, an unrealized one and one of the wrong parity
+        for r in sorted(set(roots)) + [min(roots) - 2, 1]:
+            cert, failure = reference_match(roots, r)
+            if failure is None:
+                assert build_matching(seq, r) == cert, (roots, r)
+            else:
+                with pytest.raises(PairingFailure) as info:
+                    build_matching(seq, r)
+                assert info.value.report() == failure.report()
+            assert classify_regions(seq, r) == reference_regions(roots, r), (roots, r)
+        try:
+            certified = certified_heights(seq)
+        except PairingFailure as failure:
+            certified = failure.report()
+        expected = {}
+        for r in sorted(set(roots)):
+            cert, failure = reference_match(roots, r)
+            if failure is not None:
+                expected = failure.report()
+                break
+            expected[r] = cert
+        assert certified == expected, roots

@@ -298,7 +298,8 @@ def test_stable_chain_check_records_every_kind():
 
 
 def test_stable_chain_check_records_bad_certificates(monkeypatch):
-    monkeypatch.setattr(sweep, "_match_height", lambda seq, r: MatchingCertificate(r, ()))
+    empty = {r: (MatchingCertificate(r, ()), None) for r in (-2, 0)}
+    monkeypatch.setattr(sweep, "_certify", lambda roots: empty)
     found, heights = sweep._check_stable_chain(RootSequence((0, -2)), {0: 1, -2: 1})
     assert heights == 2
     assert [list(v) for v in found] == [["roots", "kind", "detail"]] * len(found)
