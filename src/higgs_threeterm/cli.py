@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 
@@ -87,7 +86,7 @@ def _emit(args, json_obj, csv_header, csv_rows) -> None:
     """Write the report; a NaN or infinity in a JSON report raises ValueError
     (exit 2) before anything is written, since JSON cannot hold it."""
     if args.format == "json":
-        text = json.dumps(json_obj, indent=2, allow_nan=False) + "\n"
+        text = serialize.dumps(json_obj) + "\n"
     else:
         text = _csv_text(csv_header, csv_rows)
     if args.out:
@@ -401,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PairingFailure as exc:
-        print(json.dumps({"counterexample": exc.report()}, indent=2), file=sys.stderr)
+        print(serialize.dumps({"counterexample": exc.report()}), file=sys.stderr)
         return 1
 
 

@@ -59,6 +59,8 @@ class UpperHalfPoint:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"need finite x and y, got x = {self.x}, y = {self.y}")
+        if not math.isfinite(self.x * self.x + self.y * self.y):  # the metric's corner entry
+            raise ValueError(f"need finite x*x + y*y, got x = {self.x}, y = {self.y}")
         if not self.y > self.min_y:
             raise ValueError(f"need y > {self.min_y}, got y = {self.y}")
 

@@ -1,14 +1,27 @@
-"""JSON-facing builders: rationals as "p/q" strings, reports with stable key order.
+"""JSON-facing builders and the report writer.
 
 Every rational serializes via str(Fraction), i.e. lowest terms with the
 denominator omitted when it is 1; exact complex values serialize as
 {"re": "p/q", "im": "p/q"}.  Report dictionaries are built in a fixed key
 order so equal inputs produce byte-identical JSON.
+
+`dumps` is the one JSON writer of the command line.  Its contract: it
+returns exactly the text of json.dumps(obj, indent=2, allow_nan=False),
+and a NaN or infinity anywhere in obj raises ValueError (an object JSON
+cannot hold raises TypeError, as json.dumps does).  The stdlib runs its
+pure-Python encoder whenever indent is set; `dumps` instead hands each
+flat container (one that holds only scalars) to the C encoder in one
+call, with the item separator carrying the newline and the indent of
+its depth, and only walks the containers above those in Python.  The
+object must be a tree: a container that holds itself recurses without
+end instead of raising json's "Circular reference detected".
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .chain import (
     MultiplicityProfile,
@@ -88,3 +101,65 @@ def side_residue_json(data: SideResidue) -> dict:
         "jump": format_rational(data.jump),
         "eigenvalue": complex_pair_json(data.eigenvalue),
     }
+
+
+# --- the report writer ---------------------------------------------------------
+
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _not_serializable(obj):
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """(C encoder, item separator, newline + item indent, newline + closing
+    indent) for a container that opens at `depth` and whose items sit at
+    depth + 1."""
+    inner = "\n" + _INDENT * (depth + 1)
+    separator = "," + inner
+    encode = c_make_encoder(
+        None, _not_serializable, encode_basestring_ascii, None, ": ", separator, False, False, False
+    )
+    return encode, separator, inner, "\n" + _INDENT * depth
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return '"' + _write(key, 0) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(obj, depth: int) -> str:
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    elif type(obj) is str:
+        return encode_basestring_ascii(obj)
+    else:
+        return "".join(_level(depth)[0](obj, 0))
+    if not obj:
+        return "{}" if values is not obj else "[]"
+    encode, separator, inner, outer = _level(depth)
+    # the type test runs in C and settles most containers; subclasses fall through
+    if _SCALARS.issuperset(map(type, values)) or not any(
+        isinstance(v, _CONTAINERS) for v in values
+    ):
+        text = "".join(encode(obj, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if values is obj:
+        body = separator.join([_write(v, depth + 1) for v in obj])
+        return "[" + inner + body + outer + "]"
+    body = separator.join([_key(k) + ": " + _write(v, depth + 1) for k, v in obj.items()])
+    return "{" + inner + body + outer + "}"
+
+
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte; see the module docstring."""
+    return _write(obj, 0)

@@ -57,6 +57,9 @@ WORKERS_ENV_VAR = "HIGGS_THREETERM_WORKERS"
 MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
 
+# json.dumps(obj, sort_keys=True) without building an encoder on every call
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class SweepParams:
@@ -135,7 +138,7 @@ def _in_report_order(records: list[dict]) -> list[dict]:
     whole report.
     """
     if len(records) > 1:
-        records.sort(key=lambda v: (v["kind"], json.dumps(v["detail"], sort_keys=True)))
+        records.sort(key=lambda v: (v["kind"], _sorted_json(v["detail"])))
     return records
 
 

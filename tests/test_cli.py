@@ -323,14 +323,20 @@ def test_verify_metric_rejects_non_finite_tolerance(capsys, value):
     assert err == f"error: tolerance must be finite, got {value}\n"
 
 
-NON_FINITE_TAU = {"nan+1.2i": "x = nan, y = 1.2", "inf+1.2i": "x = inf, y = 1.2", "0.3+infi": "x = 0.3, y = inf"}
+NON_FINITE_TAU = {
+    "nan+1.2i": "need finite x and y, got x = nan, y = 1.2",
+    "inf+1.2i": "need finite x and y, got x = inf, y = 1.2",
+    "0.3+infi": "need finite x and y, got x = 0.3, y = inf",
+    # x and y are finite, but the metric's x^2 + y^2 overflows
+    "0+1e200i": "need finite x*x + y*y, got x = 0.0, y = 1e+200",
+}
 
 
 @pytest.mark.parametrize("tau", list(NON_FINITE_TAU))
 def test_verify_metric_rejects_non_finite_tau(capsys, tau):
     code, out, err = run_cli(capsys, "verify-metric", "--tau", tau, "--check", "metric_shape")
     assert (code, out) == (2, "")
-    assert err == f"error: bad --tau: need finite x and y, got {NON_FINITE_TAU[tau]}\n"
+    assert err == f"error: bad --tau: {NON_FINITE_TAU[tau]}\n"
 
 
 def test_verify_metric_fails_a_metric_that_is_not_positive_definite(capsys):

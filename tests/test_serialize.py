@@ -1,15 +1,19 @@
-"""Rational strings, complex pairs, report key stability."""
+"""Rational strings, complex pairs, report key stability, the JSON writer."""
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higgs_threeterm import cli, serialize
 from higgs_threeterm.chain import RootSequence, multiplicities
 from higgs_threeterm.serialize import (
     check_report,
     complex_pair_json,
+    dumps,
     format_rational,
     parse_rational,
     profile_json,
@@ -48,3 +52,127 @@ def test_check_report_bytes_are_stable():
     a = json.dumps(check_report(seq), indent=2)
     b = json.dumps(check_report(seq), indent=2)
     assert a == b
+
+
+# --- the writer against json.dumps(indent=2) -------------------------------------
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+class Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class Record(dict):
+    pass
+
+
+AWKWARD_CHARACTERS = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\U0001f600"])
+STRINGS = st.text(st.characters() | AWKWARD_CHARACTERS, max_size=8)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(10**30), -1])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308])
+    | STRINGS
+)
+KEYS = STRINGS | st.integers() | st.sampled_from([None, True, False, 0.5, -0.0, 1e16])
+
+
+def containers(children):
+    items = st.lists(children, max_size=4)
+    entries = st.dictionaries(KEYS, children, max_size=4)
+    return (
+        items
+        | items.map(tuple)
+        | entries
+        | entries.map(Record)
+        | st.builds(Pair, children, children)
+    )
+
+
+TREES = st.recursive(SCALARS, containers, max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_dumps_matches_json_indent_two(obj):
+    assert dumps(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{}, [], (), [[]], [{}], {"a": {"b": {}}}, {"a": []}, Pair([], {}), Record(), 0, "", None],
+)
+def test_dumps_matches_json_on_empty_containers_and_scalars(obj):
+    assert dumps(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda bad: bad,
+        lambda bad: [1.0, bad],  # flat: the C encoder sees it
+        lambda bad: {"a": 1, "b": bad},
+        lambda bad: {"a": [1, {"b": bad}]},  # inside a flat container of a nested one
+        lambda bad: [[1], bad],  # a scalar child of a nested container
+        lambda bad: {bad: [1]},  # a key of a nested container
+        lambda bad: [{bad: 1}],  # a key of a flat container
+    ],
+)
+def test_dumps_rejects_non_finite_floats(place, bad):
+    obj = place(bad)
+    with pytest.raises(ValueError):
+        oracle(obj)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [object(), [object()], {"a": object()}, {"a": [1, {"b": object()}]}, [[1], object()], {(1,): [1]}, {(1,): 1}],
+)
+def test_dumps_rejects_what_json_cannot_hold(obj):
+    with pytest.raises(TypeError) as expected:
+        oracle(obj)
+    with pytest.raises(TypeError) as got:
+        dumps(obj)
+    assert str(got.value) == str(expected.value)
+
+
+EVERY_SUBCOMMAND = [
+    ["check", "--roots", "4,2,0,4,2,0,-2"],
+    ["enumerate", "--n-min", "2", "--n-max", "4", "--max-rise", "6", "--bound", "8", "--all"],
+    ["pair", "--roots", "2,0,-2", "--height", "0"],
+    ["pair", "--roots", "4,2,0,4,2,0,-2", "--all-heights"],
+    ["pair", "--roots", "0", "--height", "0"],  # the singleton: a counterexample on stderr
+    ["translate", "--from", "higgs", "--jump=-1/3", "--re=-1/4", "--im=-1/2"],
+    ["rank1", "--a", "3", "--b", "5/4"],
+    ["filtered-degree", "--side", "bundle", "--jumps", "5/6:1", "--base-degree=-5/6", "--rank", "1"],
+    ["verify-metric", "--grid", "20", "--seed", "7"],
+    ["sweep", "--n-max", "5", "--max-rise", "8", "--bound", "8"],
+    ["sweep", "--mode", "necessity", "--n-max", "5", "--max-rise", "8", "--bound", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: " ".join(argv[:3]))
+def test_every_subcommand_writes_json_indent_two(argv, capsys, monkeypatch):
+    written = []
+
+    def spy(obj):
+        text = dumps(obj)
+        written.append((text, oracle(obj)))
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", spy)
+    cli.main(argv)
+    out, err = capsys.readouterr()
+    [(text, expected)] = written
+    assert text == expected
+    assert (out or err) == text + "\n"
