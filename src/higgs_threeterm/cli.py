@@ -155,8 +155,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_pair(args) -> int:
     seq = _parse_roots(args.roots)
-    if args.height is None and not args.all_heights:
-        raise UsageError("pair needs --height R or --all-heights")
     if args.all_heights:
         certs = list(certified_heights(seq).values())
     else:
@@ -184,21 +182,27 @@ def _cmd_pair(args) -> int:
     return 0
 
 
+_TRANSLATE_FLAGS = ("beta", "u", "v", "jump", "re", "im")  # the representation's, then a side's
+
+
 def _cmd_translate(args) -> int:
-    if args.source_side == "representation":
-        if args.beta is None or args.u is None or args.v is None:
-            raise UsageError("translate --from representation needs --beta, --u, --v")
+    side = args.source_side
+    own = _TRANSLATE_FLAGS[:3] if side == "representation" else _TRANSLATE_FLAGS[3:]
+    if any(getattr(args, name) is None for name in own):
+        raise UsageError(f"translate --from {side} needs {', '.join('--' + name for name in own)}")
+    stray = [f"--{name}" for name in _TRANSLATE_FLAGS if name not in own and getattr(args, name) is not None]
+    if stray:
+        raise UsageError(f"translate --from {side} takes no {', '.join(stray)}")
+    if side == "representation":
         block = ResidueBlock(
             _parse_fraction(args.beta), _parse_fraction(args.u), _parse_fraction(args.v)
         )
     else:
-        if args.jump is None or args.re is None or args.im is None:
-            raise UsageError(f"translate --from {args.source_side} needs --jump, --re, --im")
         data = SideResidue(
             _parse_fraction(args.jump),
             (_parse_fraction(args.re), _parse_fraction(args.im)),
         )
-        block = connection_to_rep(data) if args.source_side == "connection" else higgs_to_rep(data)
+        block = connection_to_rep(data) if side == "connection" else higgs_to_rep(data)
 
     connection = rep_to_connection(block)
     higgs = rep_to_higgs(block)
@@ -234,8 +238,6 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_rank1(args) -> int:
-    if not 0 <= args.a <= 5:
-        raise UsageError(f"--a must be in 0..5, got {args.a}")
     b = _parse_fraction(args.b)
     unfiltered, filtered = rank1_degrees(args.a, b)
     report = {
@@ -303,8 +305,7 @@ def _cmd_verify_metric(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = sweep.SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    workers = sweep.default_workers() if args.workers is None else args.workers
-    report = sweep.run_sweep(params, workers=workers)
+    report = sweep.run_sweep(params, workers=args.workers)
     rows = [
         [n, bucket["generated"], bucket["admissible"], bucket["stable"]]
         for n, bucket in report["per_n"].items()
@@ -343,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair", parents=[common], help="build and verify matching certificates")
     p.add_argument("--roots", required=True)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--all-heights", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--height", type=int, default=None)
+    which.add_argument("--all-heights", action="store_true")
     p.set_defaults(handler=_cmd_pair)
 
     p = sub.add_parser("translate", parents=[common], help="translate residue data between the three sides")
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rise", type=int, default=12)
     p.add_argument("--bound", type=int, default=12)
     p.add_argument("--mode", choices=(sweep.MODE_THEOREM, sweep.MODE_NECESSITY), default=sweep.MODE_THEOREM)
-    p.add_argument("--workers", type=int, default=None, help=f"parallel workers (default ${sweep.WORKERS_ENV_VAR} or 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-DEFAULT_MIN_Y = 0.1
+MIN_Y = 0.1  # conditioning floor: points and their Moebius images keep y above it
 
 # Generators of the modular group as integer unimodular matrices.
 GAMMA_S = ((0, -1), (1, 0))
@@ -50,27 +50,26 @@ MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """A finite point tau = x + iy with y above a configurable conditioning floor."""
+    """A finite point tau = x + iy with y above the conditioning floor MIN_Y."""
 
     x: float
     y: float
-    min_y: float = field(default=DEFAULT_MIN_Y, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"need finite x and y, got x = {self.x}, y = {self.y}")
         if not math.isfinite(self.x * self.x + self.y * self.y):  # the metric's corner entry
             raise ValueError(f"need finite x*x + y*y, got x = {self.x}, y = {self.y}")
-        if not self.y > self.min_y:
-            raise ValueError(f"need y > {self.min_y}, got y = {self.y}")
+        if not self.y > MIN_Y:
+            raise ValueError(f"need y > {MIN_Y}, got y = {self.y}")
 
     @property
     def tau(self) -> complex:
         return complex(self.x, self.y)
 
     @classmethod
-    def from_complex(cls, z: complex, min_y: float = DEFAULT_MIN_Y) -> UpperHalfPoint:
-        return cls(z.real, z.imag, min_y)
+    def from_complex(cls, z: complex) -> UpperHalfPoint:
+        return cls(z.real, z.imag)
 
     @classmethod
     def parse(cls, text: str) -> UpperHalfPoint:
@@ -79,11 +78,11 @@ class UpperHalfPoint:
         return cls.from_complex(complex(text[:-1] + "j" if text.endswith("i") else text))
 
 
-def _require_step(h: float) -> None:
-    if not math.isfinite(h):
-        raise ValueError(f"step must be finite, got {h}")
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+def _require_positive(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,22 +94,13 @@ class FiniteDiffScheme:
     """
 
     h: float = 1e-4
-    order: Literal["central-2nd"] = "central-2nd"
 
     def __post_init__(self) -> None:
-        _require_step(self.h)
+        _require_positive("step", self.h)
         if self.h < 1e-6:
             warnings.warn(f"step underflow: h = {self.h} < 1e-6, roundoff will dominate")
         elif self.h > 1e-2:
             warnings.warn(f"step h = {self.h} > 1e-2, truncation will dominate")
-
-
-@dataclass(frozen=True)
-class OperatorSample:
-    """A matrix-valued form sampled at one point or a batch, tagged with its form type."""
-
-    mat: np.ndarray
-    form: Literal["dtau", "dtaubar"]
 
 
 def _as_tau(point: UpperHalfPoint | complex | np.ndarray) -> tuple[np.ndarray, bool]:
@@ -153,12 +143,7 @@ def metric_at(z) -> np.ndarray:
     return _unbatch(_stack(1.0, -x, -x, x * x + y * y, dtype=float) / y[..., None, None], one)
 
 
-eval_metric = metric_at
-
-
-def equivariance_residual(
-    point: UpperHalfPoint | complex, gamma, min_y: float = DEFAULT_MIN_Y
-) -> float | np.ndarray:
+def equivariance_residual(point: UpperHalfPoint | complex, gamma) -> float | np.ndarray:
     """Max-entry gap between K(gamma tau) and g^{-T} K(tau) conj(g)^{-1}.
 
     gamma must be an integer matrix of determinant 1, or a stack of them
@@ -171,9 +156,9 @@ def equivariance_residual(
         raise ValueError(f"gamma must have determinant 1, got {gamma}")
     z, one = _as_tau(point)
     w = (a * z + b) / (c * z + d)
-    low = w.imag <= min_y
+    low = w.imag <= MIN_Y
     if low.any():
-        raise ValueError(f"gamma tau = {complex(w[low][0])} fell below the floor y = {min_y}")
+        raise ValueError(f"gamma tau = {complex(w[low][0])} fell below the floor y = {MIN_Y}")
     ginv = _stack(d, -b, -c, a, dtype=float)  # exact unimodular inverse
     lhs = metric_at(w)
     rhs = np.swapaxes(ginv, -1, -2) @ metric_at(z) @ np.conj(ginv)
@@ -196,38 +181,35 @@ def log_derivative(
     point: UpperHalfPoint | complex,
     scheme: FiniteDiffScheme,
     fn: MatrixFn = metric_at,
-) -> OperatorSample:
+) -> np.ndarray:
     """D log G = G^{-1} (D applied entrywise to G), D in {d, dbar}."""
     if selector not in ("d", "dbar"):
         raise ValueError(f"selector must be 'd' or 'dbar', got {selector!r}")
     z, one = _as_tau(point)
     d, dbar = wirtinger(fn, z, scheme)
     g = np.asarray(fn(z), dtype=complex)
-    mat = np.linalg.inv(g) @ (d if selector == "d" else dbar)
-    return OperatorSample(_unbatch(mat, one), "dtau" if selector == "d" else "dtaubar")
+    return _unbatch(np.linalg.inv(g) @ (d if selector == "d" else dbar), one)
 
 
-def theta_closed_form(point: UpperHalfPoint | complex) -> OperatorSample:
+def theta_closed_form(point: UpperHalfPoint | complex) -> np.ndarray:
     """Higgs field of the inclusion metric, as a dtau form."""
     z, one = _as_tau(point)
     zb = z.conjugate()
-    mat = _stack(-zb, zb * zb, -1.0, zb) / ((z - zb) ** 2)[..., None, None]
-    return OperatorSample(_unbatch(mat, one), "dtau")
+    return _unbatch(_stack(-zb, zb * zb, -1.0, zb) / ((z - zb) ** 2)[..., None, None], one)
 
 
-def dbar_correction_closed_form(point: UpperHalfPoint | complex) -> OperatorSample:
+def dbar_correction_closed_form(point: UpperHalfPoint | complex) -> np.ndarray:
     """Matrix N with dbar_K = dbar + N dtaubar for the inclusion metric."""
     z, one = _as_tau(point)
     zb = z.conjugate()
-    mat = _stack(z, -z * z, 1.0, -z) / ((z - zb) ** 2)[..., None, None]
-    return OperatorSample(_unbatch(mat, one), "dtaubar")
+    return _unbatch(_stack(z, -z * z, 1.0, -z) / ((z - zb) ** 2)[..., None, None], one)
 
 
 def theta_finite_difference(
     point: UpperHalfPoint | complex,
     scheme: FiniteDiffScheme,
     fn: MatrixFn = metric_at,
-) -> OperatorSample:
+) -> np.ndarray:
     """theta = -(1/2) d log conj(K), by finite differences.
 
     Conjugation is applied generically even though the inclusion metric is
@@ -237,8 +219,7 @@ def theta_finite_difference(
     def fn_bar(z: np.ndarray) -> np.ndarray:
         return np.conj(np.asarray(fn(z), dtype=complex))
 
-    sample = log_derivative("d", point, scheme, fn=fn_bar)
-    return OperatorSample(-0.5 * sample.mat, "dtau")
+    return -0.5 * log_derivative("d", point, scheme, fn=fn_bar)
 
 
 def harmonic_residual(
@@ -258,11 +239,11 @@ def harmonic_residual(
     z, one = _as_tau(point)
 
     def dbar_log(w: np.ndarray) -> np.ndarray:
-        return log_derivative("dbar", w, scheme, fn=fn).mat
+        return log_derivative("dbar", w, scheme, fn=fn)
 
     outer_d, _ = wirtinger(dbar_log, z, scheme)
     a = dbar_log(z)
-    b = log_derivative("d", z, scheme, fn=fn).mat
+    b = log_derivative("d", z, scheme, fn=fn)
     return _max_entry(outer_d - 0.5 * (a @ b - b @ a), one)
 
 
@@ -293,15 +274,14 @@ def higgs_form_residual(
         return higgs_form_basis(w) @ np.stack([gw, hw], axis=-1)[..., None]
 
     _, dbar_f = wirtinger(section, z, scheme)
-    n_mat = dbar_correction_closed_form(z).mat
-    return _max_entry(dbar_f + n_mat @ section(z), one)
+    return _max_entry(dbar_f + dbar_correction_closed_form(z) @ section(z), one)
 
 
 def conjugated_higgs(point: UpperHalfPoint | complex) -> np.ndarray:
     """M(tau)^{-1} theta M(tau); constant [[0, 1], [0, 0]] up to roundoff."""
     z, one = _as_tau(point)
     m = higgs_form_basis(z)
-    return _unbatch(np.linalg.inv(m) @ theta_closed_form(z).mat @ m, one)
+    return _unbatch(np.linalg.inv(m) @ theta_closed_form(z) @ m, one)
 
 
 def a_lambda(point: UpperHalfPoint | complex, lam: complex) -> np.ndarray:
@@ -314,13 +294,8 @@ def a_lambda(point: UpperHalfPoint | complex, lam: complex) -> np.ndarray:
     return _unbatch(mat, one)
 
 
-def sample_grid(
-    count: int = 20,
-    seed: int = 0,
-    x_range: tuple[float, float] = (-1.0, 1.0),
-    y_range: tuple[float, float] = (0.5, 3.0),
-) -> list[UpperHalfPoint]:
-    """Deterministic quasi-random sample points in a box off the real axis.
+def sample_grid(count: int = 20, seed: int = 0) -> list[UpperHalfPoint]:
+    """Deterministic quasi-random sample points in the box -1 <= x < 1, 0.5 <= y < 3.
 
     Uses the R2 additive recurrence (plastic-constant lattice); the seed
     offsets the start index, so equal seeds reproduce equal grids.
@@ -334,8 +309,8 @@ def sample_grid(
         k = 1 + seed * 997 + i
         ux = (0.5 + k * ax) % 1.0
         uy = (0.5 + k * ay) % 1.0
-        x = x_range[0] + (x_range[1] - x_range[0]) * ux
-        y = y_range[0] + (y_range[1] - y_range[0]) * uy
+        x = -1.0 + 2.0 * ux
+        y = 0.5 + 2.5 * uy
         points.append(UpperHalfPoint(x, y))
     return points
 
@@ -385,7 +360,7 @@ def _check_equivariance(z, h, h_nested) -> float:
 
 
 def _check_theta_fd(z, h, h_nested) -> float:
-    return _worst(theta_closed_form(z).mat - theta_finite_difference(z, FiniteDiffScheme(h)).mat)
+    return _worst(theta_closed_form(z) - theta_finite_difference(z, FiniteDiffScheme(h)))
 
 
 def _check_harmonic(z, h, h_nested) -> float:
@@ -406,7 +381,7 @@ def _check_convergence_order(z, h, h_nested) -> float:
 
 
 def _check_theta_nilpotent(z, h, h_nested) -> float:
-    th = theta_closed_form(z).mat
+    th = theta_closed_form(z)
     return _worst(th @ th, np.trace(th, axis1=-2, axis2=-1), np.linalg.det(th))
 
 
@@ -415,7 +390,7 @@ def _check_conjugated(z, h, h_nested) -> float:
 
 
 def _check_scaling_conjugation(z, h, h_nested) -> float:
-    th = theta_closed_form(z).mat
+    th = theta_closed_form(z)
     worst = 0.0
     for lam in (2.0 + 0j, 1j):
         al = a_lambda(z, lam)
@@ -463,10 +438,10 @@ def verification_report(
     Returns {parameters, checks: [{check_name, max_residual, tolerance,
     pass}], pass}; the order-deviation row reports |empirical order - 2|.
     """
-    _require_step(h)
-    _require_step(h_nested)
-    if tolerance is not None and not math.isfinite(tolerance):
-        raise ValueError(f"tolerance must be finite, got {tolerance}")
+    _require_positive("step", h)
+    _require_positive("step", h_nested)
+    if tolerance is not None:
+        _require_positive("tolerance", tolerance)
     if grid is None:
         grid = sample_grid(count=count, seed=seed)
     if only is not None and only not in _CHECKS:

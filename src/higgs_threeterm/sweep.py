@@ -37,7 +37,6 @@ with sorted keys) orders the whole report without a global sort.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -51,8 +50,6 @@ from .chain import (
     three_term_holds,
 )
 from .pairing import _certify, verify_certificate
-
-WORKERS_ENV_VAR = "HIGGS_THREETERM_WORKERS"
 
 MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
@@ -73,24 +70,6 @@ class SweepParams:
         if self.mode not in (MODE_THEOREM, MODE_NECESSITY):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         check_box(self.n_min, self.n_max, self.max_rise, self.root_bound)
-
-
-def default_workers() -> int:
-    """Worker count from $HIGGS_THREETERM_WORKERS, or 1 when it is unset.
-
-    A set value that is not an integer >= 1 raises ValueError.
-    """
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    invalid = f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(invalid) from None
-    if workers < 1:
-        raise ValueError(invalid)
-    return workers
 
 
 def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list[dict], int]:

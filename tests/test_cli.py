@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -152,8 +151,19 @@ def test_pair_rejects_unstable_input(capsys):
 
 
 def test_pair_needs_height(capsys):
-    code, _, err = run_cli(capsys, "pair", "--roots", "0,-2")
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["pair", "--roots", "0,-2"])
+    assert info.value.code == 2
+    assert "one of the arguments --height --all-heights is required" in capsys.readouterr().err
+
+
+def test_pair_takes_height_or_all_heights_not_both(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["pair", "--roots", "2,0,-2", "--height", "2", "--all-heights"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --all-heights: not allowed with argument --height" in err
 
 
 # --- translate ---------------------------------------------------------------------
@@ -202,6 +212,30 @@ def test_translate_missing_flags(capsys):
     assert code == 2
 
 
+STRAY_TRANSLATE_FLAGS = {
+    "beta-for-higgs": (
+        ["--from", "higgs", "--jump=-1/3", "--re=-1/4", "--im=-1/2", "--beta", "5"],
+        "translate --from higgs takes no --beta",
+    ),
+    "side-flags-for-representation": (
+        ["--beta", "1/2", "--u", "1/3", "--v", "1", "--jump", "0", "--im", "0"],
+        "translate --from representation takes no --jump, --im",
+    ),
+    "u-for-connection": (
+        ["--from", "connection", "--jump", "1/6", "--re=-1/6", "--im", "0", "--u", "1"],
+        "translate --from connection takes no --u",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(STRAY_TRANSLATE_FLAGS))
+def test_translate_rejects_flags_of_the_other_side(capsys, case):
+    argv, message = STRAY_TRANSLATE_FLAGS[case]
+    code, out, err = run_cli(capsys, "translate", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # --- rank1 and filtered-degree --------------------------------------------------------
 
 
@@ -221,8 +255,11 @@ def test_rank1(capsys):
 
 
 def test_rank1_bad_power(capsys):
-    code, _, err = run_cli(capsys, "rank1", "--a", "6", "--b", "0")
-    assert code == 2
+    # range-checked once, by the rank-1 calculus itself
+    for a in ("6", "-1"):
+        code, out, err = run_cli(capsys, "rank1", f"--a={a}", "--b", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: character power must be in 0..5, got {a}\n"
 
 
 def test_filtered_degree_representation(capsys):
@@ -321,6 +358,13 @@ def test_verify_metric_rejects_non_finite_tolerance(capsys, value):
     code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--tolerance", value)
     assert (code, out) == (2, "")
     assert err == f"error: tolerance must be finite, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_metric_rejects_non_positive_tolerance(capsys, value):
+    code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--tolerance", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be positive, got {float(value)}\n"
 
 
 NON_FINITE_TAU = {
@@ -423,38 +467,6 @@ def test_sweep_necessity(capsys):
     validate(report, "sweepReport")
 
 
-def test_sweep_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("HIGGS_THREETERM_WORKERS", "2")
-    code, out, _ = run_cli(
-        capsys, "sweep", "--n-min", "2", "--n-max", "2", "--max-rise", "2", "--bound", "2"
-    )
-    assert code == 0
-    assert json.loads(out)["pass"] is True
-
-
-@pytest.mark.parametrize("value", ["junk", "0", "-3"])
-def test_sweep_workers_env_invalid(capsys, monkeypatch, value):
-    monkeypatch.setenv("HIGGS_THREETERM_WORKERS", value)
-    code, out, err = run_cli(
-        capsys, "sweep", "--n-min", "2", "--n-max", "2", "--max-rise", "2", "--bound", "2"
-    )
-    assert code == 2
-    assert out == ""
-    assert "HIGGS_THREETERM_WORKERS" in err and repr(value) in err
-
-
-def test_sweep_script_rejects_invalid_workers_env():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--n-max", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "HIGGS_THREETERM_WORKERS": "junk"},
-    )
-    assert proc.returncode == 2
-    assert proc.stderr == "error: HIGGS_THREETERM_WORKERS must be an integer >= 1, got 'junk'\n"
-
-
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [
@@ -464,16 +476,10 @@ def test_sweep_script_rejects_invalid_workers_env():
     ],
     ids=["max-rise", "n-min", "workers"],
 )
-def test_sweep_script_rejects_invalid_bounds(flag, value, message):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_theorem_sweep.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--n-max", "2", flag, value],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {message}\n"
+def test_sweep_script_rejects_invalid_bounds(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "2", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_sweep_out_file(capsys, tmp_path):

@@ -1,6 +1,9 @@
 """Numeric checks of the explicit equivariant metric and its operators."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from higgs_threeterm.harmonic import (
     conjugated_higgs,
     dbar_correction_closed_form,
     equivariance_residual,
-    eval_metric,
     harmonic_residual,
     higgs_form_basis,
     higgs_form_residual,
@@ -38,17 +40,17 @@ def maxabs(mat) -> float:
 
 
 def test_metric_at_i_is_identity():
-    assert maxabs(eval_metric(1j) - np.eye(2)) == 0.0
+    assert maxabs(metric_at(1j) - np.eye(2)) == 0.0
 
 
 def test_metric_at_one_plus_i():
     expected = np.array([[1.0, -1.0], [-1.0, 2.0]])
-    assert maxabs(eval_metric(1 + 1j) - expected) == 0.0
+    assert maxabs(metric_at(1 + 1j) - expected) == 0.0
 
 
 def test_metric_shape_on_grid():
     for pt in GRID:
-        k = eval_metric(pt)
+        k = metric_at(pt)
         assert maxabs(k - k.T) == 0.0
         assert abs(np.linalg.det(k) - 1.0) < 1e-12
         assert k[0, 0] > 0  # with det 1 this gives positive definiteness
@@ -141,36 +143,34 @@ def test_scheme_warns_outside_window():
 
 
 def test_log_derivative_smoke():
-    sample = log_derivative("d", 1j, FiniteDiffScheme(1e-4))
-    assert sample.form == "dtau"
-    assert np.all(np.isfinite(sample.mat))
+    mat = log_derivative("d", 1j, FiniteDiffScheme(1e-4))
+    assert mat.shape == (2, 2)
+    assert np.all(np.isfinite(mat))
 
 
 def test_log_derivative_scale_invariance():
     scheme = FiniteDiffScheme(1e-4)
     z0 = 0.3 + 1.2j
-    base = log_derivative("d", z0, scheme).mat
-    scaled = log_derivative("d", z0, scheme, fn=lambda z: 7.5 * metric_at(z)).mat
+    base = log_derivative("d", z0, scheme)
+    scaled = log_derivative("d", z0, scheme, fn=lambda z: 7.5 * metric_at(z))
     assert maxabs(base - scaled) < 1e-9
 
 
 def test_theta_closed_form_at_i():
     expected = -0.25 * np.array([[1j, -1.0], [-1.0, -1j]])
-    sample = theta_closed_form(1j)
-    assert sample.form == "dtau"
-    assert maxabs(sample.mat - expected) < 1e-15
+    assert maxabs(theta_closed_form(1j) - expected) < 1e-15
 
 
 def test_theta_closed_form_matches_finite_difference():
     scheme = FiniteDiffScheme(1e-4)
     for pt in GRID:
-        gap = maxabs(theta_closed_form(pt).mat - theta_finite_difference(pt, scheme).mat)
+        gap = maxabs(theta_closed_form(pt) - theta_finite_difference(pt, scheme))
         assert gap < 1e-5
 
 
 def test_theta_nilpotent_everywhere():
     for pt in GRID:
-        th = theta_closed_form(pt).mat
+        th = theta_closed_form(pt)
         assert maxabs(th @ th) < 1e-12
         assert abs(np.trace(th)) < 1e-12
         assert abs(np.linalg.det(th)) < 1e-12
@@ -180,8 +180,8 @@ def test_dbar_correction_is_half_log_derivative():
     # the closed-form correction matrix equals (1/2) dbar log conj(K)
     scheme = FiniteDiffScheme(1e-4)
     for pt in GRID[:5]:
-        fd = 0.5 * log_derivative("dbar", pt, scheme, fn=lambda z: np.conj(metric_at(z))).mat
-        assert maxabs(dbar_correction_closed_form(pt).mat - fd) < 1e-5
+        fd = 0.5 * log_derivative("dbar", pt, scheme, fn=lambda z: np.conj(metric_at(z)))
+        assert maxabs(dbar_correction_closed_form(pt) - fd) < 1e-5
 
 
 # --- the harmonic equation ---------------------------------------------------------
@@ -209,6 +209,16 @@ def test_harmonic_residual_second_order_decay():
     small = harmonic_residual(z0, FiniteDiffScheme(1e-3))
     order = math.log(big / small) / math.log(10.0)
     assert abs(order - 2.0) <= 0.3
+
+
+def test_metric_convergence_script_prints_order_two():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "metric_convergence.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]  # after tau and the header
+    assert len(rows) == 6 and len(rows[0]) == 2  # h and residual; the first row has no order
+    orders = [float(order) for _, _, order in rows[1:]]
+    assert all(abs(order - 2.0) <= 0.3 for order in orders), orders
 
 
 def test_harmonic_residual_warns_below_nested_window():
@@ -255,7 +265,7 @@ def test_a_lambda_identity_and_rejection():
 
 def test_a_lambda_rescales_higgs_field():
     for lam in (2.0 + 0j, 1j):
-        th = theta_closed_form(1j).mat
+        th = theta_closed_form(1j)
         al = a_lambda(1j, lam)
         assert maxabs(al @ th @ np.linalg.inv(al) - lam * th) < 1e-10
 
@@ -352,12 +362,12 @@ def pointwise_residuals(grid) -> dict:
     raising = np.array([[0.0, 1.0], [0.0, 0.0]])
     found = {name: [] for name in TOLERANCES}
     for pt in grid:
-        k = eval_metric(pt)
+        k = metric_at(pt)
         shape = max(maxabs(k - k.T), abs(float(np.linalg.det(k)) - 1.0))
         found["metric_shape"].append(shape if k[0, 0] > 0 and np.linalg.det(k) > 0 else max(shape, 1.0))
         found["equivariance"] += [equivariance_residual(pt, gamma) for gamma in GAMMAS]
-        th = theta_closed_form(pt).mat
-        found["theta_vs_finite_difference"].append(maxabs(th - theta_finite_difference(pt, scheme).mat))
+        th = theta_closed_form(pt)
+        found["theta_vs_finite_difference"].append(maxabs(th - theta_finite_difference(pt, scheme)))
         small = harmonic_residual(pt, FiniteDiffScheme(1e-3))  # h_nested is 1e-3 as well
         found["harmonic_equation"].append(small)
         big = harmonic_residual(pt, FiniteDiffScheme(1e-2))
@@ -407,9 +417,9 @@ def test_batched_operators_equal_each_point_bit_for_bit():
     assert type(harmonic_residual(grid[0], scheme)) is float
     assert residuals.tobytes() == np.array([harmonic_residual(pt, scheme) for pt in grid]).tobytes()
 
-    theta = theta_finite_difference(z, scheme).mat
+    theta = theta_finite_difference(z, scheme)
     assert theta.shape == (50, 2, 2)
-    pointwise = np.array([theta_finite_difference(pt, scheme).mat for pt in grid])
+    pointwise = np.array([theta_finite_difference(pt, scheme) for pt in grid])
     assert theta.tobytes() == pointwise.tobytes()
 
     for g, hh in POLY_PAIRS:

@@ -21,7 +21,6 @@ from higgs_threeterm.sweep import (
     MODE_NECESSITY,
     MODE_THEOREM,
     SweepParams,
-    default_workers,
     run_sweep,
 )
 
@@ -246,17 +245,6 @@ def test_parameter_validation():
         SweepParams(2, 3, 4, 4, "nonsense")
     with pytest.raises(ValueError):
         run_sweep(SweepParams(2, 2, 4, 4), workers=0)
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("HIGGS_THREETERM_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("HIGGS_THREETERM_WORKERS", "6")
-    assert default_workers() == 6
-    for bad in ("junk", "0", "-3", ""):
-        monkeypatch.setenv("HIGGS_THREETERM_WORKERS", bad)
-        with pytest.raises(ValueError, match="HIGGS_THREETERM_WORKERS"):
-            default_workers()
 
 
 # sha256 of the report as the CLI writes it, timing_seconds removed; the
