@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,24 +35,45 @@ class MalformedSequenceError(ValueError):
     """Root list is empty or contains a non-even entry."""
 
 
-@dataclass(frozen=True)
 class RootSequence:
     """Ordered even twist exponents (r_1, ..., r_n).
 
     Order is significant: it encodes the direction of the Higgs field.
+    Immutable, and compared, hashed and shown by its roots.
     """
 
-    roots: tuple[int, ...]
+    __slots__ = ("roots",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roots", tuple(self.roots))
-        if not self.roots:
+    def __init__(self, roots: tuple[int, ...]) -> None:
+        roots = tuple(roots)
+        if not roots:
             raise MalformedSequenceError("root sequence must be nonempty")
-        for r in self.roots:
+        for r in roots:
             if not isinstance(r, int) or isinstance(r, bool):
                 raise MalformedSequenceError(f"roots must be integers, got {r!r}")
             if r % 2 != 0:
                 raise MalformedSequenceError(f"roots must all be even, got {r}")
+        object.__setattr__(self, "roots", roots)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RootSequence, (self.roots,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.roots == other.roots
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.roots,))
+
+    def __repr__(self) -> str:
+        return f"RootSequence(roots={self.roots!r})"
 
     @property
     def n(self) -> int:
@@ -78,8 +98,7 @@ class RootSequence:
         return iter(self.roots)
 
 
-@dataclass(frozen=True)
-class ChainHiggsBundle:
+class ChainHiggsBundle(NamedTuple):
     """A root sequence with its derived component weights."""
 
     roots: RootSequence
@@ -104,11 +123,13 @@ class ChainHiggsBundle:
         return mat
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
-    """Multiplicities m_r of each twist r among the roots; absent keys read 0."""
+class MultiplicityProfile(NamedTuple):
+    """Multiplicities m_r of each twist r among the roots; absent keys read 0.
 
-    counts: dict[int, int] = field(default_factory=dict)
+    Indexing reads a multiplicity, profile[r] = m_r, not a tuple field.
+    """
+
+    counts: dict[int, int]
 
     def __getitem__(self, r: int) -> int:
         return self.counts.get(r, 0)

@@ -16,23 +16,6 @@ from fractions import Fraction
 
 from . import serialize, sweep
 from .chain import RootSequence, enumerate_chains
-from .filtered import (
-    FilteredBundleData,
-    FilteredJumpData,
-    ResidueBlock,
-    SideResidue,
-    connection_to_rep,
-    filtered_degree_bundle,
-    filtered_degree_rep,
-    higgs_to_rep,
-    rank1_degrees,
-    rank1_jump,
-    rank1_residue_angle,
-    rep_to_connection,
-    rep_to_higgs,
-    slope_bundle,
-    slope_rep,
-)
 from .pairing import PairingFailure, build_matching, certified_heights, verify_certificate
 
 
@@ -72,6 +55,13 @@ def _parse_jumps(text: str) -> list[tuple[Fraction, int]]:
     if not jumps:
         raise UsageError("empty jump list")
     return jumps
+
+
+def _refuse(what: str, args, names) -> None:
+    """Raise UsageError naming each flag of `names` that was given: `what` takes none."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{what} takes no {', '.join(given)}")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -186,26 +176,27 @@ _TRANSLATE_FLAGS = ("beta", "u", "v", "jump", "re", "im")  # the representation'
 
 
 def _cmd_translate(args) -> int:
+    from . import filtered  # loaded only by translate, rank1 and filtered-degree
+
     side = args.source_side
     own = _TRANSLATE_FLAGS[:3] if side == "representation" else _TRANSLATE_FLAGS[3:]
     if any(getattr(args, name) is None for name in own):
         raise UsageError(f"translate --from {side} needs {', '.join('--' + name for name in own)}")
-    stray = [f"--{name}" for name in _TRANSLATE_FLAGS if name not in own and getattr(args, name) is not None]
-    if stray:
-        raise UsageError(f"translate --from {side} takes no {', '.join(stray)}")
+    _refuse(f"translate --from {side}", args, [name for name in _TRANSLATE_FLAGS if name not in own])
     if side == "representation":
-        block = ResidueBlock(
+        block = filtered.ResidueBlock(
             _parse_fraction(args.beta), _parse_fraction(args.u), _parse_fraction(args.v)
         )
     else:
-        data = SideResidue(
+        data = filtered.SideResidue(
             _parse_fraction(args.jump),
             (_parse_fraction(args.re), _parse_fraction(args.im)),
         )
-        block = connection_to_rep(data) if side == "connection" else higgs_to_rep(data)
+        to_rep = filtered.connection_to_rep if side == "connection" else filtered.higgs_to_rep
+        block = to_rep(data)
 
-    connection = rep_to_connection(block)
-    higgs = rep_to_higgs(block)
+    connection = filtered.rep_to_connection(block)
+    higgs = filtered.rep_to_higgs(block)
     report = {
         "representation": serialize.residue_block_json(block),
         "connection": serialize.side_residue_json(connection),
@@ -238,15 +229,17 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_rank1(args) -> int:
+    from . import filtered
+
     b = _parse_fraction(args.b)
-    unfiltered, filtered = rank1_degrees(args.a, b)
+    unfiltered_degree, filtered_degree = filtered.rank1_degrees(args.a, b)
     report = {
         "a": args.a,
         "b": serialize.format_rational(b),
-        "jump": serialize.format_rational(rank1_jump(args.a, b)),
-        "unfiltered_degree": serialize.format_rational(unfiltered),
-        "filtered_degree": serialize.format_rational(filtered),
-        "residue_angle": serialize.format_rational(rank1_residue_angle(args.a)),
+        "jump": serialize.format_rational(filtered.rank1_jump(args.a, b)),
+        "unfiltered_degree": serialize.format_rational(unfiltered_degree),
+        "filtered_degree": serialize.format_rational(filtered_degree),
+        "residue_angle": serialize.format_rational(filtered.rank1_residue_angle(args.a)),
     }
     header = ["a", "b", "jump", "unfiltered_degree", "filtered_degree", "residue_angle"]
     _emit(args, report, header, [[report[k] for k in header]])
@@ -254,17 +247,20 @@ def _cmd_rank1(args) -> int:
 
 
 def _cmd_filtered_degree(args) -> int:
+    from . import filtered
+
     cusps = tuple(tuple(_parse_jumps(text)) for text in args.jumps)
     if args.side == "representation":
-        data = FilteredJumpData("representation", cusps)
-        degree, slope = filtered_degree_rep(data), slope_rep(data)
+        _refuse("filtered-degree --side representation", args, ("rank", "base_degree"))
+        data = filtered.FilteredJumpData("representation", cusps)
+        degree, slope = filtered.filtered_degree_rep(data), filtered.slope_rep(data)
         extra = {"dimension": data.dimension}
     else:
         if args.rank is None or args.base_degree is None:
             raise UsageError("filtered-degree --side bundle needs --rank and --base-degree")
-        jump_data = FilteredJumpData("bundle", cusps)
-        data = FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jump_data)
-        degree, slope = filtered_degree_bundle(data), slope_bundle(data)
+        jump_data = filtered.FilteredJumpData("bundle", cusps)
+        data = filtered.FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jump_data)
+        degree, slope = filtered.filtered_degree_bundle(data), filtered.slope_bundle(data)
         extra = {"rank": args.rank}
     report = {
         "side": args.side,
@@ -282,14 +278,15 @@ def _cmd_verify_metric(args) -> int:
 
     grid = None
     if args.tau is not None:
+        _refuse("verify-metric --tau", args, ("grid", "seed"))
         try:
             grid = [harmonic.UpperHalfPoint.parse(args.tau)]
         except ValueError as exc:
             raise UsageError(f"bad --tau: {exc}") from None
     report = harmonic.verification_report(
         grid=grid,
-        count=args.grid,
-        seed=args.seed,
+        count=20 if args.grid is None else args.grid,
+        seed=0 if args.seed is None else args.seed,
         h=args.h,
         h_nested=args.h_nested,
         only=args.check,
@@ -373,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-metric", parents=[common], help="numeric checks of the explicit harmonic metric")
     p.add_argument("--tau", default=None, help="single sample point as x+yi, e.g. 0.3+1.2i")
-    p.add_argument("--grid", type=int, default=20, help="quasi-random sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, default=None, help="quasi-random sample count (default 20; not with --tau)")
+    p.add_argument("--seed", type=int, default=None, help="grid seed (default 0; not with --tau)")
     p.add_argument("--h", type=float, default=1e-4, help="first-order finite-difference step")
     p.add_argument("--h-nested", type=float, default=1e-3, help="nested second-derivative step")
     p.add_argument("--check", default=None, help="run a single named check")

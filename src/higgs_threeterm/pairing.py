@@ -38,8 +38,8 @@ The certificate checker shares no code with the builder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .chain import RootSequence, is_admissible, tail_slopes
 
@@ -83,8 +83,7 @@ class RegionKind(Enum):
     RIGHT_BOUNDARY = "RIGHT_BOUNDARY"
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A maximal stretch of the path between consecutive height-r vertices.
 
     start/end are the 1-based vertex indices of the stretch (inclusive);
@@ -96,15 +95,13 @@ class Region:
     end: int
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(NamedTuple):
     source: int
     target: int
     label: RegionKind
 
 
-@dataclass(frozen=True)
-class MatchingCertificate:
+class MatchingCertificate(NamedTuple):
     """Injective pairing of height-r vertices with height-(r+-2) vertices."""
 
     height: int

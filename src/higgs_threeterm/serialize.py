@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .chain import (
     MultiplicityProfile,
@@ -32,8 +33,10 @@ from .chain import (
     tail_slopes,
     three_term_holds,
 )
-from .filtered import ResidueBlock, SideResidue
-from .pairing import MatchingCertificate
+
+if TYPE_CHECKING:  # annotations only: filtered loads just for its own subcommands
+    from .filtered import ResidueBlock, SideResidue
+    from .pairing import MatchingCertificate
 
 
 def format_rational(q: Fraction) -> str:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 from .chain import (
     RootSequence,
@@ -58,18 +57,22 @@ MODE_NECESSITY = "necessity"
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
-@dataclass(frozen=True)
 class SweepParams:
-    n_min: int
-    n_max: int
-    max_rise: int
-    root_bound: int
-    mode: str = MODE_THEOREM
+    """A sweep's box and mode, checked when built; immutable."""
 
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_THEOREM, MODE_NECESSITY):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        check_box(self.n_min, self.n_max, self.max_rise, self.root_bound)
+    __slots__ = ("n_min", "n_max", "max_rise", "root_bound", "mode")
+
+    def __init__(
+        self, n_min: int, n_max: int, max_rise: int, root_bound: int, mode: str = MODE_THEOREM
+    ) -> None:
+        if mode not in (MODE_THEOREM, MODE_NECESSITY):
+            raise ValueError(f"unknown sweep mode {mode!r}")
+        check_box(n_min, n_max, max_rise, root_bound)
+        for name, value in zip(self.__slots__, (n_min, n_max, max_rise, root_bound, mode)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list[dict], int]:

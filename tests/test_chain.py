@@ -1,6 +1,8 @@
 """Exact chain combinatorics: admissibility, slopes, profiles, enumeration."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -46,6 +48,33 @@ def test_rejects_empty_and_odd():
         RootSequence((2, 1))
     with pytest.raises(MalformedSequenceError):
         RootSequence((3,))
+
+
+def test_root_sequence_is_an_immutable_value():
+    seq = RootSequence((0, 2))
+    assert seq == RootSequence(roots=[0, 2])
+    assert seq != RootSequence((0, -2)) and seq != (0, 2)
+    assert hash(seq) == hash(RootSequence((0, 2)))
+    assert repr(seq) == "RootSequence(roots=(0, 2))"
+    assert (len(seq), list(seq)) == (2, [0, 2])
+    assert copy.copy(seq) == seq == pickle.loads(pickle.dumps(seq))
+    with pytest.raises(AttributeError, match="cannot assign to field 'roots'"):
+        seq.roots = (4,)
+    with pytest.raises(AttributeError):
+        seq.extra = 1
+    with pytest.raises(AttributeError):
+        del seq.roots
+    assert seq.roots == (0, 2)
+    messages = {
+        (): "root sequence must be nonempty",
+        (0, 2, 1): "roots must all be even, got 1",
+        (0, True): "roots must be integers, got True",
+        (0, 2.0): "roots must be integers, got 2.0",
+    }
+    for roots, message in messages.items():
+        with pytest.raises(MalformedSequenceError) as info:
+            RootSequence(roots)
+        assert str(info.value) == message
 
 
 def test_step_weights():

@@ -301,6 +301,23 @@ def test_filtered_degree_bad_jump_window(capsys):
     assert code == 2
 
 
+STRAY_FILTERED_DEGREE_FLAGS = {
+    "both": (["--rank", "1", "--base-degree", "0"], "--rank, --base-degree"),
+    "rank": (["--rank", "2"], "--rank"),
+    "base-degree": (["--base-degree=-5/6"], "--base-degree"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRAY_FILTERED_DEGREE_FLAGS))
+def test_filtered_degree_representation_rejects_bundle_flags(capsys, case):
+    extra, stray = STRAY_FILTERED_DEGREE_FLAGS[case]
+    code, out, err = run_cli(
+        capsys, "filtered-degree", "--side", "representation", "--jumps", "5/6:1", *extra
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: filtered-degree --side representation takes no {stray}\n"
+
+
 # --- verify-metric ---------------------------------------------------------------------
 
 
@@ -332,6 +349,24 @@ def test_verify_metric_failure_exits_one(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "extra, stray",
+    [(["--grid", "5"], "--grid"), (["--seed", "0"], "--seed"), (["--seed", "7", "--grid", "20"], "--grid, --seed")],
+)
+def test_verify_metric_tau_takes_no_grid_or_seed(capsys, extra, stray):
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", "0.3+1.2i", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: verify-metric --tau takes no {stray}\n"
+
+
+def test_verify_metric_grid_and_seed_default_to_20_and_0(capsys):
+    _, default, _ = run_cli(capsys, "verify-metric", "--check", "metric_shape")
+    _, explicit, _ = run_cli(capsys, "verify-metric", "--check", "metric_shape", "--grid", "20", "--seed", "0")
+    assert default == explicit
+    _, single, _ = run_cli(capsys, "verify-metric", "--tau", "0.3+1.2i", "--check", "metric_shape")
+    assert json.loads(single)["parameters"]["seed"] == 0
 
 
 def test_verify_metric_bad_tau(capsys):
@@ -541,3 +576,22 @@ def test_numpy_is_loaded_only_for_verify_metric():
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True"]
+
+
+ON_DEMAND_MODULES = ("concurrent.futures", "dataclasses", "higgs_threeterm.filtered", "numpy")
+IMPORT_PROBE = f"""
+import json, os, sys
+import higgs_threeterm.cli as cli
+cli.main(["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--workers", "1", "--out", os.devnull])
+print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
+cli.main(["rank1", "--a", "3", "--b", "5/4", "--out", os.devnull])
+print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
+"""
+
+
+def test_sweep_loads_no_dataclasses_filtered_numpy_or_pool():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_sweep, after_rank1 = map(json.loads, proc.stdout.splitlines())
+    assert after_sweep == []
+    assert "higgs_threeterm.filtered" in after_rank1

@@ -104,6 +104,15 @@ def test_build_matching_zigzag_height_four():
     )
 
 
+def test_certificates_equal_identically_built_values():
+    cert = certified_heights(ZIGZAG)[4]
+    pairs = (MatchedPair(1, 2, RegionKind.B), MatchedPair(source=4, target=5, label=RegionKind.B))
+    assert cert == MatchingCertificate(4, pairs) == build_matching(ZIGZAG, 4)
+    assert hash(cert) == hash(MatchingCertificate(height=4, pairs=pairs))
+    assert cert != MatchingCertificate(2, pairs)
+    assert certified_heights(ZIGZAG) == certified_heights(ZIGZAG)
+
+
 def test_build_matching_drop_chain():
     cert = build_matching(RootSequence((2, 0, -2)), 2)
     assert cert.pairs == (MatchedPair(1, 2, RegionKind.B),)

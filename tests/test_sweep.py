@@ -93,18 +93,18 @@ def test_theorem_sweep_tests_stability_only_on_unpruned_chains(monkeypatch):
 def count_calls(monkeypatch) -> dict[str, int]:
     """Count sweep's stability tests and every RootSequence built anywhere."""
     calls = {"tail_slopes": 0, "RootSequence": 0}
-    original_test, original_check = sweep.tail_slopes, RootSequence.__post_init__
+    original_test, original_init = sweep.tail_slopes, RootSequence.__init__
 
     def counted_test(roots):
         calls["tail_slopes"] += 1
         return original_test(roots)
 
-    def counted_check(seq):
+    def counted_init(seq, roots):
         calls["RootSequence"] += 1
-        original_check(seq)
+        original_init(seq, roots)
 
     monkeypatch.setattr(sweep, "tail_slopes", counted_test)
-    monkeypatch.setattr(RootSequence, "__post_init__", counted_check)
+    monkeypatch.setattr(RootSequence, "__init__", counted_init)
     return calls
 
 
