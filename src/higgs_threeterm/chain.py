@@ -15,10 +15,9 @@ drops by exactly 2 per step, and rises by even amounts.
 
 This module implements the exact combinatorics attached to such chains:
 admissibility, tail-slope stability, multiplicity profiles with the
-three-term inequality m_r <= m_{r-2} + m_{r+2}, characteristic-polynomial
-coefficients of the Higgs field (nilpotent-cone membership), and bounded
-exhaustive enumeration, pruned by branch and bound when only stable chains
-are wanted and counted by a dynamic program.  All arithmetic is exact; nothing here touches
+three-term inequality m_r <= m_{r-2} + m_{r+2}, and bounded exhaustive
+enumeration, pruned by branch and bound when only stable chains are
+wanted and counted by a dynamic program.  All arithmetic is exact; nothing here touches
 floating point: the stability verdict is decided from integer prefix
 sums, and slopes become Fractions only when a report reads them.
 """
@@ -96,31 +95,6 @@ class RootSequence:
 
     def __iter__(self):
         return iter(self.roots)
-
-
-class ChainHiggsBundle(NamedTuple):
-    """A root sequence with its derived component weights."""
-
-    roots: RootSequence
-    step_weights: tuple[int, ...]
-
-    @classmethod
-    def from_roots(cls, seq: RootSequence) -> ChainHiggsBundle:
-        return cls(seq, seq.step_weights)
-
-    def theta_structure(self) -> list[list[int]]:
-        """0/1 matrix of the Higgs field in the line-bundle splitting.
-
-        Entry (j+1, j) marks the component O(r_j) -> O(r_{j+1}); it is 1
-        exactly when a nonzero scalar form of weight w_j exists.  The last
-        summand maps to zero, so the matrix is strictly lower triangular.
-        """
-        n = self.roots.n
-        mat = [[0] * n for _ in range(n)]
-        for j, w in enumerate(self.step_weights):
-            if weight_has_nonzero_form(w):
-                mat[j + 1][j] = 1
-        return mat
 
 
 class MultiplicityProfile(NamedTuple):
@@ -246,21 +220,6 @@ def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermVio
         if m > below + above:
             violations.append(ThreeTermViolation(r, m, below, above))
     return (not violations, violations)
-
-
-def hitchin_invariants(seq: RootSequence) -> list[Fraction]:
-    """Characteristic-polynomial coefficients of the Higgs field.
-
-    Returns (c_1, ..., c_n) with char(x) = x^n + c_1 x^{n-1} + ... + c_n.
-    A chain field is strictly lower triangular, hence nilpotent, so every
-    coefficient vanishes: the chain sits in the zero fiber (the nilpotent
-    cone) of the map sending a Higgs bundle to these coefficients.
-    """
-    mat = ChainHiggsBundle.from_roots(seq).theta_structure()
-    n = len(mat)
-    if any(mat[i][j] for i in range(n) for j in range(i, n)):
-        raise ValueError(f"Higgs field of {seq.roots} is not strictly lower triangular")
-    return [Fraction(0)] * n
 
 
 def enumeration_steps(max_rise: int) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Subcommands: enumerate, check, pair, translate, rank1, filtered-degree,
 verify-metric, sweep.  Output is JSON by default or CSV with --format csv,
 written to stdout or to --out.  Exit codes: 0 pass, 1 violation or failed
-check, 2 usage error.  Reports conform to schemas/cli-reports.schema.json.
+check, 2 usage error or a sweep worker that died.  Reports conform to
+schemas/cli-reports.schema.json.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .pairing import PairingFailure, build_matching, certified_heights, verify_c
 class UsageError(Exception):
     """Bad input that argparse could not catch itself.
 
-    `main` reports it, and any ValueError or OSError, as exit 2.
+    `main` reports it, and any ValueError, OSError or sweep.WorkerDied, as
+    exit 2.
     """
 
 
@@ -302,7 +304,7 @@ def _cmd_verify_metric(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = sweep.SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    report = sweep.run_sweep(params, workers=args.workers)
+    report = sweep.written_report(params, workers=args.workers)
     rows = [
         [n, bucket["generated"], bucket["admissible"], bucket["stable"]]
         for n, bucket in report["per_n"].items()
@@ -395,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, sweep.WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PairingFailure as exc:

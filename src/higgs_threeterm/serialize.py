@@ -15,6 +15,12 @@ call, with the item separator carrying the newline and the indent of
 its depth, and only walks the containers above those in Python.  The
 object must be a tree: a container that holds itself recurses without
 end instead of raising json's "Circular reference detected".
+
+A list may also be written in pieces: `write_items` writes some of its
+items as `dumps` would write them inside it, and `join_items` joins such
+pieces into the list's text, held by a `Written` that `dumps` copies as it
+stands.  The sweep writes its violation records this way, in the worker
+that finds them.
 """
 
 from __future__ import annotations
@@ -109,8 +115,21 @@ def side_residue_json(data: SideResidue) -> dict:
 # --- the report writer ---------------------------------------------------------
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+class Written:
+    """JSON text already written for the place it takes in a report;
+    `dumps` copies `text` as it stands.  It holds the text rather than
+    being a str, so a report of megabytes is not copied to make one."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+_NESTED = (dict, list, tuple, Written)  # what keeps a container off the flat path
 
 
 def _not_serializable(obj):
@@ -145,6 +164,8 @@ def _write(obj, depth: int) -> str:
         values = obj
     elif type(obj) is str:
         return encode_basestring_ascii(obj)
+    elif type(obj) is Written:
+        return obj.text
     else:
         return "".join(_level(depth)[0](obj, 0))
     if not obj:
@@ -152,17 +173,38 @@ def _write(obj, depth: int) -> str:
     encode, separator, inner, outer = _level(depth)
     # the type test runs in C and settles most containers; subclasses fall through
     if _SCALARS.issuperset(map(type, values)) or not any(
-        isinstance(v, _CONTAINERS) for v in values
+        isinstance(v, _NESTED) for v in values
     ):
         text = "".join(encode(obj, 0))
         return text[0] + inner + text[1:-1] + outer + text[-1]
     if values is obj:
         body = separator.join([_write(v, depth + 1) for v in obj])
-        return "[" + inner + body + outer + "]"
+        return "".join(("[", inner, body, outer, "]"))  # one copy of a long body
     body = separator.join([_key(k) + ": " + _write(v, depth + 1) for k, v in obj.items()])
-    return "{" + inner + body + outer + "}"
+    return "".join(("{", inner, body, outer, "}"))
 
 
 def dumps(obj) -> str:
     """json.dumps(obj, indent=2, allow_nan=False), byte for byte; see the module docstring."""
     return _write(obj, 0)
+
+
+def write_items(items, depth: int) -> str:
+    """The items of a list that opens at `depth`, each written as `dumps`
+    writes it there and joined by that list's item separator ("" for none)."""
+    return _level(depth)[1].join([_write(item, depth + 1) for item in items])
+
+
+def join_items(pieces, depth: int) -> Written:
+    """The list that opens at `depth` and holds, in order, the items of each
+    piece `write_items` wrote for it: exactly the text `dumps` gives it."""
+    _, separator, inner, outer = _level(depth)
+    parts = ["[", inner]
+    for piece in pieces:
+        if piece:
+            parts += (piece, separator)
+    if len(parts) == 2:
+        return Written("[]")
+    parts[-1] = outer  # in place of the last separator
+    parts.append("]")
+    return Written("".join(parts))  # one join: the text is copied once, not twice

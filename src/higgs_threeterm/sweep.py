@@ -25,6 +25,17 @@ pass over a stable chain builds every height's certificate without
 re-checking either hypothesis, and each is verified on its own.  The pool
 never has more workers than partitions, and one worker runs inline.
 
+Each partition writes its own violation records as JSON text, exactly as
+serialize.dumps writes them inside the report (serialize.write_items).
+So the writing runs in the pool workers, only text crosses the pool, and
+the parent joins the texts in canonical order (serialize.join_items)
+without building a record dict.  `written_report` is the report the
+command line writes, and its `timing_seconds` includes the writing;
+`run_sweep` reads the records back as dicts.  The pool takes the
+partitions longest chains first and returns their results in canonical
+order.  A worker that dies raises WorkerDied, naming the partition it
+died in.
+
 The walk hands each chain over as a plain tuple and carries its
 multiplicities {r: m_r}, one push or pop at a time, so a leaf builds no
 per-chain object: tail_slopes tests the tuple, three_term_holds reads the
@@ -37,8 +48,10 @@ with sorted keys) orders the whole report without a global sort.
 from __future__ import annotations
 
 import json
+import os
 import time
 
+from . import serialize
 from .chain import (
     RootSequence,
     check_box,
@@ -55,6 +68,8 @@ MODE_NECESSITY = "necessity"
 
 # json.dumps(obj, sort_keys=True) without building an encoder on every call
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+_VIOLATIONS_DEPTH = 1  # the depth the report's violation list opens at
 
 
 class SweepParams:
@@ -124,9 +139,11 @@ def _in_report_order(records: list[dict]) -> list[dict]:
     return records
 
 
-def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, list[dict]]:
-    """Walk one (n, first step) partition; return (stable, certificates, violations).
+def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, str]:
+    """Walk one (n, first step) partition; return (stable, certificates, records).
 
+    The records are the partition's violations, written as the items of
+    the report's violation list (serialize.write_items at _VIOLATIONS_DEPTH).
     The walk hands over plain root tuples and carries their multiplicities;
     a RootSequence is built only for a stable chain that goes to pairing.
     """
@@ -150,14 +167,73 @@ def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, list
                 violations += _in_report_order(
                     [{"roots": listed, "kind": "three-term", "detail": v._asdict()} for v in found]
                 )
-    return stable, certificates, violations
+    return stable, certificates, serialize.write_items(violations, _VIOLATIONS_DEPTH)
 
 
-def run_sweep(params: SweepParams, workers: int = 1) -> dict:
-    """Run the sweep and aggregate a deterministic report.
+class WorkerDied(RuntimeError):
+    """A pool worker died (killed, out of memory, crashed) during a sweep."""
 
-    Partitions are merged in (n, first step) order whatever the worker
-    count, so reports differ only in the timing field.
+
+_running = None  # in a pool worker: the shared marks of the partitions being run
+_current = -1  # in a pool worker: the index of the partition it runs, or -1
+
+
+def _start_worker(running) -> None:
+    import signal
+
+    global _running
+    _running = running
+    signal.signal(signal.SIGTERM, _on_terminate)
+
+
+def _on_terminate(signum, frame) -> None:
+    # the pool stops the live workers when one dies: clear this one's mark
+    if _current >= 0:
+        _running[_current] = 0
+    os._exit(1)
+
+
+def _run_marked(index: int, task: tuple) -> tuple[int, int, str]:
+    global _current
+    _current = index
+    _running[index] = 1
+    result = _run_partition(task)
+    _running[index] = 0
+    _current = -1
+    return result
+
+
+def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, str]]:
+    """Run each partition in a pool of `workers` processes; results in task order.
+
+    Tasks go in largest first (descending n).  A worker marks the partition
+    it runs in a shared array and clears the mark when it finishes or when
+    the pool stops it, so after a worker dies the marks left name the
+    partition it died in; WorkerDied reports them.
+    """
+    from concurrent.futures import ProcessPoolExecutor  # costly imports, pool runs only
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.sharedctypes import RawArray
+
+    running = RawArray("b", len(tasks))
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
+    try:
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(running,)) as pool:
+            futures = {i: pool.submit(_run_marked, i, tasks[i]) for i in order}
+            return [futures[i].result() for i in range(len(tasks))]
+    except BrokenProcessPool:
+        dead = [f"(n={n}, first step={first})" for (n, first, *_), mark in zip(tasks, running) if mark]
+        where = f" in partition {', '.join(dead)}" if dead else ""
+        raise WorkerDied(f"sweep worker died{where}") from None
+
+
+def written_report(params: SweepParams, workers: int = 1) -> dict:
+    """The sweep's report, its violation list already written.
+
+    `violations` is a serialize.Written: each partition writes its
+    own records, in the pool worker that runs it, and they are joined in
+    (n, first step) order whatever the worker count, so reports differ
+    only in the timing field, which includes the writing.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -174,21 +250,17 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
     if workers == 1:
         results = [_run_partition(task) for task in tasks]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # costly import, pool runs only
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_partition, tasks))
+        results = _run_pooled(tasks, workers)
 
     per_n: dict[str, dict] = {}
     for n in lengths:
         generated = count_chains((0,), n, steps, params.root_bound)
         per_n[str(n)] = {"generated": generated, "admissible": generated, "stable": 0}
     certificates = 0
-    violations: list[dict] = []
-    for (n, *_), (stable, n_certificates, found) in zip(tasks, results):
+    for (n, *_), (stable, n_certificates, _) in zip(tasks, results):
         per_n[str(n)]["stable"] += stable
         certificates += n_certificates
-        violations.extend(found)
+    violations = serialize.join_items([records for *_, records in results], _VIOLATIONS_DEPTH)
     totals = {
         key: sum(bucket[key] for bucket in per_n.values())
         for key in ("generated", "admissible", "stable")
@@ -197,10 +269,8 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
 
     elapsed = time.perf_counter() - started
 
-    if params.mode == MODE_THEOREM:
-        passed = not violations
-    else:
-        passed = bool(violations)
+    found = violations.text != "[]"
+    passed = not found if params.mode == MODE_THEOREM else found
 
     return {
         "parameters": {
@@ -216,3 +286,10 @@ def run_sweep(params: SweepParams, workers: int = 1) -> dict:
         "pass": passed,
         "timing_seconds": elapsed,
     }
+
+
+def run_sweep(params: SweepParams, workers: int = 1) -> dict:
+    """written_report with the violation records read back as dicts."""
+    report = written_report(params, workers)
+    report["violations"] = json.loads(report["violations"].text)
+    return report

@@ -10,14 +10,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from higgs_threeterm.chain import (
-    ChainHiggsBundle,
     MalformedSequenceError,
     RootSequence,
     count_chains,
     enumerate_chains,
     enumeration_steps,
     extend_chain,
-    hitchin_invariants,
     is_admissible,
     multiplicities,
     tail_slopes,
@@ -27,15 +25,6 @@ from higgs_threeterm.chain import (
 
 even_ints = st.integers(-10, 10).map(lambda k: 2 * k)
 root_lists = st.lists(even_ints, min_size=1, max_size=8).map(tuple)
-# admissible by construction: drop of 2 or even rises
-admissible_steps = st.lists(st.sampled_from([-2, 2, 4, 6, 8]), min_size=1, max_size=7)
-
-
-def seq_from_steps(start: int, steps: list[int]) -> RootSequence:
-    roots = [start]
-    for d in steps:
-        roots.append(roots[-1] + d)
-    return RootSequence(tuple(roots))
 
 
 # --- well-formedness ----------------------------------------------------------
@@ -251,45 +240,6 @@ def test_shift_invariance(roots, shift):
     assert [(v.height + shift, v.count, v.below, v.above) for v in viol_a] == [
         tuple(v) for v in viol_b
     ]
-
-
-# --- Hitchin invariants ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("roots", [(2, 0, -2), (0,), (4, 2, 0, 4, 2, 0, -2)])
-def test_hitchin_invariants_vanish(roots):
-    assert hitchin_invariants(RootSequence(roots)) == [Fraction(0)] * len(roots)
-
-
-@given(st.integers(-4, 4).map(lambda k: 2 * k), admissible_steps)
-def test_hitchin_vanishes_on_admissible_chains(start, steps):
-    seq = seq_from_steps(start, steps)
-    assert all(c == 0 for c in hitchin_invariants(seq))
-
-
-def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-@given(st.integers(-4, 4).map(lambda k: 2 * k), admissible_steps)
-def test_theta_is_nilpotent_on_admissible_chains(start, steps):
-    # theta^n = 0 by exact integer powers: the characteristic polynomial is
-    # x^n, independently of how hitchin_invariants reaches its zeros
-    theta = ChainHiggsBundle.from_roots(seq_from_steps(start, steps)).theta_structure()
-    n = len(theta)
-    power = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(n - 1):
-        power = matmul(power, theta)
-    assert power[n - 1][0] == 1  # every component is a nonzero map: index exactly n
-    assert matmul(power, theta) == [[0] * n for _ in range(n)]
-
-
-def test_theta_structure_respects_missing_forms():
-    bundle = ChainHiggsBundle.from_roots(RootSequence((0, 0)))  # weight-2 step: no form
-    assert bundle.theta_structure() == [[0, 0], [0, 0]]
-    bundle = ChainHiggsBundle.from_roots(RootSequence((2, 0, -2)))
-    assert bundle.theta_structure() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
 # --- enumeration ----------------------------------------------------------------

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -515,6 +517,25 @@ def test_sweep_script_rejects_invalid_bounds(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "sweep", "--n-max", "2", flag, value)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers inherit the patch only by fork"
+)
+def test_sweep_worker_that_dies_exits_two(capsys, monkeypatch):
+    from higgs_threeterm import sweep
+
+    original = sweep._run_partition
+
+    def dies_in_one(task):
+        if task[:2] == (3, 4):
+            os._exit(3)
+        return original(task)
+
+    monkeypatch.setattr(sweep, "_run_partition", dies_in_one)
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "4", "--max-rise", "4", "--bound", "6", "--workers", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep worker died in partition (n=3, first step=4)\n"
 
 
 def test_sweep_out_file(capsys, tmp_path):

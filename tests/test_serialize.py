@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from higgs_threeterm import cli, serialize
 from higgs_threeterm.chain import RootSequence, multiplicities
 from higgs_threeterm.serialize import (
+    Written,
     check_report,
     complex_pair_json,
     dumps,
     format_rational,
+    join_items,
     parse_rational,
     profile_json,
+    write_items,
 )
 
 
@@ -105,6 +108,28 @@ def test_dumps_matches_json_indent_two(obj):
     assert dumps(obj) == oracle(obj)
 
 
+# a detail holds numbers, flags, or a list of reasons
+DETAILS = st.dictionaries(STRINGS, SCALARS | st.lists(STRINGS, max_size=3), max_size=4)
+RECORDS = st.fixed_dictionaries({"roots": st.lists(st.integers(), max_size=6), "kind": STRINGS, "detail": DETAILS})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RECORDS, max_size=8), st.lists(st.integers(0, 8), max_size=5), st.booleans())
+def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cuts, passed):
+    # each piece is one partition's records, possibly none, written where
+    # they sit in the report: a list that opens at depth 1
+    bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+    pieces = [write_items(records[a:b], 1) for a, b in zip(bounds, bounds[1:])]
+    report = {"totals": {"stable": 1}, "violations": records, "pass": passed}
+    expected = dumps(report)
+    assert expected == oracle(report)
+    # the only other value is a scalar: the Written text must not go to the C encoder
+    assert dumps({"violations": join_items(pieces, 1), "pass": passed}) == oracle(
+        {"violations": records, "pass": passed}
+    )
+    assert dumps({**report, "violations": join_items(pieces, 1)}) == expected
+
+
 @pytest.mark.parametrize(
     "obj",
     [{}, [], (), [[]], [{}], {"a": {"b": {}}}, {"a": []}, Pair([], {}), Record(), 0, "", None],
@@ -167,7 +192,9 @@ def test_every_subcommand_writes_json_indent_two(argv, capsys, monkeypatch):
 
     def spy(obj):
         text = dumps(obj)
-        written.append((text, oracle(obj)))
+        # a sweep report holds its violation list already written
+        as_json = {k: json.loads(v.text) if isinstance(v, Written) else v for k, v in obj.items()}
+        written.append((text, oracle(as_json)))
         return text
 
     monkeypatch.setattr(serialize, "dumps", spy)

@@ -3,10 +3,13 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from higgs_threeterm import sweep
+from higgs_threeterm import cli, serialize, sweep
 from higgs_threeterm.chain import (
     RootSequence,
     enumerate_chains,
@@ -146,9 +149,65 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
 @pytest.mark.parametrize("bound", [0, 1, 3, 5, 8])
 def test_necessity_partition_matches_brute_force(max_rise, bound):
     for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise)):
-        stable, certificates, found = sweep._run_partition((n, first_step, max_rise, bound, MODE_NECESSITY))
-        assert (stable, found) == brute_force_necessity(n, first_step, max_rise, bound)
+        stable, certificates, written = sweep._run_partition((n, first_step, max_rise, bound, MODE_NECESSITY))
+        expected_stable, expected = brute_force_necessity(n, first_step, max_rise, bound)
+        assert (stable, written) == (expected_stable, serialize.write_items(expected, 1))
         assert certificates == 0
+
+
+def dict_report(params: SweepParams) -> dict:
+    """The report without its timing, built chain by chain as dicts, with no
+    partitions and no text, and sorted by the old global key."""
+    per_n, certificates, violations = {}, 0, []
+    for n in range(params.n_min, params.n_max + 1):
+        chains = list(enumerate_chains(n, n, params.max_rise, params.root_bound, require_stable=False))
+        stable = 0
+        for seq in chains:
+            counts = multiplicities(seq).counts
+            if tail_slopes(seq.roots).is_stable:
+                stable += 1
+                if params.mode == MODE_THEOREM:
+                    found, heights = sweep._check_stable_chain(seq, counts)
+                    violations += found
+                    certificates += heights
+            elif params.mode == MODE_NECESSITY:
+                _, found = three_term_holds(counts)
+                violations += [{"roots": list(seq.roots), "kind": "three-term", "detail": v._asdict()} for v in found]
+        per_n[str(n)] = {"generated": len(chains), "admissible": len(chains), "stable": stable}
+    totals = {key: sum(bucket[key] for bucket in per_n.values()) for key in ("generated", "admissible", "stable")}
+    return {
+        "parameters": {
+            "n_min": params.n_min,
+            "n_max": params.n_max,
+            "max_rise": params.max_rise,
+            "root_bound": params.root_bound,
+            "mode": params.mode,
+        },
+        "totals": {**totals, "certificates": certificates},
+        "per_n": per_n,
+        "violations": sorted(violations, key=old_global_key),
+        "pass": (params.mode == MODE_THEOREM) == (not violations),
+    }
+
+
+@pytest.mark.parametrize("mode", [MODE_THEOREM, MODE_NECESSITY])
+@pytest.mark.parametrize("max_rise", [2, 4, 6])
+def test_written_reports_match_the_dict_report(mode, max_rise, tmp_path):
+    # the CLI's text is dumps of the dict report, and run_sweep's dicts are
+    # the dict report, with 1 and 2 workers, on every box n 2-7, bound 0-9
+    path = tmp_path / "report.json"
+    for bound in range(10):
+        params = SweepParams(2, 7, max_rise, bound, mode)
+        expected = dict_report(params)
+        for workers in ("1", "2"):
+            report = run_sweep(params, int(workers))
+            del report["timing_seconds"]
+            assert report == expected
+            argv = ["sweep", "--n-max", "7", "--max-rise", str(max_rise), "--bound", str(bound)]
+            cli.main([*argv, "--mode", mode, "--workers", workers, "--out", str(path)])
+            text = path.read_text()
+            timed = {**expected, "timing_seconds": json.loads(text)["timing_seconds"]}
+            assert text == serialize.dumps(timed) + "\n"
 
 
 def test_records_of_one_chain_sort_by_the_old_global_key():
@@ -202,11 +261,13 @@ def test_worker_determinism():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    partitions in the order submitted, and runs each one inline."""
 
     created: list[int] = []
+    submitted: list[tuple] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         RecordingPool.created.append(max_workers)
 
     def __enter__(self):
@@ -215,8 +276,13 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, index, task):
+        from concurrent.futures import Future
+
+        RecordingPool.submitted.append(task[:2])
+        done = Future()
+        done.set_result(sweep._run_partition(task))
+        return done
 
 
 @pytest.mark.parametrize(
@@ -232,6 +298,35 @@ def test_worker_pool_never_exceeds_partitions(monkeypatch, n_max, max_rise, work
     report = run_sweep(params, workers=workers)
     assert RecordingPool.created == pools
     assert canonical(report) == canonical(run_sweep(params, workers=1))
+
+
+def test_pool_takes_the_longest_chains_first(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    run_sweep(SweepParams(2, 4, 4, 4), workers=2)
+    assert RecordingPool.submitted == [(4, -2), (4, 2), (4, 4), (3, -2), (3, 2), (3, 4), (2, -2), (2, 2), (2, 4)]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers inherit the patch only by fork"
+)
+def test_dead_worker_names_its_partition(monkeypatch):
+    # The forked workers inherit the patch.  (6, -2) goes in first and
+    # sleeps, so the pool stops its worker in the middle of it when the
+    # worker running (6, 2) dies; only (6, 2) is named.
+    original = sweep._run_partition
+
+    def dies_in_one(task):
+        time.sleep(0.05 if task[:2] == (6, 2) else 0.5)
+        if task[:2] == (6, 2):
+            os._exit(3)
+        return original(task)
+
+    monkeypatch.setattr(sweep, "_run_partition", dies_in_one)
+    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=6, first step=2\)$"):
+        run_sweep(SweepParams(2, 6, 6, 8, MODE_NECESSITY), workers=2)
 
 
 def test_parameter_validation():
