@@ -84,12 +84,6 @@ class RootSequence:
         r = self.roots
         return tuple(r[j + 1] + 2 - r[j] for j in range(len(r) - 1))
 
-    def shifted(self, c: int) -> RootSequence:
-        """Twist every summand by c (c even, to preserve parity)."""
-        if c % 2 != 0:
-            raise MalformedSequenceError("shift must be even")
-        return RootSequence(tuple(r + c for r in self.roots))
-
     def __len__(self) -> int:
         return len(self.roots)
 

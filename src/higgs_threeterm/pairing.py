@@ -80,19 +80,7 @@ class RegionKind(Enum):
     B = "B"
     C = "C"
     LEFT_BOUNDARY = "LEFT_BOUNDARY"
-    RIGHT_BOUNDARY = "RIGHT_BOUNDARY"
-
-
-class Region(NamedTuple):
-    """A maximal stretch of the path between consecutive height-r vertices.
-
-    start/end are the 1-based vertex indices of the stretch (inclusive);
-    start > end encodes an empty boundary region.
-    """
-
-    kind: RegionKind
-    start: int
-    end: int
+    RIGHT_BOUNDARY = "RIGHT_BOUNDARY"  # no pair carries it; the report schema lists it
 
 
 class MatchedPair(NamedTuple):
@@ -152,28 +140,6 @@ def _certify(roots: tuple[int, ...]) -> dict[int, tuple[MatchingCertificate, Pai
             failure = PairingFailure(roots, r, j, reason)
         built[r] = (MatchingCertificate(r, tuple(pairs[r])), failure)
     return built
-
-
-def classify_regions(seq: RootSequence, r: int) -> list[Region]:
-    """Label the regions between consecutive height-r vertices.
-
-    Returns the left boundary region, one A/B/C region per interior gap,
-    and the right boundary region.  A height of the wrong parity (or one
-    not realized by the chain) has no height-r vertices, hence no regions:
-    the classification is empty.
-    """
-    _require_hypotheses(seq)
-    built = _certify(seq.roots)
-    if r not in built:
-        return []
-    cert, failure = built[r]
-    sources = [p.source for p in cert.pairs] + ([failure.source] if failure else [])
-    # every source but the rightmost is paired inside its region, by its label
-    regions = [Region(RegionKind.LEFT_BOUNDARY, 1, sources[0] - 1)]
-    for p, nxt in zip(cert.pairs, sources[1:]):
-        regions.append(Region(p.label, p.source + 1, nxt - 1))
-    regions.append(Region(RegionKind.RIGHT_BOUNDARY, sources[-1] + 1, len(seq.roots)))
-    return regions
 
 
 def build_matching(seq: RootSequence, r: int) -> MatchingCertificate:

@@ -20,7 +20,9 @@ A list may also be written in pieces: `write_items` writes some of its
 items as `dumps` would write them inside it, and `join_items` joins such
 pieces into the list's text, held by a `Written` that `dumps` copies as it
 stands.  The sweep writes its violation records this way, in the worker
-that finds them.
+that finds them.  Its necessity records all have one shape, so
+`three_term_items` writes them as `write_items` would, but from one
+template built from the same indentation strings, with no record dict.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .chain import (
     MultiplicityProfile,
     RootSequence,
     StabilityReport,
+    ThreeTermViolation,
     is_admissible,
     multiplicities,
     tail_slopes,
@@ -193,6 +196,25 @@ def write_items(items, depth: int) -> str:
     """The items of a list that opens at `depth`, each written as `dumps`
     writes it there and joined by that list's item separator ("" for none)."""
     return _level(depth)[1].join([_write(item, depth + 1) for item in items])
+
+
+def three_term_items(chains, depth: int) -> str:
+    """write_items(records, depth) for the records {"roots": list(roots),
+    "kind": "three-term", "detail": v._asdict()} of each v of each
+    (roots, violations) in chains, written into one template, no dict built.
+    The template writes the detail in ThreeTermViolation's field order, also
+    `_asdict`'s key order: `% v` fills it right only while the two agree."""
+    _, separator, inner, outer = _level(depth + 1)  # the record
+    _, item_separator, item_inner, item_outer = _level(depth + 2)  # its roots and detail
+    detail = item_separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
+    head = "{" + inner + '"roots": [' + item_inner
+    tail = f'{item_outer}]{separator}"kind": "three-term"{separator}"detail": {{{item_inner}'
+    tail += f"{detail}{item_outer}}}{outer}}}"
+    records = []
+    for roots, violations in chains:
+        record = head + item_separator.join(map(str, roots)) + tail  # ints: no "%" to escape
+        records += [record % v for v in violations]
+    return _level(depth)[1].join(records)
 
 
 def join_items(pieces, depth: int) -> Written:

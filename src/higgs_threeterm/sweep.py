@@ -26,15 +26,16 @@ re-checking either hypothesis, and each is verified on its own.  The pool
 never has more workers than partitions, and one worker runs inline.
 
 Each partition writes its own violation records as JSON text, exactly as
-serialize.dumps writes them inside the report (serialize.write_items).
+serialize.dumps writes them inside the report: theorem records by
+serialize.write_items, necessity records by serialize.three_term_items,
+which writes each violation into one fixed template and builds no dict.
 So the writing runs in the pool workers, only text crosses the pool, and
-the parent joins the texts in canonical order (serialize.join_items)
-without building a record dict.  `written_report` is the report the
-command line writes, and its `timing_seconds` includes the writing;
-`run_sweep` reads the records back as dicts.  The pool takes the
-partitions longest chains first and returns their results in canonical
-order.  A worker that dies raises WorkerDied, naming the partition it
-died in.
+the parent joins the texts in canonical order (serialize.join_items).
+`written_report` is the report the command line writes, and its
+`timing_seconds` includes the writing; `run_sweep` reads the records
+back as dicts.  The pool takes the partitions longest chains first and
+returns their results in canonical order.  A worker that dies raises
+WorkerDied, naming the partition it died in.
 
 The walk hands each chain over as a plain tuple and carries its
 multiplicities {r: m_r}, one push or pop at a time, so a leaf builds no
@@ -42,7 +43,9 @@ per-chain object: tail_slopes tests the tuple, three_term_holds reads the
 carried counts, and a RootSequence is built only for a stable chain that
 goes to pairing.  Records are ordered per chain: chains arrive in (length,
 roots) order, so sorting each chain's records by (kind, detail as JSON
-with sorted keys) orders the whole report without a global sort.
+with sorted keys) orders the whole report without a global sort.  A
+necessity chain's violations sort by that key's text less the prefix
+they all share, built straight from the fields.
 """
 
 from __future__ import annotations
@@ -139,18 +142,26 @@ def _in_report_order(records: list[dict]) -> list[dict]:
     return records
 
 
+def _three_term_order(v) -> str:
+    """_in_report_order's key for a three-term record, less the kind and
+    '{"above": ' that all share."""
+    return f'{v.above}, "below": {v.below}, "count": {v.count}, "height": {v.height}}}'
+
+
 def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, str]:
     """Walk one (n, first step) partition; return (stable, certificates, records).
 
     The records are the partition's violations, written as the items of
-    the report's violation list (serialize.write_items at _VIOLATIONS_DEPTH).
-    The walk hands over plain root tuples and carries their multiplicities;
-    a RootSequence is built only for a stable chain that goes to pairing.
+    the report's violation list at _VIOLATIONS_DEPTH: theorem records as
+    dicts, necessity records from a template with no dict built.  The walk
+    hands over plain root tuples and carries their multiplicities; a
+    RootSequence is built only for a stable chain that goes to pairing.
     """
     n, first_step, max_rise, bound, mode = args
     theorem = mode == MODE_THEOREM
     stable = certificates = 0
-    violations: list[dict] = []
+    violations: list[dict] = []  # theorem mode
+    witnesses: list[tuple] = []  # necessity mode: (roots, violations in report order)
     counts: dict[int, int] = {}
     steps = enumeration_steps(max_rise)
     for roots in extend_chain((0, first_step), n, steps, bound, stable_only=theorem, counts=counts):
@@ -163,11 +174,12 @@ def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, str]
         elif not theorem:
             _, found = three_term_holds(counts)
             if found:
-                listed = list(roots)  # one list for all of the chain's records
-                violations += _in_report_order(
-                    [{"roots": listed, "kind": "three-term", "detail": v._asdict()} for v in found]
-                )
-    return stable, certificates, serialize.write_items(violations, _VIOLATIONS_DEPTH)
+                if len(found) > 1:
+                    found.sort(key=_three_term_order)
+                witnesses.append((roots, found))
+    if theorem:
+        return stable, certificates, serialize.write_items(violations, _VIOLATIONS_DEPTH)
+    return stable, certificates, serialize.three_term_items(witnesses, _VIOLATIONS_DEPTH)
 
 
 class WorkerDied(RuntimeError):

@@ -22,11 +22,9 @@ from higgs_threeterm.pairing import (
     MatchedPair,
     MatchingCertificate,
     PairingFailure,
-    Region,
     RegionKind,
     build_matching,
     certified_heights,
-    classify_regions,
     verify_certificate,
 )
 from higgs_threeterm.sweep import SweepParams, run_sweep
@@ -36,61 +34,6 @@ ZIGZAG = RootSequence((4, 2, 0, 4, 2, 0, -2))
 
 def small_stable_chains() -> list[RootSequence]:
     return list(enumerate_chains(2, 5, 6, 8))
-
-
-# --- region classification -----------------------------------------------------
-
-
-def test_classify_zigzag_height_two():
-    regions = classify_regions(ZIGZAG, 2)
-    kinds = [reg.kind for reg in regions]
-    assert kinds == [RegionKind.LEFT_BOUNDARY, RegionKind.C, RegionKind.RIGHT_BOUNDARY]
-    # the C region sits strictly between the two height-2 vertices
-    assert (regions[1].start, regions[1].end) == (3, 4)
-
-
-def test_classify_zigzag_height_zero():
-    kinds = [reg.kind for reg in classify_regions(ZIGZAG, 0)]
-    assert kinds == [RegionKind.LEFT_BOUNDARY, RegionKind.A, RegionKind.RIGHT_BOUNDARY]
-
-
-def test_classify_interior_b_region():
-    kinds = [reg.kind for reg in classify_regions(ZIGZAG, 4)]
-    assert kinds == [RegionKind.LEFT_BOUNDARY, RegionKind.B, RegionKind.RIGHT_BOUNDARY]
-
-
-def test_classify_trailing_drop_chain():
-    # single source at index 2; the right boundary region starts with a drop
-    regions = classify_regions(RootSequence((2, 0, -2)), 0)
-    kinds = [reg.kind for reg in regions]
-    assert kinds == [RegionKind.LEFT_BOUNDARY, RegionKind.RIGHT_BOUNDARY]
-    assert (regions[1].start, regions[1].end) == (3, 3)
-
-
-def test_classify_off_parity_is_empty():
-    assert classify_regions(ZIGZAG, 3) == []
-    assert classify_regions(ZIGZAG, -7) == []
-
-
-def test_classify_unrealized_height_is_empty():
-    assert classify_regions(ZIGZAG, -8) == []
-
-
-def test_classify_singleton_has_only_boundary_regions():
-    assert classify_regions(RootSequence((0,)), 0) == [
-        Region(RegionKind.LEFT_BOUNDARY, 1, 0),
-        Region(RegionKind.RIGHT_BOUNDARY, 2, 1),
-    ]
-
-
-def test_classify_rejects_unstable():
-    with pytest.raises(HypothesisViolationError):
-        classify_regions(RootSequence((0, 4)), 0)
-
-
-def test_classify_rejects_inadmissible():
-    with pytest.raises(HypothesisViolationError):
-        classify_regions(RootSequence((0, 0)), 0)
 
 
 # --- matching construction -------------------------------------------------------
@@ -260,7 +203,6 @@ def test_hypotheses_checked_once_per_call(monkeypatch):
     entry_points = (
         certified_heights,
         lambda seq: build_matching(seq, 2),
-        lambda seq: classify_regions(seq, 2),
     )
     for call in entry_points:
         checked.clear()
@@ -335,17 +277,6 @@ def reference_match(roots, r):
     return MatchingCertificate(r, tuple(pairs)), None
 
 
-def reference_regions(roots, r):
-    srcs = [j for j in range(1, len(roots) + 1) if roots[j - 1] == r]
-    if not srcs:
-        return []
-    regions = [Region(RegionKind.LEFT_BOUNDARY, 1, srcs[0] - 1)]
-    for j, nxt in zip(srcs, srcs[1:]):
-        regions.append(Region(reference_kind(roots, j, nxt, r), j + 1, nxt - 1))
-    regions.append(Region(RegionKind.RIGHT_BOUNDARY, srcs[-1] + 1, len(roots)))
-    return regions
-
-
 def as_comparable(cert, failure):
     return cert, None if failure is None else failure.report()
 
@@ -391,7 +322,6 @@ def test_public_builders_match_the_reference_on_stable_chains():
                 with pytest.raises(PairingFailure) as info:
                     build_matching(seq, r)
                 assert info.value.report() == failure.report()
-            assert classify_regions(seq, r) == reference_regions(roots, r), (roots, r)
         try:
             certified = certified_heights(seq)
         except PairingFailure as failure:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgs_threeterm import cli, serialize
-from higgs_threeterm.chain import RootSequence, multiplicities
+from higgs_threeterm.chain import RootSequence, ThreeTermViolation, multiplicities
 from higgs_threeterm.serialize import (
     Written,
     check_report,
@@ -19,6 +19,7 @@ from higgs_threeterm.serialize import (
     join_items,
     parse_rational,
     profile_json,
+    three_term_items,
     write_items,
 )
 
@@ -128,6 +129,26 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
         {"violations": records, "pass": passed}
     )
     assert dumps({**report, "violations": join_items(pieces, 1)}) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(), min_size=1, max_size=6).map(tuple),
+            st.lists(st.builds(ThreeTermViolation, *[st.integers()] * 4), max_size=4),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 3),
+)
+def test_three_term_items_match_write_items_of_the_records(chains, depth):
+    records = [
+        {"roots": list(roots), "kind": "three-term", "detail": v._asdict()}
+        for roots, violations in chains
+        for v in violations
+    ]
+    assert three_term_items(chains, depth) == write_items(records, depth)
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,13 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgs_threeterm import cli, serialize, sweep
 from higgs_threeterm.chain import (
     RootSequence,
+    ThreeTermViolation,
     enumerate_chains,
     enumeration_steps,
     extend_chain,
@@ -146,7 +149,9 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
 
 
 @pytest.mark.parametrize("max_rise", [2, 4, 6])
-@pytest.mark.parametrize("bound", [0, 1, 3, 5, 8])
+# bounds 10 and 12 give two-digit and negative two-digit heights and counts,
+# where the records' text order differs from numeric order
+@pytest.mark.parametrize("bound", [0, 1, 3, 5, 8, 10, 12])
 def test_necessity_partition_matches_brute_force(max_rise, bound):
     for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise)):
         stable, certificates, written = sweep._run_partition((n, first_step, max_rise, bound, MODE_NECESSITY))
@@ -244,6 +249,27 @@ def test_records_of_one_chain_sort_by_the_old_global_key():
         ("three-term", 0),
     ]
     assert sweep._in_report_order(records[:1]) == records[:1]
+
+
+# negative, zero and multi-digit fields, so text order and numeric order differ
+NUMBERS = st.integers(-150, 150)
+VIOLATIONS = st.lists(st.builds(ThreeTermViolation, NUMBERS, NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=6)
+CHAINS = st.lists(st.tuples(st.lists(NUMBERS, min_size=1, max_size=9).map(tuple), VIOLATIONS), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CHAINS)
+def test_necessity_records_from_the_template_match_the_dict_records(chains):
+    # the partition's path: each chain's violations sorted by the text key,
+    # then written into the template; against dict records in _in_report_order
+    ordered = [(roots, sorted(found, key=sweep._three_term_order)) for roots, found in chains]
+    records = []
+    for roots, found in chains:
+        records += sweep._in_report_order(
+            [{"roots": list(roots), "kind": "three-term", "detail": v._asdict()} for v in found]
+        )
+    written = serialize.three_term_items(ordered, 1)
+    assert written == serialize.write_items(records, 1)
 
 
 def test_necessity_sweep_finds_the_minimal_witness():
