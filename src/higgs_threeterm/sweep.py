@@ -22,20 +22,18 @@ necessity mode needs every unstable chain and walks the whole partition.
 length.  Every chain is admissible by its step set (so `admissible` equals
 `generated`) and each walked chain's stability is tested once, so one
 pass over a stable chain builds every height's certificate without
-re-checking either hypothesis, and each is verified on its own.  The pool
-never has more workers than partitions, and one worker runs inline.
+re-checking either hypothesis, and each is verified on its own.  One
+worker runs inline; more are forked, never more than the partitions.
 
 Each partition writes its own violation records as JSON text, exactly as
 serialize.dumps writes them inside the report: theorem records by
 serialize.write_items, necessity records by serialize.three_term_items,
 which writes each violation into one fixed template and builds no dict.
-So the writing runs in the pool workers, only text crosses the pool, and
+So the writing runs in the pool workers, only text crosses the pipes, and
 the parent joins the texts in canonical order (serialize.join_items).
 `written_report` is the report the command line writes, and its
 `timing_seconds` includes the writing; `run_sweep` reads the records
-back as dicts.  The pool takes the partitions longest chains first and
-returns their results in canonical order.  A worker that dies raises
-WorkerDied, naming the partition it died in.
+back as dicts.
 
 The walk hands each chain over as a plain tuple and carries its
 multiplicities {r: m_r}, one push or pop at a time, so a leaf builds no
@@ -183,60 +181,80 @@ def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, str]
 
 
 class WorkerDied(RuntimeError):
-    """A pool worker died (killed, out of memory, crashed) during a sweep."""
+    """A pool worker died (killed, crashed, or its partition raised) during a sweep."""
 
 
-_running = None  # in a pool worker: the shared marks of the partitions being run
-_current = -1  # in a pool worker: the index of the partition it runs, or -1
+def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> None:
+    """A forked pool worker (see _run_pooled); it leaves only by os._exit."""
+    try:
+        for fd in parent_ends:  # else an order pipe never reaches EOF
+            os.close(fd)
+        results = open(out, "wb")  # left to os._exit to close, so EOF means the worker is gone
+        while index := os.read(orders, 4):
+            stable, certificates, records = _run_partition(tasks[int.from_bytes(index, "little")])
+            results.write(b"%d %d %s\0" % (stable, certificates, records.encode()))
+            results.flush()
+        os._exit(0)
+    except BaseException:  # KeyboardInterrupt too
+        import traceback
 
-
-def _start_worker(running) -> None:
-    import signal
-
-    global _running
-    _running = running
-    signal.signal(signal.SIGTERM, _on_terminate)
-
-
-def _on_terminate(signum, frame) -> None:
-    # the pool stops the live workers when one dies: clear this one's mark
-    if _current >= 0:
-        _running[_current] = 0
-    os._exit(1)
-
-
-def _run_marked(index: int, task: tuple) -> tuple[int, int, str]:
-    global _current
-    _current = index
-    _running[index] = 1
-    result = _run_partition(task)
-    _running[index] = 0
-    _current = -1
-    return result
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(1)
 
 
 def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, str]]:
-    """Run each partition in a pool of `workers` processes; results in task order.
+    """Run each partition in `workers` forked processes; results in task order.
 
-    Tasks go in largest first (descending n).  A worker marks the partition
-    it runs in a shared array and clears the mark when it finishes or when
-    the pool stops it, so after a worker dies the marks left name the
-    partition it died in; WorkerDied reports them.
+    A worker reads one partition index at a time, longest chains first
+    (descending n, then ascending first step), and writes back b"stable
+    certificates records" and a NUL (JSON text has none).  EOF before the
+    NUL means it died in that partition.  Workers leave by os._exit, never
+    flushing the parent's stdio buffers, and none outlives this call.
     """
-    from concurrent.futures import ProcessPoolExecutor  # costly imports, pool runs only
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing.sharedctypes import RawArray
+    import selectors
+    import signal
 
-    running = RawArray("b", len(tasks))
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
-    try:
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(running,)) as pool:
-            futures = {i: pool.submit(_run_marked, i, tasks[i]) for i in order}
-            return [futures[i].result() for i in range(len(tasks))]
-    except BrokenProcessPool:
-        dead = [f"(n={n}, first step={first})" for (n, first, *_), mark in zip(tasks, running) if mark]
-        where = f" in partition {', '.join(dead)}" if dead else ""
-        raise WorkerDied(f"sweep worker died{where}") from None
+    pending = iter(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
+    results: list = [None] * len(tasks)
+    pids, ends = [], set()  # the workers, and the parent's pipe ends
+    with selectors.DefaultSelector() as selector:
+        try:
+            for _ in range(workers):
+                (orders, order_end), (result_end, out) = os.pipe(), os.pipe()
+                ends |= {orders, order_end, result_end}  # orders too: a dead worker's order still writes
+                os.write(order_end, (index := next(pending)).to_bytes(4, "little"))
+                if (pid := os.fork()) == 0:
+                    _work(tasks, orders, out, ends - {orders})
+                pids.append(pid)
+                os.close(out)
+                selector.register(result_end, selectors.EVENT_READ, [order_end, index, [], pid])
+            while selector.get_map():
+                for key, _ in selector.select():
+                    order_end, index, chunks, _ = key.data
+                    chunks.append(os.read(key.fd, 1 << 16))
+                    if chunks[-1].endswith(b"\0"):
+                        stable, certificates, records = b"".join(chunks)[:-1].decode().split(" ", 2)
+                        results[index] = (int(stable), int(certificates), records)
+                        chunks.clear()
+                        key.data[1] = index = next(pending, -1)
+                        if index >= 0:
+                            os.write(order_end, index.to_bytes(4, "little"))
+                        else:  # the worker has finished: EOF on `orders` ends it
+                            selector.unregister(key.fd)
+                            os.close(order_end)
+                            ends.remove(order_end)
+                    elif not chunks[-1]:
+                        n, first = tasks[index][:2]
+                        raise WorkerDied(f"sweep worker died in partition (n={n}, first step={first})")
+            return results
+        finally:
+            for key in selector.get_map().values():  # the workers not finished
+                os.kill(key.data[3], signal.SIGTERM)
+            for fd in ends:
+                os.close(fd)
+            for pid in pids:
+                os.waitpid(pid, 0)
 
 
 def written_report(params: SweepParams, workers: int = 1) -> dict:
@@ -249,6 +267,8 @@ def written_report(params: SweepParams, workers: int = 1) -> dict:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers above 1 need os.fork, which this platform lacks; got {workers}")
     started = time.perf_counter()
     steps = enumeration_steps(params.max_rise)
     lengths = range(params.n_min, params.n_max + 1)

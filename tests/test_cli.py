@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -519,10 +518,8 @@ def test_sweep_script_rejects_invalid_bounds(capsys, flag, value, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="workers inherit the patch only by fork"
-)
-def test_sweep_worker_that_dies_exits_two(capsys, monkeypatch):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers inherit the patch only by fork")
+def test_sweep_worker_that_dies_exits_two(capsys, monkeypatch, time_bound):
     from higgs_threeterm import sweep
 
     original = sweep._run_partition
@@ -536,6 +533,35 @@ def test_sweep_worker_that_dies_exits_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sweep", "--n-max", "4", "--max-rise", "4", "--bound", "6", "--workers", "2")
     assert (code, out) == (2, "")
     assert err == "error: sweep worker died in partition (n=3, first step=4)\n"
+
+
+def test_sweep_workers_above_one_need_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    argv = ["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4"]
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: workers above 1 need os.fork, which this platform lacks; got 2\n"
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+UNFLUSHED_PROBE = """
+import os, sys
+import higgs_threeterm.cli as cli
+sys.stdout.write("written before the pool\\n")
+sys.exit(cli.main(["sweep", "--n-max", "4", "--max-rise", "4", "--bound", "6", "--workers", "2", "--out", os.devnull]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+def test_sweep_workers_never_flush_the_parents_stdout():
+    # stdout is a buffered pipe here, so the line sits in the parent's buffer when it forks
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", UNFLUSHED_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "written before the pool\n"
 
 
 def test_sweep_out_file(capsys, tmp_path):
@@ -599,20 +625,23 @@ def test_numpy_is_loaded_only_for_verify_metric():
     assert proc.stdout.split() == ["False", "False", "True"]
 
 
-ON_DEMAND_MODULES = ("concurrent.futures", "dataclasses", "higgs_threeterm.filtered", "numpy")
+ON_DEMAND_MODULES = (
+    "concurrent.futures", "dataclasses", "higgs_threeterm.filtered", "multiprocessing", "numpy"
+)
 IMPORT_PROBE = f"""
 import json, os, sys
 import higgs_threeterm.cli as cli
-cli.main(["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--workers", "1", "--out", os.devnull])
-print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
+for workers in ("1", "2"):
+    cli.main(["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--workers", workers, "--out", os.devnull])
+    print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
 cli.main(["rank1", "--a", "3", "--b", "5/4", "--out", os.devnull])
 print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
 """
 
 
 def test_sweep_loads_no_dataclasses_filtered_numpy_or_pool():
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    after_sweep, after_rank1 = map(json.loads, proc.stdout.splitlines())
-    assert after_sweep == []
+    after_sweep, after_pooled_sweep, after_rank1 = map(json.loads, proc.stdout.splitlines())
+    assert after_sweep == after_pooled_sweep == []
     assert "higgs_threeterm.filtered" in after_rank1

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import time
 
@@ -197,7 +196,7 @@ def dict_report(params: SweepParams) -> dict:
 
 @pytest.mark.parametrize("mode", [MODE_THEOREM, MODE_NECESSITY])
 @pytest.mark.parametrize("max_rise", [2, 4, 6])
-def test_written_reports_match_the_dict_report(mode, max_rise, tmp_path):
+def test_written_reports_match_the_dict_report(mode, max_rise, tmp_path, time_bound):
     # the CLI's text is dumps of the dict report, and run_sweep's dicts are
     # the dict report, with 1 and 2 workers, on every box n 2-7, bound 0-9
     path = tmp_path / "report.json"
@@ -279,66 +278,71 @@ def test_necessity_sweep_finds_the_minimal_witness():
     assert (0, 4) in witnessed
 
 
-def test_worker_determinism():
+def test_worker_determinism(time_bound):
     params = SweepParams(2, 4, 8, 8)
     single = run_sweep(params, workers=1)
     eight = run_sweep(params, workers=8)
     assert canonical(single) == canonical(eight)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the
-    partitions in the order submitted, and runs each one inline."""
+def counting_forks(monkeypatch) -> list[int]:
+    """Wrap os.fork so the parent records the pid of each worker it forks."""
+    forks: list[int] = []
+    fork = os.fork
 
-    created: list[int] = []
-    submitted: list[tuple] = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    def __init__(self, max_workers, initializer, initargs):
-        RecordingPool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, index, task):
-        from concurrent.futures import Future
-
-        RecordingPool.submitted.append(task[:2])
-        done = Future()
-        done.set_result(sweep._run_partition(task))
-        return done
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+
+
+@needs_fork
 @pytest.mark.parametrize(
     ("n_max", "max_rise", "workers", "pools"),
     [(2, 2, 64, [2]), (3, 2, 64, [4]), (2, 2, 1, []), (2, 4, 2, [2])],
 )
-def test_worker_pool_never_exceeds_partitions(monkeypatch, n_max, max_rise, workers, pools):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "created", [])
+def test_worker_pool_never_exceeds_partitions(monkeypatch, n_max, max_rise, workers, pools, time_bound):
+    # `pools` lists the worker count of each pool the sweep starts (one at most)
+    forks = counting_forks(monkeypatch)
     params = SweepParams(2, n_max, max_rise, 2)
     report = run_sweep(params, workers=workers)
-    assert RecordingPool.created == pools
+    assert len(forks) == sum(pools)
     assert canonical(report) == canonical(run_sweep(params, workers=1))
 
 
-def test_pool_takes_the_longest_chains_first(monkeypatch):
-    import concurrent.futures
+@needs_fork
+def test_pool_takes_the_longest_chains_first(monkeypatch, tmp_path, time_bound):
+    # A pool of one worker runs the partitions in the order the pool hands
+    # them out; each appends its (n, first step) to a file the test reads.
+    log = tmp_path / "handed-out"
+    run_partition, run_pooled = sweep._run_partition, sweep._run_pooled
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "submitted", [])
+    def logged(task):
+        with open(log, "a") as handle:
+            handle.write("%d %d\n" % task[:2])
+        return run_partition(task)
+
+    monkeypatch.setattr(sweep, "_run_partition", logged)
+    monkeypatch.setattr(sweep, "_run_pooled", lambda tasks, workers: run_pooled(tasks, 1))
     run_sweep(SweepParams(2, 4, 4, 4), workers=2)
-    assert RecordingPool.submitted == [(4, -2), (4, 2), (4, 4), (3, -2), (3, 2), (3, 4), (2, -2), (2, 2), (2, 4)]
+    handed_out = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert handed_out == [(4, -2), (4, 2), (4, 4), (3, -2), (3, 2), (3, 4), (2, -2), (2, 2), (2, 4)]
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="workers inherit the patch only by fork"
-)
-def test_dead_worker_names_its_partition(monkeypatch):
+@needs_fork
+def test_dead_worker_names_its_partition(monkeypatch, time_bound):
     # The forked workers inherit the patch.  (6, -2) goes in first and
     # sleeps, so the pool stops its worker in the middle of it when the
     # worker running (6, 2) dies; only (6, 2) is named.
@@ -353,6 +357,37 @@ def test_dead_worker_names_its_partition(monkeypatch):
     monkeypatch.setattr(sweep, "_run_partition", dies_in_one)
     with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=6, first step=2\)$"):
         run_sweep(SweepParams(2, 6, 6, 8, MODE_NECESSITY), workers=2)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_partition_that_raises_names_its_partition(monkeypatch, capfd, time_bound):
+    original = sweep._run_partition
+
+    def raises_in_one(task):
+        if task[:2] == (3, 4):
+            raise RuntimeError("no such partition")
+        return original(task)
+
+    monkeypatch.setattr(sweep, "_run_partition", raises_in_one)
+    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=3, first step=4\)$"):
+        run_sweep(SweepParams(2, 4, 4, 6), workers=2)
+    assert_no_child_left()
+    assert "RuntimeError: no such partition" in capfd.readouterr().err
+
+
+@needs_fork
+def test_pooled_sweep_leaves_no_child(time_bound):
+    run_sweep(SweepParams(2, 5, 4, 6, MODE_NECESSITY), workers=3)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_partition_larger_than_a_pipe_buffer(time_bound):
+    # (8, -2) writes about 100 KB of records, more than a 64 KB pipe buffer holds
+    params = SweepParams(2, 8, 6, 8, MODE_NECESSITY)
+    assert len(sweep._run_partition((8, -2, 6, 8, MODE_NECESSITY))[2]) > 1 << 16
+    assert canonical(run_sweep(params, workers=2)) == canonical(run_sweep(params, workers=1))
 
 
 def test_parameter_validation():
