@@ -48,10 +48,14 @@ class RootSequence:
         if not roots:
             raise MalformedSequenceError("root sequence must be nonempty")
         for r in roots:
-            if not isinstance(r, int) or isinstance(r, bool):
-                raise MalformedSequenceError(f"roots must be integers, got {r!r}")
-            if r % 2 != 0:
-                raise MalformedSequenceError(f"roots must all be even, got {r}")
+            if type(r) is not int or r & 1:
+                # the slow path: name the first bad root; an int subclass other than bool passes
+                for r in roots:
+                    if not isinstance(r, int) or isinstance(r, bool):
+                        raise MalformedSequenceError(f"roots must be integers, got {r!r}")
+                    if r % 2 != 0:
+                        raise MalformedSequenceError(f"roots must all be even, got {r}")
+                break
         object.__setattr__(self, "roots", roots)
 
     def __setattr__(self, name, value):
@@ -274,8 +278,9 @@ def extend_chain(
     """Yield every length-n root tuple that extends prefix by the given steps
     and keeps |r_j| <= bound from the prefix's last root on.
 
-    The order is lexicographic when the steps ascend.  A prefix longer
-    than n, or whose last root already leaves the box, yields nothing.
+    The steps must ascend, as enumeration_steps gives them; the order is
+    then lexicographic.  A prefix longer than n, or whose last root
+    already leaves the box, yields nothing.
 
     With stable_only, a prefix of length k < n is cut when no completion
     can be stable (branch and bound).  A stable chain has its total mean
@@ -283,9 +288,13 @@ def extend_chain(
     totals less than L = P_k + sum of max(last - 2t, -bound) over
     t = 1..n-k (drop at every step, clamped at the box), so the prefix is
     cut when L*j >= n*P_j for the pair (P_j, j) of smallest prefix mean.
-    The cut is only a necessary condition: the walk yields, in the same
-    order, a part of the unpruned output that holds every stable chain,
-    and callers still decide stability with tail_slopes.
+    The last step is cut exactly: the tail from k = n is the last root
+    alone, so a stable chain has (n-1)*r_n < P_{n-1}, and the leaf loop
+    stops at the first last root that fails this, since every later one
+    (the steps ascend) fails too.  Both cuts are only necessary
+    conditions: the walk yields, in the same order, a part of the
+    unpruned output that holds every stable chain, and callers still
+    decide stability with tail_slopes.
 
     The walk carries the multiplicities {r: m_r} of the tuple it builds, in
     the dict counts if one is passed (it is cleared first): a push adds one
@@ -316,17 +325,28 @@ def extend_chain(
             floor = total + drops * last - drops * (drops + 1) - (left - drops) * bound
             if floor * low_len >= n * low_sum:
                 return
-        leaf = k + 1 == n  # yield the last push directly, with no generator per leaf
+        if k + 1 == n:  # the last push: yield each leaf directly, with no generator per leaf
+            # the exact last-step cut: a stable chain has (n-1)*r_n < P_{n-1}
+            top = min(bound, (total - 1) // k) if stable_only else bound
+            for delta in steps:
+                nxt = last + delta
+                if nxt > top:  # the steps ascend, so every later root is above top too
+                    break
+                if nxt >= -bound:
+                    counts[nxt] = counts.get(nxt, 0) + 1
+                    yield roots + (nxt,)
+                    if counts[nxt] == 1:
+                        del counts[nxt]
+                    else:
+                        counts[nxt] -= 1
+            return
         for delta in steps:
             nxt = last + delta
             if abs(nxt) <= bound:
                 counts[nxt] = counts.get(nxt, 0) + 1
-                if leaf:
-                    yield roots + (nxt,)
-                else:
-                    grown = total + nxt
-                    low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
-                    yield from walk(roots + (nxt,), grown, *low)
+                grown = total + nxt
+                low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
+                yield from walk(roots + (nxt,), grown, *low)
                 if counts[nxt] == 1:
                     del counts[nxt]
                 else:

@@ -112,6 +112,8 @@ def _certify(roots: tuple[int, ...]) -> dict[int, tuple[MatchingCertificate, Pai
     vertex is paired, else the rightmost vertex's PairingFailure, and the
     certificate pairs the others.  The caller checks the hypotheses.
     """
+    new = tuple.__new__  # MatchedPair(...) would run the named tuple's Python-level __new__
+    A, B, C = RegionKind.A, RegionKind.B, RegionKind.C
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     pairs: dict[int, list[MatchedPair]] = {}
@@ -121,24 +123,24 @@ def _certify(roots: tuple[int, ...]) -> dict[int, tuple[MatchingCertificate, Pai
             first[r] = k
             pairs[r] = []
         elif roots[j] > r:  # vertex j+1 is above r: an A region, closed from r+2
-            pairs[r].append(MatchedPair(j, k - 1, RegionKind.A))
+            pairs[r].append(new(MatchedPair, (j, k - 1, A)))
         else:  # a drop to j+1; the region is C when it returns from above
-            label = RegionKind.C if roots[k - 2] > r else RegionKind.B
-            pairs[r].append(MatchedPair(j, j + 1, label))
+            pairs[r].append(new(MatchedPair, (j, j + 1, C if roots[k - 2] > r else B)))
         last[r] = k
 
+    n = len(roots)
     built = {}
     for r in sorted(first):
         j, failure = last[r], None
-        if j < len(roots) and roots[j] < r:
+        if j < n and roots[j] < r:
             # the trailing region starts with a drop; its first vertex is at r-2
-            pairs[r].append(MatchedPair(j, j + 1, RegionKind.B))
+            pairs[r].append(new(MatchedPair, (j, j + 1, B)))
         elif first[r] > 1 and roots[first[r] - 2] == r + 2:
-            pairs[r].append(MatchedPair(j, first[r] - 1, RegionKind.LEFT_BOUNDARY))
+            pairs[r].append(new(MatchedPair, (j, first[r] - 1, RegionKind.LEFT_BOUNDARY)))
         else:
             reason = "no trailing drop and no r+2 vertex before the leftmost source"
             failure = PairingFailure(roots, r, j, reason)
-        built[r] = (MatchingCertificate(r, tuple(pairs[r])), failure)
+        built[r] = (new(MatchingCertificate, (r, tuple(pairs[r]))), failure)
     return built
 
 
@@ -175,22 +177,30 @@ def verify_certificate(
     n = len(roots)
     r = cert.height
     reasons: list[str] = []
+    sources, targets, _ = zip(*cert.pairs) if cert.pairs else ((), (), ())
 
-    expected = [j for j in range(1, n + 1) if roots[j - 1] == r]
-    if sorted(p.source for p in cert.pairs) != expected:
+    # the sources are the height-r vertices exactly when there are m_r of
+    # them, distinct, and each is a vertex at height r
+    if len(sources) != roots.count(r) or len(set(sources)) != len(sources):
         reasons.append("source coverage")
+    else:
+        for j in sources:
+            if not 1 <= j <= n or roots[j - 1] != r:
+                reasons.append("source coverage")
+                break
 
-    targets = [p.target for p in cert.pairs]
     if len(set(targets)) != len(targets):
         reasons.append("injectivity")
 
-    for p in cert.pairs:
-        if not 1 <= p.target <= n:
-            reasons.append("target range")
-        elif roots[p.target - 1] not in (r - 2, r + 2):
-            reasons.append("target height")
-
-    reasons = list(dict.fromkeys(reasons))
+    for t in targets:
+        if not 1 <= t <= n:
+            reason = "target range"
+        elif roots[t - 1] not in (r - 2, r + 2):
+            reason = "target height"
+        else:
+            continue
+        if reason not in reasons:
+            reasons.append(reason)
     return (not reasons, reasons)
 
 

@@ -16,14 +16,17 @@ The search space is partitioned by (length, first step), walking each
 partition from the prefix (0, first step); partitions share nothing and
 are merged in canonical order, so the report is independent of the worker
 count (the timing field aside).  Theorem mode walks only prefixes that can
-still be stable (the branch-and-bound cut of chain.extend_chain);
+still be stable (the branch-and-bound cut of chain.extend_chain) and
+skips every last root that is not below the mean of the others (its
+exact last-step cut), so almost every chain it tests is stable;
 necessity mode needs every unstable chain and walks the whole partition.
 `generated` is counted, not walked, by chain.count_chains, once per
 length.  Every chain is admissible by its step set (so `admissible` equals
 `generated`) and each walked chain's stability is tested once, so one
 pass over a stable chain builds every height's certificate without
-re-checking either hypothesis, and each is verified on its own.  One
-worker runs inline; more are forked, never more than the partitions.
+re-checking either hypothesis, and each is verified on its own, once per
+height, by pairing.verify_certificate.  One worker runs inline; more are
+forked, never more than the partitions.
 
 Each partition writes its own violation records as JSON text, exactly as
 serialize.dumps writes them inside the report: theorem records by
@@ -96,35 +99,33 @@ def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list
 
     Returns (violations, number of heights certified).
     """
-    roots = list(seq.roots)
-    violations: list[dict] = []
-
-    def record(kind: str, detail: dict) -> None:
-        violations.append({"roots": roots, "kind": kind, "detail": detail})
+    roots = seq.roots
+    found: list[tuple[str, dict]] = []  # (kind, detail)
 
     counting_ok, tt_violations = three_term_holds(counts)
     for v in tt_violations:
-        record("three-term", v._asdict())
+        found.append(("three-term", v._asdict()))
 
-    if seq.roots[-1] >= seq.roots[0]:
-        record("tail-order", {"first": seq.roots[0], "last": seq.roots[-1]})
+    if roots[-1] >= roots[0]:
+        found.append(("tail-order", {"first": roots[0], "last": roots[-1]}))
 
-    before = len(violations)
-    for r, (cert, failure) in _certify(seq.roots).items():
+    before = len(found)
+    for r, (cert, failure) in _certify(roots).items():
         if failure is not None:
-            record("certificate-build", failure.report())
+            found.append(("certificate-build", failure.report()))
             continue
         ok, reasons = verify_certificate(seq, cert)
         if not ok:
-            record("certificate-verify", {"height": r, "reasons": reasons})
+            found.append(("certificate-verify", {"height": r, "reasons": reasons}))
         if len(cert.pairs) != counts[r]:
             detail = {"height": r, "pairs": len(cert.pairs), "multiplicity": counts[r]}
-            record("certificate-count", detail)
-    certificates_ok = len(violations) == before
+            found.append(("certificate-count", detail))
+    certificates_ok = len(found) == before
 
     if certificates_ok != counting_ok:
-        record("route-disagreement", {"counting": counting_ok, "certificates": certificates_ok})
-    return violations, len(counts)
+        found.append(("route-disagreement", {"counting": counting_ok, "certificates": certificates_ok}))
+    roots = list(roots)
+    return [{"roots": roots, "kind": kind, "detail": detail} for kind, detail in found], len(counts)
 
 
 def _in_report_order(records: list[dict]) -> list[dict]:
@@ -195,6 +196,8 @@ def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> N
             results.write(b"%d %d %s\0" % (stable, certificates, records.encode()))
             results.flush()
         os._exit(0)
+    except BrokenPipeError:  # the parent is gone: nobody reads the result, nor a traceback
+        pass
     except BaseException:  # KeyboardInterrupt too
         import traceback
 

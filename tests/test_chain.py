@@ -39,6 +39,10 @@ def test_rejects_empty_and_odd():
         RootSequence((3,))
 
 
+class Tagged(int):
+    """An int subclass."""
+
+
 def test_root_sequence_is_an_immutable_value():
     seq = RootSequence((0, 2))
     assert seq == RootSequence(roots=[0, 2])
@@ -54,16 +58,25 @@ def test_root_sequence_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del seq.roots
     assert seq.roots == (0, 2)
+    # the all-int fast path falls back to the checks that name the first bad root
     messages = {
         (): "root sequence must be nonempty",
         (0, 2, 1): "roots must all be even, got 1",
         (0, True): "roots must be integers, got True",
         (0, 2.0): "roots must be integers, got 2.0",
+        (True,): "roots must be integers, got True",
+        (0, False): "roots must be integers, got False",
+        (1.0, 2): "roots must be integers, got 1.0",
+        (3, True): "roots must all be even, got 3",
+        (0, Tagged(5)): "roots must all be even, got 5",
     }
     for roots, message in messages.items():
         with pytest.raises(MalformedSequenceError) as info:
             RootSequence(roots)
         assert str(info.value) == message
+    # an int subclass other than bool is a root, kept as given
+    seq = RootSequence((Tagged(0), 2, Tagged(-2)))
+    assert seq == RootSequence((0, 2, -2)) and [type(r) for r in seq] == [Tagged, int, Tagged]
 
 
 def test_step_weights():
@@ -314,10 +327,10 @@ def is_stable(roots: tuple[int, ...]) -> bool:
 
 
 @CUT_BOXES
-@CUT_BOUNDS
+@pytest.mark.parametrize("bound", range(10))
 def test_stable_only_walk_keeps_every_stable_chain_in_order(max_rise, bound):
     steps = enumeration_steps(max_rise)
-    for n, prefix in itertools.product(range(2, 8), box_prefixes(max_rise)):
+    for n, prefix in itertools.product(range(2, 9), box_prefixes(max_rise)):
         full = list(extend_chain(prefix, n, steps, bound))
         pruned = list(extend_chain(prefix, n, steps, bound, stable_only=True))
         assert [r for r in pruned if is_stable(r)] == [r for r in full if is_stable(r)]
@@ -410,3 +423,26 @@ def test_cut_prefixes_have_no_stable_completion(data):
     if Fraction(floor, n) >= lowest_mean:
         assert not any(is_stable(roots) for roots in completions)
         assert list(extend_chain(prefix, n, steps, bound, stable_only=True)) == []
+
+
+@given(st.data())
+def test_last_step_cut_skips_only_unstable_leaves(data):
+    # a walk from a prefix of length n-1 yields leaves only; the cut drops
+    # exactly those whose last root is not below the mean of the others
+    n = data.draw(st.integers(2, 9))
+    max_rise = data.draw(st.sampled_from([2, 4, 6, 8]))
+    bound = data.draw(st.integers(0, 12))
+    steps = enumeration_steps(max_rise)
+    prefix = (0,)
+    while len(prefix) < n - 1:
+        inside = [prefix[-1] + d for d in steps if abs(prefix[-1] + d) <= bound]
+        assume(inside)
+        prefix += (data.draw(st.sampled_from(inside)),)
+    leaves = list(extend_chain(prefix, n, steps, bound))
+    kept = list(extend_chain(prefix, n, steps, bound, stable_only=True))
+    for roots in leaves:
+        if (n - 1) * roots[-1] >= sum(prefix):
+            assert roots not in kept
+            assert not tail_slopes(roots).is_stable, roots
+        elif roots not in kept:  # the branch-and-bound cut, before any last step
+            assert not is_stable(roots), roots

@@ -334,3 +334,107 @@ def test_public_builders_match_the_reference_on_stable_chains():
                 break
             expected[r] = cert
         assert certified == expected, roots
+
+
+# --- the checker against the per-height checker it replaced -----------------------
+#
+# The reference below is the earlier checker, kept here only as a test oracle:
+# it lists the height-r vertices by scanning the chain and compares them with
+# the sorted sources, then checks each target.
+
+
+def reference_verify(seq, cert):
+    roots = seq.roots
+    n = len(roots)
+    r = cert.height
+    reasons = []
+
+    expected = [j for j in range(1, n + 1) if roots[j - 1] == r]
+    if sorted(p.source for p in cert.pairs) != expected:
+        reasons.append("source coverage")
+
+    targets = [p.target for p in cert.pairs]
+    if len(set(targets)) != len(targets):
+        reasons.append("injectivity")
+
+    for p in cert.pairs:
+        if not 1 <= p.target <= n:
+            reasons.append("target range")
+        elif roots[p.target - 1] not in (r - 2, r + 2):
+            reasons.append("target height")
+
+    reasons = list(dict.fromkeys(reasons))
+    return (not reasons, reasons)
+
+
+def mutants(roots, cert):
+    """The certificate with two targets swapped, a target moved to a wrong
+    height of the same parity, a source dropped or duplicated, and a source
+    or target set to 0 or n+1, each at the first and at the last pair; also
+    two pairs sharing a source or a target, and a pair from neither end added."""
+    n, r, pairs = len(roots), cert.height, list(cert.pairs)
+
+    def at(i, **fields):
+        return pairs[:i] + [pairs[i]._replace(**fields)] + pairs[i + 1 :]
+
+    found = [pairs + [MatchedPair(0, n + 1, RegionKind.B)]]
+    if len(pairs) > 1:
+        first, last = pairs[0], pairs[-1]
+        found.append([first._replace(target=last.target)] + pairs[1:-1] + [last._replace(target=first.target)])
+        found.append([first._replace(target=last.target)] + pairs[1:])
+        found.append(pairs[:-1] + [last._replace(source=first.source)])
+    wrong = [j for j in range(1, n + 1) if abs(roots[j - 1] - r) != 2]  # every root is even
+    for i in sorted({0, len(pairs) - 1} if pairs else set()):
+        found += [pairs[:i] + pairs[i + 1 :], pairs + [pairs[i]], pairs + [pairs[i]._replace(target=n + 1)]]
+        found += [at(i, target=wrong[0]), at(i, target=wrong[-1])] if wrong else []
+        found += [at(i, source=bad) for bad in (0, n + 1)] + [at(i, target=bad) for bad in (0, n + 1)]
+    return [MatchingCertificate(r, tuple(p)) for p in found]
+
+
+def test_checker_matches_the_reference_on_real_and_mutated_certificates():
+    reasons_seen = set()
+    for roots in DIFFERENTIAL_BOX:
+        seq = RootSequence(roots)
+        for r, (cert, _) in pairing._certify(roots).items():
+            # the real certificate (partial where a vertex has no target), the
+            # same pairs read at a neighbouring height, and the mutants
+            for checked in [cert, cert._replace(height=r + 2)] + mutants(roots, cert):
+                expected = reference_verify(seq, checked)
+                assert verify_certificate(seq, checked) == expected, (roots, checked)
+                reasons_seen.add(tuple(expected[1]))
+    # every verdict alone, and with source coverage first
+    singles = {(), ("source coverage",), ("injectivity",), ("target range",), ("target height",)}
+    assert singles <= reasons_seen
+    assert {("source coverage", reason) for reason in ("injectivity", "target range", "target height")} <= reasons_seen
+
+
+def test_checker_verdict_on_each_mutation():
+    # height -2 of a stable chain: sources 2, 4 and 7 in an A, a C and a B region
+    seq = RootSequence((0, -2, 0, -2, -4, 0, -2, -4))
+    cert = build_matching(seq, -2)
+    assert cert.pairs == (
+        MatchedPair(2, 3, RegionKind.A),
+        MatchedPair(4, 5, RegionKind.C),
+        MatchedPair(7, 8, RegionKind.B),
+    )
+    a, c, b = cert.pairs
+    verdicts = {
+        (a, c, b): [],
+        # the checker checks a matching, not the regions: a swap still matches
+        (a._replace(target=5), c._replace(target=3), b): [],
+        (a._replace(target=4), c, b): ["target height"],  # vertex 4 sits at r itself
+        (c, b): ["source coverage"],
+        (a, c, b, a): ["source coverage", "injectivity"],
+        (a, c, b, a._replace(target=1)): ["source coverage"],
+        (a._replace(source=0), c, b): ["source coverage"],
+        (a, c, b._replace(source=9)): ["source coverage"],
+        (a._replace(target=0), c, b): ["target range"],
+        (a, c, b._replace(target=9)): ["target range"],
+        (a._replace(target=9), c._replace(target=4), b): ["target range", "target height"],
+        (a._replace(target=4), c._replace(target=9), b): ["target height", "target range"],
+        (a._replace(source=7), c, b._replace(target=0)): ["source coverage", "target range"],
+    }
+    for pairs, reasons in verdicts.items():
+        checked = MatchingCertificate(-2, pairs)
+        assert verify_certificate(seq, checked) == (not reasons, reasons), pairs
+        assert reference_verify(seq, checked) == (not reasons, reasons), pairs

@@ -377,6 +377,29 @@ def test_partition_that_raises_names_its_partition(monkeypatch, capfd, time_boun
 
 
 @needs_fork
+def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
+    # the parent was killed: nobody holds the result pipe's read end, so the
+    # worker's write fails with EPIPE; it exits nonzero and prints nothing
+    tasks = [(4, -2, 4, 6, MODE_THEOREM)]
+    (orders, order_end), (result_end, out) = os.pipe(), os.pipe()
+    os.write(order_end, (0).to_bytes(4, "little"))
+    os.close(order_end)
+    os.close(result_end)
+    stderr = tmp_path / "stderr"
+    if (pid := os.fork()) == 0:
+        try:
+            os.dup2(os.open(stderr, os.O_WRONLY | os.O_CREAT), 2)
+            sweep._work(tasks, orders, out, set())
+        finally:
+            os._exit(3)  # never return into pytest
+    os.close(orders)
+    os.close(out)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1
+    assert stderr.read_bytes() == b""
+
+
+@needs_fork
 def test_pooled_sweep_leaves_no_child(time_bound):
     run_sweep(SweepParams(2, 5, 4, 6, MODE_NECESSITY), workers=3)
     assert_no_child_left()
