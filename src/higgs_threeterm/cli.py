@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import serialize, sweep
@@ -66,7 +67,7 @@ def _refuse(what: str, args, names) -> None:
         raise UsageError(f"{what} takes no {', '.join(given)}")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -123,8 +124,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    sequences = [
-        list(seq.roots)
+    chains = [
+        seq.roots
         for seq in enumerate_chains(
             args.n_min, args.n_max, args.max_rise, args.bound, require_stable=not args.all
         )
@@ -137,10 +138,12 @@ def _cmd_enumerate(args) -> int:
             "root_bound": args.bound,
             "stable_only": not args.all,
         },
-        "count": len(sequences),
-        "sequences": sequences,
+        "count": len(chains),
     }
-    rows = [[len(roots), " ".join(str(r) for r in roots)] for roots in sequences]
+    # each format writes only its own: the root lists' JSON text, or the rows read by csv
+    if args.format == "json":
+        report["sequences"] = serialize.join_items([serialize.int_list_items(chains, 1)], 1)
+    rows = ([len(roots), " ".join(map(str, roots))] for roots in chains)
     _emit(args, report, ["n", "roots"], rows)
     return 0
 
@@ -278,17 +281,17 @@ def _cmd_filtered_degree(args) -> int:
 def _cmd_verify_metric(args) -> int:
     from . import harmonic  # the only numpy user; other subcommands skip its import
 
-    grid = None
+    grid, seed = None, (0 if args.seed is None else args.seed)
     if args.tau is not None:
         _refuse("verify-metric --tau", args, ("grid", "seed"))
         try:
-            grid = [harmonic.UpperHalfPoint.parse(args.tau)]
+            grid, seed = [harmonic.UpperHalfPoint.parse(args.tau)], None  # no grid to seed
         except ValueError as exc:
             raise UsageError(f"bad --tau: {exc}") from None
     report = harmonic.verification_report(
         grid=grid,
         count=20 if args.grid is None else args.grid,
-        seed=0 if args.seed is None else args.seed,
+        seed=seed,
         h=args.h,
         h_nested=args.h_nested,
         only=args.check,

@@ -427,13 +427,14 @@ _CHECKS = {
 def verification_report(
     grid: list[UpperHalfPoint] | None = None,
     count: int = 20,
-    seed: int = 0,
+    seed: int | None = 0,
     h: float = 1e-4,
     h_nested: float = 1e-3,
     only: str | None = None,
     tolerance: float | None = None,
 ) -> dict:
-    """Run the full battery (or a single named check) over a sample grid.
+    """Run the full battery (or a single named check) over a sample grid:
+    `grid` if given, else `count` points chosen by `seed`.
 
     Returns {parameters, checks: [{check_name, max_residual, tolerance,
     pass}], pass}; the order-deviation row reports |empirical order - 2|.

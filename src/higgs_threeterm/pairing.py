@@ -181,24 +181,30 @@ def verify_certificate(
 
     # the sources are the height-r vertices exactly when there are m_r of
     # them, distinct, and each is a vertex at height r
-    if len(sources) != roots.count(r) or len(set(sources)) != len(sources):
+    try:
+        if len(sources) != roots.count(r) or len(set(sources)) != len(sources):
+            reasons.append("source coverage")
+        else:
+            for j in sources:
+                if not 1 <= j <= n or roots[j - 1] != r:
+                    reasons.append("source coverage")
+                    break
+    except TypeError:  # a source that is no vertex index, such as 1.0
         reasons.append("source coverage")
-    else:
-        for j in sources:
-            if not 1 <= j <= n or roots[j - 1] != r:
-                reasons.append("source coverage")
-                break
 
     if len(set(targets)) != len(targets):
         reasons.append("injectivity")
 
     for t in targets:
-        if not 1 <= t <= n:
+        try:
+            if not 1 <= t <= n:
+                reason = "target range"
+            elif roots[t - 1] not in (r - 2, r + 2):
+                reason = "target height"
+            else:
+                continue
+        except TypeError:  # a target that is no vertex index
             reason = "target range"
-        elif roots[t - 1] not in (r - 2, r + 2):
-            reason = "target height"
-        else:
-            continue
         if reason not in reasons:
             reasons.append(reason)
     return (not reasons, reasons)

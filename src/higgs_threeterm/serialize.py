@@ -5,31 +5,28 @@ denominator omitted when it is 1; exact complex values serialize as
 {"re": "p/q", "im": "p/q"}.  Report dictionaries are built in a fixed key
 order so equal inputs produce byte-identical JSON.
 
-`dumps` is the one JSON writer of the command line.  Its contract: it
-returns exactly the text of json.dumps(obj, indent=2, allow_nan=False),
-and a NaN or infinity anywhere in obj raises ValueError (an object JSON
-cannot hold raises TypeError, as json.dumps does).  The stdlib runs its
-pure-Python encoder whenever indent is set; `dumps` instead hands each
-flat container (one that holds only scalars) to the C encoder in one
-call, with the item separator carrying the newline and the indent of
-its depth, and only walks the containers above those in Python.  The
-object must be a tree: a container that holds itself recurses without
-end instead of raising json's "Circular reference detected".
+`dumps` is the one JSON writer of the command line: it returns
+json.dumps(obj, indent=2, allow_nan=False), so a NaN or infinity anywhere
+in obj raises ValueError and an object JSON cannot hold raises TypeError,
+with one rule the stdlib lacks.  A `Written` value of a top-level dict is
+JSON text already written for that place, and `dumps` copies it as it
+stands, once; a `Written` anywhere else is an object JSON cannot hold.
 
-A list may also be written in pieces: `write_items` writes some of its
-items as `dumps` would write them inside it, and `join_items` joins such
-pieces into the list's text, held by a `Written` that `dumps` copies as it
-stands.  The sweep writes its violation records this way, in the worker
-that finds them.  Its necessity records all have one shape, so
-`three_term_items` writes them as `write_items` would, but from one
-template built from the same indentation strings, with no record dict.
+A list may be written in pieces: `write_items` writes some of its items as
+`dumps` would write them inside it, and `join_items` joins such pieces
+into the list's text, held by a `Written`.  The sweep writes its violation
+records this way, in the worker that finds them.  Its necessity records
+all have one shape, so `three_term_items` writes them as `write_items`
+would, from one template built from the same indentation strings, with no
+record dict; `int_list_items` does the same for `enumerate`'s root lists.
+Neither runs the stdlib's pure-Python encoder, which json.dumps uses
+whenever indent is set, item by item.
 """
 
 from __future__ import annotations
 
-import functools
+import json
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .chain import (
@@ -118,7 +115,6 @@ def side_residue_json(data: SideResidue) -> dict:
 # --- the report writer ---------------------------------------------------------
 
 _INDENT = "  "
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 class Written:
@@ -132,70 +128,43 @@ class Written:
         self.text = text
 
 
-_NESTED = (dict, list, tuple, Written)  # what keeps a container off the flat path
-
-
-def _not_serializable(obj):
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-@functools.cache
-def _level(depth: int) -> tuple:
-    """(C encoder, item separator, newline + item indent, newline + closing
-    indent) for a container that opens at `depth` and whose items sit at
-    depth + 1."""
-    inner = "\n" + _INDENT * (depth + 1)
-    separator = "," + inner
-    encode = c_make_encoder(
-        None, _not_serializable, encode_basestring_ascii, None, ": ", separator, False, False, False
-    )
-    return encode, separator, inner, "\n" + _INDENT * depth
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # bool is an int
-        return '"' + _write(key, 0) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write(obj, depth: int) -> str:
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    elif type(obj) is str:
-        return encode_basestring_ascii(obj)
-    elif type(obj) is Written:
-        return obj.text
-    else:
-        return "".join(_level(depth)[0](obj, 0))
-    if not obj:
-        return "{}" if values is not obj else "[]"
-    encode, separator, inner, outer = _level(depth)
-    # the type test runs in C and settles most containers; subclasses fall through
-    if _SCALARS.issuperset(map(type, values)) or not any(
-        isinstance(v, _NESTED) for v in values
-    ):
-        text = "".join(encode(obj, 0))
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if values is obj:
-        body = separator.join([_write(v, depth + 1) for v in obj])
-        return "".join(("[", inner, body, outer, "]"))  # one copy of a long body
-    body = separator.join([_key(k) + ": " + _write(v, depth + 1) for k, v in obj.items()])
-    return "".join(("{", inner, body, outer, "}"))
-
-
 def dumps(obj) -> str:
-    """json.dumps(obj, indent=2, allow_nan=False), byte for byte; see the module docstring."""
-    return _write(obj, 0)
+    """json.dumps(obj, indent=2, allow_nan=False), but a Written value of a
+    top-level dict is copied as it stands; see the module docstring."""
+    if not isinstance(obj, dict) or Written not in map(type, obj.values()):
+        return json.dumps(obj, indent=2, allow_nan=False)
+    parts = ["{"]
+    for key, value in obj.items():
+        written = type(value) is Written
+        # the entry as json.dumps writes it between "{" and "\n}"; 0 holds a Written's place
+        entry = json.dumps({key: 0 if written else value}, indent=2, allow_nan=False)[1:-2]
+        parts += (entry[:-1], value.text, ",") if written else (entry, ",")
+    parts[-1] = "\n}"  # in place of the last separator
+    return "".join(parts)  # one join: a long Written is copied once
 
 
-def write_items(items, depth: int) -> str:
+def _layout(depth: int) -> tuple[str, str, str]:
+    """(item separator, newline + item indent, newline + closing indent) for
+    a container that opens at `depth` and whose items sit at depth + 1."""
+    inner = "\n" + _INDENT * (depth + 1)
+    return "," + inner, inner, "\n" + _INDENT * depth
+
+
+def write_items(items: list, depth: int) -> str:
     """The items of a list that opens at `depth`, each written as `dumps`
     writes it there and joined by that list's item separator ("" for none)."""
-    return _level(depth)[1].join([_write(item, depth + 1) for item in items])
+    if not items:  # as in every theorem-mode partition: no encoder to build
+        return ""
+    text = json.dumps(items, indent=2, allow_nan=False)[4:-2]  # less "[\n  " and "\n]"
+    return text.replace("\n", "\n" + _INDENT * depth) if depth else text
+
+
+def int_list_items(lists, depth: int) -> str:
+    """write_items(lists, depth) for nonempty lists of ints, each written
+    into one template built before the loop."""
+    separator, inner, outer = _layout(depth + 1)  # each list
+    head, tail = "[" + inner, outer + "]"
+    return _layout(depth)[0].join([head + separator.join(map(str, ints)) + tail for ints in lists])
 
 
 def three_term_items(chains, depth: int) -> str:
@@ -204,8 +173,8 @@ def three_term_items(chains, depth: int) -> str:
     (roots, violations) in chains, written into one template, no dict built.
     The template writes the detail in ThreeTermViolation's field order, also
     `_asdict`'s key order: `% v` fills it right only while the two agree."""
-    _, separator, inner, outer = _level(depth + 1)  # the record
-    _, item_separator, item_inner, item_outer = _level(depth + 2)  # its roots and detail
+    separator, inner, outer = _layout(depth + 1)  # the record
+    item_separator, item_inner, item_outer = _layout(depth + 2)  # its roots and detail
     detail = item_separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
     head = "{" + inner + '"roots": [' + item_inner
     tail = f'{item_outer}]{separator}"kind": "three-term"{separator}"detail": {{{item_inner}'
@@ -214,13 +183,13 @@ def three_term_items(chains, depth: int) -> str:
     for roots, violations in chains:
         record = head + item_separator.join(map(str, roots)) + tail  # ints: no "%" to escape
         records += [record % v for v in violations]
-    return _level(depth)[1].join(records)
+    return _layout(depth)[0].join(records)
 
 
 def join_items(pieces, depth: int) -> Written:
     """The list that opens at `depth` and holds, in order, the items of each
     piece `write_items` wrote for it: exactly the text `dumps` gives it."""
-    _, separator, inner, outer = _level(depth)
+    separator, inner, outer = _layout(depth)
     parts = ["[", inner]
     for piece in pieces:
         if piece:

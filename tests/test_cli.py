@@ -367,7 +367,7 @@ def test_verify_metric_grid_and_seed_default_to_20_and_0(capsys):
     _, explicit, _ = run_cli(capsys, "verify-metric", "--check", "metric_shape", "--grid", "20", "--seed", "0")
     assert default == explicit
     _, single, _ = run_cli(capsys, "verify-metric", "--tau", "0.3+1.2i", "--check", "metric_shape")
-    assert json.loads(single)["parameters"]["seed"] == 0
+    assert json.loads(single)["parameters"]["seed"] is None  # one point: no grid was seeded
 
 
 def test_verify_metric_bad_tau(capsys):

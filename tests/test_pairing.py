@@ -438,3 +438,16 @@ def test_checker_verdict_on_each_mutation():
         checked = MatchingCertificate(-2, pairs)
         assert verify_certificate(seq, checked) == (not reasons, reasons), pairs
         assert reference_verify(seq, checked) == (not reasons, reasons), pairs
+
+
+@pytest.mark.parametrize(
+    "pair, reasons",
+    [
+        (MatchedPair(1.0, 2, RegionKind.B), ["source coverage"]),
+        (MatchedPair(1, 2.0, RegionKind.B), ["target range"]),
+        (MatchedPair(1, 2, RegionKind.B), []),  # the builder's pair, for contrast
+    ],
+)
+def test_checker_gives_a_reason_for_an_index_that_is_not_an_int(pair, reasons):
+    seq = RootSequence((0, -2))
+    assert verify_certificate(seq, MatchingCertificate(0, (pair,))) == (not reasons, reasons)

@@ -16,6 +16,7 @@ from higgs_threeterm.serialize import (
     complex_pair_json,
     dumps,
     format_rational,
+    int_list_items,
     join_items,
     parse_rational,
     profile_json,
@@ -124,7 +125,7 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
     report = {"totals": {"stable": 1}, "violations": records, "pass": passed}
     expected = dumps(report)
     assert expected == oracle(report)
-    # the only other value is a scalar: the Written text must not go to the C encoder
+    # the only other value is a scalar
     assert dumps({"violations": join_items(pieces, 1), "pass": passed}) == oracle(
         {"violations": records, "pass": passed}
     )
@@ -151,6 +152,45 @@ def test_three_term_items_match_write_items_of_the_records(chains, depth):
     assert three_term_items(chains, depth) == write_items(records, depth)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(), min_size=1, max_size=6), max_size=6), st.integers(0, 3))
+def test_int_list_items_match_write_items(lists, depth):
+    assert int_list_items(lists, depth) == write_items(lists, depth)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"a": [1, [2]], "b": {"c": None}},
+        Record(a=[]),
+        {1: [3], None: [], True: [[]], 0.5: [{"x": 1}], "s": "t"},  # keys json.dumps converts
+    ],
+)
+def test_a_written_value_of_a_top_level_dict_is_copied_as_it_stands(report):
+    first, *_ = report
+    with_written = {**report, first: join_items([write_items(report[first], 1)], 1)}
+    assert dumps(with_written) == oracle(report)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Written("[]"),  # the top level itself
+        [Written("[]")],
+        (1, Written("[]")),
+        {"a": [Written("[]")]},  # inside a top-level dict's value
+        {"a": {"b": Written("[]")}},
+        {"a": Written("[]"), "b": [Written("[]")]},  # also next to one that is copied
+    ],
+)
+def test_dumps_rejects_a_written_anywhere_else(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(TypeError) as got:
+        dumps(obj)
+    assert str(got.value) == str(expected.value) == "Object of type Written is not JSON serializable"
+
+
 @pytest.mark.parametrize(
     "obj",
     [{}, [], (), [[]], [{}], {"a": {"b": {}}}, {"a": []}, Pair([], {}), Record(), 0, "", None],
@@ -164,12 +204,12 @@ def test_dumps_matches_json_on_empty_containers_and_scalars(obj):
     "place",
     [
         lambda bad: bad,
-        lambda bad: [1.0, bad],  # flat: the C encoder sees it
+        lambda bad: [1.0, bad],  # an item of a list of scalars
         lambda bad: {"a": 1, "b": bad},
-        lambda bad: {"a": [1, {"b": bad}]},  # inside a flat container of a nested one
-        lambda bad: [[1], bad],  # a scalar child of a nested container
-        lambda bad: {bad: [1]},  # a key of a nested container
-        lambda bad: [{bad: 1}],  # a key of a flat container
+        lambda bad: {"a": [1, {"b": bad}]},  # a value two containers down
+        lambda bad: [[1], bad],  # a scalar next to a container
+        lambda bad: {bad: [1]},  # a key whose value is a container
+        lambda bad: [{bad: 1}],  # a key of a dict inside a list
     ],
 )
 def test_dumps_rejects_non_finite_floats(place, bad):
@@ -178,6 +218,9 @@ def test_dumps_rejects_non_finite_floats(place, bad):
         oracle(obj)
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         dumps(obj)
+    # and next to a Written, which dumps copies rather than hands to json.dumps
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dumps({"written": Written("[]"), "next": obj})
 
 
 @pytest.mark.parametrize(
