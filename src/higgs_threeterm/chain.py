@@ -212,11 +212,12 @@ def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermVio
     are scanned, ascending; violations carry the three counts.
     """
     violations = []
+    new = tuple.__new__  # ThreeTermViolation(...) would run the named tuple's Python-level __new__
     get = counts.get
     for r in sorted(counts):
         m, below, above = counts[r], get(r - 2, 0), get(r + 2, 0)
         if m > below + above:
-            violations.append(ThreeTermViolation(r, m, below, above))
+            violations.append(new(ThreeTermViolation, (r, m, below, above)))
     return (not violations, violations)
 
 
@@ -250,18 +251,17 @@ def enumerate_chains(
     Output order is deterministic: ascending length, then lexicographic on
     the root tuple.  Normalizing r_1 = 0 loses nothing because every chain
     statistic checked here is invariant under an even shift of all roots.
-    With require_stable the walk skips prefixes that cannot complete to a
-    stable chain (see extend_chain); tail_slopes still decides every chain
-    it yields.
+    With require_stable the walk decides each chain's stability as it
+    reaches it and skips prefixes that cannot complete to a stable chain
+    (see extend_chain), so every chain it yields is stable.
     """
     check_box(n_min, n_max, max_rise, root_bound)
     steps = enumeration_steps(max_rise)
 
     def generate() -> Iterator[RootSequence]:
         for n in range(n_min, n_max + 1):
-            for roots in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
-                if not require_stable or tail_slopes(roots).is_stable:
-                    yield RootSequence(roots)
+            for roots, _ in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
+                yield RootSequence(roots)
 
     return generate()
 
@@ -274,27 +274,31 @@ def extend_chain(
     *,
     stable_only: bool = False,
     counts: dict[int, int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every length-n root tuple that extends prefix by the given steps
-    and keeps |r_j| <= bound from the prefix's last root on.
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Yield (roots, stable) for every length-n root tuple that extends
+    prefix by the given steps and keeps |r_j| <= bound from the prefix's
+    last root on; stable is tail_slopes(roots).is_stable.
 
     The steps must ascend, as enumeration_steps gives them; the order is
     then lexicographic.  A prefix longer than n, or whose last root
     already leaves the box, yields nothing.
 
-    With stable_only, a prefix of length k < n is cut when no completion
-    can be stable (branch and bound).  A stable chain has its total mean
-    P_n/n strictly below every prefix mean P_j/j, j < n.  No completion
-    totals less than L = P_k + sum of max(last - 2t, -bound) over
-    t = 1..n-k (drop at every step, clamped at the box), so the prefix is
-    cut when L*j >= n*P_j for the pair (P_j, j) of smallest prefix mean.
-    The last step is cut exactly: the tail from k = n is the last root
-    alone, so a stable chain has (n-1)*r_n < P_{n-1}, and the leaf loop
-    stops at the first last root that fails this, since every later one
-    (the steps ascend) fails too.  Both cuts are only necessary
-    conditions: the walk yields, in the same order, a part of the
-    unpruned output that holds every stable chain, and callers still
-    decide stability with tail_slopes.
+    Stability is decided in O(1) per tuple from what the walk carries: the
+    sum P_k of each node and the pair (P_j, j) of smallest prefix mean over
+    j <= k, an empty prefix reading as 1/0, above every mean.  A tuple is
+    stable exactly when its total mean P_n/n lies strictly below every
+    prefix mean P_j/j, j < n, that is when P_n*j < n*P_j for that pair:
+    the same inequality that makes n the new pair.  Since P_n rises with
+    r_n, the leaves of one parent are stable up to a last root and
+    unstable above it.
+
+    With stable_only the walk yields exactly the stable tuples, in the same
+    order.  The leaf loop stops at the first unstable last root, and a
+    node of length k < n below the prefix is cut, in its parent's loop
+    before it is built, when no completion can be stable (branch and
+    bound): no completion totals less than L = P_k + sum of
+    max(last - 2t, -bound) over t = 1..n-k (drop at every step, clamped at
+    the box), so the node is cut when L*j >= n*P_j for its pair (P_j, j).
 
     The walk carries the multiplicities {r: m_r} of the tuple it builds, in
     the dict counts if one is passed (it is cleared first): a push adds one
@@ -305,54 +309,53 @@ def extend_chain(
     counts.clear()
     if abs(prefix[-1]) > bound or len(prefix) > n:
         return
-    total, low_sum, low_len = 0, prefix[0], 1
+    total, low_sum, low_len = 0, 1, 0  # 1/0: no prefix yet
     for j, r in enumerate(prefix, start=1):
         total += r
         counts[r] = counts.get(r, 0) + 1
-        if total * low_len < low_sum * j:
+        if stable := total * low_len < low_sum * j:
             low_sum, low_len = total, j
-
-    if len(prefix) == n:
-        yield prefix
-        return
 
     def walk(roots, total, low_sum, low_len):
         k = len(roots)
         last = roots[-1]
-        if stable_only:
-            left = n - k
-            drops = min(left, (last + bound) // 2)  # drops that stay inside the box
-            floor = total + drops * last - drops * (drops + 1) - (left - drops) * bound
-            if floor * low_len >= n * low_sum:
-                return
         if k + 1 == n:  # the last push: yield each leaf directly, with no generator per leaf
-            # the exact last-step cut: a stable chain has (n-1)*r_n < P_{n-1}
-            top = min(bound, (total - 1) // k) if stable_only else bound
+            most = (n * low_sum - 1) // low_len - total  # the largest stable last root
+            top = min(bound, most) if stable_only else bound
             for delta in steps:
                 nxt = last + delta
                 if nxt > top:  # the steps ascend, so every later root is above top too
                     break
                 if nxt >= -bound:
                     counts[nxt] = counts.get(nxt, 0) + 1
-                    yield roots + (nxt,)
+                    yield roots + (nxt,), nxt <= most
                     if counts[nxt] == 1:
                         del counts[nxt]
                     else:
                         counts[nxt] -= 1
             return
+        left = n - k - 1  # the steps after a child's
         for delta in steps:
             nxt = last + delta
             if abs(nxt) <= bound:
-                counts[nxt] = counts.get(nxt, 0) + 1
                 grown = total + nxt
                 low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
+                if stable_only:  # the branch-and-bound cut, before the child is built
+                    drops = min(left, (nxt + bound) // 2)  # drops that stay inside the box
+                    floor = grown + drops * nxt - drops * (drops + 1) - (left - drops) * bound
+                    if floor * low[1] >= n * low[0]:
+                        continue
+                counts[nxt] = counts.get(nxt, 0) + 1
                 yield from walk(roots + (nxt,), grown, *low)
                 if counts[nxt] == 1:
                     del counts[nxt]
                 else:
                     counts[nxt] -= 1
 
-    yield from walk(prefix, total, low_sum, low_len)
+    if len(prefix) < n:
+        yield from walk(prefix, total, low_sum, low_len)
+    elif stable or not stable_only:
+        yield prefix, stable
 
 
 def count_chains(prefix: tuple[int, ...], n: int, steps: tuple[int, ...], bound: int) -> int:

@@ -307,7 +307,8 @@ def _cmd_verify_metric(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = sweep.SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    report = sweep.written_report(params, workers=args.workers)
+    # a CSV report prints only the counts, so the sweep writes no records for it
+    report = sweep.written_report(params, workers=args.workers, records=args.format == "json")
     rows = [
         [n, bucket["generated"], bucket["admissible"], bucket["stable"]]
         for n, bucket in report["per_n"].items()

@@ -15,14 +15,14 @@ report's pass flag is true when at least one witness exists.
 The search space is partitioned by (length, first step), walking each
 partition from the prefix (0, first step); partitions share nothing and
 are merged in canonical order, so the report is independent of the worker
-count (the timing field aside).  Theorem mode walks only prefixes that can
-still be stable (the branch-and-bound cut of chain.extend_chain) and
-skips every last root that is not below the mean of the others (its
-exact last-step cut), so almost every chain it tests is stable;
-necessity mode needs every unstable chain and walks the whole partition.
-`generated` is counted, not walked, by chain.count_chains, once per
-length.  Every chain is admissible by its step set (so `admissible` equals
-`generated`) and each walked chain's stability is tested once, so one
+count (the timing field aside).  The walk, chain.extend_chain, decides
+each chain's stability in O(1) from the prefix sums it carries, with the
+integer inequality its branch-and-bound cut applies.  Theorem mode walks
+only prefixes that can still be stable and is handed exactly the stable
+chains; necessity mode needs every unstable chain and walks the whole
+partition.  `generated` is counted, not walked, by chain.count_chains,
+once per length.  Every chain is admissible by its step set (so
+`admissible` equals `generated`) and stable by the walk's verdict, so one
 pass over a stable chain builds every height's certificate without
 re-checking either hypothesis, and each is verified on its own, once per
 height, by pairing.verify_certificate.  One worker runs inline; more are
@@ -36,13 +36,15 @@ So the writing runs in the pool workers, only text crosses the pipes, and
 the parent joins the texts in canonical order (serialize.join_items).
 `written_report` is the report the command line writes, and its
 `timing_seconds` includes the writing; `run_sweep` reads the records
-back as dicts.
+back as dicts.  A CSV report prints only the counts, so for it the
+partitions count their records and write none, and `pass` comes from the
+counts.
 
-The walk hands each chain over as a plain tuple and carries its
-multiplicities {r: m_r}, one push or pop at a time, so a leaf builds no
-per-chain object: tail_slopes tests the tuple, three_term_holds reads the
-carried counts, and a RootSequence is built only for a stable chain that
-goes to pairing.  Records are ordered per chain: chains arrive in (length,
+The walk hands each chain over as a plain tuple with its stability and
+carries its multiplicities {r: m_r}, one push or pop at a time, so a leaf
+builds no per-chain object: three_term_holds reads the carried counts,
+and a RootSequence is built only for a stable chain that goes to
+pairing.  Records are ordered per chain: chains arrive in (length,
 roots) order, so sorting each chain's records by (kind, detail as JSON
 with sorted keys) orders the whole report without a global sort.  A
 necessity chain's violations sort by that key's text less the prefix
@@ -62,7 +64,6 @@ from .chain import (
     count_chains,
     enumeration_steps,
     extend_chain,
-    tail_slopes,
     three_term_holds,
 )
 from .pairing import _certify, verify_certificate
@@ -147,24 +148,26 @@ def _three_term_order(v) -> str:
     return f'{v.above}, "below": {v.below}, "count": {v.count}, "height": {v.height}}}'
 
 
-def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, str]:
+def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int, str | int]:
     """Walk one (n, first step) partition; return (stable, certificates, records).
 
     The records are the partition's violations, written as the items of
     the report's violation list at _VIOLATIONS_DEPTH: theorem records as
-    dicts, necessity records from a template with no dict built.  The walk
-    hands over plain root tuples and carries their multiplicities; a
-    RootSequence is built only for a stable chain that goes to pairing.
+    dicts, necessity records from a template with no dict built.  When the
+    task's last field is false nobody reads them, and records is their
+    number instead.  The walk hands over plain root tuples with their
+    stability and carries their multiplicities; a RootSequence is built
+    only for a stable chain that goes to pairing.
     """
-    n, first_step, max_rise, bound, mode = args
+    n, first_step, max_rise, bound, mode, write = args
     theorem = mode == MODE_THEOREM
     stable = certificates = 0
     violations: list[dict] = []  # theorem mode
     witnesses: list[tuple] = []  # necessity mode: (roots, violations in report order)
     counts: dict[int, int] = {}
     steps = enumeration_steps(max_rise)
-    for roots in extend_chain((0, first_step), n, steps, bound, stable_only=theorem, counts=counts):
-        if tail_slopes(roots).is_stable:
+    for roots, is_stable in extend_chain((0, first_step), n, steps, bound, stable_only=theorem, counts=counts):
+        if is_stable:
             stable += 1
             if theorem:
                 found, n_heights = _check_stable_chain(RootSequence(roots), counts)
@@ -176,6 +179,8 @@ def _run_partition(args: tuple[int, int, int, int, str]) -> tuple[int, int, str]
                 if len(found) > 1:
                     found.sort(key=_three_term_order)
                 witnesses.append((roots, found))
+    if not write:
+        return stable, certificates, len(violations) + sum(len(found) for _, found in witnesses)
     if theorem:
         return stable, certificates, serialize.write_items(violations, _VIOLATIONS_DEPTH)
     return stable, certificates, serialize.three_term_items(witnesses, _VIOLATIONS_DEPTH)
@@ -192,8 +197,7 @@ def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> N
             os.close(fd)
         results = open(out, "wb")  # left to os._exit to close, so EOF means the worker is gone
         while index := os.read(orders, 4):
-            stable, certificates, records = _run_partition(tasks[int.from_bytes(index, "little")])
-            results.write(b"%d %d %s\0" % (stable, certificates, records.encode()))
+            results.write(("%d %d %s\0" % _run_partition(tasks[int.from_bytes(index, "little")])).encode())
             results.flush()
         os._exit(0)
     except BrokenPipeError:  # the parent is gone: nobody reads the result, nor a traceback
@@ -260,13 +264,15 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, str]]:
                 os.waitpid(pid, 0)
 
 
-def written_report(params: SweepParams, workers: int = 1) -> dict:
+def written_report(params: SweepParams, workers: int = 1, records: bool = True) -> dict:
     """The sweep's report, its violation list already written.
 
     `violations` is a serialize.Written: each partition writes its
     own records, in the pool worker that runs it, and they are joined in
     (n, first step) order whatever the worker count, so reports differ
-    only in the timing field, which includes the writing.
+    only in the timing field, which includes the writing.  With records
+    false (nobody reads them) the partitions only count their records and
+    the report has no `violations`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -276,7 +282,7 @@ def written_report(params: SweepParams, workers: int = 1) -> dict:
     steps = enumeration_steps(params.max_rise)
     lengths = range(params.n_min, params.n_max + 1)
     tasks = [
-        (n, first_step, params.max_rise, params.root_bound, params.mode)
+        (n, first_step, params.max_rise, params.root_bound, params.mode, records)
         for n in lengths
         for first_step in steps
     ]
@@ -295,19 +301,12 @@ def written_report(params: SweepParams, workers: int = 1) -> dict:
     for (n, *_), (stable, n_certificates, _) in zip(tasks, results):
         per_n[str(n)]["stable"] += stable
         certificates += n_certificates
-    violations = serialize.join_items([records for *_, records in results], _VIOLATIONS_DEPTH)
     totals = {
         key: sum(bucket[key] for bucket in per_n.values())
         for key in ("generated", "admissible", "stable")
     }
     totals["certificates"] = certificates
-
-    elapsed = time.perf_counter() - started
-
-    found = violations.text != "[]"
-    passed = not found if params.mode == MODE_THEOREM else found
-
-    return {
+    report = {
         "parameters": {
             "n_min": params.n_min,
             "n_max": params.n_max,
@@ -317,10 +316,15 @@ def written_report(params: SweepParams, workers: int = 1) -> dict:
         },
         "totals": totals,
         "per_n": per_n,
-        "violations": violations,
-        "pass": passed,
-        "timing_seconds": elapsed,
     }
+    if records:
+        report["violations"] = serialize.join_items([text for *_, text in results], _VIOLATIONS_DEPTH)
+        found = report["violations"].text != "[]"
+    else:
+        found = any(int(count) for *_, count in results)
+    report["pass"] = not found if params.mode == MODE_THEOREM else found
+    report["timing_seconds"] = time.perf_counter() - started
+    return report
 
 
 def run_sweep(params: SweepParams, workers: int = 1) -> dict:

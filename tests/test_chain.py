@@ -331,8 +331,8 @@ def is_stable(roots: tuple[int, ...]) -> bool:
 def test_stable_only_walk_keeps_every_stable_chain_in_order(max_rise, bound):
     steps = enumeration_steps(max_rise)
     for n, prefix in itertools.product(range(2, 9), box_prefixes(max_rise)):
-        full = list(extend_chain(prefix, n, steps, bound))
-        pruned = list(extend_chain(prefix, n, steps, bound, stable_only=True))
+        full = [roots for roots, _ in extend_chain(prefix, n, steps, bound)]
+        pruned = [roots for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
         assert [r for r in pruned if is_stable(r)] == [r for r in full if is_stable(r)]
         remaining = iter(full)
         assert all(roots in remaining for roots in pruned)  # a subsequence of the full walk
@@ -366,7 +366,7 @@ def walk_with_counts(prefix, n, steps, bound, stable_only):
     counts = {99: 1}  # stale entries must be cleared
     return [
         (roots, dict(counts), multiplicities(RootSequence(roots)).counts)
-        for roots in extend_chain(prefix, n, steps, bound, stable_only=stable_only, counts=counts)
+        for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only, counts=counts)
     ]
 
 
@@ -377,9 +377,9 @@ def test_walk_carries_the_multiplicities_of_every_leaf(max_rise, bound, stable_o
     steps = enumeration_steps(max_rise)
     for n, prefix in itertools.product(range(1, 8), box_prefixes(max_rise)):
         leaves = walk_with_counts(prefix, n, steps, bound, stable_only)
-        assert [roots for roots, _, _ in leaves] == list(
-            extend_chain(prefix, n, steps, bound, stable_only=stable_only)
-        )
+        assert [roots for roots, _, _ in leaves] == [
+            roots for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only)
+        ]
         for roots, carried, expected in leaves:
             assert carried == expected, roots
 
@@ -438,11 +438,78 @@ def test_last_step_cut_skips_only_unstable_leaves(data):
         inside = [prefix[-1] + d for d in steps if abs(prefix[-1] + d) <= bound]
         assume(inside)
         prefix += (data.draw(st.sampled_from(inside)),)
-    leaves = list(extend_chain(prefix, n, steps, bound))
-    kept = list(extend_chain(prefix, n, steps, bound, stable_only=True))
+    leaves = [roots for roots, _ in extend_chain(prefix, n, steps, bound)]
+    kept = [roots for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
     for roots in leaves:
         if (n - 1) * roots[-1] >= sum(prefix):
             assert roots not in kept
             assert not tail_slopes(roots).is_stable, roots
         elif roots not in kept:  # the branch-and-bound cut, before any last step
             assert not is_stable(roots), roots
+
+
+# --- the walk's own stability verdict -------------------------------------------
+
+
+def entry_cut_walk(prefix, n, steps, bound):
+    """The stable-only walk as it stood before it decided stability itself:
+    each node is built, then cut on entry by the same floor, the leaf loop
+    stops at (n-1)*r_n >= P_{n-1}, and some unstable leaves get through."""
+    if abs(prefix[-1]) > bound or len(prefix) > n:
+        return
+    if len(prefix) == n:
+        yield prefix
+        return
+    total, low_sum, low_len = 0, prefix[0], 1
+    for j, r in enumerate(prefix, start=1):
+        total += r
+        if total * low_len < low_sum * j:
+            low_sum, low_len = total, j
+
+    def walk(roots, total, low_sum, low_len):
+        k, last = len(roots), roots[-1]
+        left = n - k
+        drops = min(left, (last + bound) // 2)
+        floor = total + drops * last - drops * (drops + 1) - (left - drops) * bound
+        if floor * low_len >= n * low_sum:
+            return
+        for delta in steps:
+            nxt = last + delta
+            if k + 1 == n and k * nxt >= total:
+                break
+            if abs(nxt) <= bound:
+                grown = total + nxt
+                low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
+                if k + 1 == n:
+                    yield roots + (nxt,)
+                else:
+                    yield from walk(roots + (nxt,), grown, *low)
+
+    yield from walk(prefix, total, low_sum, low_len)
+
+
+def assert_walk_decides_stability(prefix, n, steps, bound):
+    full = list(extend_chain(prefix, n, steps, bound))
+    for roots, stable in full:
+        assert stable == tail_slopes(roots).is_stable, roots
+    kept = list(extend_chain(prefix, n, steps, bound, stable_only=True))
+    assert kept == [(roots, stable) for roots, stable in full if stable]
+    assert [roots for roots, _ in kept] == [r for r in entry_cut_walk(prefix, n, steps, bound) if is_stable(r)]
+    return full
+
+
+@CUT_BOXES
+@pytest.mark.parametrize("bound", range(10))
+def test_walk_decides_stability_exhaustively(max_rise, bound):
+    # n 1-8 from every box prefix, so prefixes of length n (n = 1 included)
+    # take their flag from the same inequality
+    steps = enumeration_steps(max_rise)
+    verdicts = set()
+    for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise)):
+        verdicts |= {stable for _, stable in assert_walk_decides_stability(prefix, n, steps, bound)}
+    assert verdicts == ({True} if bound < 2 else {True, False})
+
+
+@given(root_lists, st.integers(0, 4), st.sampled_from([2, 4, 6, 8]), st.integers(0, 12))
+def test_walk_decides_stability_from_any_prefix(prefix, extra, max_rise, bound):
+    assert_walk_decides_stability(prefix, len(prefix) + extra, enumeration_steps(max_rise), bound)

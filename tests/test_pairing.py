@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from higgs_threeterm.chain import (
     RootSequence,
+    ThreeTermViolation,
     enumerate_chains,
     enumeration_steps,
     extend_chain,
@@ -289,7 +290,7 @@ DIFFERENTIAL_BOX = sorted(
         for rise in (2, 4, 6, 10)
         for bound in (5, 7, 9)
         for n in range(1, 9)
-        for roots in extend_chain((0,), n, enumeration_steps(rise), bound)
+        for roots, _ in extend_chain((0,), n, enumeration_steps(rise), bound)
     }
 )
 STABLE_BOX = [roots for roots in DIFFERENTIAL_BOX if tail_slopes(roots).is_stable]
@@ -298,6 +299,24 @@ STABLE_BOX = [roots for roots in DIFFERENTIAL_BOX if tail_slopes(roots).is_stabl
 def test_differential_box_covers_both_verdicts_and_the_singleton():
     assert (len(DIFFERENTIAL_BOX), len(STABLE_BOX)) == (3929, 90)
     assert (0,) in STABLE_BOX
+
+
+def test_three_term_violations_match_the_named_tuple_build():
+    # three_term_holds builds each violation with tuple.__new__
+    witnessed = 0
+    for roots in DIFFERENTIAL_BOX:
+        counts = multiplicities(RootSequence(roots)).counts
+        expected = [
+            ThreeTermViolation(r, counts[r], counts.get(r - 2, 0), counts.get(r + 2, 0))
+            for r in sorted(counts)
+            if counts[r] > counts.get(r - 2, 0) + counts.get(r + 2, 0)
+        ]
+        holds, found = three_term_holds(counts)
+        assert (holds, found) == (not expected, expected), roots
+        assert [type(v) for v in found] == [ThreeTermViolation] * len(expected)
+        assert [v._asdict() for v in found] == [v._asdict() for v in expected]
+        witnessed += bool(found)
+    assert witnessed > 0
 
 
 def test_one_pass_builder_matches_the_reference_on_unstable_chains():

@@ -69,7 +69,7 @@ def test_partitions_cover_enumeration_exactly(root_bound):
     steps = enumeration_steps(6)
     for n in (2, 3, 4):
         partitioned = [
-            roots for first in steps for roots in extend_chain((0, first), n, steps, root_bound)
+            roots for first in steps for roots, _ in extend_chain((0, first), n, steps, root_bound)
         ]
         direct = [
             seq.roots for seq in enumerate_chains(n, n, 6, root_bound, require_stable=False)
@@ -78,46 +78,44 @@ def test_partitions_cover_enumeration_exactly(root_bound):
         assert all(abs(r) <= root_bound for roots in partitioned for r in roots)
 
 
-def test_theorem_sweep_tests_stability_only_on_unpruned_chains(monkeypatch):
-    # the theorem-wide box: 67,739 chains, 104 stable; the unpruned walk tests all of them
-    calls = 0
-    original = sweep.tail_slopes
+def count_calls(monkeypatch) -> dict:
+    """Record every (roots, stable) the sweep's walk yields and count every
+    RootSequence built anywhere."""
+    calls = {"yields": [], "RootSequence": 0}
+    original_walk, original_init = sweep.extend_chain, RootSequence.__init__
 
-    def counted(seq):
-        nonlocal calls
-        calls += 1
-        return original(seq)
-
-    monkeypatch.setattr(sweep, "tail_slopes", counted)
-    report = run_sweep(SweepParams(2, 8, 16, 20))
-    assert report["totals"]["generated"] == 67739
-    assert report["totals"]["stable"] == 104
-    assert calls <= 1000
-
-
-def count_calls(monkeypatch) -> dict[str, int]:
-    """Count sweep's stability tests and every RootSequence built anywhere."""
-    calls = {"tail_slopes": 0, "RootSequence": 0}
-    original_test, original_init = sweep.tail_slopes, RootSequence.__init__
-
-    def counted_test(roots):
-        calls["tail_slopes"] += 1
-        return original_test(roots)
+    def counted_walk(*args, **kwargs):
+        for leaf in original_walk(*args, **kwargs):
+            calls["yields"].append(leaf)
+            yield leaf
 
     def counted_init(seq, roots):
         calls["RootSequence"] += 1
         original_init(seq, roots)
 
-    monkeypatch.setattr(sweep, "tail_slopes", counted_test)
+    monkeypatch.setattr(sweep, "extend_chain", counted_walk)
     monkeypatch.setattr(RootSequence, "__init__", counted_init)
     return calls
 
 
-def test_necessity_walk_tests_each_chain_once_and_builds_no_root_sequence(monkeypatch):
+def test_theorem_walk_yields_only_the_stable_chains(monkeypatch):
+    # the theorem-wide box: 67,739 chains, 104 stable; the walk hands over exactly those
+    calls = count_calls(monkeypatch)
+    report = run_sweep(SweepParams(2, 8, 16, 20))
+    assert report["totals"]["generated"] == 67739
+    assert report["totals"]["stable"] == 104
+    assert len(calls["yields"]) == 104
+    assert all(stable and tail_slopes(roots).is_stable for roots, stable in calls["yields"])
+
+
+def test_necessity_walk_yields_each_chain_once_and_builds_no_root_sequence(monkeypatch):
     calls = count_calls(monkeypatch)
     report = run_sweep(SweepParams(2, 7, 6, 3, MODE_NECESSITY))
     assert report["violations"]
-    assert calls == {"tail_slopes": report["totals"]["generated"], "RootSequence": 0}
+    yielded = [roots for roots, _ in calls["yields"]]
+    assert len(yielded) == len(set(yielded)) == report["totals"]["generated"]
+    assert sum(stable for _, stable in calls["yields"]) == report["totals"]["stable"]
+    assert calls["RootSequence"] == 0
 
 
 def test_theorem_walk_builds_a_root_sequence_only_for_stable_chains(monkeypatch):
@@ -137,7 +135,7 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
     """One partition's (stable, violations), rebuilt per chain from a RootSequence
     and sorted by the old global key."""
     stable, records = 0, []
-    for roots in extend_chain((0, first_step), n, enumeration_steps(max_rise), bound):
+    for roots, _ in extend_chain((0, first_step), n, enumeration_steps(max_rise), bound):
         seq = RootSequence(roots)
         if tail_slopes(seq.roots).is_stable:
             stable += 1
@@ -153,10 +151,12 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
 @pytest.mark.parametrize("bound", [0, 1, 3, 5, 8, 10, 12])
 def test_necessity_partition_matches_brute_force(max_rise, bound):
     for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise)):
-        stable, certificates, written = sweep._run_partition((n, first_step, max_rise, bound, MODE_NECESSITY))
+        task = (n, first_step, max_rise, bound, MODE_NECESSITY)
+        stable, certificates, written = sweep._run_partition((*task, True))
         expected_stable, expected = brute_force_necessity(n, first_step, max_rise, bound)
         assert (stable, written) == (expected_stable, serialize.write_items(expected, 1))
         assert certificates == 0
+        assert sweep._run_partition((*task, False)) == (stable, 0, len(expected))
 
 
 def dict_report(params: SweepParams) -> dict:
@@ -212,6 +212,32 @@ def test_written_reports_match_the_dict_report(mode, max_rise, tmp_path, time_bo
             text = path.read_text()
             timed = {**expected, "timing_seconds": json.loads(text)["timing_seconds"]}
             assert text == serialize.dumps(timed) + "\n"
+
+
+@pytest.mark.parametrize("mode", [MODE_THEOREM, MODE_NECESSITY])
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_report_without_records_keeps_the_counts_and_pass(mode, fails, monkeypatch, tmp_path, time_bound):
+    # the CSV path: the partitions count their records and write none.  A
+    # necessity sweep at bound 0 finds no witness; a theorem sweep fails when
+    # every stable chain reports a violation (the forked workers inherit it)
+    if fails and mode == MODE_THEOREM:
+        record = {"roots": [0], "kind": "tail-order", "detail": {"first": 0, "last": 0}}
+        monkeypatch.setattr(sweep, "_check_stable_chain", lambda seq, counts: ([dict(record)], 1))
+    bound = 0 if fails and mode == MODE_NECESSITY else 6
+    params = SweepParams(2, 6, 4, bound, mode)
+    for workers in (1, 2):
+        written = sweep.written_report(params, workers)
+        counted = sweep.written_report(params, workers, records=False)
+        found = written.pop("violations").text != "[]"
+        assert found == (fails == (mode == MODE_THEOREM))
+        del written["timing_seconds"], counted["timing_seconds"]
+        assert counted == written
+        assert counted["pass"] is not fails
+        rc = {}
+        for form in ("json", "csv"):
+            argv = ["sweep", "--n-max", "6", "--max-rise", "4", "--bound", str(bound), "--mode", mode]
+            rc[form] = cli.main([*argv, "--workers", str(workers), "--format", form, "--out", str(tmp_path / form)])
+        assert rc == {"json": int(fails), "csv": int(fails)}
 
 
 def test_records_of_one_chain_sort_by_the_old_global_key():
@@ -380,7 +406,7 @@ def test_partition_that_raises_names_its_partition(monkeypatch, capfd, time_boun
 def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
     # the parent was killed: nobody holds the result pipe's read end, so the
     # worker's write fails with EPIPE; it exits nonzero and prints nothing
-    tasks = [(4, -2, 4, 6, MODE_THEOREM)]
+    tasks = [(4, -2, 4, 6, MODE_THEOREM, True)]
     (orders, order_end), (result_end, out) = os.pipe(), os.pipe()
     os.write(order_end, (0).to_bytes(4, "little"))
     os.close(order_end)
@@ -409,7 +435,7 @@ def test_pooled_sweep_leaves_no_child(time_bound):
 def test_partition_larger_than_a_pipe_buffer(time_bound):
     # (8, -2) writes about 100 KB of records, more than a 64 KB pipe buffer holds
     params = SweepParams(2, 8, 6, 8, MODE_NECESSITY)
-    assert len(sweep._run_partition((8, -2, 6, 8, MODE_NECESSITY))[2]) > 1 << 16
+    assert len(sweep._run_partition((8, -2, 6, 8, MODE_NECESSITY, True))[2]) > 1 << 16
     assert canonical(run_sweep(params, workers=2)) == canonical(run_sweep(params, workers=1))
 
 
