@@ -64,6 +64,7 @@ from .chain import (
     count_chains,
     enumeration_steps,
     extend_chain,
+    tail_slopes,  # not called; perfbench/run.py's traced run fails unless sweep.tail_slopes exists
     three_term_holds,
 )
 from .pairing import _certify, verify_certificate

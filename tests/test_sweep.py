@@ -80,9 +80,12 @@ def test_partitions_cover_enumeration_exactly(root_bound):
 
 def count_calls(monkeypatch) -> dict:
     """Record every (roots, stable) the sweep's walk yields and count every
-    RootSequence built anywhere."""
+    RootSequence built anywhere; the sweep must not call tail_slopes."""
     calls = {"yields": [], "RootSequence": 0}
     original_walk, original_init = sweep.extend_chain, RootSequence.__init__
+
+    def refused(roots):
+        raise AssertionError("the walk decides stability; the sweep calls no tail_slopes")
 
     def counted_walk(*args, **kwargs):
         for leaf in original_walk(*args, **kwargs):
@@ -94,6 +97,7 @@ def count_calls(monkeypatch) -> dict:
         original_init(seq, roots)
 
     monkeypatch.setattr(sweep, "extend_chain", counted_walk)
+    monkeypatch.setattr(sweep, "tail_slopes", refused)
     monkeypatch.setattr(RootSequence, "__init__", counted_init)
     return calls
 
