@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # the slopes import it when read: the sweep never loads fractions
+    from fractions import Fraction
 
 
 class MalformedSequenceError(ValueError):
@@ -139,10 +141,12 @@ class StabilityReport(NamedTuple):
 
     @property
     def total_slope(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(sum(self.roots), len(self.roots))
 
     @property
     def tail_slopes(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         r = self.roots
         n = len(r)
         return tuple(Fraction(sum(r[k - 1 :]), n - k + 1) for k in range(2, n + 1))
@@ -260,7 +264,7 @@ def enumerate_chains(
 
     def generate() -> Iterator[RootSequence]:
         for n in range(n_min, n_max + 1):
-            for roots, _ in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
+            for roots, _, _ in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
                 yield RootSequence(roots)
 
     return generate()
@@ -273,11 +277,14 @@ def extend_chain(
     bound: int,
     *,
     stable_only: bool = False,
+    three_term: bool = False,
     counts: dict[int, int] | None = None,
-) -> Iterator[tuple[tuple[int, ...], bool]]:
-    """Yield (roots, stable) for every length-n root tuple that extends
-    prefix by the given steps and keeps |r_j| <= bound from the prefix's
-    last root on; stable is tail_slopes(roots).is_stable.
+) -> Iterator[tuple[tuple[int, ...], bool, tuple[int, ...] | None]]:
+    """Yield (roots, stable, violated) for every length-n root tuple that
+    extends prefix by the given steps and keeps |r_j| <= bound from the
+    prefix's last root on; stable is tail_slopes(roots).is_stable.  With
+    three_term, violated holds the heights of three_term_holds's
+    violations, ascending; without it, violated is None.
 
     The steps must ascend, as enumeration_steps gives them; the order is
     then lexicographic.  A prefix longer than n, or whose last root
@@ -304,6 +311,13 @@ def extend_chain(
     the dict counts if one is passed (it is cleared first): a push adds one
     at the new root, a pop takes it away, and a count of 0 is deleted.  At
     each yield counts equals multiplicities(RootSequence(roots)).counts.
+
+    The three-term verdict of a leaf comes from its parent's, found once
+    per parent.  Appending the root x raises m_x and nothing else, so:
+    height x can start to violate m_r <= m_{r-2} + m_{r+2}; heights x-2
+    and x+2 can only stop; every other height keeps the parent's verdict.
+    So a leaf tests x, and rechecks the parent's violating heights only
+    when x starts to violate or x-2 or x+2 is among them.
     """
     counts = {} if counts is None else counts
     counts.clear()
@@ -322,17 +336,26 @@ def extend_chain(
         if k + 1 == n:  # the last push: yield each leaf directly, with no generator per leaf
             most = (n * low_sum - 1) // low_len - total  # the largest stable last root
             top = min(bound, most) if stable_only else bound
+            get = counts.get
+            bad = _violating(counts, counts) if three_term else None  # the parent's violating heights
             for delta in steps:
                 nxt = last + delta
                 if nxt > top:  # the steps ascend, so every later root is above top too
                     break
                 if nxt >= -bound:
-                    counts[nxt] = counts.get(nxt, 0) + 1
-                    yield roots + (nxt,), nxt <= most
-                    if counts[nxt] == 1:
-                        del counts[nxt]
+                    m = get(nxt, 0)
+                    counts[nxt] = m + 1
+                    if bad is None:
+                        violated = None
+                    elif m < get(nxt - 2, 0) + get(nxt + 2, 0) or nxt in bad:  # x keeps its verdict
+                        violated = _violating(counts, bad) if nxt - 2 in bad or nxt + 2 in bad else bad
+                    else:  # x starts to violate
+                        violated = _violating(counts, (nxt, *bad)) if bad else (nxt,)
+                    yield roots + (nxt,), nxt <= most, violated
+                    if m:
+                        counts[nxt] = m
                     else:
-                        counts[nxt] -= 1
+                        del counts[nxt]
             return
         left = n - k - 1  # the steps after a child's
         for delta in steps:
@@ -355,19 +378,28 @@ def extend_chain(
     if len(prefix) < n:
         yield from walk(prefix, total, low_sum, low_len)
     elif stable or not stable_only:
-        yield prefix, stable
+        yield prefix, stable, _violating(counts, counts) if three_term else None
 
 
-def count_chains(prefix: tuple[int, ...], n: int, steps: tuple[int, ...], bound: int) -> int:
-    """Number of tuples extend_chain(prefix, n, steps, bound) yields, unpruned.
+def _violating(counts: Mapping[int, int], heights) -> tuple[int, ...]:
+    """The heights r among `heights` where m_r > m_{r-2} + m_{r+2}, ascending."""
+    get = counts.get
+    bad = [r for r in heights if counts[r] > get(r - 2, 0) + get(r + 2, 0)]
+    bad.sort()
+    return tuple(bad)
 
-    A dynamic program over (remaining length, height): walks of m more
-    steps from height h inside the box, summed over the steps.
+
+def count_chains(prefix: tuple[int, ...], n_max: int, steps: tuple[int, ...], bound: int) -> list[int]:
+    """[c_0, ..., c_{n_max}], where c_n is the number of tuples
+    extend_chain(prefix, n, steps, bound) yields, unpruned.
+
+    One dynamic program over (remaining length, height): after m passes
+    ways[h] counts the walks of m more steps from height h inside the box.
     """
-    if abs(prefix[-1]) > bound or len(prefix) > n:
-        return 0
-    heights = range(-bound, bound + 1)
-    ways = dict.fromkeys(heights, 1)
-    for _ in range(n - len(prefix)):
-        ways = {h: sum(ways.get(h + delta, 0) for delta in steps) for h in heights}
-    return ways[prefix[-1]]
+    out = [0] * (n_max + 1)
+    if abs(prefix[-1]) <= bound:
+        ways = dict.fromkeys(range(-bound, bound + 1), 1)
+        for n in range(len(prefix), n_max + 1):
+            out[n] = ways[prefix[-1]]
+            ways = {h: sum(ways.get(h + delta, 0) for delta in steps) for h in ways}
+    return out

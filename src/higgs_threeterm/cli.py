@@ -10,15 +10,17 @@ schemas/cli-reports.schema.json.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 from collections.abc import Iterable
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import serialize, sweep
 from .chain import RootSequence, enumerate_chains
 from .pairing import PairingFailure, build_matching, certified_heights, verify_certificate
+
+if TYPE_CHECKING:  # annotations only: a sweep never loads fractions
+    from fractions import Fraction
 
 
 class UsageError(Exception):
@@ -68,6 +70,8 @@ def _refuse(what: str, args, names) -> None:
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    import csv  # only a CSV report loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -26,7 +26,6 @@ whenever indent is set, item by item.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .chain import (
@@ -41,15 +40,19 @@ from .chain import (
 )
 
 if TYPE_CHECKING:  # annotations only: filtered loads just for its own subcommands
+    from fractions import Fraction  # imported where used: a sweep never loads it
+
     from .filtered import ResidueBlock, SideResidue
     from .pairing import MatchingCertificate
 
 
 def format_rational(q: Fraction) -> str:
+    from fractions import Fraction
     return str(Fraction(q))
 
 
 def parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
     return Fraction(text.strip())
 
 
@@ -170,20 +173,21 @@ def int_list_items(lists, depth: int) -> str:
 def three_term_items(chains, depth: int) -> str:
     """write_items(records, depth) for the records {"roots": list(roots),
     "kind": "three-term", "detail": v._asdict()} of each v of each
-    (roots, violations) in chains, written into one template, no dict built.
-    The template writes the detail in ThreeTermViolation's field order, also
-    `_asdict`'s key order: `% v` fills it right only while the two agree."""
+    (roots, violations) in chains, no dict built; a v is a 4-tuple in
+    ThreeTermViolation's field order, also `_asdict`'s key order.  A
+    chain's text up to the detail is written once for all its records."""
     separator, inner, outer = _layout(depth + 1)  # the record
     item_separator, item_inner, item_outer = _layout(depth + 2)  # its roots and detail
-    detail = item_separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
     head = "{" + inner + '"roots": [' + item_inner
-    tail = f'{item_outer}]{separator}"kind": "three-term"{separator}"detail": {{{item_inner}'
-    tail += f"{detail}{item_outer}}}{outer}}}"
-    records = []
+    opener = f'{item_outer}]{separator}"kind": "three-term"{separator}"detail": {{{item_inner}'
+    detail = item_separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
+    closer, between = f"{item_outer}}}{outer}}}", _layout(depth)[0]
+    parts = []
     for roots, violations in chains:
-        record = head + item_separator.join(map(str, roots)) + tail  # ints: no "%" to escape
-        records += [record % v for v in violations]
-    return _layout(depth)[0].join(records)
+        front = head + item_separator.join(map(str, roots)) + opener  # ints: nothing to escape
+        for v in violations:
+            parts += (between, front, detail % v, closer)
+    return "".join(parts[1:])  # less the first separator
 
 
 def join_items(pieces, depth: int) -> Written:

@@ -21,7 +21,7 @@ integer inequality its branch-and-bound cut applies.  Theorem mode walks
 only prefixes that can still be stable and is handed exactly the stable
 chains; necessity mode needs every unstable chain and walks the whole
 partition.  `generated` is counted, not walked, by chain.count_chains,
-once per length.  Every chain is admissible by its step set (so
+in one pass for every length.  Every chain is admissible by its step set (so
 `admissible` equals `generated`) and stable by the walk's verdict, so one
 pass over a stable chain builds every height's certificate without
 re-checking either hypothesis, and each is verified on its own, once per
@@ -31,20 +31,22 @@ forked, never more than the partitions.
 Each partition writes its own violation records as JSON text, exactly as
 serialize.dumps writes them inside the report: theorem records by
 serialize.write_items, necessity records by serialize.three_term_items,
-which writes each violation into one fixed template and builds no dict.
+which writes each chain's roots once and builds no dict.
 So the writing runs in the pool workers, only text crosses the pipes, and
 the parent joins the texts in canonical order (serialize.join_items).
 `written_report` is the report the command line writes, and its
 `timing_seconds` includes the writing; `run_sweep` reads the records
 back as dicts.  A CSV report prints only the counts, so for it the
-partitions count their records and write none, and `pass` comes from the
-counts.
+partitions add up the walk's violation counts, keep and write no record,
+and `pass` comes from the counts.
 
 The walk hands each chain over as a plain tuple with its stability and
 carries its multiplicities {r: m_r}, one push or pop at a time, so a leaf
-builds no per-chain object: three_term_holds reads the carried counts,
-and a RootSequence is built only for a stable chain that goes to
-pairing.  Records are ordered per chain: chains arrive in (length,
+builds no per-chain object.  In necessity mode it also hands over the
+heights where m_r > m_{r-2} + m_{r+2}, decided from the parent's, so
+no three_term_holds runs there: the counts are read off the carried
+multiplicities.  A RootSequence is built only for a stable chain that
+goes to pairing.  Records are ordered per chain: chains arrive in (length,
 roots) order, so sorting each chain's records by (kind, detail as JSON
 with sorted keys) orders the whole report without a global sort.  A
 necessity chain's violations sort by that key's text less the prefix
@@ -65,7 +67,7 @@ from .chain import (
     enumeration_steps,
     extend_chain,
     tail_slopes,  # not called; perfbench/run.py's traced run fails unless sweep.tail_slopes exists
-    three_term_holds,
+    three_term_holds,  # theorem mode's counting route; necessity mode takes the walk's verdict
 )
 from .pairing import _certify, verify_certificate
 
@@ -144,9 +146,9 @@ def _in_report_order(records: list[dict]) -> list[dict]:
 
 
 def _three_term_order(v) -> str:
-    """_in_report_order's key for a three-term record, less the kind and
-    '{"above": ' that all share."""
-    return f'{v.above}, "below": {v.below}, "count": {v.count}, "height": {v.height}}}'
+    """_in_report_order's key for a three-term record (height, count,
+    below, above), less the kind and '{"above": ' that all share."""
+    return f'{v[3]}, "below": {v[2]}, "count": {v[1]}, "height": {v[0]}}}'
 
 
 def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int, str | int]:
@@ -156,32 +158,37 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
     the report's violation list at _VIOLATIONS_DEPTH: theorem records as
     dicts, necessity records from a template with no dict built.  When the
     task's last field is false nobody reads them, and records is their
-    number instead.  The walk hands over plain root tuples with their
-    stability and carries their multiplicities; a RootSequence is built
-    only for a stable chain that goes to pairing.
+    number instead, and a necessity partition keeps nothing.  The walk
+    hands over plain root tuples with their stability (and, in necessity
+    mode, their three-term verdict) and carries their multiplicities; a
+    RootSequence is built only for a stable chain that goes to pairing.
     """
     n, first_step, max_rise, bound, mode, write = args
     theorem = mode == MODE_THEOREM
-    stable = certificates = 0
+    stable = certificates = counted = 0
     violations: list[dict] = []  # theorem mode
     witnesses: list[tuple] = []  # necessity mode: (roots, violations in report order)
     counts: dict[int, int] = {}
+    get = counts.get
     steps = enumeration_steps(max_rise)
-    for roots, is_stable in extend_chain((0, first_step), n, steps, bound, stable_only=theorem, counts=counts):
+    walk = extend_chain((0, first_step), n, steps, bound, stable_only=theorem, three_term=not theorem, counts=counts)
+    for roots, is_stable, violated in walk:
         if is_stable:
             stable += 1
             if theorem:
                 found, n_heights = _check_stable_chain(RootSequence(roots), counts)
                 violations += _in_report_order(found)
                 certificates += n_heights
-        elif not theorem:
-            _, found = three_term_holds(counts)
-            if found:
-                if len(found) > 1:
-                    found.sort(key=_three_term_order)
-                witnesses.append((roots, found))
+        elif violated:  # necessity mode: only there does the walk yield unstable chains
+            if write:
+                records = [(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated]
+                if len(records) > 1:
+                    records.sort(key=_three_term_order)
+                witnesses.append((roots, records))
+            else:
+                counted += len(violated)
     if not write:
-        return stable, certificates, len(violations) + sum(len(found) for _, found in witnesses)
+        return stable, certificates, len(violations) + counted
     if theorem:
         return stable, certificates, serialize.write_items(violations, _VIOLATIONS_DEPTH)
     return stable, certificates, serialize.three_term_items(witnesses, _VIOLATIONS_DEPTH)
@@ -294,10 +301,8 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     else:
         results = _run_pooled(tasks, workers)
 
-    per_n: dict[str, dict] = {}
-    for n in lengths:
-        generated = count_chains((0,), n, steps, params.root_bound)
-        per_n[str(n)] = {"generated": generated, "admissible": generated, "stable": 0}
+    generated = count_chains((0,), params.n_max, steps, params.root_bound)
+    per_n = {str(n): {"generated": generated[n], "admissible": generated[n], "stable": 0} for n in lengths}
     certificates = 0
     for (n, *_), (stable, n_certificates, _) in zip(tasks, results):
         per_n[str(n)]["stable"] += stable

@@ -331,8 +331,8 @@ def is_stable(roots: tuple[int, ...]) -> bool:
 def test_stable_only_walk_keeps_every_stable_chain_in_order(max_rise, bound):
     steps = enumeration_steps(max_rise)
     for n, prefix in itertools.product(range(2, 9), box_prefixes(max_rise)):
-        full = [roots for roots, _ in extend_chain(prefix, n, steps, bound)]
-        pruned = [roots for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
+        full = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound)]
+        pruned = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
         assert [r for r in pruned if is_stable(r)] == [r for r in full if is_stable(r)]
         remaining = iter(full)
         assert all(roots in remaining for roots in pruned)  # a subsequence of the full walk
@@ -344,18 +344,19 @@ def test_count_chains_matches_the_walk(max_rise, bound):
     steps = enumeration_steps(max_rise)
     for n, prefix in itertools.product(range(2, 8), box_prefixes(max_rise)):
         walked = len(list(extend_chain(prefix, n, steps, bound)))
-        assert count_chains(prefix, n, steps, bound) == walked
+        assert count_chains(prefix, n, steps, bound)[n] == walked
         if abs(prefix[-1]) > bound:
             assert walked == 0
 
 
 def test_count_chains_edge_cases():
     steps = enumeration_steps(4)
-    assert count_chains((0, -2), 5, steps, 1) == 0
-    assert count_chains((0, 4), 5, steps, 3) == 0
-    assert count_chains((0,), 1, steps, 0) == 1
+    assert count_chains((0, -2), 5, steps, 1) == [0] * 6
+    assert count_chains((0, 4), 5, steps, 3) == [0] * 6
+    assert count_chains((0,), 1, steps, 0) == [0, 1]
+    assert count_chains((0,), 3, steps, 0) == [0, 1, 0, 0]
     # a prefix longer than n has no extension of length n
-    assert count_chains((0, 2, 4), 2, steps, 4) == 0
+    assert count_chains((0, 2, 4), 2, steps, 4) == [0, 0, 0]
     assert list(extend_chain((0, 2, 4), 2, steps, 4)) == []
     assert list(extend_chain((0, 2, 4), 2, steps, 4, stable_only=True)) == []
 
@@ -366,7 +367,7 @@ def walk_with_counts(prefix, n, steps, bound, stable_only):
     counts = {99: 1}  # stale entries must be cleared
     return [
         (roots, dict(counts), multiplicities(RootSequence(roots)).counts)
-        for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only, counts=counts)
+        for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only, counts=counts)
     ]
 
 
@@ -378,7 +379,7 @@ def test_walk_carries_the_multiplicities_of_every_leaf(max_rise, bound, stable_o
     for n, prefix in itertools.product(range(1, 8), box_prefixes(max_rise)):
         leaves = walk_with_counts(prefix, n, steps, bound, stable_only)
         assert [roots for roots, _, _ in leaves] == [
-            roots for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only)
+            roots for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only)
         ]
         for roots, carried, expected in leaves:
             assert carried == expected, roots
@@ -438,8 +439,8 @@ def test_last_step_cut_skips_only_unstable_leaves(data):
         inside = [prefix[-1] + d for d in steps if abs(prefix[-1] + d) <= bound]
         assume(inside)
         prefix += (data.draw(st.sampled_from(inside)),)
-    leaves = [roots for roots, _ in extend_chain(prefix, n, steps, bound)]
-    kept = [roots for roots, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
+    leaves = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound)]
+    kept = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
     for roots in leaves:
         if (n - 1) * roots[-1] >= sum(prefix):
             assert roots not in kept
@@ -490,11 +491,11 @@ def entry_cut_walk(prefix, n, steps, bound):
 
 def assert_walk_decides_stability(prefix, n, steps, bound):
     full = list(extend_chain(prefix, n, steps, bound))
-    for roots, stable in full:
+    for roots, stable, _ in full:
         assert stable == tail_slopes(roots).is_stable, roots
     kept = list(extend_chain(prefix, n, steps, bound, stable_only=True))
-    assert kept == [(roots, stable) for roots, stable in full if stable]
-    assert [roots for roots, _ in kept] == [r for r in entry_cut_walk(prefix, n, steps, bound) if is_stable(r)]
+    assert kept == [leaf for leaf in full if leaf[1]]
+    assert [roots for roots, _, _ in kept] == [r for r in entry_cut_walk(prefix, n, steps, bound) if is_stable(r)]
     return full
 
 
@@ -506,10 +507,53 @@ def test_walk_decides_stability_exhaustively(max_rise, bound):
     steps = enumeration_steps(max_rise)
     verdicts = set()
     for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise)):
-        verdicts |= {stable for _, stable in assert_walk_decides_stability(prefix, n, steps, bound)}
+        verdicts |= {stable for _, stable, _ in assert_walk_decides_stability(prefix, n, steps, bound)}
     assert verdicts == ({True} if bound < 2 else {True, False})
 
 
 @given(root_lists, st.integers(0, 4), st.sampled_from([2, 4, 6, 8]), st.integers(0, 12))
 def test_walk_decides_stability_from_any_prefix(prefix, extra, max_rise, bound):
     assert_walk_decides_stability(prefix, len(prefix) + extra, enumeration_steps(max_rise), bound)
+
+
+# --- the walk's own three-term verdict ------------------------------------------
+
+
+def assert_walk_decides_three_term(prefix, n, steps, bound, stable_only):
+    """At every yield the walk's violated heights are those of
+    three_term_holds on the leaf's multiplicities.  Returns what became of
+    the parent's violations at the leaves past the prefix: each one that
+    "stops" or "keeps"."""
+    fates = set()
+    walk = list(extend_chain(prefix, n, steps, bound, stable_only=stable_only, three_term=True))
+    # the verdict is asked for: the same tuples, and None without it
+    unasked = list(extend_chain(prefix, n, steps, bound, stable_only=stable_only))
+    assert unasked == [(roots, stable, None) for roots, stable, _ in walk]
+    for roots, _, violated in walk:
+        _, expected = three_term_holds(multiplicities(RootSequence(roots)).counts)
+        assert type(violated) is tuple
+        assert violated == tuple(v.height for v in expected), roots
+        if len(roots) > len(prefix):
+            _, before = three_term_holds(multiplicities(RootSequence(roots[:-1])).counts)
+            fates |= {"keeps" if v.height in violated else "stops" for v in before}
+    return fates
+
+
+@pytest.mark.parametrize("max_rise", [2, 4, 6])
+@pytest.mark.parametrize("bound", range(10))
+@pytest.mark.parametrize("stable_only", [False, True])
+def test_walk_decides_three_term_exhaustively(max_rise, bound, stable_only):
+    # n 1-8 from every box prefix: a prefix of length n takes its verdict
+    # from a full scan, a leaf from its parent's violating heights
+    steps = enumeration_steps(max_rise)
+    fates = set()
+    for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise)):
+        fates |= assert_walk_decides_three_term(prefix, n, steps, bound, stable_only)
+    if bound >= 4 and max_rise >= 4 and not stable_only:
+        assert fates == {"stops", "keeps"}
+
+
+@given(root_lists, st.integers(0, 4), st.sampled_from([2, 4, 6, 8]), st.integers(0, 12), st.booleans())
+def test_walk_decides_three_term_from_any_prefix(prefix, extra, max_rise, bound, stable_only):
+    # random prefixes start the walk with violations of their own
+    assert_walk_decides_three_term(prefix, len(prefix) + extra, enumeration_steps(max_rise), bound, stable_only)

@@ -626,7 +626,8 @@ def test_numpy_is_loaded_only_for_verify_metric():
 
 
 ON_DEMAND_MODULES = (
-    "concurrent.futures", "dataclasses", "higgs_threeterm.filtered", "multiprocessing", "numpy"
+    "concurrent.futures", "csv", "dataclasses", "decimal", "fractions", "higgs_threeterm.filtered",
+    "multiprocessing", "numpy",
 )
 IMPORT_PROBE = f"""
 import json, os, sys

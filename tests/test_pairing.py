@@ -290,7 +290,7 @@ DIFFERENTIAL_BOX = sorted(
         for rise in (2, 4, 6, 10)
         for bound in (5, 7, 9)
         for n in range(1, 9)
-        for roots, _ in extend_chain((0,), n, enumeration_steps(rise), bound)
+        for roots, _, _ in extend_chain((0,), n, enumeration_steps(rise), bound)
     }
 )
 STABLE_BOX = [roots for roots in DIFFERENTIAL_BOX if tail_slopes(roots).is_stable]

@@ -137,7 +137,8 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
     st.lists(
         st.tuples(
             st.lists(st.integers(), min_size=1, max_size=6).map(tuple),
-            st.lists(st.builds(ThreeTermViolation, *[st.integers()] * 4), max_size=4),
+            # the sweep passes plain 4-tuples in the named tuple's field order
+            st.lists(st.tuples(*[st.integers()] * 4) | st.builds(ThreeTermViolation, *[st.integers()] * 4), max_size=4),
         ),
         max_size=4,
     ),
@@ -145,7 +146,7 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
 )
 def test_three_term_items_match_write_items_of_the_records(chains, depth):
     records = [
-        {"roots": list(roots), "kind": "three-term", "detail": v._asdict()}
+        {"roots": list(roots), "kind": "three-term", "detail": ThreeTermViolation(*v)._asdict()}
         for roots, violations in chains
         for v in violations
     ]

@@ -69,7 +69,7 @@ def test_partitions_cover_enumeration_exactly(root_bound):
     steps = enumeration_steps(6)
     for n in (2, 3, 4):
         partitioned = [
-            roots for first in steps for roots, _ in extend_chain((0, first), n, steps, root_bound)
+            roots for first in steps for roots, _, _ in extend_chain((0, first), n, steps, root_bound)
         ]
         direct = [
             seq.roots for seq in enumerate_chains(n, n, 6, root_bound, require_stable=False)
@@ -79,8 +79,9 @@ def test_partitions_cover_enumeration_exactly(root_bound):
 
 
 def count_calls(monkeypatch) -> dict:
-    """Record every (roots, stable) the sweep's walk yields and count every
-    RootSequence built anywhere; the sweep must not call tail_slopes."""
+    """Record every (roots, stable, violated) the sweep's walk yields and
+    count every RootSequence built anywhere; the sweep must not call
+    tail_slopes."""
     calls = {"yields": [], "RootSequence": 0}
     original_walk, original_init = sweep.extend_chain, RootSequence.__init__
 
@@ -109,17 +110,34 @@ def test_theorem_walk_yields_only_the_stable_chains(monkeypatch):
     assert report["totals"]["generated"] == 67739
     assert report["totals"]["stable"] == 104
     assert len(calls["yields"]) == 104
-    assert all(stable and tail_slopes(roots).is_stable for roots, stable in calls["yields"])
+    assert all(stable and tail_slopes(roots).is_stable for roots, stable, _ in calls["yields"])
 
 
 def test_necessity_walk_yields_each_chain_once_and_builds_no_root_sequence(monkeypatch):
     calls = count_calls(monkeypatch)
     report = run_sweep(SweepParams(2, 7, 6, 3, MODE_NECESSITY))
     assert report["violations"]
-    yielded = [roots for roots, _ in calls["yields"]]
+    yielded = [roots for roots, _, _ in calls["yields"]]
     assert len(yielded) == len(set(yielded)) == report["totals"]["generated"]
-    assert sum(stable for _, stable in calls["yields"]) == report["totals"]["stable"]
+    assert sum(stable for _, stable, _ in calls["yields"]) == report["totals"]["stable"]
     assert calls["RootSequence"] == 0
+    # one record per violated height of each unstable chain, as the walk decided it
+    witnessed = [(roots, violated) for roots, stable, violated in calls["yields"] if not stable and violated]
+    assert [(list(roots), len(violated)) for roots, violated in witnessed] == [
+        (roots, len(list(records))) for roots, records in itertools.groupby(r["roots"] for r in report["violations"])
+    ]
+
+
+@pytest.mark.parametrize("write", [True, False])
+def test_necessity_sweep_calls_no_three_term_holds(monkeypatch, write):
+    # the walk decides each chain's violations; JSON and the CSV count path alike
+    def refused(counts):
+        raise AssertionError("the walk decides the three-term verdict; necessity calls no three_term_holds")
+
+    monkeypatch.setattr(sweep, "three_term_holds", refused)
+    report = sweep.written_report(SweepParams(2, 9, 10, 10, MODE_NECESSITY), records=write)
+    assert report["pass"]
+    assert report["totals"]["generated"] == 18848
 
 
 def test_theorem_walk_builds_a_root_sequence_only_for_stable_chains(monkeypatch):
@@ -139,7 +157,7 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
     """One partition's (stable, violations), rebuilt per chain from a RootSequence
     and sorted by the old global key."""
     stable, records = 0, []
-    for roots, _ in extend_chain((0, first_step), n, enumeration_steps(max_rise), bound):
+    for roots, _, _ in extend_chain((0, first_step), n, enumeration_steps(max_rise), bound):
         seq = RootSequence(roots)
         if tail_slopes(seq.roots).is_stable:
             stable += 1
