@@ -4,7 +4,8 @@ Subcommands: enumerate, check, pair, translate, rank1, filtered-degree,
 verify-metric, sweep.  Output is JSON by default or CSV with --format csv,
 written to stdout or to --out.  Exit codes: 0 pass, 1 violation or failed
 check, 2 usage error or a sweep worker that died.  Reports conform to
-schemas/cli-reports.schema.json.
+schemas/cli-reports.schema.json.  Each subcommand imports only the modules
+it runs: verify-metric loads no chain, pairing or sweep.
 """
 
 from __future__ import annotations
@@ -15,23 +16,25 @@ import sys
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-from . import serialize, sweep
-from .chain import RootSequence, enumerate_chains
-from .pairing import PairingFailure, build_matching, certified_heights, verify_certificate
+from . import serialize
 
 if TYPE_CHECKING:  # annotations only: a sweep never loads fractions
     from fractions import Fraction
 
+    from .chain import RootSequence
+
 
 class UsageError(Exception):
-    """Bad input that argparse could not catch itself.
+    """Bad input that argparse could not catch itself, or a sweep worker
+    that died (`_cmd_sweep` raises it for sweep.WorkerDied, unknown to main).
 
-    `main` reports it, and any ValueError, OSError or sweep.WorkerDied, as
-    exit 2.
+    `main` reports it, and any ValueError or OSError, as exit 2.
     """
 
 
 def _parse_roots(text: str) -> RootSequence:
+    from .chain import RootSequence  # check and pair use it; verify-metric never loads chain
+
     try:
         roots = tuple(int(part) for part in text.replace(" ", "").split(",") if part != "")
     except ValueError as exc:
@@ -128,6 +131,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .chain import enumerate_chains
+
     chains = [
         seq.roots
         for seq in enumerate_chains(
@@ -153,11 +158,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .pairing import PairingFailure, build_matching, certified_heights, verify_certificate
+
     seq = _parse_roots(args.roots)
-    if args.all_heights:
-        certs = list(certified_heights(seq).values())
-    else:
-        certs = [build_matching(seq, args.height)]
+    try:
+        if args.all_heights:
+            certs = list(certified_heights(seq).values())
+        else:
+            certs = [build_matching(seq, args.height)]
+    except PairingFailure as exc:  # the construction is refuted: report the counterexample
+        print(serialize.dumps({"counterexample": exc.report()}), file=sys.stderr)
+        return 1
 
     failures = []
     for cert in certs:
@@ -310,9 +321,13 @@ def _cmd_verify_metric(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import sweep
+
     params = sweep.SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    # a CSV report prints only the counts, so the sweep writes no records for it
-    report = sweep.written_report(params, workers=args.workers, records=args.format == "json")
+    try:  # a CSV report prints only the counts, so the sweep writes no records for it
+        report = sweep.written_report(params, workers=args.workers, records=args.format == "json")
+    except sweep.WorkerDied as exc:
+        raise UsageError(exc) from None
     rows = [
         [n, bucket["generated"], bucket["admissible"], bucket["stable"]]
         for n, bucket in report["per_n"].items()
@@ -393,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--max-rise", type=int, default=12)
     p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--mode", choices=(sweep.MODE_THEOREM, sweep.MODE_NECESSITY), default=sweep.MODE_THEOREM)
+    p.add_argument("--mode", choices=("theorem", "necessity"), default="theorem")
     p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     p.set_defaults(handler=_cmd_sweep)
 
@@ -405,12 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OSError, sweep.WorkerDied) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PairingFailure as exc:
-        print(serialize.dumps({"counterexample": exc.report()}), file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -28,20 +28,10 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .chain import (
-    MultiplicityProfile,
-    RootSequence,
-    StabilityReport,
-    ThreeTermViolation,
-    is_admissible,
-    multiplicities,
-    tail_slopes,
-    three_term_holds,
-)
-
-if TYPE_CHECKING:  # annotations only: filtered loads just for its own subcommands
+if TYPE_CHECKING:  # annotations only: each module loads just for the subcommands that run it
     from fractions import Fraction  # imported where used: a sweep never loads it
 
+    from .chain import MultiplicityProfile, RootSequence, StabilityReport
     from .filtered import ResidueBlock, SideResidue
     from .pairing import MatchingCertificate
 
@@ -75,6 +65,8 @@ def stability_json(report: StabilityReport) -> dict:
 
 def check_report(seq: RootSequence) -> dict:
     """The full informational report for one chain."""
+    from .chain import is_admissible, multiplicities, tail_slopes, three_term_holds
+
     admissible, _ = is_admissible(seq)
     profile = multiplicities(seq)
     holds, violations = three_term_holds(profile.counts)
@@ -176,6 +168,8 @@ def three_term_items(chains, depth: int) -> str:
     (roots, violations) in chains, no dict built; a v is a 4-tuple in
     ThreeTermViolation's field order, also `_asdict`'s key order.  A
     chain's text up to the detail is written once for all its records."""
+    from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
+
     separator, inner, outer = _layout(depth + 1)  # the record
     item_separator, item_inner, item_outer = _layout(depth + 2)  # its roots and detail
     head = "{" + inner + '"roots": [' + item_inner

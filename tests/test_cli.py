@@ -167,6 +167,21 @@ def test_pair_takes_height_or_all_heights_not_both(capsys):
     assert "argument --all-heights: not allowed with argument --height" in err
 
 
+def test_pair_refuted_by_the_singleton_exits_one_with_its_counterexample(capsys):
+    # n = 1 is outside the theorem: its lone vertex has no neighbor to pair with
+    for which in (["--all-heights"], ["--height", "0"]):
+        code, out, err = run_cli(capsys, "pair", "--roots", "0", *which)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "counterexample": {
+                "roots": [0],
+                "height": 0,
+                "source": 1,
+                "reason": "no trailing drop and no r+2 vertex before the leftmost source",
+            }
+        }
+
+
 # --- translate ---------------------------------------------------------------------
 
 
@@ -629,20 +644,37 @@ ON_DEMAND_MODULES = (
     "concurrent.futures", "csv", "dataclasses", "decimal", "fractions", "higgs_threeterm.filtered",
     "multiprocessing", "numpy",
 )
-IMPORT_PROBE = f"""
+SWEEP_MODULES = ("higgs_threeterm.chain", "higgs_threeterm.pairing", "higgs_threeterm.sweep")
+# runs the commands of argv[1] in turn in one process; after each, prints which of argv[2] are loaded
+IMPORT_PROBE = """
 import json, os, sys
 import higgs_threeterm.cli as cli
-for workers in ("1", "2"):
-    cli.main(["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--workers", workers, "--out", os.devnull])
-    print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
-cli.main(["rank1", "--a", "3", "--b", "5/4", "--out", os.devnull])
-print(json.dumps([name for name in {ON_DEMAND_MODULES!r} if name in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    cli.main(argv + ["--out", os.devnull])
+    print(json.dumps([name for name in json.loads(sys.argv[2]) if name in sys.modules]))
 """
 
 
-def test_sweep_loads_no_dataclasses_filtered_numpy_or_pool():
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60)
+def loaded_after_each(*commands) -> list[set[str]]:
+    """Which of ON_DEMAND_MODULES and SWEEP_MODULES one fresh process has
+    loaded after each command, run in turn through cli.main."""
+    names = json.dumps(ON_DEMAND_MODULES + SWEEP_MODULES)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands), names],
+        capture_output=True, text=True, timeout=60,
+    )
     assert proc.returncode == 0, proc.stderr
-    after_sweep, after_pooled_sweep, after_rank1 = map(json.loads, proc.stdout.splitlines())
-    assert after_sweep == after_pooled_sweep == []
+    return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs():
+    sweep = ["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--workers"]
+    rank1 = ["rank1", "--a", "3", "--b", "5/4"]
+    after_sweep, after_pooled_sweep, after_rank1 = loaded_after_each(sweep + ["1"], sweep + ["2"], rank1)
+    assert after_sweep == after_pooled_sweep == set(SWEEP_MODULES)
     assert "higgs_threeterm.filtered" in after_rank1
+
+    # verify-metric and rank1 run no chain, so they load none of the sweep's modules
+    after_rank1, after_verify_metric = loaded_after_each(rank1, ["verify-metric", "--grid", "2"])
+    assert "higgs_threeterm.filtered" in after_rank1 and "numpy" in after_verify_metric
+    assert not (after_rank1 | after_verify_metric) & set(SWEEP_MODULES)

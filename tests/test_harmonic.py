@@ -226,6 +226,36 @@ def test_harmonic_residual_warns_below_nested_window():
         harmonic_residual(1j, FiniteDiffScheme(5e-5))
 
 
+def composed_harmonic_residual(z: np.ndarray, scheme: FiniteDiffScheme) -> np.ndarray:
+    """The residual as separate operators compose it: d of the nested
+    dbar log K, then dbar log K and d log K at z, each with its own
+    Wirtinger pair and its own inverse of K."""
+
+    def dbar_log(w: np.ndarray) -> np.ndarray:
+        return log_derivative("dbar", w, scheme)
+
+    outer_d, _ = wirtinger(dbar_log, z, scheme)
+    a = dbar_log(z)
+    b = log_derivative("d", z, scheme)
+    return np.abs(outer_d - 0.5 * (a @ b - b @ a)).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("count", [1, 20, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+def test_harmonic_residual_equals_the_composed_operators_bit_for_bit(count, seed, h):
+    z = np.array([pt.tau for pt in sample_grid(count=count, seed=seed)])
+    scheme = FiniteDiffScheme(h)
+    assert harmonic_residual(z, scheme).tobytes() == composed_harmonic_residual(z, scheme).tobytes()
+
+
+def test_harmonic_residual_at_one_point_equals_the_composed_operators():
+    scheme = FiniteDiffScheme(1e-3)
+    residual = harmonic_residual(UpperHalfPoint(0.3, 1.2), scheme)
+    assert type(residual) is float
+    assert residual == composed_harmonic_residual(np.array([0.3 + 1.2j]), scheme).item()
+
+
 # --- Higgs forms and the rescaling family ---------------------------------------------
 
 
@@ -316,6 +346,27 @@ def test_verification_report_single_check():
 def test_verification_report_tolerance_override_can_fail():
     report = verification_report(count=5, seed=0, only="harmonic_equation", tolerance=1e-30)
     assert not report["pass"]
+
+
+@pytest.mark.parametrize("h_nested", [1e-3, 1e-2, 5e-4])  # the small step's, the big step's, neither's
+def test_each_battery_row_equals_its_check_run_alone(h_nested):
+    grid = sample_grid(count=1000, seed=7)
+    report = verification_report(grid=grid, seed=7, h_nested=h_nested)
+    assert [row["check_name"] for row in report["checks"]] == list(TOLERANCES)
+    for row in report["checks"]:
+        alone = verification_report(grid=grid, seed=7, h_nested=h_nested, only=row["check_name"])
+        assert alone["checks"] == [row]
+
+
+def test_reports_in_one_process_carry_nothing_over():
+    # a residual kept between reports would hand a report another grid's or another step's
+    first = verification_report(count=50, seed=7)
+    for seed, h_nested in ((11, 1e-3), (7, 1e-2), (11, 1e-2), (7, 1e-3)):
+        z = np.array([pt.tau for pt in sample_grid(count=50, seed=seed)])
+        report = verification_report(count=50, seed=seed, h_nested=h_nested)
+        row = next(row for row in report["checks"] if row["check_name"] == "harmonic_equation")
+        assert row["max_residual"] == harmonic_residual(z, FiniteDiffScheme(h_nested)).max()
+    assert verification_report(count=50, seed=7) == first
 
 
 def test_verification_report_unknown_check():
