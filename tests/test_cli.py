@@ -1,6 +1,7 @@
 """CLI end to end: subcommands, exit codes, formats, schema conformance."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -180,6 +181,32 @@ def test_pair_refuted_by_the_singleton_exits_one_with_its_counterexample(capsys)
                 "reason": "no trailing drop and no r+2 vertex before the leftmost source",
             }
         }
+
+
+# --- pinned bytes ------------------------------------------------------------------
+
+_PIN_BOX = ("--n-max", "6", "--max-rise", "6", "--bound", "9")
+
+# sha256 of stdout for each (argv, format); every one exits 0 with nothing on stderr
+PINNED_OUTPUTS = {
+    (("enumerate", *_PIN_BOX), "json"): "dff1a82f4ab199c554f2f77ac02f4ca07b3e553e15d81b6a31706d07cfbe2300",
+    (("enumerate", *_PIN_BOX), "csv"): "b08db6c6fb2ea1a551f43c95211519a42c31c8ce248555d3db6bf1e3d348e979",
+    (("enumerate", *_PIN_BOX, "--all"), "json"): "658a6f550475cb2f64fcfd1529a46b9c883899e2e0919eb96b629c28a234295b",
+    (("enumerate", *_PIN_BOX, "--all"), "csv"): "c9b02612e6b1a3d569950af58045648a0b70b579f7c9f6f201ade6037647ebee",
+    (("check", "--roots", "4,2,0,4,2,0,-2"), "json"): "59bb339e59f6c36f2c4f9b558efc896975131b22bbfd325b47640f3ca63df191",
+    (("check", "--roots", "4,2,0,4,2,0,-2"), "csv"): "71e44bd2e8bb6a01356cdc86c67518d6ad3d5745cd5b1e15ceea0e0af747b692",
+    (("pair", "--roots", "4,2,0,4,2,0,-2", "--all-heights"), "json"): "b3e54830e305dfe40e80419975329252aa9ee5cb1b94bee3ab268ed59b4f4167",
+    (("pair", "--roots", "4,2,0,4,2,0,-2", "--all-heights"), "csv"): "9616391971268dc6f0001498173ca4e433bbebdc79ef2dc0130e0092ee00b43a",
+    (("pair", "--roots", "2,0,-2", "--height", "0"), "json"): "986fcd154de431858d8cb8e0c71446a99df54b0b982570ad107748a54b7dcc5d",
+    (("pair", "--roots", "2,0,-2", "--height", "0"), "csv"): "e758ff57d45f8a3a4b976cc3113dc65efd98bc807ca9d8f3644563d834e20dcd",
+}
+
+
+@pytest.mark.parametrize(("argv", "fmt"), list(PINNED_OUTPUTS))
+def test_output_bytes_are_pinned(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv, fmt]
 
 
 # --- translate ---------------------------------------------------------------------
