@@ -49,15 +49,11 @@ class RootSequence:
         roots = tuple(roots)
         if not roots:
             raise MalformedSequenceError("root sequence must be nonempty")
-        for r in roots:
-            if type(r) is not int or r & 1:
-                # the slow path: name the first bad root; an int subclass other than bool passes
-                for r in roots:
-                    if not isinstance(r, int) or isinstance(r, bool):
-                        raise MalformedSequenceError(f"roots must be integers, got {r!r}")
-                    if r % 2 != 0:
-                        raise MalformedSequenceError(f"roots must all be even, got {r}")
-                break
+        for r in roots:  # an int subclass other than bool passes
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise MalformedSequenceError(f"roots must be integers, got {r!r}")
+            if r % 2 != 0:
+                raise MalformedSequenceError(f"roots must all be even, got {r}")
         object.__setattr__(self, "roots", roots)
 
     def __setattr__(self, name, value):
@@ -81,20 +77,10 @@ class RootSequence:
         return f"RootSequence(roots={self.roots!r})"
 
     @property
-    def n(self) -> int:
-        return len(self.roots)
-
-    @property
     def step_weights(self) -> tuple[int, ...]:
         """Weights w_j = r_{j+1} + 2 - r_j of the Higgs components, j = 1..n-1."""
         r = self.roots
         return tuple(r[j + 1] + 2 - r[j] for j in range(len(r) - 1))
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
 
 
 class MultiplicityProfile(NamedTuple):
@@ -107,10 +93,6 @@ class MultiplicityProfile(NamedTuple):
 
     def __getitem__(self, r: int) -> int:
         return self.counts.get(r, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def heights(self) -> list[int]:
         """Realized twists, descending."""
@@ -131,8 +113,8 @@ class StabilityReport(NamedTuple):
     k = i+2 (the canonical Higgs-invariant subobjects of a chain).  The
     chain is tail-stable when every tail slope is strictly below the total
     slope; an exact tie is reported as marginal, never as stable.  The
-    slopes are computed from the roots when read.  A named tuple: the sweep
-    builds one per walked chain.
+    slopes are computed from the roots when read.  A named tuple; the sweep
+    builds none, since its walk decides each chain's stability itself.
     """
 
     roots: tuple[int, ...]
@@ -247,9 +229,10 @@ def enumerate_chains(
     max_rise: int,
     root_bound: int,
     require_stable: bool = True,
-) -> Iterator[RootSequence]:
-    """Yield every chain with r_1 = 0, steps in {-2, 2, 4, ..., max_rise} and
-    |r_j| <= root_bound, optionally keeping only tail-stable ones.
+) -> Iterator[tuple[int, ...]]:
+    """Yield the root tuple of every chain with r_1 = 0, steps in
+    {-2, 2, 4, ..., max_rise} and |r_j| <= root_bound, optionally keeping
+    only tail-stable ones.
 
     The step set makes every generated chain admissible by construction.
     Output order is deterministic: ascending length, then lexicographic on
@@ -262,10 +245,10 @@ def enumerate_chains(
     check_box(n_min, n_max, max_rise, root_bound)
     steps = enumeration_steps(max_rise)
 
-    def generate() -> Iterator[RootSequence]:
+    def generate() -> Iterator[tuple[int, ...]]:
         for n in range(n_min, n_max + 1):
             for roots, _, _ in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
-                yield RootSequence(roots)
+                yield roots
 
     return generate()
 
@@ -310,7 +293,7 @@ def extend_chain(
     The walk carries the multiplicities {r: m_r} of the tuple it builds, in
     the dict counts if one is passed (it is cleared first): a push adds one
     at the new root, a pop takes it away, and a count of 0 is deleted.  At
-    each yield counts equals multiplicities(RootSequence(roots)).counts.
+    each yield counts equals Counter(roots).
 
     The three-term verdict of a leaf comes from its parent's, found once
     per parent.  Appending the root x raises m_x and nothing else, so:

@@ -36,7 +36,7 @@ def _parse_roots(text: str) -> RootSequence:
     from .chain import RootSequence  # check and pair use it; verify-metric never loads chain
 
     try:
-        roots = tuple(int(part) for part in text.replace(" ", "").split(",") if part != "")
+        roots = tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
         raise UsageError(f"could not parse --roots {text!r}: {exc}") from None
     return RootSequence(roots)
@@ -133,12 +133,9 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .chain import enumerate_chains
 
-    chains = [
-        seq.roots
-        for seq in enumerate_chains(
-            args.n_min, args.n_max, args.max_rise, args.bound, require_stable=not args.all
-        )
-    ]
+    chains = list(
+        enumerate_chains(args.n_min, args.n_max, args.max_rise, args.bound, require_stable=not args.all)
+    )
     report = {
         "parameters": {
             "n_min": args.n_min,
@@ -172,7 +169,7 @@ def _cmd_pair(args) -> int:
 
     failures = []
     for cert in certs:
-        ok, reasons = verify_certificate(seq, cert)
+        ok, reasons = verify_certificate(seq.roots, cert)
         if not ok:
             failures.append({"height": cert.height, "reasons": reasons})
     if args.all_heights:

@@ -76,10 +76,6 @@ class FilteredJumpData:
         if len(dims) != 1:
             raise ValueError(f"cusps disagree on total dimension: {sorted(dims)}")
 
-    @classmethod
-    def single_cusp(cls, side: Side, jumps) -> FilteredJumpData:
-        return cls(side, (tuple(jumps),))
-
     @property
     def dimension(self) -> int:
         return sum(d for _, d in self.cusps[0])

@@ -163,17 +163,15 @@ def _unless_failed(cert: MatchingCertificate, failure: PairingFailure | None) ->
     return cert
 
 
-def verify_certificate(
-    seq: RootSequence, cert: MatchingCertificate
-) -> tuple[bool, list[str]]:
-    """Re-validate a certificate from scratch.
+def verify_certificate(roots: tuple[int, ...], cert: MatchingCertificate) -> tuple[bool, list[str]]:
+    """Re-validate a certificate of the chain with these roots from scratch.
 
     Checks, independently of how the certificate was produced: the sources
     are exactly the height-r vertices, each exactly once; targets are
     pairwise distinct; every target is a real vertex at height r-2 or r+2.
+    The roots are read as given (a RootSequence passes its .roots).
     Returns (ok, failure reasons).
     """
-    roots = seq.roots
     n = len(roots)
     r = cert.height
     reasons: list[str] = []

@@ -45,8 +45,8 @@ carries its multiplicities {r: m_r}, one push or pop at a time, so a leaf
 builds no per-chain object.  In necessity mode it also hands over the
 heights where m_r > m_{r-2} + m_{r+2}, decided from the parent's, so
 no three_term_holds runs there: the counts are read off the carried
-multiplicities.  A RootSequence is built only for a stable chain that
-goes to pairing.  Records are ordered per chain: chains arrive in (length,
+multiplicities.  Pairing, too, takes the root tuple, so the sweep builds
+no RootSequence.  Records are ordered per chain: chains arrive in (length,
 roots) order, so sorting each chain's records by (kind, detail as JSON
 with sorted keys) orders the whole report without a global sort.  A
 necessity chain's violations sort by that key's text less the prefix
@@ -61,7 +61,6 @@ import time
 
 from . import serialize
 from .chain import (
-    RootSequence,
     check_box,
     count_chains,
     enumeration_steps,
@@ -98,12 +97,11 @@ class SweepParams:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list[dict], int]:
+def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple[list[dict], int]:
     """All theorem-mode assertions for one tail-stable chain with multiplicities counts.
 
     Returns (violations, number of heights certified).
     """
-    roots = seq.roots
     found: list[tuple[str, dict]] = []  # (kind, detail)
 
     counting_ok, tt_violations = three_term_holds(counts)
@@ -118,7 +116,7 @@ def _check_stable_chain(seq: RootSequence, counts: dict[int, int]) -> tuple[list
         if failure is not None:
             found.append(("certificate-build", failure.report()))
             continue
-        ok, reasons = verify_certificate(seq, cert)
+        ok, reasons = verify_certificate(roots, cert)
         if not ok:
             found.append(("certificate-verify", {"height": r, "reasons": reasons}))
         if len(cert.pairs) != counts[r]:
@@ -161,7 +159,7 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
     number instead, and a necessity partition keeps nothing.  The walk
     hands over plain root tuples with their stability (and, in necessity
     mode, their three-term verdict) and carries their multiplicities; a
-    RootSequence is built only for a stable chain that goes to pairing.
+    stable chain goes to pairing as its root tuple.
     """
     n, first_step, max_rise, bound, mode, write = args
     theorem = mode == MODE_THEOREM
@@ -176,7 +174,7 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
         if is_stable:
             stable += 1
             if theorem:
-                found, n_heights = _check_stable_chain(RootSequence(roots), counts)
+                found, n_heights = _check_stable_chain(roots, counts)
                 violations += _in_report_order(found)
                 certificates += n_heights
         elif violated:  # necessity mode: only there does the walk yield unstable chains

@@ -67,6 +67,16 @@ def test_check_malformed_roots(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("command", ["check", "pair"])
+@pytest.mark.parametrize("text", ["0,,2", "0,2,", ",0,2", ""])
+def test_empty_entry_in_roots_is_a_usage_error(capsys, command, text):
+    # an empty entry is refused, never dropped: "0,,2" is not the chain (0, 2)
+    extra = ["--all-heights"] if command == "pair" else []
+    code, out, err = run_cli(capsys, command, "--roots", text, *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: could not parse --roots {text!r}: ")
+
+
 def test_check_csv(capsys):
     code, out, _ = run_cli(capsys, "check", "--roots", "2,0,-2", "--format", "csv")
     assert code == 0

@@ -36,11 +36,11 @@ unit_window = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(
 
 
 def rep_jumps(*pairs):
-    return FilteredJumpData.single_cusp("representation", pairs)
+    return FilteredJumpData("representation", (pairs,))
 
 
 def bundle_jumps(*pairs):
-    return FilteredJumpData.single_cusp("bundle", pairs)
+    return FilteredJumpData("bundle", (pairs,))
 
 
 # --- degrees -------------------------------------------------------------------

@@ -34,7 +34,7 @@ ZIGZAG = RootSequence((4, 2, 0, 4, 2, 0, -2))
 
 
 def small_stable_chains() -> list[RootSequence]:
-    return list(enumerate_chains(2, 5, 6, 8))
+    return [RootSequence(roots) for roots in enumerate_chains(2, 5, 6, 8)]
 
 
 # --- matching construction -------------------------------------------------------
@@ -110,7 +110,7 @@ def test_build_matching_deterministic():
 
 def test_verify_round_trip():
     for r in (-2, 0, 2, 4):
-        ok, reasons = verify_certificate(ZIGZAG, build_matching(ZIGZAG, r))
+        ok, reasons = verify_certificate(ZIGZAG.roots, build_matching(ZIGZAG, r))
         assert ok and reasons == []
 
 
@@ -118,7 +118,7 @@ def test_verify_rejects_duplicate_target():
     cert = MatchingCertificate(
         4, (MatchedPair(1, 2, RegionKind.B), MatchedPair(4, 2, RegionKind.B))
     )
-    ok, reasons = verify_certificate(ZIGZAG, cert)
+    ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "injectivity" in reasons
 
@@ -127,14 +127,14 @@ def test_verify_rejects_target_at_source_height():
     cert = MatchingCertificate(
         4, (MatchedPair(1, 4, RegionKind.B), MatchedPair(4, 5, RegionKind.B))
     )
-    ok, reasons = verify_certificate(ZIGZAG, cert)
+    ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "target height" in reasons
 
 
 def test_verify_rejects_missing_source():
     cert = MatchingCertificate(4, (MatchedPair(1, 2, RegionKind.B),))
-    ok, reasons = verify_certificate(ZIGZAG, cert)
+    ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "source coverage" in reasons
 
@@ -143,7 +143,7 @@ def test_verify_rejects_out_of_range_target():
     cert = MatchingCertificate(
         4, (MatchedPair(1, 9, RegionKind.B), MatchedPair(4, 5, RegionKind.B))
     )
-    ok, reasons = verify_certificate(ZIGZAG, cert)
+    ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "target range" in reasons
 
@@ -156,7 +156,7 @@ def test_every_stable_chain_certifies_every_height():
         profile = multiplicities(seq)
         for r in profile.counts:
             cert = build_matching(seq, r)
-            ok, reasons = verify_certificate(seq, cert)
+            ok, reasons = verify_certificate(seq.roots, cert)
             assert ok, (seq.roots, r, reasons)
             assert len(cert.pairs) == profile[r], (seq.roots, r)
 
@@ -215,14 +215,15 @@ LARGER_FAMILY = list(enumerate_chains(2, 6, 8, 10))
 
 
 @given(st.sampled_from(LARGER_FAMILY))
-def test_random_stable_chain_full_certification(seq):
+def test_random_stable_chain_full_certification(roots):
+    seq = RootSequence(roots)
     profile = multiplicities(seq)
     for r, cert in certified_heights(seq).items():
-        ok, _ = verify_certificate(seq, cert)
+        ok, _ = verify_certificate(roots, cert)
         assert ok
         assert len(cert.pairs) == profile[r]
         for pair in cert.pairs:
-            assert seq.roots[pair.target - 1] in (r - 2, r + 2)
+            assert roots[pair.target - 1] in (r - 2, r + 2)
 
 
 # --- the one-pass builder against the per-height construction it replaced -----------
@@ -362,8 +363,7 @@ def test_public_builders_match_the_reference_on_stable_chains():
 # the sorted sources, then checks each target.
 
 
-def reference_verify(seq, cert):
-    roots = seq.roots
+def reference_verify(roots, cert):
     n = len(roots)
     r = cert.height
     reasons = []
@@ -413,13 +413,12 @@ def mutants(roots, cert):
 def test_checker_matches_the_reference_on_real_and_mutated_certificates():
     reasons_seen = set()
     for roots in DIFFERENTIAL_BOX:
-        seq = RootSequence(roots)
         for r, (cert, _) in pairing._certify(roots).items():
             # the real certificate (partial where a vertex has no target), the
             # same pairs read at a neighbouring height, and the mutants
             for checked in [cert, cert._replace(height=r + 2)] + mutants(roots, cert):
-                expected = reference_verify(seq, checked)
-                assert verify_certificate(seq, checked) == expected, (roots, checked)
+                expected = reference_verify(roots, checked)
+                assert verify_certificate(roots, checked) == expected, (roots, checked)
                 reasons_seen.add(tuple(expected[1]))
     # every verdict alone, and with source coverage first
     singles = {(), ("source coverage",), ("injectivity",), ("target range",), ("target height",)}
@@ -455,8 +454,8 @@ def test_checker_verdict_on_each_mutation():
     }
     for pairs, reasons in verdicts.items():
         checked = MatchingCertificate(-2, pairs)
-        assert verify_certificate(seq, checked) == (not reasons, reasons), pairs
-        assert reference_verify(seq, checked) == (not reasons, reasons), pairs
+        assert verify_certificate(seq.roots, checked) == (not reasons, reasons), pairs
+        assert reference_verify(seq.roots, checked) == (not reasons, reasons), pairs
 
 
 @pytest.mark.parametrize(
@@ -468,5 +467,4 @@ def test_checker_verdict_on_each_mutation():
     ],
 )
 def test_checker_gives_a_reason_for_an_index_that_is_not_an_int(pair, reasons):
-    seq = RootSequence((0, -2))
-    assert verify_certificate(seq, MatchingCertificate(0, (pair,))) == (not reasons, reasons)
+    assert verify_certificate((0, -2), MatchingCertificate(0, (pair,))) == (not reasons, reasons)

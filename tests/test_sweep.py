@@ -71,9 +71,7 @@ def test_partitions_cover_enumeration_exactly(root_bound):
         partitioned = [
             roots for first in steps for roots, _, _ in extend_chain((0, first), n, steps, root_bound)
         ]
-        direct = [
-            seq.roots for seq in enumerate_chains(n, n, 6, root_bound, require_stable=False)
-        ]
+        direct = list(enumerate_chains(n, n, 6, root_bound, require_stable=False))
         assert partitioned == direct
         assert all(abs(r) <= root_bound for roots in partitioned for r in roots)
 
@@ -140,11 +138,13 @@ def test_necessity_sweep_calls_no_three_term_holds(monkeypatch, write):
     assert report["totals"]["generated"] == 18848
 
 
-def test_theorem_walk_builds_a_root_sequence_only_for_stable_chains(monkeypatch):
+def test_theorem_sweep_builds_no_root_sequence(monkeypatch):
+    # each stable chain goes to pairing, and to its checker, as its root tuple
     calls = count_calls(monkeypatch)
     report = run_sweep(SweepParams(2, 7, 6, 3))
-    assert report["totals"]["stable"] > 0
-    assert calls["RootSequence"] == report["totals"]["stable"]
+    assert report["totals"]["stable"] > 0 and report["totals"]["certificates"] > 0
+    assert calls["RootSequence"] == 0
+    assert not hasattr(sweep, "RootSequence")
 
 
 def old_global_key(record: dict) -> tuple:
@@ -188,17 +188,17 @@ def dict_report(params: SweepParams) -> dict:
     for n in range(params.n_min, params.n_max + 1):
         chains = list(enumerate_chains(n, n, params.max_rise, params.root_bound, require_stable=False))
         stable = 0
-        for seq in chains:
-            counts = multiplicities(seq).counts
-            if tail_slopes(seq.roots).is_stable:
+        for roots in chains:
+            counts = multiplicities(RootSequence(roots)).counts
+            if tail_slopes(roots).is_stable:
                 stable += 1
                 if params.mode == MODE_THEOREM:
-                    found, heights = sweep._check_stable_chain(seq, counts)
+                    found, heights = sweep._check_stable_chain(roots, counts)
                     violations += found
                     certificates += heights
             elif params.mode == MODE_NECESSITY:
                 _, found = three_term_holds(counts)
-                violations += [{"roots": list(seq.roots), "kind": "three-term", "detail": v._asdict()} for v in found]
+                violations += [{"roots": list(roots), "kind": "three-term", "detail": v._asdict()} for v in found]
         per_n[str(n)] = {"generated": len(chains), "admissible": len(chains), "stable": stable}
     totals = {key: sum(bucket[key] for bucket in per_n.values()) for key in ("generated", "admissible", "stable")}
     return {
@@ -244,7 +244,7 @@ def test_a_report_without_records_keeps_the_counts_and_pass(mode, fails, monkeyp
     # every stable chain reports a violation (the forked workers inherit it)
     if fails and mode == MODE_THEOREM:
         record = {"roots": [0], "kind": "tail-order", "detail": {"first": 0, "last": 0}}
-        monkeypatch.setattr(sweep, "_check_stable_chain", lambda seq, counts: ([dict(record)], 1))
+        monkeypatch.setattr(sweep, "_check_stable_chain", lambda roots, counts: ([dict(record)], 1))
     bound = 0 if fails and mode == MODE_NECESSITY else 6
     params = SweepParams(2, 6, 4, bound, mode)
     for workers in (1, 2):
@@ -496,7 +496,7 @@ def test_report_bytes_are_pinned(box, mode):
 
 def test_stable_chain_check_records_every_kind():
     # (0, 4) is not stable, so every counting and build check fires on it
-    found, heights = sweep._check_stable_chain(RootSequence((0, 4)), {0: 1, 4: 1})
+    found, heights = sweep._check_stable_chain((0, 4), {0: 1, 4: 1})
     unmatched = "no trailing drop and no r+2 vertex before the leftmost source"
     expected = [
         ("three-term", {"height": 0, "count": 1, "below": 0, "above": 0}),
@@ -515,7 +515,7 @@ def test_stable_chain_check_records_every_kind():
 def test_stable_chain_check_records_bad_certificates(monkeypatch):
     empty = {r: (MatchingCertificate(r, ()), None) for r in (-2, 0)}
     monkeypatch.setattr(sweep, "_certify", lambda roots: empty)
-    found, heights = sweep._check_stable_chain(RootSequence((0, -2)), {0: 1, -2: 1})
+    found, heights = sweep._check_stable_chain((0, -2), {0: 1, -2: 1})
     assert heights == 2
     assert [list(v) for v in found] == [["roots", "kind", "detail"]] * len(found)
     assert [(v["kind"], v["detail"]) for v in found] == [
