@@ -494,6 +494,28 @@ def test_report_bytes_are_pinned(box, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[box, mode]
 
 
+# sha256 of the CLI's theorem report on n 2-6, rise <= 4, |r| <= 10, timing
+# removed, when every certificate fails its check: 83 theorem records
+PINNED_THEOREM_RECORDS = "bf0811d0edfbcda8be8597127f479df8ffe664d7791e626a834029e7417203a7"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_theorem_record_bytes_are_pinned(workers, monkeypatch, tmp_path, time_bound):
+    # real boxes give no theorem records; a failing checker gives one per
+    # height and a route disagreement per stable chain (the workers inherit it)
+    monkeypatch.setattr(sweep, "verify_certificate", lambda roots, cert: (False, ["injectivity"]))
+    path = tmp_path / "report.json"
+    argv = ["sweep", "--n-max", "6", "--max-rise", "4", "--bound", "10", "--workers", workers]
+    assert cli.main([*argv, "--out", str(path)]) == 1
+    text = path.read_text()
+    records = json.loads(text)["violations"]
+    # a chain's records sort by their detail's text: heights -10, -2, ..., -8, 0
+    heights = [v["detail"].get("height") for v in records if v["roots"] == [0, -2, -4, -6, -8, -10]]
+    assert heights == [-10, -2, -4, -6, -8, 0, None]
+    trimmed = "".join(line for line in text.splitlines(True) if '"timing_seconds":' not in line)
+    assert hashlib.sha256(trimmed.encode()).hexdigest() == PINNED_THEOREM_RECORDS
+
+
 def test_stable_chain_check_records_every_kind():
     # (0, 4) is not stable, so every counting and build check fires on it
     found, heights = sweep._check_stable_chain((0, 4), {0: 1, 4: 1})
