@@ -195,15 +195,14 @@ def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermVio
     """Check m_r <= m_{r-2} + m_{r+2} at every height of a {r: m_r} mapping.
 
     Absent heights read 0 and hold trivially, so only the mapping's keys
-    are scanned, ascending; violations carry the three counts.
+    are tested, by _violating as in the walk; violations carry the three
+    counts, ascending by height.
     """
-    violations = []
     new = tuple.__new__  # ThreeTermViolation(...) would run the named tuple's Python-level __new__
     get = counts.get
-    for r in sorted(counts):
-        m, below, above = counts[r], get(r - 2, 0), get(r + 2, 0)
-        if m > below + above:
-            violations.append(new(ThreeTermViolation, (r, m, below, above)))
+    violations = [
+        new(ThreeTermViolation, (r, counts[r], get(r - 2, 0), get(r + 2, 0))) for r in _violating(counts, counts)
+    ]
     return (not violations, violations)
 
 

@@ -53,15 +53,11 @@ def _parse_jumps(text: str) -> list[tuple[Fraction, int]]:
     """One cusp's jump list, written 'jump:dim,jump:dim'."""
     jumps = []
     for item in text.replace(" ", "").split(","):
-        if not item:
-            continue
         try:
             jump_text, dim_text = item.split(":")
             jumps.append((_parse_fraction(jump_text), int(dim_text)))
         except (ValueError, UsageError) as exc:
             raise UsageError(f"could not parse jump item {item!r}: {exc}") from None
-    if not jumps:
-        raise UsageError("empty jump list")
     return jumps
 
 
@@ -148,7 +144,7 @@ def _cmd_enumerate(args) -> int:
     }
     # each format writes only its own: the root lists' JSON text, or the rows read by csv
     if args.format == "json":
-        report["sequences"] = serialize.join_items([serialize.int_list_items(chains, 1)], 1)
+        report["sequences"] = serialize.join_items([serialize.int_list_items(chains)])
     rows = ([len(roots), " ".join(map(str, roots))] for roots in chains)
     _emit(args, report, ["n", "roots"], rows)
     return 0

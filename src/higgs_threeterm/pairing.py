@@ -80,7 +80,6 @@ class RegionKind(Enum):
     B = "B"
     C = "C"
     LEFT_BOUNDARY = "LEFT_BOUNDARY"
-    RIGHT_BOUNDARY = "RIGHT_BOUNDARY"  # no pair carries it; the report schema lists it
 
 
 class MatchedPair(NamedTuple):

@@ -13,10 +13,17 @@ JSON text already written for that place, and `dumps` copies it as it
 stands, once; a `Written` anywhere else is an object JSON cannot hold.
 
 A list may be written in pieces: `write_items` writes some of its items as
-`dumps` would write them inside it, and `join_items` joins such pieces
-into the list's text, held by a `Written`.  The sweep writes its violation
-records this way, in the worker that finds them.  Its necessity records
-all have one shape, so `three_term_items` writes them as `write_items`
+`dumps` would write them inside a list that is a value of the top-level
+dict, and `join_items` joins such pieces into the list's text, held by a
+`Written`.  The sweep writes its violation records this way, in the
+worker that finds them: each partition hands over its chains in (length,
+roots) order, each with its violations, and `theorem_items` or
+`three_term_items` orders and writes them.  A chain's records sort by
+(kind, detail as JSON with sorted keys), so numbers compare as text
+("above": 10 before "above": 2), and sorting each chain's records orders
+the whole report without a global sort.  Necessity records all have one
+shape, so `three_term_items` sorts a chain's violations by that key's
+text less the prefix they all share, and writes them as `write_items`
 would, from one template built from the same indentation strings, with no
 record dict; `int_list_items` does the same for `enumerate`'s root lists.
 Neither runs the stdlib's pure-Python encoder, which json.dumps uses
@@ -138,62 +145,77 @@ def dumps(obj) -> str:
     return "".join(parts)  # one join: a long Written is copied once
 
 
-def _layout(depth: int) -> tuple[str, str, str]:
-    """(item separator, newline + item indent, newline + closing indent) for
-    a container that opens at `depth` and whose items sit at depth + 1."""
-    inner = "\n" + _INDENT * (depth + 1)
-    return "," + inner, inner, "\n" + _INDENT * depth
+# newline and indent at each depth: every written list is a value of the
+# top-level dict, so it opens at depth 1 and its items sit at depth 2
+_LINE = tuple("\n" + _INDENT * depth for depth in range(5))
 
 
-def write_items(items: list, depth: int) -> str:
-    """The items of a list that opens at `depth`, each written as `dumps`
+def write_items(items: list) -> str:
+    """The items of a list that opens at depth 1, each written as `dumps`
     writes it there and joined by that list's item separator ("" for none)."""
     if not items:  # as in every theorem-mode partition: no encoder to build
         return ""
     text = json.dumps(items, indent=2, allow_nan=False)[4:-2]  # less "[\n  " and "\n]"
-    return text.replace("\n", "\n" + _INDENT * depth) if depth else text
+    return text.replace("\n", _LINE[1])
 
 
-def int_list_items(lists, depth: int) -> str:
-    """write_items(lists, depth) for nonempty lists of ints, each written
-    into one template built before the loop."""
-    separator, inner, outer = _layout(depth + 1)  # each list
-    head, tail = "[" + inner, outer + "]"
-    return _layout(depth)[0].join([head + separator.join(map(str, ints)) + tail for ints in lists])
+def int_list_items(lists) -> str:
+    """write_items(lists) for nonempty lists of ints, each written into one
+    template built before the loop."""
+    head, separator, tail = "[" + _LINE[3], "," + _LINE[3], _LINE[2] + "]"
+    return ("," + _LINE[2]).join([head + separator.join(map(str, ints)) + tail for ints in lists])
 
 
-def three_term_items(chains, depth: int) -> str:
-    """write_items(records, depth) for the records {"roots": list(roots),
-    "kind": "three-term", "detail": v._asdict()} of each v of each
-    (roots, violations) in chains, no dict built; a v is a 4-tuple in
-    ThreeTermViolation's field order, also `_asdict`'s key order.  A
+def theorem_items(chains) -> str:
+    """write_items of the records {"roots": list(roots), "kind": kind,
+    "detail": detail} for each (kind, detail) of each (roots, found) in
+    chains, each chain's in report order (see the module docstring)."""
+    key = json.JSONEncoder(sort_keys=True).encode
+    return write_items([
+        {"roots": list(roots), "kind": kind, "detail": detail}
+        for roots, found in chains
+        for kind, detail in sorted(found, key=lambda pair: (pair[0], key(pair[1])))
+    ])
+
+
+def _three_term_key(v) -> str:
+    """A three-term record's report-order key, less the kind and the
+    '{"above": ' that all share: its detail as JSON with sorted keys."""
+    return f'{v[3]}, "below": {v[2]}, "count": {v[1]}, "height": {v[0]}}}'
+
+
+def three_term_items(chains) -> str:
+    """write_items of the records {"roots": list(roots), "kind":
+    "three-term", "detail": v._asdict()} for each v of each (roots,
+    violations) in chains, in report order, no dict built; a v is a 4-tuple
+    in ThreeTermViolation's field order, also `_asdict`'s key order.  A
     chain's text up to the detail is written once for all its records."""
     from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
 
-    separator, inner, outer = _layout(depth + 1)  # the record
-    item_separator, item_inner, item_outer = _layout(depth + 2)  # its roots and detail
-    head = "{" + inner + '"roots": [' + item_inner
-    opener = f'{item_outer}]{separator}"kind": "three-term"{separator}"detail": {{{item_inner}'
-    detail = item_separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
-    closer, between = f"{item_outer}}}{outer}}}", _layout(depth)[0]
+    separator = "," + _LINE[4]  # between the items of its roots and detail
+    head = "{" + _LINE[3] + '"roots": [' + _LINE[4]
+    opener = f'{_LINE[3]}],{_LINE[3]}"kind": "three-term",{_LINE[3]}"detail": {{{_LINE[4]}'
+    detail = separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
+    closer, between = f"{_LINE[3]}}}{_LINE[2]}}}", "," + _LINE[2]
     parts = []
     for roots, violations in chains:
-        front = head + item_separator.join(map(str, roots)) + opener  # ints: nothing to escape
+        front = head + separator.join(map(str, roots)) + opener  # ints: nothing to escape
+        if len(violations) > 1:
+            violations = sorted(violations, key=_three_term_key)
         for v in violations:
             parts += (between, front, detail % v, closer)
     return "".join(parts[1:])  # less the first separator
 
 
-def join_items(pieces, depth: int) -> Written:
-    """The list that opens at `depth` and holds, in order, the items of each
+def join_items(pieces) -> Written:
+    """The list that opens at depth 1 and holds, in order, the items of each
     piece `write_items` wrote for it: exactly the text `dumps` gives it."""
-    separator, inner, outer = _layout(depth)
-    parts = ["[", inner]
+    parts = ["[", _LINE[2]]
     for piece in pieces:
         if piece:
-            parts += (piece, separator)
+            parts += (piece, "," + _LINE[2])
     if len(parts) == 2:
         return Written("[]")
-    parts[-1] = outer  # in place of the last separator
+    parts[-1] = _LINE[1]  # in place of the last separator
     parts.append("]")
     return Written("".join(parts))  # one join: the text is copied once, not twice

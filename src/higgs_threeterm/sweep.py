@@ -2,10 +2,11 @@
 
 Theorem mode walks every tail-stable admissible chain in the bounds and
 asserts, per chain: the three-term inequality at every height, the tail
-order r_n < r_1, and that a matching certificate builds, verifies, and has
-exactly m_r pairs at every realized height.  The counting route and the
-certificate route are also required to agree.  Any failure is recorded as
-a violation carrying the full chain; nothing is ever dropped.
+order r_n < r_1, and that a matching certificate builds and verifies at
+every realized height; the checker also refuses a certificate without
+exactly m_r pairs.  The counting route and the certificate route are
+also required to agree.  Any failure is recorded as a violation carrying
+the full chain; nothing is ever dropped.
 
 Necessity mode walks the admissible chains that are *not* tail-stable and
 records every three-term violation found.  Here a nonempty list is the
@@ -28,17 +29,19 @@ re-checking either hypothesis, and each is verified on its own, once per
 height, by pairing.verify_certificate.  One worker runs inline; more are
 forked, never more than the partitions.
 
-Each partition writes its own violation records as JSON text, exactly as
-serialize.dumps writes them inside the report: theorem records by
-serialize.write_items, necessity records by serialize.three_term_items,
-which writes each chain's roots once and builds no dict.
-So the writing runs in the pool workers, only text crosses the pipes, and
-the parent joins the texts in canonical order (serialize.join_items).
-`written_report` is the report the command line writes, and its
-`timing_seconds` includes the writing; `run_sweep` reads the records
-back as dicts.  A CSV report prints only the counts, so for it the
-partitions add up the walk's violation counts, keep and write no record,
-and `pass` comes from the counts.
+Each partition hands its chains' violations, in walk order, to serialize,
+which orders and writes them as JSON text exactly as serialize.dumps
+writes them inside the report: theorem records by
+serialize.theorem_items, necessity records by serialize.three_term_items,
+which writes each chain's roots once and builds no dict.  So the writing
+runs in the pool workers, only text crosses the pipes, and the parent
+joins the texts in canonical order (serialize.join_items).  Every
+partition returns (stable, certificates, records, text), records being
+the count; `pass` comes from the counts.  `written_report` is the report
+the command line writes, and its `timing_seconds` includes the writing;
+`run_sweep` reads the records back as dicts.  A CSV report prints only
+the counts, so for it the partitions keep and write no record and their
+text is "".
 
 The walk hands each chain over as a plain tuple with its stability and
 carries its multiplicities {r: m_r}, one push or pop at a time, so a leaf
@@ -46,11 +49,7 @@ builds no per-chain object.  In necessity mode it also hands over the
 heights where m_r > m_{r-2} + m_{r+2}, decided from the parent's, so
 no three_term_holds runs there: the counts are read off the carried
 multiplicities.  Pairing, too, takes the root tuple, so the sweep builds
-no RootSequence.  Records are ordered per chain: chains arrive in (length,
-roots) order, so sorting each chain's records by (kind, detail as JSON
-with sorted keys) orders the whole report without a global sort.  A
-necessity chain's violations sort by that key's text less the prefix
-they all share, built straight from the fields.
+no RootSequence.
 """
 
 from __future__ import annotations
@@ -73,11 +72,6 @@ from .pairing import _certify, verify_certificate
 MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
 
-# json.dumps(obj, sort_keys=True) without building an encoder on every call
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
-
-_VIOLATIONS_DEPTH = 1  # the depth the report's violation list opens at
-
 
 class SweepParams:
     """A sweep's box and mode, checked when built; immutable."""
@@ -97,16 +91,13 @@ class SweepParams:
         raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple[list[dict], int]:
+def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple[list[tuple[str, dict]], int]:
     """All theorem-mode assertions for one tail-stable chain with multiplicities counts.
 
-    Returns (violations, number of heights certified).
+    Returns ((kind, detail) of each violation, number of heights certified).
     """
-    found: list[tuple[str, dict]] = []  # (kind, detail)
-
     counting_ok, tt_violations = three_term_holds(counts)
-    for v in tt_violations:
-        found.append(("three-term", v._asdict()))
+    found = [("three-term", v._asdict()) for v in tt_violations]
 
     if roots[-1] >= roots[0]:
         found.append(("tail-order", {"first": roots[0], "last": roots[-1]}))
@@ -119,53 +110,28 @@ def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple
         ok, reasons = verify_certificate(roots, cert)
         if not ok:
             found.append(("certificate-verify", {"height": r, "reasons": reasons}))
-        if len(cert.pairs) != counts[r]:
-            detail = {"height": r, "pairs": len(cert.pairs), "multiplicity": counts[r]}
-            found.append(("certificate-count", detail))
     certificates_ok = len(found) == before
 
     if certificates_ok != counting_ok:
         found.append(("route-disagreement", {"counting": counting_ok, "certificates": certificates_ok}))
-    roots = list(roots)
-    return [{"roots": roots, "kind": kind, "detail": detail} for kind, detail in found], len(counts)
+    return found, len(counts)
 
 
-def _in_report_order(records: list[dict]) -> list[dict]:
-    """Sort one chain's records, in place, into their report order.
+def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int, int, str]:
+    """Walk one (n, first step) partition; return (stable, certificates,
+    records, text).
 
-    The key is (kind, detail as JSON with sorted keys), so numbers compare
-    as text ("above": 10 before "above": 2).  Partitions yield chains in
-    (length, roots) order, so sorting each chain's records orders the
-    whole report.
-    """
-    if len(records) > 1:
-        records.sort(key=lambda v: (v["kind"], _sorted_json(v["detail"])))
-    return records
-
-
-def _three_term_order(v) -> str:
-    """_in_report_order's key for a three-term record (height, count,
-    below, above), less the kind and '{"above": ' that all share."""
-    return f'{v[3]}, "below": {v[2]}, "count": {v[1]}, "height": {v[0]}}}'
-
-
-def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int, str | int]:
-    """Walk one (n, first step) partition; return (stable, certificates, records).
-
-    The records are the partition's violations, written as the items of
-    the report's violation list at _VIOLATIONS_DEPTH: theorem records as
-    dicts, necessity records from a template with no dict built.  When the
-    task's last field is false nobody reads them, and records is their
-    number instead, and a necessity partition keeps nothing.  The walk
-    hands over plain root tuples with their stability (and, in necessity
-    mode, their three-term verdict) and carries their multiplicities; a
-    stable chain goes to pairing as its root tuple.
+    records is the number of the partition's violations, and text their
+    records written by serialize as the items of the report's violation
+    list: "" when the task's last field is false, since nobody reads them.
+    The walk hands over plain root tuples with their stability (and, in
+    necessity mode, their three-term verdict) and carries their
+    multiplicities; a stable chain goes to pairing as its root tuple.
     """
     n, first_step, max_rise, bound, mode, write = args
     theorem = mode == MODE_THEOREM
-    stable = certificates = counted = 0
-    violations: list[dict] = []  # theorem mode
-    witnesses: list[tuple] = []  # necessity mode: (roots, violations in report order)
+    stable = certificates = records = 0
+    chains: list[tuple] = []  # (roots, violations) of each chain with any, when written
     counts: dict[int, int] = {}
     get = counts.get
     steps = enumeration_steps(max_rise)
@@ -175,21 +141,16 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
             stable += 1
             if theorem:
                 found, n_heights = _check_stable_chain(roots, counts)
-                violations += _in_report_order(found)
                 certificates += n_heights
+                records += len(found)
+                if write and found:
+                    chains.append((roots, found))
         elif violated:  # necessity mode: only there does the walk yield unstable chains
+            records += len(violated)
             if write:
-                records = [(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated]
-                if len(records) > 1:
-                    records.sort(key=_three_term_order)
-                witnesses.append((roots, records))
-            else:
-                counted += len(violated)
-    if not write:
-        return stable, certificates, len(violations) + counted
-    if theorem:
-        return stable, certificates, serialize.write_items(violations, _VIOLATIONS_DEPTH)
-    return stable, certificates, serialize.three_term_items(witnesses, _VIOLATIONS_DEPTH)
+                chains.append((roots, [(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated]))
+    write_records = serialize.theorem_items if theorem else serialize.three_term_items
+    return stable, certificates, records, write_records(chains)  # "" for no chains
 
 
 class WorkerDied(RuntimeError):
@@ -203,7 +164,7 @@ def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> N
             os.close(fd)
         results = open(out, "wb")  # left to os._exit to close, so EOF means the worker is gone
         while index := os.read(orders, 4):
-            results.write(("%d %d %s\0" % _run_partition(tasks[int.from_bytes(index, "little")])).encode())
+            results.write(("%d %d %d %s\0" % _run_partition(tasks[int.from_bytes(index, "little")])).encode())
             results.flush()
         os._exit(0)
     except BrokenPipeError:  # the parent is gone: nobody reads the result, nor a traceback
@@ -216,12 +177,12 @@ def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> N
         os._exit(1)
 
 
-def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, str]]:
+def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, int, str]]:
     """Run each partition in `workers` forked processes; results in task order.
 
     A worker reads one partition index at a time, longest chains first
     (descending n, then ascending first step), and writes back b"stable
-    certificates records" and a NUL (JSON text has none).  EOF before the
+    certificates records text" and a NUL (JSON text has none).  EOF before the
     NUL means it died in that partition.  Workers leave by os._exit, never
     flushing the parent's stdio buffers, and none outlives this call.
     """
@@ -247,8 +208,8 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, str]]:
                     order_end, index, chunks, _ = key.data
                     chunks.append(os.read(key.fd, 1 << 16))
                     if chunks[-1].endswith(b"\0"):
-                        stable, certificates, records = b"".join(chunks)[:-1].decode().split(" ", 2)
-                        results[index] = (int(stable), int(certificates), records)
+                        stable, certificates, records, text = b"".join(chunks)[:-1].decode().split(" ", 3)
+                        results[index] = (int(stable), int(certificates), int(records), text)
                         chunks.clear()
                         key.data[1] = index = next(pending, -1)
                         if index >= 0:
@@ -302,7 +263,7 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     generated = count_chains((0,), params.n_max, steps, params.root_bound)
     per_n = {str(n): {"generated": generated[n], "admissible": generated[n], "stable": 0} for n in lengths}
     certificates = 0
-    for (n, *_), (stable, n_certificates, _) in zip(tasks, results):
+    for (n, *_), (stable, n_certificates, *_) in zip(tasks, results):
         per_n[str(n)]["stable"] += stable
         certificates += n_certificates
     totals = {
@@ -322,10 +283,8 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
         "per_n": per_n,
     }
     if records:
-        report["violations"] = serialize.join_items([text for *_, text in results], _VIOLATIONS_DEPTH)
-        found = report["violations"].text != "[]"
-    else:
-        found = any(int(count) for *_, count in results)
+        report["violations"] = serialize.join_items([text for *_, text in results])
+    found = any(count for _, _, count, _ in results)
     report["pass"] = not found if params.mode == MODE_THEOREM else found
     report["timing_seconds"] = time.perf_counter() - started
     return report

@@ -354,6 +354,14 @@ def test_filtered_degree_bad_jump_window(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["5/6:1,,1/6:2", "5/6:1,", ",5/6:1", ""])
+def test_empty_entry_in_jumps_is_a_usage_error(capsys, text):
+    # an empty entry is refused, never dropped, as in --roots
+    code, out, err = run_cli(capsys, "filtered-degree", "--side", "representation", "--jumps", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: could not parse jump item '': ")
+
+
 STRAY_FILTERED_DEGREE_FLAGS = {
     "both": (["--rank", "1", "--base-degree", "0"], "--rank, --base-degree"),
     "rank": (["--rank", "2"], "--rank"),

@@ -121,15 +121,15 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
     # each piece is one partition's records, possibly none, written where
     # they sit in the report: a list that opens at depth 1
     bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
-    pieces = [write_items(records[a:b], 1) for a, b in zip(bounds, bounds[1:])]
+    pieces = [write_items(records[a:b]) for a, b in zip(bounds, bounds[1:])]
     report = {"totals": {"stable": 1}, "violations": records, "pass": passed}
     expected = dumps(report)
     assert expected == oracle(report)
     # the only other value is a scalar
-    assert dumps({"violations": join_items(pieces, 1), "pass": passed}) == oracle(
+    assert dumps({"violations": join_items(pieces), "pass": passed}) == oracle(
         {"violations": records, "pass": passed}
     )
-    assert dumps({**report, "violations": join_items(pieces, 1)}) == expected
+    assert dumps({**report, "violations": join_items(pieces)}) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,21 +142,21 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
         ),
         max_size=4,
     ),
-    st.integers(0, 3),
 )
-def test_three_term_items_match_write_items_of_the_records(chains, depth):
-    records = [
-        {"roots": list(roots), "kind": "three-term", "detail": ThreeTermViolation(*v)._asdict()}
-        for roots, violations in chains
-        for v in violations
-    ]
-    assert three_term_items(chains, depth) == write_items(records, depth)
+def test_three_term_items_match_write_items_of_the_records(chains):
+    # each chain's records in report order: by their detail as JSON with sorted keys
+    records = []
+    for roots, violations in chains:
+        details = [ThreeTermViolation(*v)._asdict() for v in violations]
+        details.sort(key=lambda detail: json.dumps(detail, sort_keys=True))
+        records += [{"roots": list(roots), "kind": "three-term", "detail": detail} for detail in details]
+    assert three_term_items(chains) == write_items(records)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(), min_size=1, max_size=6), max_size=6), st.integers(0, 3))
-def test_int_list_items_match_write_items(lists, depth):
-    assert int_list_items(lists, depth) == write_items(lists, depth)
+@given(st.lists(st.lists(st.integers(), min_size=1, max_size=6), max_size=6))
+def test_int_list_items_match_write_items(lists):
+    assert int_list_items(lists) == write_items(lists)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ def test_int_list_items_match_write_items(lists, depth):
 )
 def test_a_written_value_of_a_top_level_dict_is_copied_as_it_stands(report):
     first, *_ = report
-    with_written = {**report, first: join_items([write_items(report[first], 1)], 1)}
+    with_written = {**report, first: join_items([write_items(report[first])])}
     assert dumps(with_written) == oracle(report)
 
 

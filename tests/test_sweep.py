@@ -174,11 +174,34 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
 def test_necessity_partition_matches_brute_force(max_rise, bound):
     for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise)):
         task = (n, first_step, max_rise, bound, MODE_NECESSITY)
-        stable, certificates, written = sweep._run_partition((*task, True))
+        stable, certificates, records, written = sweep._run_partition((*task, True))
         expected_stable, expected = brute_force_necessity(n, first_step, max_rise, bound)
-        assert (stable, written) == (expected_stable, serialize.write_items(expected, 1))
+        assert (stable, records, written) == (expected_stable, len(expected), serialize.write_items(expected))
         assert certificates == 0
-        assert sweep._run_partition((*task, False)) == (stable, 0, len(expected))
+        assert sweep._run_partition((*task, False)) == (stable, 0, len(expected), "")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([MODE_THEOREM, MODE_NECESSITY]),
+    st.integers(2, 7),
+    st.sampled_from([2, 4, 6]),
+    st.integers(0, 10),
+    st.booleans(),
+    st.data(),
+)
+def test_each_partition_counts_the_records_it_writes(mode, n, max_rise, bound, failing, data):
+    # records is the number of records in text, and a partition that only
+    # counts returns the same numbers with "".  Real theorem boxes have no
+    # records, so a failing checker gives each stable chain some
+    first_step = data.draw(st.sampled_from(enumeration_steps(max_rise)))
+    task = (n, first_step, max_rise, bound, mode)
+    with pytest.MonkeyPatch.context() as patch:
+        if failing:
+            patch.setattr(sweep, "verify_certificate", lambda roots, cert: (False, ["injectivity"]))
+        stable, certificates, records, text = sweep._run_partition((*task, True))
+        assert records == len(json.loads(f"[{text}]"))
+        assert sweep._run_partition((*task, False)) == (stable, certificates, records, "")
 
 
 def dict_report(params: SweepParams) -> dict:
@@ -194,7 +217,7 @@ def dict_report(params: SweepParams) -> dict:
                 stable += 1
                 if params.mode == MODE_THEOREM:
                     found, heights = sweep._check_stable_chain(roots, counts)
-                    violations += found
+                    violations += [{"roots": list(roots), "kind": kind, "detail": detail} for kind, detail in found]
                     certificates += heights
             elif params.mode == MODE_NECESSITY:
                 _, found = three_term_holds(counts)
@@ -243,8 +266,8 @@ def test_a_report_without_records_keeps_the_counts_and_pass(mode, fails, monkeyp
     # necessity sweep at bound 0 finds no witness; a theorem sweep fails when
     # every stable chain reports a violation (the forked workers inherit it)
     if fails and mode == MODE_THEOREM:
-        record = {"roots": [0], "kind": "tail-order", "detail": {"first": 0, "last": 0}}
-        monkeypatch.setattr(sweep, "_check_stable_chain", lambda roots, counts: ([dict(record)], 1))
+        record = ("tail-order", {"first": 0, "last": 0})
+        monkeypatch.setattr(sweep, "_check_stable_chain", lambda roots, counts: ([record], 1))
     bound = 0 if fails and mode == MODE_NECESSITY else 6
     params = SweepParams(2, 6, 4, bound, mode)
     for workers in (1, 2):
@@ -263,13 +286,12 @@ def test_a_report_without_records_keeps_the_counts_and_pass(mode, fails, monkeyp
 
 
 def test_records_of_one_chain_sort_by_the_old_global_key():
-    roots = [0, 4, 2, 0]
+    roots = (0, 4, 2, 0)
 
     def three_term(height, count, below, above):
-        detail = {"height": height, "count": count, "below": below, "above": above}
-        return {"roots": roots, "kind": "three-term", "detail": detail}
+        return ("three-term", {"height": height, "count": count, "below": below, "above": above})
 
-    records = [
+    found = [
         three_term(0, 12, 0, 2),
         three_term(6, 12, 0, 10),
         three_term(4, 1, 0, 0),  # the next five tie on every field but the height
@@ -277,15 +299,16 @@ def test_records_of_one_chain_sort_by_the_old_global_key():
         three_term(10, 1, 0, 0),
         three_term(2, 1, 0, 0),
         three_term(20, 1, 0, 0),
-        {"roots": roots, "kind": "tail-order", "detail": {"first": 0, "last": 4}},
-        {"roots": roots, "kind": "certificate-count", "detail": {"height": 2, "pairs": 0, "multiplicity": 1}},
+        ("tail-order", {"first": 0, "last": 4}),
+        ("certificate-verify", {"height": 2, "reasons": ["injectivity"]}),
     ]
-    ordered = sweep._in_report_order(list(records))
-    assert ordered == sorted(records, key=old_global_key)
+    records = [{"roots": list(roots), "kind": kind, "detail": detail} for kind, detail in found]
+    written = serialize.theorem_items([(roots, found)])
+    assert written == serialize.write_items(sorted(records, key=old_global_key))
     # numbers compare as JSON text: "above" 0 < 10 < 2, and a height is
     # followed by "}", so 20 comes before 2
-    assert [(r["kind"], r["detail"].get("height")) for r in ordered] == [
-        ("certificate-count", 2),
+    assert [(r["kind"], r["detail"].get("height")) for r in json.loads(f"[{written}]")] == [
+        ("certificate-verify", 2),
         ("tail-order", None),
         ("three-term", -2),
         ("three-term", 10),
@@ -295,7 +318,7 @@ def test_records_of_one_chain_sort_by_the_old_global_key():
         ("three-term", 6),
         ("three-term", 0),
     ]
-    assert sweep._in_report_order(records[:1]) == records[:1]
+    assert serialize.theorem_items([(roots, found[:1])]) == serialize.write_items(records[:1])
 
 
 # negative, zero and multi-digit fields, so text order and numeric order differ
@@ -307,16 +330,15 @@ CHAINS = st.lists(st.tuples(st.lists(NUMBERS, min_size=1, max_size=9).map(tuple)
 @settings(max_examples=200, deadline=None)
 @given(CHAINS)
 def test_necessity_records_from_the_template_match_the_dict_records(chains):
-    # the partition's path: each chain's violations sorted by the text key,
-    # then written into the template; against dict records in _in_report_order
-    ordered = [(roots, sorted(found, key=sweep._three_term_order)) for roots, found in chains]
+    # the template sorts each chain's violations by its text key; against
+    # dict records sorted by the old global key, and against theorem_items
     records = []
     for roots, found in chains:
-        records += sweep._in_report_order(
-            [{"roots": list(roots), "kind": "three-term", "detail": v._asdict()} for v in found]
-        )
-    written = serialize.three_term_items(ordered, 1)
-    assert written == serialize.write_items(records, 1)
+        dicts = [{"roots": list(roots), "kind": "three-term", "detail": v._asdict()} for v in found]
+        records += sorted(dicts, key=old_global_key)
+    written = serialize.three_term_items(chains)
+    assert written == serialize.write_items(records)
+    assert written == serialize.theorem_items([(roots, [("three-term", v._asdict()) for v in found]) for roots, found in chains])
 
 
 def test_necessity_sweep_finds_the_minimal_witness():
@@ -457,7 +479,7 @@ def test_pooled_sweep_leaves_no_child(time_bound):
 def test_partition_larger_than_a_pipe_buffer(time_bound):
     # (8, -2) writes about 100 KB of records, more than a 64 KB pipe buffer holds
     params = SweepParams(2, 8, 6, 8, MODE_NECESSITY)
-    assert len(sweep._run_partition((8, -2, 6, 8, MODE_NECESSITY, True))[2]) > 1 << 16
+    assert len(sweep._run_partition((8, -2, 6, 8, MODE_NECESSITY, True))[3]) > 1 << 16
     assert canonical(run_sweep(params, workers=2)) == canonical(run_sweep(params, workers=1))
 
 
@@ -528,10 +550,8 @@ def test_stable_chain_check_records_every_kind():
         ("certificate-build", {"roots": [0, 4], "height": 4, "source": 2, "reason": unmatched}),
     ]
     assert heights == 2
-    # compared as JSON text, so the key order of every record is pinned too
-    assert json.dumps(found) == json.dumps(
-        [{"roots": [0, 4], "kind": kind, "detail": detail} for kind, detail in expected]
-    )
+    # compared as JSON text, so the key order of every detail is pinned too
+    assert json.dumps(found) == json.dumps(expected)
 
 
 def test_stable_chain_check_records_bad_certificates(monkeypatch):
@@ -539,11 +559,9 @@ def test_stable_chain_check_records_bad_certificates(monkeypatch):
     monkeypatch.setattr(sweep, "_certify", lambda roots: empty)
     found, heights = sweep._check_stable_chain((0, -2), {0: 1, -2: 1})
     assert heights == 2
-    assert [list(v) for v in found] == [["roots", "kind", "detail"]] * len(found)
-    assert [(v["kind"], v["detail"]) for v in found] == [
+    # the checker reports a certificate with fewer than m_r pairs as source coverage
+    assert json.dumps(found) == json.dumps([
         ("certificate-verify", {"height": -2, "reasons": ["source coverage"]}),
-        ("certificate-count", {"height": -2, "pairs": 0, "multiplicity": 1}),
         ("certificate-verify", {"height": 0, "reasons": ["source coverage"]}),
-        ("certificate-count", {"height": 0, "pairs": 0, "multiplicity": 1}),
         ("route-disagreement", {"counting": True, "certificates": False}),
-    ]
+    ])
