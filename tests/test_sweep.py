@@ -338,7 +338,8 @@ def test_necessity_records_from_the_template_match_the_dict_records(chains):
         records += sorted(dicts, key=old_global_key)
     written = serialize.three_term_items(chains)
     assert written == serialize.write_items(records)
-    assert written == serialize.theorem_items([(roots, [("three-term", v._asdict()) for v in found]) for roots, found in chains])
+    as_found = [(roots, [("three-term", v._asdict()) for v in found]) for roots, found in chains]
+    assert written == serialize.theorem_items(as_found)
 
 
 def test_necessity_sweep_finds_the_minimal_witness():
