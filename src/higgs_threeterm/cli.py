@@ -79,17 +79,17 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
 
 
 def _emit(args, json_obj, csv_header, csv_rows) -> None:
-    """Write the report; a NaN or infinity in a JSON report raises ValueError
-    (exit 2) before anything is written, since JSON cannot hold it."""
+    """Write the report in the pieces serialize.pieces gives; a NaN or infinity
+    in it raises ValueError (exit 2) before anything is written."""
     if args.format == "json":
-        text = serialize.dumps(json_obj) + "\n"
+        parts = [*serialize.pieces(json_obj), "\n"]
     else:
-        text = _csv_text(csv_header, csv_rows)
+        parts = [_csv_text(csv_header, csv_rows)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -144,7 +144,7 @@ def _cmd_enumerate(args) -> int:
     }
     # each format writes only its own: the root lists' JSON text, or the rows read by csv
     if args.format == "json":
-        report["sequences"] = serialize.join_items([serialize.int_list_items(chains)])
+        report["sequences"] = serialize.Written([serialize.int_list_items(chains)])
     rows = ([len(roots), " ".join(map(str, roots))] for roots in chains)
     _emit(args, report, ["n", "roots"], rows)
     return 0

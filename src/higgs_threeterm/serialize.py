@@ -5,29 +5,31 @@ denominator omitted when it is 1; exact complex values serialize as
 {"re": "p/q", "im": "p/q"}.  Report dictionaries are built in a fixed key
 order so equal inputs produce byte-identical JSON.
 
-`dumps` is the one JSON writer of the command line: it returns
-json.dumps(obj, indent=2, allow_nan=False), so a NaN or infinity anywhere
-in obj raises ValueError and an object JSON cannot hold raises TypeError,
-with one rule the stdlib lacks.  A `Written` value of a top-level dict is
-JSON text already written for that place, and `dumps` copies it as it
-stands, once; a `Written` anywhere else is an object JSON cannot hold.
+`pieces` is the one JSON writer: its strings join to json.dumps(obj,
+indent=2, allow_nan=False), so a NaN or infinity anywhere in obj raises
+ValueError and an object JSON cannot hold raises TypeError, with one rule
+the stdlib lacks.  A `Written` value of a top-level dict is a list already
+written for that place, and `pieces` passes its `parts` through as they
+stand; a `Written` anywhere else is an object JSON cannot hold.  The
+command line writes the pieces one by one, never joined, and `dumps(obj)`
+is "".join(pieces(obj)).
 
 A list may be written in pieces: `write_items` writes some of its items as
 `dumps` would write them inside a list that is a value of the top-level
-dict, and `join_items` joins such pieces into the list's text, held by a
-`Written`.  The sweep writes its violation records this way, in the
-worker that finds them: each partition hands over its chains in (length,
-roots) order, each with its violations, and `theorem_items` or
-`three_term_items` orders and writes them.  A chain's records sort by
-(kind, detail as JSON with sorted keys), so numbers compare as text
-("above": 10 before "above": 2), and sorting each chain's records orders
-the whole report without a global sort.  Necessity records all have one
-shape, so `three_term_items` sorts a chain's violations by that key's
-text less the prefix they all share, and writes them as `write_items`
-would, from one template built from the same indentation strings, with no
-record dict; `int_list_items` does the same for `enumerate`'s root lists.
-Neither runs the stdlib's pure-Python encoder, which json.dumps uses
-whenever indent is set, item by item.
+dict, and `Written(pieces)` keeps such pieces, with the brackets and the
+separators between them, as its `parts`.  The sweep writes its violation
+records this way, in the worker that finds them: each partition hands
+over its chains in (length, roots) order, each with its violations, and
+`theorem_items` or `three_term_items` orders and writes them.  A chain's
+records sort by (kind, detail as JSON with sorted keys), so numbers
+compare as text ("above": 10 before "above": 2), and sorting each chain's
+records orders the whole report without a global sort.  Necessity records
+all have one shape, so `three_term_items` sorts a chain's violations by
+that key's text less the prefix they all share, and writes them as
+`write_items` would, from one template built from the same indentation
+strings, with no record dict; `int_list_items` does the same for
+`enumerate`'s root lists.  Neither runs the stdlib's pure-Python encoder,
+which json.dumps uses whenever indent is set, item by item.
 """
 
 from __future__ import annotations
@@ -117,37 +119,47 @@ def side_residue_json(data: SideResidue) -> dict:
 # --- the report writer ---------------------------------------------------------
 
 _INDENT = "  "
+# newline and indent at each depth: every written list is a value of the
+# top-level dict, so it opens at depth 1 and its items sit at depth 2
+_LINE = tuple("\n" + _INDENT * depth for depth in range(5))
 
 
 class Written:
-    """JSON text already written for the place it takes in a report;
-    `dumps` copies `text` as it stands.  It holds the text rather than
-    being a str, so a report of megabytes is not copied to make one."""
+    """A list that opens at depth 1, written in pieces, each one as
+    `write_items` writes some of its items ("" for none).  Its `parts` join
+    to the list's text: "[", the nonempty pieces as they are, not copied,
+    with the item separator between them, and "]"."""
 
-    __slots__ = ("text",)
+    __slots__ = ("parts",)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+    def __init__(self, pieces) -> None:
+        parts = ["[", _LINE[2]]  # the line of the first item, if any
+        for piece in pieces:
+            if piece:
+                parts += (piece, "," + _LINE[2])
+        parts[-1:] = (_LINE[1], "]") if len(parts) > 2 else ("]",)  # in place of the last separator
+        self.parts = parts
 
 
-def dumps(obj) -> str:
-    """json.dumps(obj, indent=2, allow_nan=False), but a Written value of a
-    top-level dict is copied as it stands; see the module docstring."""
+def pieces(obj) -> list[str]:
+    """Strings that join to json.dumps(obj, indent=2, allow_nan=False), a
+    Written value of a top-level dict given as its parts; see the module
+    docstring.  A value JSON cannot hold raises before any is returned."""
     if not isinstance(obj, dict) or Written not in map(type, obj.values()):
-        return json.dumps(obj, indent=2, allow_nan=False)
+        return [json.dumps(obj, indent=2, allow_nan=False)]
     parts = ["{"]
     for key, value in obj.items():
         written = type(value) is Written
         # the entry as json.dumps writes it between "{" and "\n}"; 0 holds a Written's place
         entry = json.dumps({key: 0 if written else value}, indent=2, allow_nan=False)[1:-2]
-        parts += (entry[:-1], value.text, ",") if written else (entry, ",")
+        parts += (entry[:-1], *value.parts, ",") if written else (entry, ",")
     parts[-1] = "\n}"  # in place of the last separator
-    return "".join(parts)  # one join: a long Written is copied once
+    return parts
 
 
-# newline and indent at each depth: every written list is a value of the
-# top-level dict, so it opens at depth 1 and its items sit at depth 2
-_LINE = tuple("\n" + _INDENT * depth for depth in range(5))
+def dumps(obj) -> str:
+    """The text of pieces(obj), joined: for a caller that needs one string."""
+    return "".join(pieces(obj))
 
 
 def write_items(items: list) -> str:
@@ -206,16 +218,3 @@ def three_term_items(chains) -> str:
             parts += (between, front, detail % v, closer)
     return "".join(parts[1:])  # less the first separator
 
-
-def join_items(pieces) -> Written:
-    """The list that opens at depth 1 and holds, in order, the items of each
-    piece `write_items` wrote for it: exactly the text `dumps` gives it."""
-    parts = ["[", _LINE[2]]
-    for piece in pieces:
-        if piece:
-            parts += (piece, "," + _LINE[2])
-    if len(parts) == 2:
-        return Written("[]")
-    parts[-1] = _LINE[1]  # in place of the last separator
-    parts.append("]")
-    return Written("".join(parts))  # one join: the text is copied once, not twice

@@ -35,7 +35,7 @@ writes them inside the report: theorem records by
 serialize.theorem_items, necessity records by serialize.three_term_items,
 which writes each chain's roots once and builds no dict.  So the writing
 runs in the pool workers, only text crosses the pipes, and the parent
-joins the texts in canonical order (serialize.join_items).  Every
+keeps the texts, in canonical order, as the pieces of a Written.  Every
 partition returns (stable, certificates, records, text), records being
 the count; `pass` comes from the counts.  `written_report` is the report
 the command line writes, and its `timing_seconds` includes the writing;
@@ -235,9 +235,9 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     """The sweep's report, its violation list already written.
 
     `violations` is a serialize.Written: each partition writes its
-    own records, in the pool worker that runs it, and they are joined in
-    (n, first step) order whatever the worker count, so reports differ
-    only in the timing field, which includes the writing.  With records
+    own records, in the pool worker that runs it, and the texts are its
+    pieces in (n, first step) order whatever the worker count, so reports
+    differ only in the timing field, which includes the writing.  With records
     false (nobody reads them) the partitions only count their records and
     the report has no `violations`.
     """
@@ -283,7 +283,7 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
         "per_n": per_n,
     }
     if records:
-        report["violations"] = serialize.join_items([text for *_, text in results])
+        report["violations"] = serialize.Written(text for *_, text in results)
     found = any(count for _, _, count, _ in results)
     report["pass"] = not found if params.mode == MODE_THEOREM else found
     report["timing_seconds"] = time.perf_counter() - started
@@ -293,5 +293,5 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
 def run_sweep(params: SweepParams, workers: int = 1) -> dict:
     """written_report with the violation records read back as dicts."""
     report = written_report(params, workers)
-    report["violations"] = json.loads(report["violations"].text)
+    report["violations"] = json.loads("".join(report["violations"].parts))
     return report

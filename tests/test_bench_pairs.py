@@ -153,3 +153,25 @@ def test_main_refuses_an_incorrect_run_and_writes_nothing(monkeypatch, tmp_path,
     assert bench_pairs.main(argv) == 1
     assert "not correct" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+ROOT = SCRIPT.parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_files_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_each_committed_bench_file_checks_itself(path):
+    # its summary recomputes from its pairs, it is named as the script names
+    # it, and its pairs alternate which side ran first; whether its SHAs are
+    # commits is not checked, since a checkout may hold one commit only
+    bench = json.loads(path.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    assert bench["summary"] == bench_pairs.summarize(bench["pairs"], better)
+    assert path.name == bench_pairs.bench_name(bench["workload"], bench["parent"], bench["change"])
+    for i, record in enumerate(bench["pairs"]):
+        assert (record["seed"], record["first"]) == (i + 1, bench_pairs.first_side(i))

@@ -1,5 +1,6 @@
 """CLI end to end: subcommands, exit codes, formats, schema conformance."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -723,3 +724,36 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     after_rank1, after_verify_metric = loaded_after_each(rank1, ["verify-metric", "--grid", "2"])
     assert "higgs_threeterm.filtered" in after_rank1 and "numpy" in after_verify_metric
     assert not (after_rank1 | after_verify_metric) & set(SWEEP_MODULES)
+
+
+def test_emit_writes_nothing_when_a_later_entry_cannot_be_json(capsys, tmp_path):
+    # the report is written in pieces, so every piece is made before any is
+    # written: the Written entry comes first and would otherwise be on disk
+    from higgs_threeterm import cli, serialize
+
+    report = {"violations": serialize.Written(["[1]"]), "timing_seconds": float("nan")}
+    for out in (tmp_path / "report.json", None):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._emit(argparse.Namespace(format="json", out=out and str(out)), report, [], [])
+        assert capsys.readouterr().out == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_necessity_report_is_written_without_being_held_whole(workers, tmp_path, time_bound):
+    # the benchmark's necessity box, 2.7 MB of records: written in pieces,
+    # the command's traced peak stays under twice the report's bytes.  Joined
+    # into one string, then encoded whole, it read 3.1 times
+    import tracemalloc
+
+    path = tmp_path / "report.json"
+    box = ["--mode", "necessity", "--n-min", "2", "--n-max", "9", "--max-rise", "10", "--bound", "10"]
+    argv = ["sweep", *box, "--workers", workers, "--out", str(path)]
+    assert main(argv) == 0  # untraced, so imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size

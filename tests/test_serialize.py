@@ -17,8 +17,8 @@ from higgs_threeterm.serialize import (
     dumps,
     format_rational,
     int_list_items,
-    join_items,
     parse_rational,
+    pieces,
     profile_json,
     three_term_items,
     write_items,
@@ -121,15 +121,44 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
     # each piece is one partition's records, possibly none, written where
     # they sit in the report: a list that opens at depth 1
     bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
-    pieces = [write_items(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+    texts = [write_items(records[a:b]) for a, b in zip(bounds, bounds[1:])]
     report = {"totals": {"stable": 1}, "violations": records, "pass": passed}
     expected = dumps(report)
     assert expected == oracle(report)
     # the only other value is a scalar
-    assert dumps({"violations": join_items(pieces), "pass": passed}) == oracle(
+    assert dumps({"violations": Written(texts), "pass": passed}) == oracle(
         {"violations": records, "pass": passed}
     )
-    assert dumps({**report, "violations": join_items(pieces)}) == expected
+    assert dumps({**report, "violations": Written(texts)}) == expected
+
+
+# a report's entries in order: a value with cuts is a list written in
+# pieces, cut there, so a Written; a value without goes to json.dumps
+ENTRIES = st.lists(
+    st.tuples(KEYS, TREES, st.none())
+    | st.tuples(KEYS, st.lists(TREES, max_size=6), st.lists(st.integers(0, 6), max_size=4)),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENTRIES)
+def test_pieces_join_to_json_indent_two_and_keep_each_written_piece(entries):
+    report, expected, given_texts = {}, {}, {}
+    for key, value, cuts in entries:
+        expected[key] = value
+        if cuts is None:
+            report[key] = value
+            given_texts.pop(key, None)  # a later entry of the same key replaces an earlier
+        else:
+            bounds = [0, *sorted(min(cut, len(value)) for cut in cuts), len(value)]
+            given_texts[key] = [write_items(value[a:b]) for a, b in zip(bounds, bounds[1:])]
+            report[key] = Written(given_texts[key])
+    parts = pieces(report)
+    assert "".join(parts) == dumps(report) == oracle(expected)
+    # each nonempty piece is passed through as the object Written was given, never copied
+    for text in (text for texts in given_texts.values() for text in texts if text):
+        assert any(part is text for part in parts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -169,19 +198,19 @@ def test_int_list_items_match_write_items(lists):
 )
 def test_a_written_value_of_a_top_level_dict_is_copied_as_it_stands(report):
     first, *_ = report
-    with_written = {**report, first: join_items([write_items(report[first])])}
+    with_written = {**report, first: Written([write_items(report[first])])}
     assert dumps(with_written) == oracle(report)
 
 
 @pytest.mark.parametrize(
     "obj",
     [
-        Written("[]"),  # the top level itself
-        [Written("[]")],
-        (1, Written("[]")),
-        {"a": [Written("[]")]},  # inside a top-level dict's value
-        {"a": {"b": Written("[]")}},
-        {"a": Written("[]"), "b": [Written("[]")]},  # also next to one that is copied
+        Written([]),  # the top level itself
+        [Written([])],
+        (1, Written([])),
+        {"a": [Written([])]},  # inside a top-level dict's value
+        {"a": {"b": Written([])}},
+        {"a": Written([]), "b": [Written([])]},  # also next to one that is copied
     ],
 )
 def test_dumps_rejects_a_written_anywhere_else(obj):
@@ -221,7 +250,7 @@ def test_dumps_rejects_non_finite_floats(place, bad):
         dumps(obj)
     # and next to a Written, which dumps copies rather than hands to json.dumps
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-        dumps({"written": Written("[]"), "next": obj})
+        dumps({"written": Written([]), "next": obj})
 
 
 @pytest.mark.parametrize(
@@ -256,13 +285,13 @@ def test_every_subcommand_writes_json_indent_two(argv, capsys, monkeypatch):
     written = []
 
     def spy(obj):
-        text = dumps(obj)
+        parts = pieces(obj)
         # a sweep report holds its violation list already written
-        as_json = {k: json.loads(v.text) if isinstance(v, Written) else v for k, v in obj.items()}
-        written.append((text, oracle(as_json)))
-        return text
+        as_json = {k: json.loads("".join(v.parts)) if isinstance(v, Written) else v for k, v in obj.items()}
+        written.append(("".join(parts), oracle(as_json)))
+        return parts
 
-    monkeypatch.setattr(serialize, "dumps", spy)
+    monkeypatch.setattr(serialize, "pieces", spy)
     cli.main(argv)
     out, err = capsys.readouterr()
     [(text, expected)] = written

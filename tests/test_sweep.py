@@ -273,7 +273,7 @@ def test_a_report_without_records_keeps_the_counts_and_pass(mode, fails, monkeyp
     for workers in (1, 2):
         written = sweep.written_report(params, workers)
         counted = sweep.written_report(params, workers, records=False)
-        found = written.pop("violations").text != "[]"
+        found = "".join(written.pop("violations").parts) != "[]"
         assert found == (fails == (mode == MODE_THEOREM))
         del written["timing_seconds"], counted["timing_seconds"]
         assert counted == written
