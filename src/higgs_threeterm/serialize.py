@@ -25,15 +25,18 @@ records sort by (kind, detail as JSON with sorted keys), so numbers
 compare as text ("above": 10 before "above": 2), and sorting each chain's
 records orders the whole report without a global sort.  Necessity records
 all have one shape, so `three_term_items` sorts a chain's violations by
-that key's text less the prefix they all share, and writes them as
-`write_items` would, from one template built from the same indentation
-strings, with no record dict; `int_list_items` does the same for
-`enumerate`'s root lists.  Neither runs the stdlib's pure-Python encoder,
-which json.dumps uses whenever indent is set, item by item.
+that key's text less the prefix they all share.  It and `int_list_items`
+(`enumerate`'s root lists) lay out nothing themselves: for each length
+they meet, `write_items` writes one item of zeros and its 0s become %d,
+and each item of that length is that template filled with its numbers,
+with no record dict.  So `write_items` is the one code that lays out an
+item, and the stdlib's pure-Python encoder, which json.dumps uses
+whenever indent is set, runs once per length, not once per item.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import TYPE_CHECKING
 
@@ -121,7 +124,8 @@ def side_residue_json(data: SideResidue) -> dict:
 _INDENT = "  "
 # newline and indent at each depth: every written list is a value of the
 # top-level dict, so it opens at depth 1 and its items sit at depth 2
-_LINE = tuple("\n" + _INDENT * depth for depth in range(5))
+_LINE = tuple("\n" + _INDENT * depth for depth in range(3))
+_SEPARATOR = "," + _LINE[2]  # between the items of such a list
 
 
 class Written:
@@ -136,7 +140,7 @@ class Written:
         parts = ["[", _LINE[2]]  # the line of the first item, if any
         for piece in pieces:
             if piece:
-                parts += (piece, "," + _LINE[2])
+                parts += (piece, _SEPARATOR)
         parts[-1:] = (_LINE[1], "]") if len(parts) > 2 else ("]",)  # in place of the last separator
         self.parts = parts
 
@@ -171,11 +175,19 @@ def write_items(items: list) -> str:
     return text.replace("\n", _LINE[1])
 
 
+def _templates(zero):
+    """n -> write_items([zero(n)]) with every 0 made %d, built once per n.
+    No key, kind or indentation holds a 0, so the %d are exactly the
+    item's numbers, in the order written: an item of n numbers is its
+    length's template % the numbers."""
+    return functools.cache(lambda n: write_items([zero(n)]).replace("0", "%d"))
+
+
 def int_list_items(lists) -> str:
-    """write_items(lists) for nonempty lists of ints, each written into one
-    template built before the loop."""
-    head, separator, tail = "[" + _LINE[3], "," + _LINE[3], _LINE[2] + "]"
-    return ("," + _LINE[2]).join([head + separator.join(map(str, ints)) + tail for ints in lists])
+    """write_items(lists) for lists of ints, each filled into its length's
+    template (see `_templates`)."""
+    template = _templates(lambda n: [0] * n)
+    return _SEPARATOR.join([template(len(ints)) % tuple(ints) for ints in lists])
 
 
 def theorem_items(chains) -> str:
@@ -199,22 +211,18 @@ def _three_term_key(v) -> str:
 def three_term_items(chains) -> str:
     """write_items of the records {"roots": list(roots), "kind":
     "three-term", "detail": v._asdict()} for each v of each (roots,
-    violations) in chains, in report order, no dict built; a v is a 4-tuple
-    in ThreeTermViolation's field order, also `_asdict`'s key order.  A
-    chain's text up to the detail is written once for all its records."""
+    violations) in chains, in report order, with no dict per record; a v
+    is a 4-tuple in ThreeTermViolation's field order, also `_asdict`'s key
+    order.  A record is its roots and v filled into its length's template
+    (see `_templates`)."""
     from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
 
-    separator = "," + _LINE[4]  # between the items of its roots and detail
-    head = "{" + _LINE[3] + '"roots": [' + _LINE[4]
-    opener = f'{_LINE[3]}],{_LINE[3]}"kind": "three-term",{_LINE[3]}"detail": {{{_LINE[4]}'
-    detail = separator.join(f'"{field}": %d' for field in ThreeTermViolation._fields)
-    closer, between = f"{_LINE[3]}}}{_LINE[2]}}}", "," + _LINE[2]
-    parts = []
+    detail = dict.fromkeys(ThreeTermViolation._fields, 0)
+    template = _templates(lambda n: {"roots": [0] * n, "kind": "three-term", "detail": detail})
+    items = []
     for roots, violations in chains:
-        front = head + separator.join(map(str, roots)) + opener  # ints: nothing to escape
+        filled = template(len(roots))
         if len(violations) > 1:
             violations = sorted(violations, key=_three_term_key)
-        for v in violations:
-            parts += (between, front, detail % v, closer)
-    return "".join(parts[1:])  # less the first separator
-
+        items += [filled % (*roots, *v) for v in violations]
+    return _SEPARATOR.join(items)

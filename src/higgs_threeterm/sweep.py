@@ -33,15 +33,15 @@ Each partition hands its chains' violations, in walk order, to serialize,
 which orders and writes them as JSON text exactly as serialize.dumps
 writes them inside the report: theorem records by
 serialize.theorem_items, necessity records by serialize.three_term_items,
-which writes each chain's roots once and builds no dict.  So the writing
-runs in the pool workers, only text crosses the pipes, and the parent
-keeps the texts, in canonical order, as the pieces of a Written.  Every
-partition returns (stable, certificates, records, text), records being
-the count; `pass` comes from the counts.  `written_report` is the report
-the command line writes, and its `timing_seconds` includes the writing;
-`run_sweep` reads the records back as dicts.  A CSV report prints only
-the counts, so for it the partitions keep and write no record and their
-text is "".
+which fills each record into its length's template, no dict built.  So
+the writing runs in the pool workers, only text crosses the pipes, and
+the parent keeps the texts, in canonical order, as the pieces of a
+Written.  Every partition returns (stable, certificates, records, text),
+records being the count; `pass` comes from the counts.  `written_report`
+is the report the command line writes, and its `timing_seconds` includes
+the writing; `run_sweep` reads the records back as dicts.  A CSV report
+prints only the counts, so for it the partitions keep and write no record
+and their text is "".
 
 The walk hands each chain over as a plain tuple with its stability and
 carries its multiplicities {r: m_r}, one push or pop at a time, so a leaf
