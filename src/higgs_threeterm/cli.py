@@ -171,12 +171,12 @@ def _cmd_pair(args) -> int:
     if args.all_heights:
         report = {
             "roots": list(seq.roots),
-            "certificates": [serialize.certificate_json(c) for c in certs],
+            "certificates": [serialize.certificate_json(seq.roots, c) for c in certs],
         }
     else:
-        report = serialize.certificate_json(certs[0])
+        report = serialize.certificate_json(seq.roots, certs[0])
     rows = [
-        [c.height, p.source, p.target, p.label.value] for c in certs for p in c.pairs
+        [c.height, source, target, label.value] for c in certs for source, target, label in c.pairs(seq.roots)
     ]
     _emit(args, report, ["height", "source", "target", "label"], rows)
     if failures:

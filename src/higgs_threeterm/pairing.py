@@ -23,10 +23,16 @@ chain the boundary rule always applies: either the trailing region starts
 with a drop (label B), or r < r_1 and the vertex just before the leftmost
 height-r vertex sits at r+2 (label LEFT_BOUNDARY).
 
-One left-to-right pass (`_certify`) builds every height at once.  Vertex k
-at height r closes the region opened by j = last[r]: it is A when vertex
-j+1 lies above r (target k-1, at r+2); otherwise the target is j+1, at
-r-2, and it is C when vertex k-1 lies above r and B when not.  So a label
+A chain's certificate is vertex-indexed.  Every vertex j is a source at its
+own height r_j, so the whole pairing is one tuple `targets`, targets[j-1]
+being the vertex j is paired with, and a tuple `labels` of the regions
+that `pair` prints.  The certificate of height r is that pairing read at
+the height-r vertices; the heights of one chain share the two tuples.
+
+One left-to-right pass (`_certify`) builds the pairing.  Vertex k at
+height r closes the region opened by j = last[r]: it is A when vertex j+1
+lies above r (target k-1, at r+2); otherwise the target is j+1, at r-2,
+and it is C when vertex k-1 lies above r and B when not.  So a label
 takes O(1): moving in even steps and dropping by exactly 2, the path comes
 back to r from above only by landing on it from r+2.  The public entry
 points check the hypotheses (admissible, tail-stable) once per call; the
@@ -82,17 +88,19 @@ class RegionKind(Enum):
     LEFT_BOUNDARY = "LEFT_BOUNDARY"
 
 
-class MatchedPair(NamedTuple):
-    source: int
-    target: int
-    label: RegionKind
-
-
 class MatchingCertificate(NamedTuple):
-    """Injective pairing of height-r vertices with height-(r+-2) vertices."""
+    """Height r's part of a chain's pairing: vertex j at height r is paired
+    with targets[j-1] through region labels[j-1], both None for a vertex
+    left unpaired.  The tuples cover every vertex of the chain."""
 
     height: int
-    pairs: tuple[MatchedPair, ...]
+    targets: tuple[int | None, ...]
+    labels: tuple[RegionKind | None, ...]
+
+    def pairs(self, roots: tuple[int, ...]) -> list[tuple[int, int, RegionKind]]:
+        """(source, target, label) of each paired height-r vertex, by source."""
+        r, found = self.height, enumerate(zip(roots, self.targets, self.labels), 1)
+        return [(j, t, label) for j, (root, t, label) in found if root == r and t is not None]
 
 
 def _require_hypotheses(seq: RootSequence) -> None:
@@ -104,43 +112,39 @@ def _require_hypotheses(seq: RootSequence) -> None:
         raise HypothesisViolationError(f"chain {seq.roots} is not tail-stable ({report.verdict})")
 
 
-def _certify(roots: tuple[int, ...]) -> dict[int, tuple[MatchingCertificate, PairingFailure | None]]:
-    """Every realized height's certificate from one pass, ascending by height.
+def _certify(roots: tuple[int, ...]) -> tuple[tuple, tuple, dict[int, PairingFailure]]:
+    """The chain's pairing from one pass: (targets, labels, failures).
 
-    Each value is (certificate, failure): failure is None when every height-r
-    vertex is paired, else the rightmost vertex's PairingFailure, and the
-    certificate pairs the others.  The caller checks the hypotheses.
+    failures maps each height whose rightmost vertex has no target to that
+    vertex's PairingFailure; the vertex's entries stay None, and the other
+    vertices are paired.  The caller checks the hypotheses.
     """
-    new = tuple.__new__  # MatchedPair(...) would run the named tuple's Python-level __new__
     A, B, C = RegionKind.A, RegionKind.B, RegionKind.C
-    first: dict[int, int] = {}
+    n = len(roots)
+    targets: list[int | None] = [None] * n
+    labels: list[RegionKind | None] = [None] * n
     last: dict[int, int] = {}
-    pairs: dict[int, list[MatchedPair]] = {}
     for k, r in enumerate(roots, 1):
         j = last.get(r)
-        if j is None:
-            first[r] = k
-            pairs[r] = []
-        elif roots[j] > r:  # vertex j+1 is above r: an A region, closed from r+2
-            pairs[r].append(new(MatchedPair, (j, k - 1, A)))
-        else:  # a drop to j+1; the region is C when it returns from above
-            pairs[r].append(new(MatchedPair, (j, j + 1, C if roots[k - 2] > r else B)))
         last[r] = k
+        if j is None:  # the leftmost height-r vertex closes no region
+            continue
+        if roots[j] > r:  # vertex j+1 is above r: an A region, closed from r+2
+            targets[j - 1], labels[j - 1] = k - 1, A
+        else:  # a drop to j+1; the region is C when it returns from above
+            targets[j - 1], labels[j - 1] = j + 1, C if roots[k - 2] > r else B
 
-    n = len(roots)
-    built = {}
-    for r in sorted(first):
-        j, failure = last[r], None
+    failures = {}
+    for r, j in last.items():
         if j < n and roots[j] < r:
             # the trailing region starts with a drop; its first vertex is at r-2
-            pairs[r].append(new(MatchedPair, (j, j + 1, B)))
-        elif first[r] > 1 and roots[first[r] - 2] == r + 2:
-            pairs[r].append(new(MatchedPair, (j, first[r] - 1, RegionKind.LEFT_BOUNDARY)))
+            targets[j - 1], labels[j - 1] = j + 1, B
+        elif (i := roots.index(r)) and roots[i - 1] == r + 2:  # vertex i precedes the leftmost source
+            targets[j - 1], labels[j - 1] = i, RegionKind.LEFT_BOUNDARY
         else:
             reason = "no trailing drop and no r+2 vertex before the leftmost source"
-            failure = PairingFailure(roots, r, j, reason)
-        built[r] = (new(MatchingCertificate, (r, tuple(pairs[r]))), failure)
-    return built
+            failures[r] = PairingFailure(roots, r, j, reason)
+    return tuple(targets), tuple(labels), failures
 
 
 def build_matching(seq: RootSequence, r: int) -> MatchingCertificate:
@@ -153,41 +157,36 @@ def build_matching(seq: RootSequence, r: int) -> MatchingCertificate:
     must then descend from r_1 > r).
     """
     _require_hypotheses(seq)
-    return _unless_failed(*_certify(seq.roots).get(r, (MatchingCertificate(r, ()), None)))
-
-
-def _unless_failed(cert: MatchingCertificate, failure: PairingFailure | None) -> MatchingCertificate:
-    if failure is not None:
-        raise failure
-    return cert
+    targets, labels, failures = _certify(seq.roots)
+    if r in failures:
+        raise failures[r]
+    return MatchingCertificate(r, targets, labels)
 
 
 def verify_certificate(roots: tuple[int, ...], cert: MatchingCertificate) -> tuple[bool, list[str]]:
-    """Re-validate a certificate of the chain with these roots from scratch.
+    """Re-validate height cert.height of a chain's certificate from scratch.
 
-    Checks, independently of how the certificate was produced: the sources
-    are exactly the height-r vertices, each exactly once; targets are
-    pairwise distinct; every target is a real vertex at height r-2 or r+2.
-    The roots are read as given (a RootSequence passes its .roots).
+    Checks, independently of how the certificate was produced: there is one
+    target per vertex, and every height-r vertex has one; the height-r
+    vertices' targets are pairwise distinct; each is a real vertex at
+    height r-2 or r+2.  The other vertices' targets are not read.  The
+    roots are read as given (a RootSequence passes its .roots).
     Returns (ok, failure reasons).
     """
     n = len(roots)
     r = cert.height
     reasons: list[str] = []
-    sources, targets, _ = zip(*cert.pairs) if cert.pairs else ((), (), ())
+    entries = cert.targets
+    if len(entries) != n:  # a vertex past the tuple's end reads as unpaired
+        entries = (*entries, *[None] * n)[:n]
+    targets, j = [], 0  # the height-r vertices' targets, left to right
+    for _ in range(roots.count(r)):
+        j = roots.index(r, j) + 1
+        targets.append(entries[j - 1])
 
-    # the sources are the height-r vertices exactly when there are m_r of
-    # them, distinct, and each is a vertex at height r
-    try:
-        if len(sources) != roots.count(r) or len(set(sources)) != len(sources):
-            reasons.append("source coverage")
-        else:
-            for j in sources:
-                if not 1 <= j <= n or roots[j - 1] != r:
-                    reasons.append("source coverage")
-                    break
-    except TypeError:  # a source that is no vertex index, such as 1.0
+    if len(cert.targets) != n or None in targets:
         reasons.append("source coverage")
+        targets = [t for t in targets if t is not None]
 
     if len(set(targets)) != len(targets):
         reasons.append("injectivity")
@@ -210,4 +209,7 @@ def verify_certificate(roots: tuple[int, ...], cert: MatchingCertificate) -> tup
 def certified_heights(seq: RootSequence) -> dict[int, MatchingCertificate]:
     """Build one certificate per realized height, keyed by the height."""
     _require_hypotheses(seq)
-    return {r: _unless_failed(*built) for r, built in _certify(seq.roots).items()}
+    targets, labels, failures = _certify(seq.roots)
+    if failures:
+        raise failures[min(failures)]
+    return {r: MatchingCertificate(r, targets, labels) for r in sorted(set(seq.roots))}

@@ -94,12 +94,12 @@ def check_report(seq: RootSequence) -> dict:
     }
 
 
-def certificate_json(cert: MatchingCertificate) -> dict:
+def certificate_json(roots: tuple[int, ...], cert: MatchingCertificate) -> dict:
     return {
         "height": cert.height,
         "pairs": [
-            {"source": p.source, "target": p.target, "label": p.label.value}
-            for p in cert.pairs
+            {"source": source, "target": target, "label": label.value}
+            for source, target, label in cert.pairs(roots)
         ],
     }
 

@@ -2,11 +2,11 @@
 
 Theorem mode walks every tail-stable admissible chain in the bounds and
 asserts, per chain: the three-term inequality at every height, the tail
-order r_n < r_1, and that a matching certificate builds and verifies at
-every realized height; the checker also refuses a certificate without
-exactly m_r pairs.  The counting route and the certificate route are
-also required to agree.  Any failure is recorded as a violation carrying
-the full chain; nothing is ever dropped.
+order r_n < r_1, and that the chain's matching certificate builds and
+verifies at every realized height; the checker also refuses a
+certificate that leaves a height-r vertex unpaired.  The counting route
+and the certificate route are also required to agree.  Any failure is
+recorded as a violation carrying the full chain; nothing is ever dropped.
 
 Necessity mode walks the admissible chains that are *not* tail-stable and
 records every three-term violation found.  Here a nonempty list is the
@@ -24,10 +24,11 @@ chains; necessity mode needs every unstable chain and walks the whole
 partition.  `generated` is counted, not walked, by chain.count_chains,
 in one pass for every length.  Every chain is admissible by its step set (so
 `admissible` equals `generated`) and stable by the walk's verdict, so one
-pass over a stable chain builds every height's certificate without
-re-checking either hypothesis, and each is verified on its own, once per
-height, by pairing.verify_certificate.  One worker runs inline; more are
-forked, never more than the partitions.
+pass over a stable chain builds its certificate, one target per vertex,
+without re-checking either hypothesis.  pairing.verify_certificate then
+checks it once per realized height, reading that height's vertices from
+the shared targets, so its calls equal `totals["certificates"]`.  One
+worker runs inline; more are forked, never more than the partitions.
 
 Each partition hands its chains' violations, in walk order, to serialize,
 which orders and writes them as JSON text exactly as serialize.dumps
@@ -67,7 +68,7 @@ from .chain import (
     tail_slopes,  # not called; perfbench/run.py's traced run fails unless sweep.tail_slopes exists
     three_term_holds,  # theorem mode's counting route; necessity mode takes the walk's verdict
 )
-from .pairing import _certify, verify_certificate
+from .pairing import MatchingCertificate, _certify, verify_certificate
 
 MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
@@ -103,11 +104,13 @@ def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple
         found.append(("tail-order", {"first": roots[0], "last": roots[-1]}))
 
     before = len(found)
-    for r, (cert, failure) in _certify(roots).items():
-        if failure is not None:
-            found.append(("certificate-build", failure.report()))
+    new = tuple.__new__  # MatchingCertificate(...) would run the named tuple's Python-level __new__
+    targets, labels, failures = _certify(roots)
+    for r in sorted(counts):
+        if r in failures:
+            found.append(("certificate-build", failures[r].report()))
             continue
-        ok, reasons = verify_certificate(roots, cert)
+        ok, reasons = verify_certificate(roots, new(MatchingCertificate, (r, targets, labels)))
         if not ok:
             found.append(("certificate-verify", {"height": r, "reasons": reasons}))
     certificates_ok = len(found) == before

@@ -4,7 +4,7 @@ Vertex indices are 1-based, matching the r_j notation.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from higgs_threeterm.chain import (
@@ -20,7 +20,6 @@ from higgs_threeterm.chain import (
 from higgs_threeterm import pairing
 from higgs_threeterm.pairing import (
     HypothesisViolationError,
-    MatchedPair,
     MatchingCertificate,
     PairingFailure,
     RegionKind,
@@ -39,47 +38,53 @@ def small_stable_chains() -> list[RootSequence]:
 
 # --- matching construction -------------------------------------------------------
 
+A, B, C, LEFT = RegionKind.A, RegionKind.B, RegionKind.C, RegionKind.LEFT_BOUNDARY
+
+# ZIGZAG's whole pairing: vertex j is paired with ZIGZAG_TARGETS[j-1]
+ZIGZAG_TARGETS = (2, 3, 5, 5, 6, 7, 6)
+ZIGZAG_LABELS = (B, C, A, B, B, B, LEFT)
+
 
 def test_build_matching_zigzag_height_four():
     cert = build_matching(ZIGZAG, 4)
-    assert cert.pairs == (
-        MatchedPair(1, 2, RegionKind.B),
-        MatchedPair(4, 5, RegionKind.B),
-    )
+    assert cert.pairs(ZIGZAG.roots) == [(1, 2, B), (4, 5, B)]
+    assert (cert.targets, cert.labels) == (ZIGZAG_TARGETS, ZIGZAG_LABELS)
 
 
 def test_certificates_equal_identically_built_values():
     cert = certified_heights(ZIGZAG)[4]
-    pairs = (MatchedPair(1, 2, RegionKind.B), MatchedPair(source=4, target=5, label=RegionKind.B))
-    assert cert == MatchingCertificate(4, pairs) == build_matching(ZIGZAG, 4)
-    assert hash(cert) == hash(MatchingCertificate(height=4, pairs=pairs))
-    assert cert != MatchingCertificate(2, pairs)
+    assert cert == MatchingCertificate(4, ZIGZAG_TARGETS, ZIGZAG_LABELS) == build_matching(ZIGZAG, 4)
+    assert hash(cert) == hash(MatchingCertificate(height=4, targets=ZIGZAG_TARGETS, labels=ZIGZAG_LABELS))
+    assert cert != MatchingCertificate(2, ZIGZAG_TARGETS, ZIGZAG_LABELS)
     assert certified_heights(ZIGZAG) == certified_heights(ZIGZAG)
+    # the heights of one chain share its pairing, not copies of it
+    certs = certified_heights(ZIGZAG)
+    assert all(c.targets is certs[4].targets and c.labels is certs[4].labels for c in certs.values())
 
 
 def test_build_matching_drop_chain():
     cert = build_matching(RootSequence((2, 0, -2)), 2)
-    assert cert.pairs == (MatchedPair(1, 2, RegionKind.B),)
+    assert cert.pairs((2, 0, -2)) == [(1, 2, B)]
 
 
 def test_build_matching_minimal_stable_chain():
     cert = build_matching(RootSequence((0, -2)), 0)
-    assert cert.pairs == (MatchedPair(1, 2, RegionKind.B),)
+    assert cert.pairs((0, -2)) == [(1, 2, B)]
 
 
 def test_build_matching_left_boundary_fallback():
     cert = build_matching(RootSequence((2, 0, -2)), -2)
-    assert cert.pairs == (MatchedPair(3, 2, RegionKind.LEFT_BOUNDARY),)
+    assert cert.pairs((2, 0, -2)) == [(3, 2, LEFT)]
 
 
 def test_build_matching_c_region_pairs_right():
-    cert = build_matching(ZIGZAG, 2)
-    assert cert.pairs[0] == MatchedPair(2, 3, RegionKind.C)
-    assert ZIGZAG.roots[cert.pairs[0].target - 1] == 0  # the r-2 vertex, not r+2
+    (source, target, label), _ = build_matching(ZIGZAG, 2).pairs(ZIGZAG.roots)
+    assert (source, target, label) == (2, 3, C)
+    assert ZIGZAG.roots[target - 1] == 0  # the r-2 vertex, not r+2
 
 
 def test_build_matching_unrealized_height():
-    assert build_matching(RootSequence((0, -2)), -6).pairs == ()
+    assert build_matching(RootSequence((0, -2)), -6).pairs((0, -2)) == []
 
 
 def test_build_matching_rejects_bad_input():
@@ -97,6 +102,9 @@ def test_singleton_chain_has_no_target():
     assert report["roots"] == [0]
     assert report["height"] == 0
     assert report["source"] == 1
+    # the builder leaves the vertex unpaired and returns the failure by its height
+    targets, labels, failures = pairing._certify((0,))
+    assert (targets, labels, {r: f.report() for r, f in failures.items()}) == ((None,), (None,), {0: report})
 
 
 def test_build_matching_deterministic():
@@ -108,6 +116,15 @@ def test_build_matching_deterministic():
 # --- independent verification -----------------------------------------------------
 
 
+def with_targets(cert, edits):
+    """cert with vertex j's target set to edits[j], the tuple extended with
+    None where an edited j lies past its end."""
+    targets = list(cert.targets) + [None] * (max(edits, default=0) - len(cert.targets))
+    for j, target in edits.items():
+        targets[j - 1] = target
+    return cert._replace(targets=tuple(targets))
+
+
 def test_verify_round_trip():
     for r in (-2, 0, 2, 4):
         ok, reasons = verify_certificate(ZIGZAG.roots, build_matching(ZIGZAG, r))
@@ -115,34 +132,28 @@ def test_verify_round_trip():
 
 
 def test_verify_rejects_duplicate_target():
-    cert = MatchingCertificate(
-        4, (MatchedPair(1, 2, RegionKind.B), MatchedPair(4, 2, RegionKind.B))
-    )
+    cert = with_targets(build_matching(ZIGZAG, 4), {4: 2})
     ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "injectivity" in reasons
 
 
 def test_verify_rejects_target_at_source_height():
-    cert = MatchingCertificate(
-        4, (MatchedPair(1, 4, RegionKind.B), MatchedPair(4, 5, RegionKind.B))
-    )
+    cert = with_targets(build_matching(ZIGZAG, 4), {1: 4})
     ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "target height" in reasons
 
 
 def test_verify_rejects_missing_source():
-    cert = MatchingCertificate(4, (MatchedPair(1, 2, RegionKind.B),))
+    cert = with_targets(build_matching(ZIGZAG, 4), {4: None})
     ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "source coverage" in reasons
 
 
 def test_verify_rejects_out_of_range_target():
-    cert = MatchingCertificate(
-        4, (MatchedPair(1, 9, RegionKind.B), MatchedPair(4, 5, RegionKind.B))
-    )
+    cert = with_targets(build_matching(ZIGZAG, 4), {1: 9})
     ok, reasons = verify_certificate(ZIGZAG.roots, cert)
     assert not ok
     assert "target range" in reasons
@@ -158,7 +169,7 @@ def test_every_stable_chain_certifies_every_height():
             cert = build_matching(seq, r)
             ok, reasons = verify_certificate(seq.roots, cert)
             assert ok, (seq.roots, r, reasons)
-            assert len(cert.pairs) == profile[r], (seq.roots, r)
+            assert len(cert.pairs(seq.roots)) == profile[r], (seq.roots, r)
 
 
 def test_certificates_and_counting_agree():
@@ -177,14 +188,14 @@ def test_targets_stay_in_their_region():
         roots = seq.roots
         for r, cert in certified_heights(seq).items():
             sources = [j for j in range(1, len(roots) + 1) if roots[j - 1] == r]
-            for pair in cert.pairs:
-                if pair.label is RegionKind.LEFT_BOUNDARY:
-                    assert pair.target < sources[0]
-                elif pair.source == sources[-1]:
-                    assert pair.target > sources[-1]
+            for source, target, label in cert.pairs(roots):
+                if label is RegionKind.LEFT_BOUNDARY:
+                    assert target < sources[0]
+                elif source == sources[-1]:
+                    assert target > sources[-1]
                 else:
-                    nxt = min(s for s in sources if s > pair.source)
-                    assert pair.source < pair.target < nxt
+                    nxt = min(s for s in sources if s > source)
+                    assert source < target < nxt
 
 
 def test_hypotheses_checked_once_per_call(monkeypatch):
@@ -221,9 +232,10 @@ def test_random_stable_chain_full_certification(roots):
     for r, cert in certified_heights(seq).items():
         ok, _ = verify_certificate(roots, cert)
         assert ok
-        assert len(cert.pairs) == profile[r]
-        for pair in cert.pairs:
-            assert roots[pair.target - 1] in (r - 2, r + 2)
+        pairs = cert.pairs(roots)
+        assert len(pairs) == profile[r]
+        for _, target, _ in pairs:
+            assert roots[target - 1] in (r - 2, r + 2)
 
 
 # --- the one-pass builder against the per-height construction it replaced -----------
@@ -231,7 +243,8 @@ def test_random_stable_chain_full_certification(roots):
 # The reference below is the earlier per-height builder, kept here only as a
 # test oracle: for each height it rescans the chain for the sources and each
 # region for its kind, and re-checks every target height.  Instead of
-# raising, it returns the pairs built so far with the PairingFailure.
+# raising, it returns the (source, target, label) pairs built so far with
+# the PairingFailure.
 
 
 def reference_kind(roots, j_left, j_right, r):
@@ -251,10 +264,10 @@ def reference_match(roots, r):
     pairs = []
 
     def failed(source, reason):
-        return MatchingCertificate(r, tuple(pairs)), PairingFailure(roots, r, source, reason)
+        return pairs, PairingFailure(roots, r, source, reason)
 
     if not srcs:
-        return MatchingCertificate(r, ()), None
+        return pairs, None
     for j, nxt in zip(srcs, srcs[1:]):
         kind = reference_kind(roots, j, nxt, r)
         if kind is RegionKind.A:
@@ -265,22 +278,36 @@ def reference_match(roots, r):
             target = j + 1
             if roots[target - 1] != r - 2:
                 return failed(j, "region drop is not to r-2")
-        pairs.append(MatchedPair(j, target, kind))
+        pairs.append((j, target, kind))
     rightmost = srcs[-1]
     if rightmost < n and roots[rightmost] < r:
         target = rightmost + 1
         if roots[target - 1] != r - 2:
             return failed(rightmost, "trailing drop is not to r-2")
-        pairs.append(MatchedPair(rightmost, target, RegionKind.B))
+        pairs.append((rightmost, target, RegionKind.B))
     elif srcs[0] > 1 and roots[srcs[0] - 2] == r + 2:
-        pairs.append(MatchedPair(rightmost, srcs[0] - 1, RegionKind.LEFT_BOUNDARY))
+        pairs.append((rightmost, srcs[0] - 1, RegionKind.LEFT_BOUNDARY))
     else:
         return failed(rightmost, "no trailing drop and no r+2 vertex before the leftmost source")
-    return MatchingCertificate(r, tuple(pairs)), None
+    return pairs, None
 
 
-def as_comparable(cert, failure):
-    return cert, None if failure is None else failure.report()
+def as_comparable(pairs, failure):
+    return pairs, None if failure is None else failure.report()
+
+
+def height_views(roots):
+    """Each realized height's (pairs, failure report) read from the chain's
+    one certificate, after checking that its tuples cover every vertex and
+    that a vertex has a label exactly when it has a target."""
+    targets, labels, failures = pairing._certify(roots)
+    assert len(targets) == len(labels) == len(roots)
+    assert [t is None for t in targets] == [label is None for label in labels]
+    assert set(failures) <= set(roots)
+    return {
+        r: as_comparable(MatchingCertificate(r, targets, labels).pairs(roots), failures.get(r))
+        for r in sorted(set(roots))
+    }
 
 
 # every admissible chain with n 1-8, rise 2/4/6/10 and bound 5/7/9: 15,386
@@ -324,10 +351,31 @@ def test_one_pass_builder_matches_the_reference_on_unstable_chains():
     for roots in DIFFERENTIAL_BOX:
         if tail_slopes(roots).is_stable:
             continue
-        built = pairing._certify(roots)
-        assert list(built) == sorted(set(roots)), roots
-        for r, (cert, failure) in built.items():
-            assert as_comparable(cert, failure) == as_comparable(*reference_match(roots, r))
+        for r, view in height_views(roots).items():
+            assert view == as_comparable(*reference_match(roots, r)), (roots, r)
+
+
+@st.composite
+def walked_chains(draw):
+    """A chain of a random box (n 2-10, rises up to 2-8, |r| <= 0-12), one
+    in-box step at a time; it ends early where no step stays in the box."""
+    n, max_rise, bound = draw(st.integers(2, 10)), 2 * draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    roots = [0]
+    while len(roots) < n:
+        nexts = [roots[-1] + step for step in enumeration_steps(max_rise) if abs(roots[-1] + step) <= bound]
+        if not nexts:
+            break
+        roots.append(draw(st.sampled_from(nexts)))
+    return tuple(roots)
+
+
+@example((0,))  # the singleton: its lone vertex has no target
+@example((0, 4))  # unstable, both heights unpaired
+@example((0, -2, 0, -2, -4, 0, -2, -4))  # stable, with A, B and C regions
+@given(walked_chains())
+def test_one_pass_builder_matches_the_reference_on_random_chains(roots):
+    for r, view in height_views(roots).items():
+        assert view == as_comparable(*reference_match(roots, r)), r
 
 
 def test_public_builders_match_the_reference_on_stable_chains():
@@ -335,24 +383,24 @@ def test_public_builders_match_the_reference_on_stable_chains():
         seq = RootSequence(roots)
         # every realized height, an unrealized one and one of the wrong parity
         for r in sorted(set(roots)) + [min(roots) - 2, 1]:
-            cert, failure = reference_match(roots, r)
+            pairs, failure = reference_match(roots, r)
             if failure is None:
-                assert build_matching(seq, r) == cert, (roots, r)
+                assert build_matching(seq, r).pairs(roots) == pairs, (roots, r)
             else:
                 with pytest.raises(PairingFailure) as info:
                     build_matching(seq, r)
                 assert info.value.report() == failure.report()
         try:
-            certified = certified_heights(seq)
+            certified = {r: cert.pairs(roots) for r, cert in certified_heights(seq).items()}
         except PairingFailure as failure:
             certified = failure.report()
         expected = {}
         for r in sorted(set(roots)):
-            cert, failure = reference_match(roots, r)
+            pairs, failure = reference_match(roots, r)
             if failure is not None:
                 expected = failure.report()
                 break
-            expected[r] = cert
+            expected[r] = pairs
         assert certified == expected, roots
 
 
@@ -360,111 +408,134 @@ def test_public_builders_match_the_reference_on_stable_chains():
 #
 # The reference below is the earlier checker, kept here only as a test oracle:
 # it lists the height-r vertices by scanning the chain and compares them with
-# the sorted sources, then checks each target.
+# the sorted sources of the (source, target) pairs, then checks each target.
+# `as_pairs` reads a vertex-indexed certificate as those pairs: one per
+# height-r vertex that has a target.
 
 
-def reference_verify(roots, cert):
+def reference_verify(roots, r, pairs):
     n = len(roots)
-    r = cert.height
     reasons = []
 
     expected = [j for j in range(1, n + 1) if roots[j - 1] == r]
-    if sorted(p.source for p in cert.pairs) != expected:
+    if sorted(source for source, _ in pairs) != expected:
         reasons.append("source coverage")
 
-    targets = [p.target for p in cert.pairs]
+    targets = [target for _, target in pairs]
     if len(set(targets)) != len(targets):
         reasons.append("injectivity")
 
-    for p in cert.pairs:
-        if not 1 <= p.target <= n:
+    for target in targets:
+        if not (isinstance(target, int) and 1 <= target <= n):
             reasons.append("target range")
-        elif roots[p.target - 1] not in (r - 2, r + 2):
+        elif roots[target - 1] not in (r - 2, r + 2):
             reasons.append("target height")
 
     reasons = list(dict.fromkeys(reasons))
     return (not reasons, reasons)
 
 
+def as_pairs(roots, cert):
+    found = zip(roots, cert.targets)  # a vertex past the tuple's end has no target
+    return [(j, t) for j, (root, t) in enumerate(found, 1) if root == cert.height and t is not None]
+
+
+def reference_verdict(roots, cert):
+    """reference_verify on the certificate's pairs; a tuple whose length is
+    not n has no entry for some vertex, or an entry no vertex has, which is
+    source coverage too."""
+    ok, reasons = reference_verify(roots, cert.height, as_pairs(roots, cert))
+    if len(cert.targets) != len(roots) and "source coverage" not in reasons:
+        reasons.insert(0, "source coverage")
+    return (not reasons, reasons)
+
+
 def mutants(roots, cert):
-    """The certificate with two targets swapped, a target moved to a wrong
-    height of the same parity, a source dropped or duplicated, and a source
-    or target set to 0 or n+1, each at the first and at the last pair; also
-    two pairs sharing a source or a target, and a pair from neither end added."""
-    n, r, pairs = len(roots), cert.height, list(cert.pairs)
-
-    def at(i, **fields):
-        return pairs[:i] + [pairs[i]._replace(**fields)] + pairs[i + 1 :]
-
-    found = [pairs + [MatchedPair(0, n + 1, RegionKind.B)]]
-    if len(pairs) > 1:
-        first, last = pairs[0], pairs[-1]
-        found.append([first._replace(target=last.target)] + pairs[1:-1] + [last._replace(target=first.target)])
-        found.append([first._replace(target=last.target)] + pairs[1:])
-        found.append(pairs[:-1] + [last._replace(source=first.source)])
+    """The certificate with the first height-r vertex's target set to 0, a
+    vertex at a wrong height of the same parity, a non-int or None
+    (unpaired), and the last one's to n+1, another wrong vertex or another
+    non-int; the first two sources' targets swapped, and the last one's
+    made a duplicate of the first's; another height's target set to 0; the
+    tuple one entry short, or one entry long: alone, and with the first 0,
+    wrong-height and duplicate edits, so each reason comes with source
+    coverage too."""
+    n, r = len(roots), cert.height
+    sources = [j for j in range(1, n + 1) if roots[j - 1] == r]
+    others = [j for j in range(1, n + 1) if roots[j - 1] != r]
     wrong = [j for j in range(1, n + 1) if abs(roots[j - 1] - r) != 2]  # every root is even
-    for i in sorted({0, len(pairs) - 1} if pairs else set()):
-        found += [pairs[:i] + pairs[i + 1 :], pairs + [pairs[i]], pairs + [pairs[i]._replace(target=n + 1)]]
-        found += [at(i, target=wrong[0]), at(i, target=wrong[-1])] if wrong else []
-        found += [at(i, source=bad) for bad in (0, n + 1)] + [at(i, target=bad) for bad in (0, n + 1)]
-    return [MatchingCertificate(r, tuple(p)) for p in found]
+    first, last = sources[0], sources[-1]
+    edits = [{first: 0}, {first: wrong[0]}, {first: 2.0}, {first: None}, {last: n + 1}, {last: wrong[-1]}, {last: "1"}]
+    pair_edits = []
+    if len(sources) > 1:
+        second = sources[1]
+        pair_edits.append({first: cert.targets[second - 1], second: cert.targets[first - 1]})
+        pair_edits.append({last: cert.targets[first - 1]})
+    other_edits = [{others[0]: 0}] if others else []
+    found = [with_targets(cert, edit) for edit in edits + pair_edits + other_edits]
+    longer = [with_targets(cert, edit) for edit in [{}] + edits[:2] + pair_edits[1:]]
+    return found + [cert._replace(targets=cert.targets[:-1])] + [c._replace(targets=c.targets + (1,)) for c in longer]
 
 
 def test_checker_matches_the_reference_on_real_and_mutated_certificates():
     reasons_seen = set()
+    checked_count = 0
     for roots in DIFFERENTIAL_BOX:
-        for r, (cert, _) in pairing._certify(roots).items():
+        targets, labels, _ = pairing._certify(roots)
+        for r in sorted(set(roots)):
+            cert = MatchingCertificate(r, targets, labels)
             # the real certificate (partial where a vertex has no target), the
-            # same pairs read at a neighbouring height, and the mutants
+            # same pairing read at a neighbouring height, and the mutants
             for checked in [cert, cert._replace(height=r + 2)] + mutants(roots, cert):
-                expected = reference_verify(roots, checked)
+                expected = reference_verdict(roots, checked)
                 assert verify_certificate(roots, checked) == expected, (roots, checked)
                 reasons_seen.add(tuple(expected[1]))
+                checked_count += 1
     # every verdict alone, and with source coverage first
     singles = {(), ("source coverage",), ("injectivity",), ("target range",), ("target height",)}
     assert singles <= reasons_seen
     assert {("source coverage", reason) for reason in ("injectivity", "target range", "target height")} <= reasons_seen
+    assert checked_count > 100_000
 
 
 def test_checker_verdict_on_each_mutation():
     # height -2 of a stable chain: sources 2, 4 and 7 in an A, a C and a B region
     seq = RootSequence((0, -2, 0, -2, -4, 0, -2, -4))
     cert = build_matching(seq, -2)
-    assert cert.pairs == (
-        MatchedPair(2, 3, RegionKind.A),
-        MatchedPair(4, 5, RegionKind.C),
-        MatchedPair(7, 8, RegionKind.B),
-    )
-    a, c, b = cert.pairs
-    verdicts = {
-        (a, c, b): [],
+    assert cert.pairs(seq.roots) == [(2, 3, A), (4, 5, C), (7, 8, B)]
+    a, c, b = 2, 4, 7
+    verdicts = [
+        ({}, []),
         # the checker checks a matching, not the regions: a swap still matches
-        (a._replace(target=5), c._replace(target=3), b): [],
-        (a._replace(target=4), c, b): ["target height"],  # vertex 4 sits at r itself
-        (c, b): ["source coverage"],
-        (a, c, b, a): ["source coverage", "injectivity"],
-        (a, c, b, a._replace(target=1)): ["source coverage"],
-        (a._replace(source=0), c, b): ["source coverage"],
-        (a, c, b._replace(source=9)): ["source coverage"],
-        (a._replace(target=0), c, b): ["target range"],
-        (a, c, b._replace(target=9)): ["target range"],
-        (a._replace(target=9), c._replace(target=4), b): ["target range", "target height"],
-        (a._replace(target=4), c._replace(target=9), b): ["target height", "target range"],
-        (a._replace(source=7), c, b._replace(target=0)): ["source coverage", "target range"],
-    }
-    for pairs, reasons in verdicts.items():
-        checked = MatchingCertificate(-2, pairs)
-        assert verify_certificate(seq.roots, checked) == (not reasons, reasons), pairs
-        assert reference_verify(seq.roots, checked) == (not reasons, reasons), pairs
+        ({a: 5, c: 3}, []),
+        ({1: 0, 3: None}, []),  # the targets of other heights are not read
+        ({a: 4}, ["target height"]),  # vertex 4 sits at r itself
+        ({a: None}, ["source coverage"]),
+        ({b: None, 9: 8}, ["source coverage"]),  # b's pair moved to a ninth entry, no vertex's
+        ({a: 0}, ["target range"]),
+        ({b: 9}, ["target range"]),
+        ({a: 3.0}, ["target range"]),
+        ({a: 9, c: 4}, ["target range", "target height"]),
+        ({a: 4, c: 9}, ["target height", "target range"]),
+        ({a: None, c: 8}, ["source coverage", "injectivity"]),
+        ({a: None, b: 0}, ["source coverage", "target range"]),
+    ]
+    for edits, reasons in verdicts:
+        checked = with_targets(cert, edits)
+        assert verify_certificate(seq.roots, checked) == (not reasons, reasons), edits
+        assert reference_verdict(seq.roots, checked) == (not reasons, reasons), edits
+    short = cert._replace(targets=cert.targets[:-1])  # vertex 8, at -4, loses its entry
+    assert verify_certificate(seq.roots, short) == (False, ["source coverage"])
 
 
 @pytest.mark.parametrize(
     "pair, reasons",
     [
-        (MatchedPair(1.0, 2, RegionKind.B), ["source coverage"]),
-        (MatchedPair(1, 2.0, RegionKind.B), ["target range"]),
-        (MatchedPair(1, 2, RegionKind.B), []),  # the builder's pair, for contrast
+        ((1, None), ["source coverage"]),  # no index: the vertex is unpaired
+        ((1, 2.0), ["target range"]),
+        ((1, 2), []),  # the builder's pair, for contrast
     ],
 )
 def test_checker_gives_a_reason_for_an_index_that_is_not_an_int(pair, reasons):
-    assert verify_certificate((0, -2), MatchingCertificate(0, (pair,))) == (not reasons, reasons)
+    # (source, target) in vertex form: the source's entry holds the target
+    cert = with_targets(build_matching(RootSequence((0, -2)), 0), dict([pair]))
+    assert verify_certificate((0, -2), cert) == (not reasons, reasons)

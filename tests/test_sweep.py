@@ -21,7 +21,6 @@ from higgs_threeterm.chain import (
     tail_slopes,
     three_term_holds,
 )
-from higgs_threeterm.pairing import MatchingCertificate
 from higgs_threeterm.sweep import (
     MODE_NECESSITY,
     MODE_THEOREM,
@@ -556,13 +555,31 @@ def test_stable_chain_check_records_every_kind():
 
 
 def test_stable_chain_check_records_bad_certificates(monkeypatch):
-    empty = {r: (MatchingCertificate(r, ()), None) for r in (-2, 0)}
-    monkeypatch.setattr(sweep, "_certify", lambda roots: empty)
+    # a pairing that leaves both vertices unpaired, and no build failure
+    monkeypatch.setattr(sweep, "_certify", lambda roots: ((None, None), (None, None), {}))
     found, heights = sweep._check_stable_chain((0, -2), {0: 1, -2: 1})
     assert heights == 2
-    # the checker reports a certificate with fewer than m_r pairs as source coverage
+    # the checker reports a height-r vertex without a target as source coverage
     assert json.dumps(found) == json.dumps([
         ("certificate-verify", {"height": -2, "reasons": ["source coverage"]}),
         ("certificate-verify", {"height": 0, "reasons": ["source coverage"]}),
         ("route-disagreement", {"counting": True, "certificates": False}),
     ])
+
+
+def test_the_checker_runs_once_per_certificate(monkeypatch):
+    # the traced benchmark gate counts sweep.verify_certificate calls against
+    # totals["certificates"]: one call per realized height of every stable chain
+    heights = []
+    check = sweep.verify_certificate
+
+    def counting_check(roots, cert):
+        heights.append((roots, cert.height))
+        return check(roots, cert)
+
+    monkeypatch.setattr(sweep, "verify_certificate", counting_check)
+    report = run_sweep(SweepParams(2, 9, 2, 9), workers=1)
+    assert report["pass"]
+    assert len(heights) == report["totals"]["certificates"] == 478
+    stable = list(enumerate_chains(2, 9, 2, 9, require_stable=True))
+    assert heights == [(roots, r) for roots in stable for r in sorted(set(roots))]
