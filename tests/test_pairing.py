@@ -52,14 +52,14 @@ def test_build_matching_zigzag_height_four():
 
 
 def test_certificates_equal_identically_built_values():
-    cert = certified_heights(ZIGZAG)[4]
+    certs = certified_heights(ZIGZAG)
+    cert = certs[4]
     assert cert == MatchingCertificate(4, ZIGZAG_TARGETS, ZIGZAG_LABELS) == build_matching(ZIGZAG, 4)
     assert hash(cert) == hash(MatchingCertificate(height=4, targets=ZIGZAG_TARGETS, labels=ZIGZAG_LABELS))
     assert cert != MatchingCertificate(2, ZIGZAG_TARGETS, ZIGZAG_LABELS)
-    assert certified_heights(ZIGZAG) == certified_heights(ZIGZAG)
+    assert certs == certified_heights(ZIGZAG)
     # the heights of one chain share its pairing, not copies of it
-    certs = certified_heights(ZIGZAG)
-    assert all(c.targets is certs[4].targets and c.labels is certs[4].labels for c in certs.values())
+    assert all(c.targets is cert.targets and c.labels is cert.labels for c in certs.values())
 
 
 def test_build_matching_drop_chain():
