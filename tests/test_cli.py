@@ -210,6 +210,9 @@ PINNED_OUTPUTS = {
     (("pair", "--roots", "4,2,0,4,2,0,-2", "--all-heights"), "csv"): "9616391971268dc6f0001498173ca4e433bbebdc79ef2dc0130e0092ee00b43a",
     (("pair", "--roots", "2,0,-2", "--height", "0"), "json"): "986fcd154de431858d8cb8e0c71446a99df54b0b982570ad107748a54b7dcc5d",
     (("pair", "--roots", "2,0,-2", "--height", "0"), "csv"): "e758ff57d45f8a3a4b976cc3113dc65efd98bc807ca9d8f3644563d834e20dcd",
+    # a height with no vertex: an empty certificate
+    (("pair", "--roots", "0,-2", "--height", "-6"), "json"): "daab1c531f780be022b8e23b44c6a3dbacd632ebc22a766729a72cf60d6bae26",
+    (("pair", "--roots", "0,-2", "--height", "-6"), "csv"): "7ed9b77d383a6eec8a34ab3c286e72e76478f4233a65762123613fdf38a1e9a2",
 }
 
 
@@ -218,6 +221,18 @@ def test_output_bytes_are_pinned(capsys, argv, fmt):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv, fmt]
+
+
+# stderr of each argv that a hypothesis check refuses: exit 2, nothing on stdout
+PINNED_REFUSALS = {
+    ("pair", "--roots", "0,0", "--height", "0"): "error: chain (0, 0) is inadmissible at steps [1]\n",
+    ("pair", "--roots", "0,4", "--all-heights"): "error: chain (0, 4) is not tail-stable (strictly-destabilized-at-2)\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REFUSALS))
+def test_refusals_are_pinned(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", PINNED_REFUSALS[argv])
 
 
 # --- translate ---------------------------------------------------------------------
