@@ -151,36 +151,30 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    from .pairing import PairingFailure, build_matching, certified_heights, verify_certificate
+    from .pairing import certify, pairs, verify_certificate
 
     seq = _parse_roots(args.roots)
-    try:
-        if args.all_heights:
-            certs = list(certified_heights(seq).values())
-        else:
-            certs = [build_matching(seq, args.height)]
-    except PairingFailure as exc:  # the construction is refuted: report the counterexample
-        print(serialize.dumps({"counterexample": exc.report()}), file=sys.stderr)
+    roots = seq.roots
+    targets, labels, failures = certify(seq)
+    heights = sorted(set(roots)) if args.all_heights else [args.height]
+    if failed := [r for r in heights if r in failures]:  # the construction is refuted
+        print(serialize.dumps({"counterexample": failures[min(failed)].report()}), file=sys.stderr)
         return 1
 
-    failures = []
-    for cert in certs:
-        ok, reasons = verify_certificate(seq.roots, cert)
+    certs = [(r, pairs(roots, r, targets, labels)) for r in heights]
+    refused = []
+    for r in heights:
+        ok, reasons = verify_certificate(roots, r, targets)
         if not ok:
-            failures.append({"height": cert.height, "reasons": reasons})
+            refused.append({"height": r, "reasons": reasons})
     if args.all_heights:
-        report = {
-            "roots": list(seq.roots),
-            "certificates": [serialize.certificate_json(seq.roots, c) for c in certs],
-        }
+        report = {"roots": list(roots), "certificates": [serialize.certificate_json(*c) for c in certs]}
     else:
-        report = serialize.certificate_json(seq.roots, certs[0])
-    rows = [
-        [c.height, source, target, label.value] for c in certs for source, target, label in c.pairs(seq.roots)
-    ]
+        report = serialize.certificate_json(*certs[0])
+    rows = [[r, source, target, label.value] for r, found in certs for source, target, label in found]
     _emit(args, report, ["height", "source", "target", "label"], rows)
-    if failures:
-        print(f"certificate verification failed: {failures}", file=sys.stderr)
+    if refused:
+        print(f"certificate verification failed: {refused}", file=sys.stderr)
         return 1
     return 0
 

@@ -27,16 +27,18 @@ A chain's certificate is vertex-indexed.  Every vertex j is a source at its
 own height r_j, so the whole pairing is one tuple `targets`, targets[j-1]
 being the vertex j is paired with, and a tuple `labels` of the regions
 that `pair` prints.  The certificate of height r is that pairing read at
-the height-r vertices; the heights of one chain share the two tuples.
+the height-r vertices: `pairs` lists them and `verify_certificate` checks
+them, both from the chain's one (targets, labels).
 
 One left-to-right pass (`_certify`) builds the pairing.  Vertex k at
 height r closes the region opened by j = last[r]: it is A when vertex j+1
 lies above r (target k-1, at r+2); otherwise the target is j+1, at r-2,
 and it is C when vertex k-1 lies above r and B when not.  So a label
 takes O(1): moving in even steps and dropping by exactly 2, the path comes
-back to r from above only by landing on it from r+2.  The public entry
-points check the hypotheses (admissible, tail-stable) once per call; the
-sweep, which establishes both itself, calls `_certify` directly.
+back to r from above only by landing on it from r+2.  The public
+builder, `certify`, checks the hypotheses (admissible, tail-stable) once
+per call; the sweep, which establishes both itself, calls `_certify`
+directly.
 
 Vertex indices are 1-based throughout: source j refers to the root r_j.
 The certificate checker shares no code with the builder.
@@ -45,7 +47,6 @@ The certificate checker shares no code with the builder.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from .chain import RootSequence, is_admissible, tail_slopes
 
@@ -88,30 +89,6 @@ class RegionKind(Enum):
     LEFT_BOUNDARY = "LEFT_BOUNDARY"
 
 
-class MatchingCertificate(NamedTuple):
-    """Height r's part of a chain's pairing: vertex j at height r is paired
-    with targets[j-1] through region labels[j-1], both None for a vertex
-    left unpaired.  The tuples cover every vertex of the chain."""
-
-    height: int
-    targets: tuple[int | None, ...]
-    labels: tuple[RegionKind | None, ...]
-
-    def pairs(self, roots: tuple[int, ...]) -> list[tuple[int, int, RegionKind]]:
-        """(source, target, label) of each paired height-r vertex, by source."""
-        r, found = self.height, enumerate(zip(roots, self.targets, self.labels), 1)
-        return [(j, t, label) for j, (root, t, label) in found if root == r and t is not None]
-
-
-def _require_hypotheses(seq: RootSequence) -> None:
-    ok, bad = is_admissible(seq)
-    if not ok:
-        raise HypothesisViolationError(f"chain {seq.roots} is inadmissible at steps {bad}")
-    report = tail_slopes(seq.roots)
-    if not report.is_stable:
-        raise HypothesisViolationError(f"chain {seq.roots} is not tail-stable ({report.verdict})")
-
-
 def _certify(roots: tuple[int, ...]) -> tuple[tuple, tuple, dict[int, PairingFailure]]:
     """The chain's pairing from one pass: (targets, labels, failures).
 
@@ -147,69 +124,66 @@ def _certify(roots: tuple[int, ...]) -> tuple[tuple, tuple, dict[int, PairingFai
     return tuple(targets), tuple(labels), failures
 
 
-def build_matching(seq: RootSequence, r: int) -> MatchingCertificate:
-    """Pair every height-r vertex with a distinct vertex at height r-2 or r+2.
+def certify(seq: RootSequence) -> tuple[tuple, tuple, dict[int, PairingFailure]]:
+    """The chain's pairing, (targets, labels, failures) as `_certify` gives
+    it, once the chain is checked to be admissible and tail-stable.
 
-    Interior sources pair inside their own region, by the module's A/B/C
-    rule.  The rightmost source pairs right with the trailing drop when
-    there is one, and otherwise left with the r+2 vertex preceding the
-    leftmost source (which exists for tail-stable chains because the path
-    must then descend from r_1 > r).
+    Raises HypothesisViolationError for a chain that is not.  A height in
+    failures refutes the matching construction at that height.
     """
-    _require_hypotheses(seq)
-    targets, labels, failures = _certify(seq.roots)
-    if r in failures:
-        raise failures[r]
-    return MatchingCertificate(r, targets, labels)
+    ok, bad = is_admissible(seq)
+    if not ok:
+        raise HypothesisViolationError(f"chain {seq.roots} is inadmissible at steps {bad}")
+    report = tail_slopes(seq.roots)
+    if not report.is_stable:
+        raise HypothesisViolationError(f"chain {seq.roots} is not tail-stable ({report.verdict})")
+    return _certify(seq.roots)
 
 
-def verify_certificate(roots: tuple[int, ...], cert: MatchingCertificate) -> tuple[bool, list[str]]:
-    """Re-validate height cert.height of a chain's certificate from scratch.
+def pairs(roots: tuple[int, ...], r: int, targets: tuple, labels: tuple) -> list[tuple[int, int, RegionKind]]:
+    """(source, target, label) of each paired height-r vertex, by source."""
+    found = enumerate(zip(roots, targets, labels), 1)
+    return [(j, t, label) for j, (root, t, label) in found if root == r and t is not None]
 
-    Checks, independently of how the certificate was produced: there is one
+
+def verify_certificate(roots: tuple[int, ...], r: int, targets: tuple) -> tuple[bool, list[str]]:
+    """Re-validate height r of a chain's pairing from scratch.
+
+    Checks, independently of how the targets were produced: there is one
     target per vertex, and every height-r vertex has one; the height-r
     vertices' targets are pairwise distinct; each is a real vertex at
-    height r-2 or r+2.  The other vertices' targets are not read.  The
-    roots are read as given (a RootSequence passes its .roots).
+    height r-2 or r+2.  The other vertices' targets are not read.  A
+    target that is no vertex index is "target range", and one that cannot
+    be hashed is left out of the distinctness test.  The roots are read as
+    given (a RootSequence passes its .roots).
     Returns (ok, failure reasons).
     """
     n = len(roots)
-    r = cert.height
     reasons: list[str] = []
-    entries = cert.targets
+    entries = targets
     if len(entries) != n:  # a vertex past the tuple's end reads as unpaired
         entries = (*entries, *[None] * n)[:n]
-    targets, j = [], 0  # the height-r vertices' targets, left to right
+    found, j = [], 0  # the height-r vertices' targets, left to right
     for _ in range(roots.count(r)):
         j = roots.index(r, j) + 1
-        targets.append(entries[j - 1])
+        found.append(entries[j - 1])
 
-    if len(cert.targets) != n or None in targets:
+    if len(targets) != n or None in found:
         reasons.append("source coverage")
-        targets = [t for t in targets if t is not None]
+        found = [t for t in found if t is not None]
 
-    if len(set(targets)) != len(targets):
-        reasons.append("injectivity")
-
-    for t in targets:
+    seen, injective, bad = set(), True, []  # bad: each target's reason, in order
+    for t in found:
         try:
+            injective &= t not in seen  # raises for an unhashable t
+            seen.add(t)
             if not 1 <= t <= n:
-                reason = "target range"
+                bad.append("target range")
             elif roots[t - 1] not in (r - 2, r + 2):
-                reason = "target height"
-            else:
-                continue
+                bad.append("target height")
         except TypeError:  # a target that is no vertex index
-            reason = "target range"
-        if reason not in reasons:
-            reasons.append(reason)
+            bad.append("target range")
+    if not injective:
+        reasons.append("injectivity")
+    reasons += dict.fromkeys(bad)
     return (not reasons, reasons)
-
-
-def certified_heights(seq: RootSequence) -> dict[int, MatchingCertificate]:
-    """Build one certificate per realized height, keyed by the height."""
-    _require_hypotheses(seq)
-    targets, labels, failures = _certify(seq.roots)
-    if failures:
-        raise failures[min(failures)]
-    return {r: MatchingCertificate(r, targets, labels) for r in sorted(set(seq.roots))}

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # annotations only: each module loads just for the subcommand
 
     from .chain import MultiplicityProfile, RootSequence, StabilityReport
     from .filtered import ResidueBlock, SideResidue
-    from .pairing import MatchingCertificate
+    from .pairing import RegionKind
 
 
 def format_rational(q: Fraction) -> str:
@@ -94,13 +94,10 @@ def check_report(seq: RootSequence) -> dict:
     }
 
 
-def certificate_json(roots: tuple[int, ...], cert: MatchingCertificate) -> dict:
+def certificate_json(r: int, pairs: list[tuple[int, int, RegionKind]]) -> dict:
     return {
-        "height": cert.height,
-        "pairs": [
-            {"source": source, "target": target, "label": label.value}
-            for source, target, label in cert.pairs(roots)
-        ],
+        "height": r,
+        "pairs": [{"source": source, "target": target, "label": label.value} for source, target, label in pairs],
     }
 
 

@@ -16,41 +16,34 @@ report's pass flag is true when at least one witness exists.
 The search space is partitioned by (length, first step), walking each
 partition from the prefix (0, first step); partitions share nothing and
 are merged in canonical order, so the report is independent of the worker
-count (the timing field aside).  The walk, chain.extend_chain, decides
-each chain's stability in O(1) from the prefix sums it carries, with the
-integer inequality its branch-and-bound cut applies.  Theorem mode walks
-only prefixes that can still be stable and is handed exactly the stable
-chains; necessity mode needs every unstable chain and walks the whole
-partition.  `generated` is counted, not walked, by chain.count_chains,
-in one pass for every length.  Every chain is admissible by its step set (so
-`admissible` equals `generated`) and stable by the walk's verdict, so one
-pass over a stable chain builds its certificate, one target per vertex,
-without re-checking either hypothesis.  pairing.verify_certificate then
-checks it once per realized height, reading that height's vertices from
-the shared targets, so its calls equal `totals["certificates"]`.  One
-worker runs inline; more are forked, never more than the partitions.
+count (the timing field aside).  One worker runs inline; more are forked,
+never more than the partitions.
 
-Each partition hands its chains' violations, in walk order, to serialize,
-which orders and writes them as JSON text exactly as serialize.dumps
-writes them inside the report: theorem records by
-serialize.theorem_items, necessity records by serialize.three_term_items,
-which fills each record into its length's template, no dict built.  So
-the writing runs in the pool workers, only text crosses the pipes, and
-the parent keeps the texts, in canonical order, as the pieces of a
-Written.  Every partition returns (stable, certificates, records, text),
-records being the count; `pass` comes from the counts.  `written_report`
-is the report the command line writes, and its `timing_seconds` includes
-the writing; `run_sweep` reads the records back as dicts.  A CSV report
-prints only the counts, so for it the partitions keep and write no record
-and their text is "".
+The walk, chain.extend_chain, hands over each chain as a plain root tuple
+with its stability, decided in O(1) from the prefix sums it carries, and
+carries its multiplicities {r: m_r}, one push or pop at a time.  Theorem
+mode walks only prefixes that can still be stable, so it is handed
+exactly the stable chains.  Necessity mode needs every unstable chain and
+walks the whole partition; the walk also hands over the heights where
+m_r > m_{r-2} + m_{r+2}, decided from the parent's.  Every chain is
+admissible by its step set, so `admissible` equals `generated`, which
+chain.count_chains counts, not walks, in one pass for every length.  As
+both hypotheses hold by construction, pairing._certify builds a stable
+chain's certificate, one target per vertex, without re-checking them,
+and pairing.verify_certificate checks it once per realized height, so its
+calls equal `totals["certificates"]`.
 
-The walk hands each chain over as a plain tuple with its stability and
-carries its multiplicities {r: m_r}, one push or pop at a time, so a leaf
-builds no per-chain object.  In necessity mode it also hands over the
-heights where m_r > m_{r-2} + m_{r+2}, decided from the parent's, so
-no three_term_holds runs there: the counts are read off the carried
-multiplicities.  Pairing, too, takes the root tuple, so the sweep builds
-no RootSequence.
+Every partition returns (stable, certificates, records, text): records is
+the number of its violations, and text their records as serialize writes
+them inside the report's violation list (theorem_items, or
+three_term_items, which fills each record into its length's template).
+The writing runs in the pool worker that runs the partition, so only text
+crosses the pipes, and the parent keeps the texts, in canonical order, as
+the pieces of a serialize.Written; `pass` comes from the counts.
+`written_report` is the report the command line writes, and its
+`timing_seconds` includes the writing; `run_sweep` reads the records back
+as dicts.  A CSV report prints only the counts, so for it the partitions
+keep and write no record and their text is "".
 """
 
 from __future__ import annotations
@@ -68,7 +61,7 @@ from .chain import (
     tail_slopes,  # not called; perfbench/run.py's traced run fails unless sweep.tail_slopes exists
     three_term_holds,  # theorem mode's counting route; necessity mode takes the walk's verdict
 )
-from .pairing import MatchingCertificate, _certify, verify_certificate
+from .pairing import _certify, verify_certificate
 
 MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
@@ -104,13 +97,12 @@ def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple
         found.append(("tail-order", {"first": roots[0], "last": roots[-1]}))
 
     before = len(found)
-    new = tuple.__new__  # MatchingCertificate(...) would run the named tuple's Python-level __new__
-    targets, labels, failures = _certify(roots)
+    targets, _, failures = _certify(roots)
     for r in sorted(counts):
         if r in failures:
             found.append(("certificate-build", failures[r].report()))
             continue
-        ok, reasons = verify_certificate(roots, new(MatchingCertificate, (r, targets, labels)))
+        ok, reasons = verify_certificate(roots, r, targets)
         if not ok:
             found.append(("certificate-verify", {"height": r, "reasons": reasons}))
     certificates_ok = len(found) == before

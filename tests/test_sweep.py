@@ -197,7 +197,7 @@ def test_each_partition_counts_the_records_it_writes(mode, n, max_rise, bound, f
     task = (n, first_step, max_rise, bound, mode)
     with pytest.MonkeyPatch.context() as patch:
         if failing:
-            patch.setattr(sweep, "verify_certificate", lambda roots, cert: (False, ["injectivity"]))
+            patch.setattr(sweep, "verify_certificate", lambda roots, r, targets: (False, ["injectivity"]))
         stable, certificates, records, text = sweep._run_partition((*task, True))
         assert records == len(json.loads(f"[{text}]"))
         assert sweep._run_partition((*task, False)) == (stable, certificates, records, "")
@@ -525,7 +525,7 @@ PINNED_THEOREM_RECORDS = "bf0811d0edfbcda8be8597127f479df8ffe664d7791e626a834029
 def test_theorem_record_bytes_are_pinned(workers, monkeypatch, tmp_path, time_bound):
     # real boxes give no theorem records; a failing checker gives one per
     # height and a route disagreement per stable chain (the workers inherit it)
-    monkeypatch.setattr(sweep, "verify_certificate", lambda roots, cert: (False, ["injectivity"]))
+    monkeypatch.setattr(sweep, "verify_certificate", lambda roots, r, targets: (False, ["injectivity"]))
     path = tmp_path / "report.json"
     argv = ["sweep", "--n-max", "6", "--max-rise", "4", "--bound", "10", "--workers", workers]
     assert cli.main([*argv, "--out", str(path)]) == 1
@@ -573,9 +573,9 @@ def test_the_checker_runs_once_per_certificate(monkeypatch):
     heights = []
     check = sweep.verify_certificate
 
-    def counting_check(roots, cert):
-        heights.append((roots, cert.height))
-        return check(roots, cert)
+    def counting_check(roots, r, targets):
+        heights.append((roots, r))
+        return check(roots, r, targets)
 
     monkeypatch.setattr(sweep, "verify_certificate", counting_check)
     report = run_sweep(SweepParams(2, 9, 2, 9), workers=1)
