@@ -172,18 +172,18 @@ def verify_certificate(roots: tuple[int, ...], r: int, targets: tuple) -> tuple[
         reasons.append("source coverage")
         found = [t for t in found if t is not None]
 
-    seen, injective, bad = set(), True, []  # bad: each target's reason, in order
+    seen, injective, bad = set(), True, {}  # bad: the targets' reasons, once each, in order
     for t in found:
         try:
             injective &= t not in seen  # raises for an unhashable t
             seen.add(t)
             if not 1 <= t <= n:
-                bad.append("target range")
+                bad["target range"] = None
             elif roots[t - 1] not in (r - 2, r + 2):
-                bad.append("target height")
+                bad["target height"] = None
         except TypeError:  # a target that is no vertex index
-            bad.append("target range")
+            bad["target range"] = None
     if not injective:
         reasons.append("injectivity")
-    reasons += dict.fromkeys(bad)
+    reasons.extend(bad)
     return (not reasons, reasons)
