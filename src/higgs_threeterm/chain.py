@@ -198,10 +198,9 @@ def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermVio
     are tested, by _violating as in the walk; violations carry the three
     counts, ascending by height.
     """
-    new = tuple.__new__  # ThreeTermViolation(...) would run the named tuple's Python-level __new__
     get = counts.get
     violations = [
-        new(ThreeTermViolation, (r, counts[r], get(r - 2, 0), get(r + 2, 0))) for r in _violating(counts, counts)
+        ThreeTermViolation(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in _violating(counts, counts)
     ]
     return (not violations, violations)
 

@@ -154,6 +154,8 @@ def _cmd_pair(args) -> int:
     from .pairing import certify, pairs, verify_certificate
 
     seq = _parse_roots(args.roots)
+    if args.height is not None and args.height % 2:  # every root, so every vertex's height, is even
+        raise UsageError(f"--height must be even, got {args.height}")
     roots = seq.roots
     targets, labels, failures = certify(seq)
     heights = sorted(set(roots)) if args.all_heights else [args.height]

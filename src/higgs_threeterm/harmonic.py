@@ -30,6 +30,9 @@ with shape (..., 2, 2), residuals as a float for one point and an array
 for a batch, so each check runs once over the whole sample grid.  Within
 one report the harmonic residual, the costliest operator, is evaluated
 once per distinct step and shared by the checks that read it.
+
+The battery `verification_report` runs is the table `_CHECKS`: one row
+per check, in report order, holding the check and its default tolerance.
 """
 
 from __future__ import annotations
@@ -71,14 +74,11 @@ class UpperHalfPoint:
         return complex(self.x, self.y)
 
     @classmethod
-    def from_complex(cls, z: complex) -> UpperHalfPoint:
-        return cls(z.real, z.imag)
-
-    @classmethod
     def parse(cls, text: str) -> UpperHalfPoint:
         """Parse 'x+yi' (also plain 'i', '2i', '0.3+1.2i'); 'inf' and 'nan' stay intact."""
         text = text.strip().replace(" ", "")
-        return cls.from_complex(complex(text[:-1] + "j" if text.endswith("i") else text))
+        z = complex(text[:-1] + "j" if text.endswith("i") else text)
+        return cls(z.real, z.imag)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -208,21 +208,13 @@ def dbar_correction_closed_form(point: UpperHalfPoint | complex) -> np.ndarray:
     return _unbatch(_stack(z, -z * z, 1.0, -z) / ((z - zb) ** 2)[..., None, None], one)
 
 
-def theta_finite_difference(
-    point: UpperHalfPoint | complex,
-    scheme: FiniteDiffScheme,
-    fn: MatrixFn = metric_at,
-) -> np.ndarray:
-    """theta = -(1/2) d log conj(K), by finite differences.
+def theta_finite_difference(point: UpperHalfPoint | complex, scheme: FiniteDiffScheme) -> np.ndarray:
+    """theta = -(1/2) d log conj(K), by finite differences."""
 
-    Conjugation is applied generically even though the inclusion metric is
-    real, so the operator stays correct for Hermitian inputs.
-    """
+    def conj_metric(z: np.ndarray) -> np.ndarray:
+        return np.conj(np.asarray(metric_at(z), dtype=complex))
 
-    def fn_bar(z: np.ndarray) -> np.ndarray:
-        return np.conj(np.asarray(fn(z), dtype=complex))
-
-    return -0.5 * log_derivative("d", point, scheme, fn=fn_bar)
+    return -0.5 * log_derivative("d", point, scheme, fn=conj_metric)
 
 
 def harmonic_residual(
@@ -323,19 +315,6 @@ def sample_grid(count: int = 20, seed: int = 0) -> list[UpperHalfPoint]:
 
 # --- aggregated verification -------------------------------------------------
 
-DEFAULT_TOLERANCES = {
-    "metric_shape": 1e-12,
-    "equivariance": 1e-10,
-    "theta_vs_finite_difference": 1e-5,
-    "harmonic_equation": 1e-4,
-    "harmonic_convergence_order_deviation": 0.3,
-    "theta_nilpotent": 1e-12,
-    "conjugated_higgs_constant": 1e-10,
-    "scaling_conjugation": 1e-10,
-    "scaling_group_law": 1e-10,
-    "higgs_form_closedness": 1e-5,
-}
-
 # the words S, T, ST, TS and TTS, stacked
 _EQUIVARIANCE_GAMMAS = np.array([GAMMA_S, GAMMA_T, ((0, -1), (1, 1)), ((1, -1), (1, 0)), ((2, -1), (1, 0))])
 
@@ -415,18 +394,20 @@ def _check_higgs_forms(z, h, h_nested, harmonic_at) -> float:
     return max(_worst(higgs_form_residual(g, hh, z, scheme)) for g, hh in _POLY_PAIRS)
 
 
-# a check takes the grid z, both steps, and harmonic_at(step): z's harmonic residual at a step
+# The battery, one row per check in report order: name -> (check, default
+# tolerance).  A check takes the grid z, both steps, and harmonic_at(step):
+# z's harmonic residual at a step
 _CHECKS = {
-    "metric_shape": _check_metric_shape,
-    "equivariance": _check_equivariance,
-    "theta_vs_finite_difference": _check_theta_fd,
-    "harmonic_equation": _check_harmonic,
-    "harmonic_convergence_order_deviation": _check_convergence_order,
-    "theta_nilpotent": _check_theta_nilpotent,
-    "conjugated_higgs_constant": _check_conjugated,
-    "scaling_conjugation": _check_scaling_conjugation,
-    "scaling_group_law": _check_scaling_group_law,
-    "higgs_form_closedness": _check_higgs_forms,
+    "metric_shape": (_check_metric_shape, 1e-12),
+    "equivariance": (_check_equivariance, 1e-10),
+    "theta_vs_finite_difference": (_check_theta_fd, 1e-5),
+    "harmonic_equation": (_check_harmonic, 1e-4),
+    "harmonic_convergence_order_deviation": (_check_convergence_order, 0.3),
+    "theta_nilpotent": (_check_theta_nilpotent, 1e-12),
+    "conjugated_higgs_constant": (_check_conjugated, 1e-10),
+    "scaling_conjugation": (_check_scaling_conjugation, 1e-10),
+    "scaling_group_law": (_check_scaling_group_law, 1e-10),
+    "higgs_form_closedness": (_check_higgs_forms, 1e-5),
 }
 
 
@@ -455,13 +436,13 @@ def verification_report(
         grid = sample_grid(count=count, seed=seed)
     if only is not None and only not in _CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {sorted(_CHECKS)}")
-    names = [only] if only else list(_CHECKS)
     z = np.array([pt.tau for pt in grid], dtype=complex)
     harmonic_at = functools.cache(lambda step: harmonic_residual(z, FiniteDiffScheme(step)))
     rows = []
-    for name in names:
-        residual = _CHECKS[name](z, h, h_nested, harmonic_at)
-        tol = tolerance if tolerance is not None else DEFAULT_TOLERANCES[name]
+    for name in [only] if only else _CHECKS:
+        check, default = _CHECKS[name]
+        residual = check(z, h, h_nested, harmonic_at)
+        tol = tolerance if tolerance is not None else default
         rows.append(
             {
                 "check_name": name,

@@ -448,6 +448,29 @@ def test_the_cut_prunes_as_hard_as_pinned():
     assert (counts.pushes, stable) == (4_843, 1_431)
 
 
+def test_the_cut_is_exact_away_from_the_box_floor():
+    # a prefix of length k < n that passes the cut (floor/n below its smallest
+    # prefix mean), where the all-drops completion last - 2t, t = 1..n-k, stays
+    # inside the box, completes to a stable chain: that completion itself.
+    # Every in-box prefix, n 2-8, rises 2, 4 and 6, bounds 0-9
+    witnessed = 0
+    for max_rise, bound in itertools.product([2, 4, 6], range(10)):
+        steps = enumeration_steps(max_rise)
+        for k in range(1, 8):
+            for prefix, _, _ in extend_chain((0,), k, steps, bound):
+                lowest_mean = min(Fraction(sum(prefix[:j]), j) for j in range(1, k + 1))
+                for n in range(k + 1, 9):
+                    floor_chain = prefix + tuple(prefix[-1] - 2 * t for t in range(1, n - k + 1))
+                    if floor_chain[-1] < -bound:  # and so for every longer n
+                        break
+                    if Fraction(sum(floor_chain), n) < lowest_mean:
+                        assert is_stable(floor_chain), floor_chain
+                        kept = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
+                        assert floor_chain in kept, floor_chain
+                        witnessed += 1
+    assert witnessed == 1_460
+
+
 @given(st.data())
 def test_last_step_cut_skips_only_unstable_leaves(data):
     # a walk from a prefix of length n-1 yields leaves only; the cut drops

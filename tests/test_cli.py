@@ -227,6 +227,9 @@ def test_output_bytes_are_pinned(capsys, argv, fmt):
 PINNED_REFUSALS = {
     ("pair", "--roots", "0,0", "--height", "0"): "error: chain (0, 0) is inadmissible at steps [1]\n",
     ("pair", "--roots", "0,4", "--all-heights"): "error: chain (0, 4) is not tail-stable (strictly-destabilized-at-2)\n",
+    # no vertex of an even-rooted chain sits at an odd height
+    ("pair", "--roots", "0,-2", "--height", "1"): "error: --height must be even, got 1\n",
+    ("pair", "--roots", "0,-2", "--height", "1", "--format", "csv"): "error: --height must be even, got 1\n",
 }
 
 
