@@ -194,6 +194,14 @@ def test_pair_refuted_by_the_singleton_exits_one_with_its_counterexample(capsys)
         }
 
 
+def test_the_singletons_counterexample_bytes_are_pinned(capsys):
+    assert run_cli(capsys, "pair", "--roots", "0", "--height", "0") == (1, "", (
+        '{\n  "counterexample": {\n    "roots": [\n      0\n    ],\n    "height": 0,\n'
+        '    "source": 1,\n'
+        '    "reason": "no trailing drop and no r+2 vertex before the leftmost source"\n  }\n}\n'
+    ))
+
+
 # --- pinned bytes ------------------------------------------------------------------
 
 _PIN_BOX = ("--n-max", "6", "--max-rise", "6", "--bound", "9")
@@ -213,6 +221,19 @@ PINNED_OUTPUTS = {
     # a height with no vertex: an empty certificate
     (("pair", "--roots", "0,-2", "--height", "-6"), "json"): "daab1c531f780be022b8e23b44c6a3dbacd632ebc22a766729a72cf60d6bae26",
     (("pair", "--roots", "0,-2", "--height", "-6"), "csv"): "7ed9b77d383a6eec8a34ab3c286e72e76478f4233a65762123613fdf38a1e9a2",
+    # one row each: every column of the CSV row is a field of the JSON report
+    (("translate", "--beta", "0", "--u", "1/6", "--v", "0"), "json"): "c0ed09b6bb2be9ed72990163fe9a6d080a53c9e64daf72d59fde116804d45571",
+    (("translate", "--beta", "0", "--u", "1/6", "--v", "0"), "csv"): "29b1af40953f55f0f652588e82b45dc787d254c5aa0bedc0f4867bc9f97b77b3",
+    (("translate", "--from", "connection", "--jump", "1/6", "--re=-1/6", "--im", "0"), "json"): "c0ed09b6bb2be9ed72990163fe9a6d080a53c9e64daf72d59fde116804d45571",
+    (("translate", "--from", "connection", "--jump", "1/6", "--re=-1/6", "--im", "0"), "csv"): "29b1af40953f55f0f652588e82b45dc787d254c5aa0bedc0f4867bc9f97b77b3",
+    (("translate", "--from", "higgs", "--jump=-1/3", "--re=-1/4", "--im=-1/2"), "json"): "97b1aabd81b01ec262fab7aeca61388872a08533d5bb16f0a5bf9720c49650c0",
+    (("translate", "--from", "higgs", "--jump=-1/3", "--re=-1/4", "--im=-1/2"), "csv"): "6fe862e83731c96fb03194939fbb8ecad96900def4eebffb72a8e6c5e3109dc1",
+    (("rank1", "--a", "3", "--b", "5/4"), "json"): "14bc51e73ec67bfea364804f9c235ed3e243a76bfc0e039a38fdbc16052e1f56",
+    (("rank1", "--a", "3", "--b", "5/4"), "csv"): "16aff13edf3b84da71d8de656070bce9a95d42d87d015975beeda5670c7f1742",
+    (("filtered-degree", "--side", "representation", "--jumps", "5/6:1,1/6:2"), "json"): "60e3bae00e6649bdc0de5c2680251667b08929279db9664717ba95f157122025",
+    (("filtered-degree", "--side", "representation", "--jumps", "5/6:1,1/6:2"), "csv"): "b68566a82c8f96375f548f857ae593aa5abff6a33061d893ce82c3b8f1621e13",
+    (("filtered-degree", "--side", "bundle", "--jumps", "5/6:1", "--base-degree=-5/6", "--rank", "1"), "json"): "59b2211d199ba151ec2b6c52489b019c2c52d5198be3cb81c1354ce81e6c2de7",
+    (("filtered-degree", "--side", "bundle", "--jumps", "5/6:1", "--base-degree=-5/6", "--rank", "1"), "csv"): "5fc0714a9fa0a10669a96b2ec5ebdeae76d5f0a4deeeb0cdb64268e10231a57b",
 }
 
 
@@ -553,6 +574,30 @@ def test_verify_metric_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["check_name", "max_residual", "tolerance", "pass"]
     assert len(rows) > 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--grid", "4"),
+        ("--tau", "0.3+1.2i"),
+        ("--grid", "4", "--check", "harmonic_equation", "--tolerance", "1e-30"),
+    ],
+)
+def test_verify_metric_csv_rows_are_the_json_rows(capsys, argv):
+    # residual bits may differ by CPU, so the CSV is read against the JSON, not pinned
+    json_code, out, _ = run_cli(capsys, "verify-metric", *argv)
+    checks = json.loads(out)["checks"]
+    csv_code, out, _ = run_cli(capsys, "verify-metric", *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert json_code == csv_code
+    assert header == ["check_name", "max_residual", "tolerance", "pass"]
+    assert len(rows) == len(checks)
+    for (name, residual, tolerance, passed), check in zip(rows, checks):
+        assert name == check["check_name"]
+        assert float(residual) == check["max_residual"]
+        assert float(tolerance) == check["tolerance"]
+        assert passed == str(check["pass"])
 
 
 # --- sweep -----------------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_build_matching_deterministic():
     assert certify(ZIGZAG) == certify(ZIGZAG)
 
 
+def test_the_checker_shares_no_code_with_the_builder():
+    # no name the checker (or a comprehension inside it) reads is one that
+    # pairing defines or imports: it calls no helper of the builder's
+    codes, names = [verify_certificate.__code__], set()
+    while codes:
+        code = codes.pop()
+        names |= set(code.co_names)
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+    assert not names & set(vars(pairing)), names & set(vars(pairing))
+
+
 # --- independent verification -----------------------------------------------------
 
 
