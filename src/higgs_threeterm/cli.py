@@ -98,31 +98,20 @@ def _emit(args, json_obj, csv_header, csv_rows) -> None:
 def _cmd_check(args) -> int:
     seq = _parse_roots(args.roots)
     report = serialize.check_report(seq)
-    stability = report["stability"]
-    row = [
-        " ".join(str(r) for r in report["roots"]),
-        report["admissible"],
-        stability["total_slope"],
-        " ".join(stability["tail_slopes"]),
-        stability["verdict"],
-        " ".join(f"{k}:{v}" for k, v in report["multiplicities"].items()),
-        report["three_term"]["holds"],
-        " ".join(
-            f"{v['height']}:{v['count']}>{v['below']}+{v['above']}"
-            for v in report["three_term"]["violations"]
+    stability, three_term = report["stability"], report["three_term"]
+    row = {
+        "roots": " ".join(str(r) for r in report["roots"]),
+        "admissible": report["admissible"],
+        "total_slope": stability["total_slope"],
+        "tail_slopes": " ".join(stability["tail_slopes"]),
+        "verdict": stability["verdict"],
+        "multiplicities": " ".join(f"{k}:{v}" for k, v in report["multiplicities"].items()),
+        "three_term_holds": three_term["holds"],
+        "three_term_violations": " ".join(
+            f"{v['height']}:{v['count']}>{v['below']}+{v['above']}" for v in three_term["violations"]
         ),
-    ]
-    header = [
-        "roots",
-        "admissible",
-        "total_slope",
-        "tail_slopes",
-        "verdict",
-        "multiplicities",
-        "three_term_holds",
-        "three_term_violations",
-    ]
-    _emit(args, report, header, [row])
+    }
+    _emit(args, report, list(row), [list(row.values())])
     return 0
 
 
@@ -160,7 +149,7 @@ def _cmd_pair(args) -> int:
     targets, labels, failures = certify(seq)
     heights = sorted(set(roots)) if args.all_heights else [args.height]
     if failed := [r for r in heights if r in failures]:  # the construction is refuted
-        print(serialize.dumps({"counterexample": failures[min(failed)].report()}), file=sys.stderr)
+        print(serialize.dumps({"counterexample": failures[min(failed)]._asdict()}), file=sys.stderr)
         return 1
 
     certs = [(r, pairs(roots, r, targets, labels)) for r in heights]
@@ -211,29 +200,11 @@ def _cmd_translate(args) -> int:
         "connection": serialize.side_residue_json(connection),
         "higgs": serialize.side_residue_json(higgs),
     }
-    row = [
-        report["representation"]["beta"],
-        report["representation"]["u"],
-        report["representation"]["v"],
-        report["connection"]["jump"],
-        report["connection"]["eigenvalue"]["re"],
-        report["connection"]["eigenvalue"]["im"],
-        report["higgs"]["jump"],
-        report["higgs"]["eigenvalue"]["re"],
-        report["higgs"]["eigenvalue"]["im"],
-    ]
-    header = [
-        "beta",
-        "u",
-        "v",
-        "connection_jump",
-        "connection_re",
-        "connection_im",
-        "higgs_jump",
-        "higgs_re",
-        "higgs_im",
-    ]
-    _emit(args, report, header, [row])
+    row = dict(report["representation"])
+    for side in ("connection", "higgs"):
+        row[f"{side}_jump"] = report[side]["jump"]
+        row.update((f"{side}_{part}", value) for part, value in report[side]["eigenvalue"].items())
+    _emit(args, report, list(row), [list(row.values())])
     return 0
 
 
@@ -250,8 +221,7 @@ def _cmd_rank1(args) -> int:
         "filtered_degree": serialize.format_rational(filtered_degree),
         "residue_angle": serialize.format_rational(filtered.rank1_residue_angle(args.a)),
     }
-    header = ["a", "b", "jump", "unfiltered_degree", "filtered_degree", "residue_angle"]
-    _emit(args, report, header, [[report[k] for k in header]])
+    _emit(args, report, list(report), [list(report.values())])
     return 0
 
 
@@ -277,8 +247,7 @@ def _cmd_filtered_degree(args) -> int:
         "slope": serialize.format_rational(slope),
         **extra,
     }
-    header = list(report)
-    _emit(args, report, header, [[report[k] for k in header]])
+    _emit(args, report, list(report), [list(report.values())])
     return 0
 
 
@@ -301,11 +270,8 @@ def _cmd_verify_metric(args) -> int:
         only=args.check,
         tolerance=args.tolerance,
     )
-    rows = [
-        [row["check_name"], repr(row["max_residual"]), repr(row["tolerance"]), row["pass"]]
-        for row in report["checks"]
-    ]
-    _emit(args, report, ["check_name", "max_residual", "tolerance", "pass"], rows)
+    checks = report["checks"]  # csv writes a float as its repr
+    _emit(args, report, list(checks[0]), [list(check.values()) for check in checks])
     return 0 if report["pass"] else 1
 
 
@@ -317,13 +283,10 @@ def _cmd_sweep(args) -> int:
         report = sweep.written_report(params, workers=args.workers, records=args.format == "json")
     except sweep.WorkerDied as exc:
         raise UsageError(exc) from None
-    rows = [
-        [n, bucket["generated"], bucket["admissible"], bucket["stable"]]
-        for n, bucket in report["per_n"].items()
-    ]
-    totals = report["totals"]
-    rows.append(["total", totals["generated"], totals["admissible"], totals["stable"]])
-    _emit(args, report, ["n", "generated", "admissible", "stable"], rows)
+    per_n = report["per_n"]
+    counts = list(next(iter(per_n.values())))  # totals has them too, and certificates, not printed
+    rows = [[n, *(bucket[k] for k in counts)] for n, bucket in [*per_n.items(), ("total", report["totals"])]]
+    _emit(args, report, ["n", *counts], rows)
     return 0 if report["pass"] else 1
 
 

@@ -47,6 +47,7 @@ The certificate checker shares no code with the builder.
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 from .chain import RootSequence, is_admissible, tail_slopes
 
@@ -55,31 +56,20 @@ class HypothesisViolationError(ValueError):
     """Input chain is not admissible or not tail-stable."""
 
 
-class PairingFailure(RuntimeError):
-    """No valid target exists for a source vertex.
+class PairingFailure(NamedTuple):
+    """The counterexample for a source vertex that has no valid target:
+    `_certify` returns one, and its `_asdict()` is the record that the sweep
+    and `pair` write.
 
-    This never fires for tail-stable admissible chains with n >= 2; if it
-    does, the matching construction is refuted and the payload is the
-    counterexample to report.  It does fire, by design, for the n = 1
-    singleton, whose lone vertex has no neighbor at all.
+    None is returned for a tail-stable admissible chain with n >= 2; one
+    would refute the matching construction.  The n = 1 singleton, whose
+    lone vertex has no neighbor at all, gets one by design.
     """
 
-    def __init__(self, roots: tuple[int, ...], height: int, source: int, reason: str):
-        self.roots = tuple(roots)
-        self.height = height
-        self.source = source
-        self.reason = reason
-        super().__init__(
-            f"no target for source {source} at height {height} in {self.roots}: {reason}"
-        )
-
-    def report(self) -> dict:
-        return {
-            "roots": list(self.roots),
-            "height": self.height,
-            "source": self.source,
-            "reason": self.reason,
-        }
+    roots: tuple[int, ...]
+    height: int
+    source: int
+    reason: str
 
 
 class RegionKind(Enum):
@@ -92,9 +82,10 @@ class RegionKind(Enum):
 def _certify(roots: tuple[int, ...]) -> tuple[tuple, tuple, dict[int, PairingFailure]]:
     """The chain's pairing from one pass: (targets, labels, failures).
 
-    failures maps each height whose rightmost vertex has no target to that
-    vertex's PairingFailure; the vertex's entries stay None, and the other
-    vertices are paired.  The caller checks the hypotheses.
+    failures maps each height whose rightmost vertex has no target to the
+    PairingFailure returned for that vertex, its counterexample; nothing is
+    raised.  The vertex's entries stay None, and the other vertices are
+    paired.  The caller checks the hypotheses.
     """
     A, B, C = RegionKind.A, RegionKind.B, RegionKind.C
     n = len(roots)

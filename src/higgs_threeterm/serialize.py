@@ -102,11 +102,7 @@ def certificate_json(r: int, pairs: list[tuple[int, int, RegionKind]]) -> dict:
 
 
 def residue_block_json(block: ResidueBlock) -> dict:
-    return {
-        "beta": format_rational(block.beta),
-        "u": format_rational(block.u),
-        "v": format_rational(block.v),
-    }
+    return {field: format_rational(value) for field, value in vars(block).items()}  # beta, u, v
 
 
 def side_residue_json(data: SideResidue) -> dict:

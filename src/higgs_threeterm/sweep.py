@@ -100,7 +100,7 @@ def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple
     targets, _, failures = _certify(roots)
     for r in sorted(counts):
         if r in failures:
-            found.append(("certificate-build", failures[r].report()))
+            found.append(("certificate-build", failures[r]._asdict()))
             continue
         ok, reasons = verify_certificate(roots, r, targets)
         if not ok:
@@ -267,13 +267,7 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     }
     totals["certificates"] = certificates
     report = {
-        "parameters": {
-            "n_min": params.n_min,
-            "n_max": params.n_max,
-            "max_rise": params.max_rise,
-            "root_bound": params.root_bound,
-            "mode": params.mode,
-        },
+        "parameters": {name: getattr(params, name) for name in SweepParams.__slots__},
         "totals": totals,
         "per_n": per_n,
     }

@@ -93,13 +93,13 @@ def test_singleton_chain_has_no_target():
     targets, labels, failures = certify(RootSequence((0,)))
     assert (targets, labels, list(failures)) == ((None,), (None,), [0])
     assert isinstance(failures[0], PairingFailure)
-    report = failures[0].report()
-    assert report["roots"] == [0]
+    report = failures[0]._asdict()
+    assert report["roots"] == (0,)
     assert report["height"] == 0
     assert report["source"] == 1
     # the builder leaves the vertex unpaired and returns the failure by its height
     targets, labels, failures = pairing._certify((0,))
-    assert (targets, labels, {r: f.report() for r, f in failures.items()}) == ((None,), (None,), {0: report})
+    assert (targets, labels, {r: f._asdict() for r, f in failures.items()}) == ((None,), (None,), {0: report})
 
 
 def test_build_matching_deterministic():
@@ -289,7 +289,7 @@ def reference_match(roots, r):
 
 
 def as_comparable(pairs, failure):
-    return pairs, None if failure is None else failure.report()
+    return pairs, None if failure is None else failure._asdict()
 
 
 def height_views(roots):
