@@ -173,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     path.write_text(json.dumps(bench, indent=2) + "\n")
     for name, row in bench["summary"].items():
         print(f"{name}: parent {row['parent']['median']:.6g} change {row['change']['median']:.6g}, "
-              f"change wins {row['change_wins']}/{row['pairs']}")
+              f"change wins {row['change_wins']}/{row['pairs']}, "
+              f"gain_beyond_parent_iqr {row['gain_beyond_parent_iqr']}")
     print(path)
     return 0
 

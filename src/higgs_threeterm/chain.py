@@ -376,11 +376,15 @@ def count_chains(prefix: tuple[int, ...], n_max: int, steps: tuple[int, ...], bo
 
     One dynamic program over (remaining length, height): after m passes
     ways[h] counts the walks of m more steps from height h inside the box.
+    It holds only the heights within the box that the walk from prefix[-1]
+    can reach, so its size does not grow with a bound that limits no chain.
     """
     out = [0] * (n_max + 1)
-    if abs(prefix[-1]) <= bound:
-        ways = dict.fromkeys(range(-bound, bound + 1), 1)
+    start = prefix[-1]
+    if abs(start) <= bound:
+        reach = max(0, n_max - len(prefix)) * max(map(abs, steps))
+        ways = dict.fromkeys(range(max(-bound, start - reach), min(bound, start + reach) + 1), 1)
         for n in range(len(prefix), n_max + 1):
-            out[n] = ways[prefix[-1]]
+            out[n] = ways[start]
             ways = {h: sum(ways.get(h + delta, 0) for delta in steps) for h in ways}
     return out

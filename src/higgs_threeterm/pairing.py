@@ -41,7 +41,13 @@ per call; the sweep, which establishes both itself, calls `_certify`
 directly.
 
 Vertex indices are 1-based throughout: source j refers to the root r_j.
-The certificate checker shares no code with the builder.
+
+The certificate checker, `verify_certificate`, shares no code with the
+builder.  It accepts first and explains later, as certifying algorithms
+do: one short loop checks height r against the definition (an int
+target per height-r vertex, a real vertex at r-2 or r+2, none taken
+twice) and accepts; only a height it cannot accept so, or a tuple of the
+wrong length, goes on to the full check, which works out every reason.
 """
 
 from __future__ import annotations
@@ -147,9 +153,27 @@ def verify_certificate(roots: tuple[int, ...], r: int, targets: tuple) -> tuple[
     target that is no vertex index is "target range", and one that cannot
     be hashed is left out of the distinctness test.  The roots are read as
     given (a RootSequence passes its .roots).
+
+    A tuple of length n whose height-r targets are distinct ints (of type
+    int itself, so no bool or subclass), each a vertex at r-2 or r+2, is
+    accepted in one short loop.  Every other input goes to the full check,
+    which gives the reasons, each once, in a fixed order: "source
+    coverage", "injectivity", then "target range" and "target height" as
+    they first occur.
     Returns (ok, failure reasons).
     """
     n = len(roots)
+    if len(targets) == n:  # accept a valid height in one short loop
+        seen, j = (), 0
+        for _ in range(roots.count(r)):
+            j = roots.index(r, j) + 1
+            t = targets[j - 1]
+            if type(t) is not int or not 1 <= t <= n or t in seen or abs(roots[t - 1] - r) != 2:
+                break
+            seen += (t,)
+        else:
+            return (True, [])
+    # refused, or the tuple's length is wrong: work out every reason, in order
     reasons: list[str] = []
     entries = targets
     if len(entries) != n:  # a vertex past the tuple's end reads as unpaired

@@ -124,11 +124,15 @@ def fake_git(monkeypatch, shas: dict, out_dir: Path):
     monkeypatch.setattr(bench_pairs, "OUT_DIR", out_dir)
 
 
-def test_main_writes_the_bench_file(monkeypatch, tmp_path):
+def test_main_writes_the_bench_file(monkeypatch, tmp_path, capsys):
     fake_git(monkeypatch, {"HEAD~1": "a" * 40, "HEAD": "b" * 40}, tmp_path)
     fake_runs(monkeypatch, {"parent": [0.7, 0.8], "change": [0.6, 0.65]})
     argv = ["HEAD~1", "HEAD", "--workload", "necessity", "--pairs", "2", "--seconds", "3"]
     assert bench_pairs.main(argv) == 0
+    # a claim's two tests, the wins and the gain beyond the parent's IQR, side by side
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "wall_vs_ref: parent 0.75 change 0.625, change wins 2/2, gain_beyond_parent_iqr True"
+    assert lines[1].endswith("change wins 0/2, gain_beyond_parent_iqr False")  # peak_rss_mb, a tie
     bench = json.loads((tmp_path / f"BENCH_necessity-{'b' * 12}.json").read_text())
     assert (bench["parent"], bench["change"], bench["seconds"]) == ("a" * 40, "b" * 40, 3)
     assert "seed" not in bench["context"] and "git_sha" not in bench["context"]

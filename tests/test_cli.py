@@ -812,3 +812,26 @@ def test_a_necessity_report_is_written_without_being_held_whole(workers, tmp_pat
     finally:
         tracemalloc.stop()
     assert peak < 2 * path.stat().st_size
+
+
+def test_a_bound_that_limits_no_chain_costs_no_memory(tmp_path):
+    # from bound 8 up, the box n <= 3, rise <= 4 holds the same 12 chains, so
+    # a far larger bound gives the same counts, and its chain count holds only
+    # the heights the walk can reach, not one entry per height in the bound
+    import tracemalloc
+
+    def csv_of(bound):
+        path = tmp_path / f"bound-{bound}.csv"
+        argv = ["sweep", "--n-max", "3", "--max-rise", "4", "--bound", str(bound), "--format", "csv"]
+        assert main([*argv, "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    expected = csv_of(8)  # untraced, so imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        found = csv_of(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == expected
+    assert peak < 2**20

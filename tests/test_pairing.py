@@ -429,15 +429,22 @@ def reference_verdict(roots, r, targets):
     return (not reasons, reasons)
 
 
+class Index(int):
+    """An int subclass: the reference reads it as the index it equals."""
+
+
 def mutants(roots, r, targets):
     """The targets with the first height-r vertex's set to 0, a vertex at a
-    wrong height of the same parity, a non-int, an unhashable list or None
-    (unpaired), and the last one's to n+1, another wrong vertex or another
-    non-int; the first two sources' targets swapped, and the last one's
-    made a duplicate of the first's; another height's target set to 0; the
-    tuple one entry short, or one entry long: alone, and with the first 0,
-    wrong-height and duplicate edits, so each reason comes with source
-    coverage too."""
+    wrong height of the same parity, a non-int, an unhashable list, None
+    (unpaired) or True (an int to the reference, vertex 1), and the last
+    one's to n+1, another wrong vertex, another non-int or its own target
+    as an int subclass; the first two sources' targets swapped, and the
+    last one's made a duplicate of the first's; another height's target
+    set to 0; the tuple one entry short, or one entry long: alone, and with
+    the first 0, wrong-height and duplicate edits, so each reason comes
+    with source coverage too.  True and the int subclass are indices to
+    the reference, but not of type int, so the checker's short accepting
+    loop passes them to its full check."""
     n = len(roots)
     sources = [j for j in range(1, n + 1) if roots[j - 1] == r]
     others = [j for j in range(1, n + 1) if roots[j - 1] != r]
@@ -445,7 +452,8 @@ def mutants(roots, r, targets):
     first, last = sources[0], sources[-1]
     edits = [
         {first: 0}, {first: wrong[0]}, {first: 2.0}, {first: [1]}, {first: None},
-        {last: n + 1}, {last: wrong[-1]}, {last: "1"},
+        {first: True}, {last: n + 1}, {last: wrong[-1]}, {last: "1"},
+        {last: Index(targets[last - 1] or 0)},
     ]
     pair_edits = []
     if len(sources) > 1:
