@@ -94,10 +94,6 @@ class MultiplicityProfile(NamedTuple):
     def __getitem__(self, r: int) -> int:
         return self.counts.get(r, 0)
 
-    def heights(self) -> list[int]:
-        """Realized twists, descending."""
-        return sorted(self.counts, reverse=True)
-
 
 class ThreeTermViolation(NamedTuple):
     height: int
@@ -210,11 +206,20 @@ def enumeration_steps(max_rise: int) -> tuple[int, ...]:
     return (-2,) + tuple(range(2, max_rise + 1, 2))
 
 
+# The longest chain a box may hold.  extend_chain recurses once per root,
+# and under the default recursion limit of 1000 its first chain raises
+# RecursionError from length 998 on (997 with three_term; Python 3.11), so
+# a longer box fails mid-walk.  Any box this long is far too big to walk.
+MAX_LENGTH = 500
+
+
 def check_box(n_min: int, n_max: int, max_rise: int, root_bound: int) -> None:
-    """Raise ValueError unless 2 <= n_min <= n_max, max_rise is even and
-    >= 2, and root_bound >= 0."""
+    """Raise ValueError unless 2 <= n_min <= n_max <= MAX_LENGTH, max_rise
+    is even and >= 2, and root_bound >= 0."""
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    if n_max > MAX_LENGTH:
+        raise ValueError(f"n_max must be <= {MAX_LENGTH}, got {n_max}")
     if max_rise < 2 or max_rise % 2 != 0:
         raise ValueError(f"max_rise must be even and >= 2, got {max_rise}")
     if root_bound < 0:

@@ -6,6 +6,14 @@ written to stdout or to --out.  Exit codes: 0 pass, 1 violation or failed
 check, 2 usage error or a sweep worker that died.  Reports conform to
 schemas/cli-reports.schema.json.  Each subcommand imports only the modules
 it runs: verify-metric loads no chain, pairing or sweep.
+
+Each handler builds its JSON report and its CSV rows from the same local
+values, in a fixed key order, so equal inputs give byte-identical
+reports.  A rational is written by serialize.format_rational, and an
+exact complex value as {"re": "p/q", "im": "p/q"}.  A refusal is a
+ValueError or an OSError (a sweep worker that died is a
+ChildProcessError), and `main` alone maps it to one `error:` line and
+exit 2.
 """
 
 from __future__ import annotations
@@ -24,21 +32,13 @@ if TYPE_CHECKING:  # annotations only: a sweep never loads fractions
     from .chain import RootSequence
 
 
-class UsageError(Exception):
-    """Bad input that argparse could not catch itself, or a sweep worker
-    that died (`_cmd_sweep` raises it for sweep.WorkerDied, unknown to main).
-
-    `main` reports it, and any ValueError or OSError, as exit 2.
-    """
-
-
 def _parse_roots(text: str) -> RootSequence:
     from .chain import RootSequence  # check and pair use it; verify-metric never loads chain
 
     try:
         roots = tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError as exc:
-        raise UsageError(f"could not parse --roots {text!r}: {exc}") from None
+        raise ValueError(f"could not parse --roots {text!r}: {exc}") from None
     return RootSequence(roots)
 
 
@@ -46,7 +46,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return serialize.parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"could not parse rational {text!r}: {exc}") from None
+        raise ValueError(f"could not parse rational {text!r}: {exc}") from None
 
 
 def _parse_jumps(text: str) -> list[tuple[Fraction, int]]:
@@ -56,16 +56,16 @@ def _parse_jumps(text: str) -> list[tuple[Fraction, int]]:
         try:
             jump_text, dim_text = item.split(":")
             jumps.append((_parse_fraction(jump_text), int(dim_text)))
-        except (ValueError, UsageError) as exc:
-            raise UsageError(f"could not parse jump item {item!r}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"could not parse jump item {item!r}: {exc}") from None
     return jumps
 
 
 def _refuse(what: str, args, names) -> None:
-    """Raise UsageError naming each flag of `names` that was given: `what` takes none."""
+    """Raise ValueError naming each flag of `names` that was given: `what` takes none."""
     given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
     if given:
-        raise UsageError(f"{what} takes no {', '.join(given)}")
+        raise ValueError(f"{what} takes no {', '.join(given)}")
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -96,20 +96,39 @@ def _emit(args, json_obj, csv_header, csv_rows) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .chain import is_admissible, multiplicities, tail_slopes, three_term_holds
+
     seq = _parse_roots(args.roots)
-    report = serialize.check_report(seq)
-    stability, three_term = report["stability"], report["three_term"]
+    admissible, _ = is_admissible(seq)
+    stability = tail_slopes(seq.roots)
+    total_slope = serialize.format_rational(stability.total_slope)
+    slopes = [serialize.format_rational(mu) for mu in stability.tail_slopes]
+    counts = multiplicities(seq).counts
+    profile = {str(r): counts[r] for r in sorted(counts, reverse=True)}  # descending heights
+    holds, violations = three_term_holds(counts)
+    report = {
+        "roots": list(seq.roots),
+        "admissible": admissible,
+        "stability": {
+            "total_slope": total_slope,
+            "tail_slopes": slopes,
+            "verdict": stability.verdict,
+        },
+        "multiplicities": profile,
+        "three_term": {
+            "holds": holds,
+            "violations": [v._asdict() for v in violations],
+        },
+    }
     row = {
-        "roots": " ".join(str(r) for r in report["roots"]),
-        "admissible": report["admissible"],
-        "total_slope": stability["total_slope"],
-        "tail_slopes": " ".join(stability["tail_slopes"]),
-        "verdict": stability["verdict"],
-        "multiplicities": " ".join(f"{k}:{v}" for k, v in report["multiplicities"].items()),
-        "three_term_holds": three_term["holds"],
-        "three_term_violations": " ".join(
-            f"{v['height']}:{v['count']}>{v['below']}+{v['above']}" for v in three_term["violations"]
-        ),
+        "roots": " ".join(map(str, seq.roots)),
+        "admissible": admissible,
+        "total_slope": total_slope,
+        "tail_slopes": " ".join(slopes),
+        "verdict": stability.verdict,
+        "multiplicities": " ".join(f"{r}:{m}" for r, m in profile.items()),
+        "three_term_holds": holds,
+        "three_term_violations": " ".join(f"{v.height}:{v.count}>{v.below}+{v.above}" for v in violations),
     }
     _emit(args, report, list(row), [list(row.values())])
     return 0
@@ -144,7 +163,7 @@ def _cmd_pair(args) -> int:
 
     seq = _parse_roots(args.roots)
     if args.height is not None and args.height % 2:  # every root, so every vertex's height, is even
-        raise UsageError(f"--height must be even, got {args.height}")
+        raise ValueError(f"--height must be even, got {args.height}")
     roots = seq.roots
     targets, labels, failures = certify(seq)
     heights = sorted(set(roots)) if args.all_heights else [args.height]
@@ -152,17 +171,18 @@ def _cmd_pair(args) -> int:
         print(serialize.dumps({"counterexample": failures[min(failed)]._asdict()}), file=sys.stderr)
         return 1
 
-    certs = [(r, pairs(roots, r, targets, labels)) for r in heights]
-    refused = []
+    blocks, rows, refused = [], [], []
     for r in heights:
+        found = [(s, t, label.value) for s, t, label in pairs(roots, r, targets, labels)]
+        blocks.append({"height": r, "pairs": [{"source": s, "target": t, "label": label} for s, t, label in found]})
+        rows += ([r, *pair] for pair in found)
         ok, reasons = verify_certificate(roots, r, targets)
         if not ok:
             refused.append({"height": r, "reasons": reasons})
     if args.all_heights:
-        report = {"roots": list(roots), "certificates": [serialize.certificate_json(*c) for c in certs]}
+        report = {"roots": list(roots), "certificates": blocks}
     else:
-        report = serialize.certificate_json(*certs[0])
-    rows = [[r, source, target, label.value] for r, found in certs for source, target, label in found]
+        report = blocks[0]
     _emit(args, report, ["height", "source", "target", "label"], rows)
     if refused:
         print(f"certificate verification failed: {refused}", file=sys.stderr)
@@ -179,7 +199,7 @@ def _cmd_translate(args) -> int:
     side = args.source_side
     own = _TRANSLATE_FLAGS[:3] if side == "representation" else _TRANSLATE_FLAGS[3:]
     if any(getattr(args, name) is None for name in own):
-        raise UsageError(f"translate --from {side} needs {', '.join('--' + name for name in own)}")
+        raise ValueError(f"translate --from {side} needs {', '.join('--' + name for name in own)}")
     _refuse(f"translate --from {side}", args, [name for name in _TRANSLATE_FLAGS if name not in own])
     if side == "representation":
         block = filtered.ResidueBlock(
@@ -193,17 +213,14 @@ def _cmd_translate(args) -> int:
         to_rep = filtered.connection_to_rep if side == "connection" else filtered.higgs_to_rep
         block = to_rep(data)
 
-    connection = filtered.rep_to_connection(block)
-    higgs = filtered.rep_to_higgs(block)
-    report = {
-        "representation": serialize.residue_block_json(block),
-        "connection": serialize.side_residue_json(connection),
-        "higgs": serialize.side_residue_json(higgs),
-    }
-    row = dict(report["representation"])
-    for side in ("connection", "higgs"):
-        row[f"{side}_jump"] = report[side]["jump"]
-        row.update((f"{side}_{part}", value) for part, value in report[side]["eigenvalue"].items())
+    representation = {field: serialize.format_rational(value) for field, value in vars(block).items()}  # beta, u, v
+    report = {"representation": representation}
+    row = dict(representation)
+    for side, to_side in (("connection", filtered.rep_to_connection), ("higgs", filtered.rep_to_higgs)):
+        data = to_side(block)
+        jump, re, im = map(serialize.format_rational, (data.jump, *data.eigenvalue))
+        report[side] = {"jump": jump, "eigenvalue": {"re": re, "im": im}}
+        row.update({f"{side}_jump": jump, f"{side}_re": re, f"{side}_im": im})
     _emit(args, report, list(row), [list(row.values())])
     return 0
 
@@ -236,7 +253,7 @@ def _cmd_filtered_degree(args) -> int:
         extra = {"dimension": data.dimension}
     else:
         if args.rank is None or args.base_degree is None:
-            raise UsageError("filtered-degree --side bundle needs --rank and --base-degree")
+            raise ValueError("filtered-degree --side bundle needs --rank and --base-degree")
         jump_data = filtered.FilteredJumpData("bundle", cusps)
         data = filtered.FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jump_data)
         degree, slope = filtered.filtered_degree_bundle(data), filtered.slope_bundle(data)
@@ -260,7 +277,7 @@ def _cmd_verify_metric(args) -> int:
         try:
             grid, seed = [harmonic.UpperHalfPoint.parse(args.tau)], None  # no grid to seed
         except ValueError as exc:
-            raise UsageError(f"bad --tau: {exc}") from None
+            raise ValueError(f"bad --tau: {exc}") from None
     report = harmonic.verification_report(
         grid=grid,
         count=20 if args.grid is None else args.grid,
@@ -279,10 +296,8 @@ def _cmd_sweep(args) -> int:
     from . import sweep
 
     params = sweep.SweepParams(args.n_min, args.n_max, args.max_rise, args.bound, args.mode)
-    try:  # a CSV report prints only the counts, so the sweep writes no records for it
-        report = sweep.written_report(params, workers=args.workers, records=args.format == "json")
-    except sweep.WorkerDied as exc:
-        raise UsageError(exc) from None
+    # a CSV report prints only the counts, so the sweep writes no records for it
+    report = sweep.written_report(params, workers=args.workers, records=args.format == "json")
     per_n = report["per_n"]
     counts = list(next(iter(per_n.values())))  # totals has them too, and certificates, not printed
     rows = [[n, *(bucket[k] for k in counts)] for n, bucket in [*per_n.items(), ("total", report["totals"])]]
@@ -372,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

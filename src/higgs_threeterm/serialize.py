@@ -1,9 +1,8 @@
-"""JSON-facing builders and the report writer.
+"""The rational format and the report writer.
 
 Every rational serializes via str(Fraction), i.e. lowest terms with the
-denominator omitted when it is 1; exact complex values serialize as
-{"re": "p/q", "im": "p/q"}.  Report dictionaries are built in a fixed key
-order so equal inputs produce byte-identical JSON.
+denominator omitted when it is 1.  Each subcommand builds its own report
+(see cli); this module writes it.
 
 `pieces` is the one JSON writer: its strings join to json.dumps(obj,
 indent=2, allow_nan=False), so a NaN or infinity anywhere in obj raises
@@ -40,12 +39,8 @@ import functools
 import json
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only: each module loads just for the subcommands that run it
-    from fractions import Fraction  # imported where used: a sweep never loads it
-
-    from .chain import MultiplicityProfile, RootSequence, StabilityReport
-    from .filtered import ResidueBlock, SideResidue
-    from .pairing import RegionKind
+if TYPE_CHECKING:  # annotations only: imported where used, so a sweep never loads it
+    from fractions import Fraction
 
 
 def format_rational(q: Fraction) -> str:
@@ -56,60 +51,6 @@ def format_rational(q: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     from fractions import Fraction
     return Fraction(text.strip())
-
-
-def complex_pair_json(value: tuple[Fraction, Fraction]) -> dict:
-    re, im = value
-    return {"re": format_rational(re), "im": format_rational(im)}
-
-
-def profile_json(profile: MultiplicityProfile) -> dict[str, int]:
-    return {str(r): profile[r] for r in profile.heights()}
-
-
-def stability_json(report: StabilityReport) -> dict:
-    return {
-        "total_slope": format_rational(report.total_slope),
-        "tail_slopes": [format_rational(mu) for mu in report.tail_slopes],
-        "verdict": report.verdict,
-    }
-
-
-def check_report(seq: RootSequence) -> dict:
-    """The full informational report for one chain."""
-    from .chain import is_admissible, multiplicities, tail_slopes, three_term_holds
-
-    admissible, _ = is_admissible(seq)
-    profile = multiplicities(seq)
-    holds, violations = three_term_holds(profile.counts)
-    return {
-        "roots": list(seq.roots),
-        "admissible": admissible,
-        "stability": stability_json(tail_slopes(seq.roots)),
-        "multiplicities": profile_json(profile),
-        "three_term": {
-            "holds": holds,
-            "violations": [v._asdict() for v in violations],
-        },
-    }
-
-
-def certificate_json(r: int, pairs: list[tuple[int, int, RegionKind]]) -> dict:
-    return {
-        "height": r,
-        "pairs": [{"source": source, "target": target, "label": label.value} for source, target, label in pairs],
-    }
-
-
-def residue_block_json(block: ResidueBlock) -> dict:
-    return {field: format_rational(value) for field, value in vars(block).items()}  # beta, u, v
-
-
-def side_residue_json(data: SideResidue) -> dict:
-    return {
-        "jump": format_rational(data.jump),
-        "eigenvalue": complex_pair_json(data.eigenvalue),
-    }
 
 
 # --- the report writer ---------------------------------------------------------

@@ -148,8 +148,10 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
     return stable, certificates, records, write_records(chains)  # "" for no chains
 
 
-class WorkerDied(RuntimeError):
-    """A pool worker died (killed, crashed, or its partition raised) during a sweep."""
+class WorkerDied(ChildProcessError):
+    """A pool worker died (killed, crashed, or its partition raised) during a sweep.
+
+    An OSError, so the command line reports it in one `error:` line and exits 2."""
 
 
 def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> None:

@@ -10,8 +10,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from higgs_threeterm.chain import (
+    MAX_LENGTH,
     MalformedSequenceError,
     RootSequence,
+    check_box,
     count_chains,
     enumerate_chains,
     enumeration_steps,
@@ -263,6 +265,15 @@ def test_enumerate_smallest_stable_family():
 
 def test_enumerate_contains_normalized_stable_example():
     assert (0, -2, -4) in enumerate_chains(2, 3, 4, 8)
+
+
+def test_the_walk_reaches_the_longest_box_a_check_allows():
+    # the walk recurses once per root; its first descent alternates 0, -2
+    roots, _, _ = next(extend_chain((0,), MAX_LENGTH, enumeration_steps(2), 2))
+    assert roots == (0, -2) * (MAX_LENGTH // 2)
+    check_box(2, MAX_LENGTH, 2, 2)
+    with pytest.raises(ValueError, match=rf"^n_max must be <= {MAX_LENGTH}, got {MAX_LENGTH + 1}$"):
+        check_box(2, MAX_LENGTH + 1, 2, 2)
 
 
 def test_enumerate_zero_bound_is_empty():

@@ -86,6 +86,17 @@ def test_check_csv(capsys):
     assert rows[1][0] == "2 0 -2"
 
 
+def test_check_multiplicities_are_keyed_by_descending_height(capsys):
+    code, out, _ = run_cli(capsys, "check", "--roots", "4,2,0,4,2,0,-2")
+    assert code == 0
+    assert list(json.loads(out)["multiplicities"]) == ["4", "2", "0", "-2"]
+
+
+def test_check_report_bytes_are_stable(capsys):
+    first = run_cli(capsys, "check", "--roots", "4,2,0,-2")
+    assert first == run_cli(capsys, "check", "--roots", "4,2,0,-2")
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["check", "--nonsense"])
@@ -194,6 +205,19 @@ def test_pair_refuted_by_the_singleton_exits_one_with_its_counterexample(capsys)
         assert err == json.dumps({"counterexample": counterexample}, indent=2) + "\n"
 
 
+def test_pair_height_the_checker_refuses_exits_one_after_the_report(capsys, monkeypatch):
+    from higgs_threeterm import pairing
+
+    def refuses_height_0(roots, r, targets):
+        return (False, ["injectivity"]) if r == 0 else (True, [])
+
+    monkeypatch.setattr(pairing, "verify_certificate", refuses_height_0)
+    code, out, err = run_cli(capsys, "pair", "--roots", "2,0,-2", "--all-heights")
+    assert code == 1
+    assert [c["height"] for c in json.loads(out)["certificates"]] == [-2, 0, 2]
+    assert err == "certificate verification failed: [{'height': 0, 'reasons': ['injectivity']}]\n"
+
+
 # --- pinned bytes ------------------------------------------------------------------
 
 _PIN_BOX = ("--n-max", "6", "--max-rise", "6", "--bound", "9")
@@ -261,6 +285,23 @@ def test_translate_forward(capsys):
     assert report["connection"] == {"jump": "1/6", "eigenvalue": {"re": "-1/6", "im": "0"}}
     assert report["higgs"] == {"jump": "-1/6", "eigenvalue": {"re": "0", "im": "0"}}
     validate(report, "translateReport")
+
+
+def test_translate_writes_an_exact_complex_value_as_a_pair_of_rationals(capsys):
+    code, out, _ = run_cli(capsys, "translate", "--beta", "0", "--u", "1/6", "--v", "0")
+    assert code == 0
+    assert json.loads(out)["connection"]["eigenvalue"] == {"re": "-1/6", "im": "0"}
+
+
+UNPARSED_RATIONALS = {
+    ("rank1", "--a", "3", "--b", "x"): "error: could not parse rational 'x': Invalid literal for Fraction: 'x'\n",
+    ("translate", "--beta", "1/0", "--u", "0", "--v", "0"): "error: could not parse rational '1/0': Fraction(1, 0)\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(UNPARSED_RATIONALS))
+def test_a_rational_that_does_not_parse_is_a_usage_error(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", UNPARSED_RATIONALS[argv])
 
 
 def test_translate_from_connection(capsys):
@@ -372,6 +413,11 @@ def test_filtered_degree_bundle(capsys):
     validate(report, "filteredDegreeReport")
 
 
+def test_filtered_degree_cusps_of_different_dimension(capsys):
+    argv = ["filtered-degree", "--side", "representation", "--jumps", "1/2:1", "--jumps", "1/3:2"]
+    assert run_cli(capsys, *argv) == (2, "", "error: cusps disagree on total dimension: [1, 2]\n")
+
+
 def test_filtered_degree_bundle_needs_rank(capsys):
     code, _, err = run_cli(capsys, "filtered-degree", "--side", "bundle", "--jumps", "0:1")
     assert code == 2
@@ -460,6 +506,10 @@ def test_verify_metric_grid_and_seed_default_to_20_and_0(capsys):
     assert default == explicit
     _, single, _ = run_cli(capsys, "verify-metric", "--tau", "0.3+1.2i", "--check", "metric_shape")
     assert json.loads(single)["parameters"]["seed"] is None  # one point: no grid was seeded
+
+
+def test_verify_metric_empty_grid(capsys):
+    assert run_cli(capsys, "verify-metric", "--grid", "0") == (2, "", "error: count must be >= 1, got 0\n")
 
 
 def test_verify_metric_bad_tau(capsys):
@@ -632,6 +682,26 @@ def test_sweep_script_rejects_invalid_bounds(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "sweep", "--n-max", "2", flag, value)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mode", "theorem", "--workers", "1"],
+        ["sweep", "--mode", "theorem", "--workers", "2"],
+        ["sweep", "--mode", "necessity", "--workers", "1"],
+        ["sweep", "--mode", "necessity", "--workers", "2"],
+        ["enumerate"],
+    ],
+    ids=["theorem-1", "theorem-2", "necessity-1", "necessity-2", "enumerate"],
+)
+def test_a_box_longer_than_the_walk_can_go_deep_is_refused(capsys, argv):
+    from higgs_threeterm.chain import MAX_LENGTH
+
+    # refused before any walk or fork: a box this long would never finish
+    code, out, err = run_cli(capsys, *argv, "--n-max", str(MAX_LENGTH + 1), "--max-rise", "2", "--bound", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: n_max must be <= {MAX_LENGTH}, got {MAX_LENGTH + 1}\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers inherit the patch only by fork")

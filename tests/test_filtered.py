@@ -57,6 +57,13 @@ def test_degree_rep_wrong_side():
         filtered_degree_rep(bundle_jumps((F(1, 2), 1)))
 
 
+def test_jump_data_refuses_an_unknown_side_and_no_cusps():
+    with pytest.raises(ValueError, match=r"^unknown side 'connection'$"):
+        FilteredJumpData("connection", (((F(1, 2), 1),),))
+    with pytest.raises(ValueError, match=r"^need at least one cusp$"):
+        FilteredJumpData("representation", ())
+
+
 def test_slope_rep_is_degree_over_dimension():
     data = rep_jumps((F(5, 6), 1), (F(1, 6), 2))
     assert slope_rep(data) == F(7, 6) / 3

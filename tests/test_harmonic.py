@@ -148,6 +148,11 @@ def test_log_derivative_smoke():
     assert np.all(np.isfinite(mat))
 
 
+def test_log_derivative_refuses_an_unknown_selector():
+    with pytest.raises(ValueError, match=r"^selector must be 'd' or 'dbar', got 'D'$"):
+        log_derivative("D", 1j, FiniteDiffScheme(1e-4))
+
+
 def test_log_derivative_scale_invariance():
     scheme = FiniteDiffScheme(1e-4)
     z0 = 0.3 + 1.2j

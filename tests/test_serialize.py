@@ -1,4 +1,4 @@
-"""Rational strings, complex pairs, report key stability, the JSON writer."""
+"""Rational strings and the JSON writer."""
 
 import json
 from fractions import Fraction
@@ -9,17 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higgs_threeterm import cli, serialize
-from higgs_threeterm.chain import RootSequence, ThreeTermViolation, multiplicities
+from higgs_threeterm.chain import ThreeTermViolation
 from higgs_threeterm.serialize import (
     Written,
-    check_report,
-    complex_pair_json,
     dumps,
     format_rational,
     int_list_items,
     parse_rational,
     pieces,
-    profile_json,
     three_term_items,
     write_items,
 )
@@ -41,22 +38,6 @@ def test_round_trip(q):
 def test_parse_accepts_decimal_text():
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational(" -3/9 ") == Fraction(-1, 3)
-
-
-def test_complex_pair():
-    assert complex_pair_json((Fraction(-1, 6), Fraction(0))) == {"re": "-1/6", "im": "0"}
-
-
-def test_profile_order_is_descending():
-    profile = multiplicities(RootSequence((4, 2, 0, 4, 2, 0, -2)))
-    assert list(profile_json(profile)) == ["4", "2", "0", "-2"]
-
-
-def test_check_report_bytes_are_stable():
-    seq = RootSequence((4, 2, 0, -2))
-    a = json.dumps(check_report(seq), indent=2)
-    b = json.dumps(check_report(seq), indent=2)
-    assert a == b
 
 
 # --- the writer against json.dumps(indent=2) -------------------------------------

@@ -496,6 +496,13 @@ def test_parameter_validation():
         run_sweep(SweepParams(2, 2, 4, 4), workers=0)
 
 
+def test_params_are_immutable():
+    params = SweepParams(2, 3, 4, 4)
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'n_max'$"):
+        params.n_max = 9
+    assert params.n_max == 3
+
+
 # sha256 of the report as the CLI writes it, timing_seconds removed; the
 # last box has 571 necessity violations, so the violation sort is pinned too
 PINNED_REPORTS = {
