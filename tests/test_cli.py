@@ -695,7 +695,7 @@ def test_sweep_script_rejects_invalid_bounds(capsys, flag, value, message):
     ],
     ids=["theorem-1", "theorem-2", "necessity-1", "necessity-2", "enumerate"],
 )
-def test_a_box_longer_than_the_walk_can_go_deep_is_refused(capsys, argv):
+def test_a_box_longer_than_the_walk_can_go_deep_is_refused(capsys, argv, time_bound):
     from higgs_threeterm.chain import MAX_LENGTH
 
     # refused before any walk or fork: a box this long would never finish
