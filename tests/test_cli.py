@@ -611,6 +611,23 @@ def test_verify_metric_low_equivariance_image(capsys):
     assert re.fullmatch(r"error: gamma tau = \(\S+\) fell below the floor y = 0\.1\n", err), err
 
 
+# at tau = 0.3 + 0.15i each step puts a difference point below the real axis:
+# tau - 2i h_nested for the nested residual, tau - i h for one difference
+@pytest.mark.parametrize(
+    ("flag", "step", "check"),
+    [
+        ("--h-nested", "0.1", "harmonic_equation"),
+        ("--h", "0.2", "theta_vs_finite_difference"),
+        ("--h", "0.2", "higgs_form_closedness"),
+    ],
+)
+def test_verify_metric_refuses_a_step_that_leaves_the_half_plane(capsys, flag, step, check):
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", "0.3+0.15i", flag, step, "--check", check)
+    assert (code, out) == (2, "")
+    # only the last line: a step outside [1e-6, 1e-2] warns first, and a warning names its file
+    assert err.splitlines()[-1] == "error: point (0.3-0.05000000000000002j) is not in the upper half-plane"
+
+
 def test_verify_metric_csv(capsys):
     code, out, _ = run_cli(capsys, "verify-metric", "--grid", "4", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
