@@ -17,7 +17,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from higgs_threeterm.harmonic import FiniteDiffScheme, UpperHalfPoint, harmonic_residual
+import numpy as np
+
+from higgs_threeterm.harmonic import UpperHalfPoint, harmonic_residual
 
 
 def main() -> int:
@@ -28,6 +30,7 @@ def main() -> int:
     args = parser.parse_args()
 
     point = UpperHalfPoint.parse(args.tau)
+    z = np.array([point.tau])  # one point, as an array of one
     steps = [float(s) for s in args.steps.split(",")]
 
     rows = []
@@ -35,7 +38,7 @@ def main() -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for h in steps:
-            residual = harmonic_residual(point, FiniteDiffScheme(h))
+            residual = harmonic_residual(z, h).item()
             order = ""
             if previous is not None:
                 order = math.log(previous[1] / residual) / math.log(previous[0] / h)

@@ -185,7 +185,7 @@ def _cmd_pair(args) -> int:
         report = blocks[0]
     _emit(args, report, ["height", "source", "target", "label"], rows)
     if refused:
-        print(f"certificate verification failed: {refused}", file=sys.stderr)
+        print(serialize.dumps({"refused": refused}), file=sys.stderr)
         return 1
     return 0
 
@@ -278,6 +278,8 @@ def _cmd_verify_metric(args) -> int:
             grid, seed = [harmonic.UpperHalfPoint.parse(args.tau)], None  # no grid to seed
         except ValueError as exc:
             raise ValueError(f"bad --tau: {exc}") from None
+    elif args.grid is not None and args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     report = harmonic.verification_report(
         grid=grid,
         count=20 if args.grid is None else args.grid,

@@ -25,9 +25,14 @@ in floating point with central finite differences:
 Derivatives use Wirtinger operators d = (d/dx - i d/dy)/2 and
 dbar = (d/dx + i d/dy)/2 with second-order central differences.
 
-Every operator takes one point or an array of points: matrices come back
-with shape (..., 2, 2), residuals as a float for one point and an array
-for a batch, so each check runs once over the whole sample grid.  Within
+Every operator takes a complex array z of points and, if it differences,
+a float step h; matrices come back with shape z.shape + (2, 2) and
+residuals with shape z.shape, so each check runs once over the whole
+sample grid, and one point is an array of one.  A point is checked where
+it is made: `UpperHalfPoint` keeps a given point above the conditioning
+floor, `wirtinger` refuses a step whose lowest difference point z - ih
+leaves the upper half-plane, and `equivariance_residual` keeps each
+Moebius image above the floor; no operator re-checks its input.  Within
 one report the harmonic residual, the costliest operator, is evaluated
 once per distinct step and shared by the checks that read it.
 
@@ -88,43 +93,15 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class FiniteDiffScheme:
-    """Central second-order differences with step h.
-
-    Steps outside [1e-6, 1e-2] are allowed but warn: below the window
-    roundoff dominates, above it truncation does.
-    """
-
-    h: float = 1e-4
-
-    def __post_init__(self) -> None:
-        _require_positive("step", self.h)
-        if self.h < 1e-6:
-            warnings.warn(f"step underflow: h = {self.h} < 1e-6, roundoff will dominate")
-        elif self.h > 1e-2:
-            warnings.warn(f"step h = {self.h} > 1e-2, truncation will dominate")
-
-
-def _as_tau(point: UpperHalfPoint | complex | np.ndarray) -> tuple[np.ndarray, bool]:
-    """tau as a complex array of at least one axis, and whether it was one point.
-
-    One point is evaluated as a batch of one: numpy rounds complex products
-    of scalars differently from its array loops, and a point must give the
-    same bits alone as inside a batch.
-    """
-    z = np.asarray(point.tau if isinstance(point, UpperHalfPoint) else point, dtype=complex)
-    low = z.imag <= 0
-    if low.any():
-        raise ValueError(f"point {complex(z[low][0])} is not in the upper half-plane")
-    return (z.reshape(1), True) if z.ndim == 0 else (z, False)
-
-
-def _unbatch(out, one: bool):
-    """A one-point result without its batch axis, a residual as a float."""
-    if one and np.ndim(out) and np.shape(out)[0] == 1:
-        out = out[0]
-    return out.item() if one and np.ndim(out) == 0 else out
+def _check_step(h: float) -> None:
+    """A central-difference step must be finite and positive.  Steps outside
+    [1e-6, 1e-2] are allowed but warn: below the window roundoff dominates,
+    above it truncation does."""
+    _require_positive("step", h)
+    if h < 1e-6:
+        warnings.warn(f"step underflow: h = {h} < 1e-6, roundoff will dominate")
+    elif h > 1e-2:
+        warnings.warn(f"step h = {h} > 1e-2, truncation will dominate")
 
 
 def _stack(a, b, c, d, dtype=complex) -> np.ndarray:
@@ -134,183 +111,147 @@ def _stack(a, b, c, d, dtype=complex) -> np.ndarray:
     return out
 
 
-def _max_entry(mat: np.ndarray, one: bool) -> float | np.ndarray:
-    """Max |entry| over the matrix axes: a float for one point, an array for a batch."""
-    return _unbatch(np.abs(mat).max(axis=(-2, -1)), one)
-
-
-def metric_at(z) -> np.ndarray:
+def metric_at(z: np.ndarray) -> np.ndarray:
     """The totally geodesic metric for the inclusion representation."""
-    z, one = _as_tau(z)
     x, y = z.real, z.imag
-    return _unbatch(_stack(1.0, -x, -x, x * x + y * y, dtype=float) / y[..., None, None], one)
+    return _stack(1.0, -x, -x, x * x + y * y, dtype=float) / y[..., None, None]
 
 
-def equivariance_residual(point: UpperHalfPoint | complex, gamma) -> float | np.ndarray:
+def equivariance_residual(z: np.ndarray, gamma) -> np.ndarray:
     """Max-entry gap between K(gamma tau) and g^{-T} K(tau) conj(g)^{-1}.
 
     gamma must be an integer matrix of determinant 1, or a stack of them
     (..., 2, 2) broadcast against the points; every Moebius image must stay
     above the conditioning floor, and the first one that does not (in C
-    order of the broadcast shape) is named in the error.
+    order of the broadcast shape) is named in the error.  A point below the
+    real axis has its images there too, so the floor test covers z.
     """
     (a, b), (c, d) = np.moveaxis(np.asarray(gamma), (-2, -1), (0, 1))
     if np.any(a * d - b * c != 1):
         raise ValueError(f"gamma must have determinant 1, got {gamma}")
-    z, one = _as_tau(point)
     w = (a * z + b) / (c * z + d)
     low = w.imag <= MIN_Y
     if low.any():
         raise ValueError(f"gamma tau = {complex(w[low][0])} fell below the floor y = {MIN_Y}")
     ginv = _stack(d, -b, -c, a, dtype=float)  # exact unimodular inverse
-    lhs = metric_at(w)
     rhs = np.swapaxes(ginv, -1, -2) @ metric_at(z) @ np.conj(ginv)
-    return _max_entry(lhs - rhs, one)
+    return np.abs(metric_at(w) - rhs).max(axis=(-2, -1))
 
 
-def wirtinger(
-    fn: MatrixFn, point: UpperHalfPoint | complex, scheme: FiniteDiffScheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise (d, dbar) of fn at the point(s), by central differences."""
-    z, one = _as_tau(point)
-    h = scheme.h
+def wirtinger(fn: MatrixFn, z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise (d, dbar) of fn at the points z, by central differences with step h.
+
+    The lowest difference point z - ih must lie in the upper half-plane; the
+    first one that does not (in C order) is named in the error, before fn runs.
+    """
+    _check_step(h)
+    low = z - 1j * h
+    below = low.imag <= 0
+    if below.any():
+        raise ValueError(f"point {complex(low[below][0])} is not in the upper half-plane")
     fx = (np.asarray(fn(z + h), dtype=complex) - np.asarray(fn(z - h), dtype=complex)) / (2 * h)
-    fy = (np.asarray(fn(z + 1j * h), dtype=complex) - np.asarray(fn(z - 1j * h), dtype=complex)) / (2 * h)
-    return _unbatch(0.5 * (fx - 1j * fy), one), _unbatch(0.5 * (fx + 1j * fy), one)
+    fy = (np.asarray(fn(z + 1j * h), dtype=complex) - np.asarray(fn(low), dtype=complex)) / (2 * h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def log_derivative(
-    selector: Literal["d", "dbar"],
-    point: UpperHalfPoint | complex,
-    scheme: FiniteDiffScheme,
-    fn: MatrixFn = metric_at,
-) -> np.ndarray:
+def log_derivative(selector: Literal["d", "dbar"], z: np.ndarray, h: float, fn: MatrixFn = metric_at) -> np.ndarray:
     """D log G = G^{-1} (D applied entrywise to G), D in {d, dbar}."""
     if selector not in ("d", "dbar"):
         raise ValueError(f"selector must be 'd' or 'dbar', got {selector!r}")
-    z, one = _as_tau(point)
-    d, dbar = wirtinger(fn, z, scheme)
-    g = np.asarray(fn(z), dtype=complex)
-    return _unbatch(np.linalg.inv(g) @ (d if selector == "d" else dbar), one)
+    d, dbar = wirtinger(fn, z, h)
+    return np.linalg.inv(np.asarray(fn(z), dtype=complex)) @ (d if selector == "d" else dbar)
 
 
-def theta_closed_form(point: UpperHalfPoint | complex) -> np.ndarray:
+def theta_closed_form(z: np.ndarray) -> np.ndarray:
     """Higgs field of the inclusion metric, as a dtau form."""
-    z, one = _as_tau(point)
     zb = z.conjugate()
-    return _unbatch(_stack(-zb, zb * zb, -1.0, zb) / ((z - zb) ** 2)[..., None, None], one)
+    return _stack(-zb, zb * zb, -1.0, zb) / ((z - zb) ** 2)[..., None, None]
 
 
-def dbar_correction_closed_form(point: UpperHalfPoint | complex) -> np.ndarray:
+def dbar_correction_closed_form(z: np.ndarray) -> np.ndarray:
     """Matrix N with dbar_K = dbar + N dtaubar for the inclusion metric."""
-    z, one = _as_tau(point)
     zb = z.conjugate()
-    return _unbatch(_stack(z, -z * z, 1.0, -z) / ((z - zb) ** 2)[..., None, None], one)
+    return _stack(z, -z * z, 1.0, -z) / ((z - zb) ** 2)[..., None, None]
 
 
-def theta_finite_difference(point: UpperHalfPoint | complex, scheme: FiniteDiffScheme) -> np.ndarray:
+def theta_finite_difference(z: np.ndarray, h: float) -> np.ndarray:
     """theta = -(1/2) d log conj(K), by finite differences."""
-
-    def conj_metric(z: np.ndarray) -> np.ndarray:
-        return np.conj(np.asarray(metric_at(z), dtype=complex))
-
-    return -0.5 * log_derivative("d", point, scheme, fn=conj_metric)
+    return -0.5 * log_derivative("d", z, h, fn=lambda w: np.conj(metric_at(w).astype(complex)))
 
 
-def harmonic_residual(
-    point: UpperHalfPoint | complex,
-    scheme: FiniteDiffScheme,
-    fn: MatrixFn = metric_at,
-) -> float | np.ndarray:
+def harmonic_residual(z: np.ndarray, h: float, fn: MatrixFn = metric_at) -> np.ndarray:
     """Max-entry residual of d dbar log K - (1/2)[dbar log K, d log K].
 
     The outer derivative nests finite differences; steps below 1e-4 make
-    the nested second difference ill-conditioned and warn.  At the points
-    themselves a = dbar log K and b = d log K share one Wirtinger pair and
-    one inverse of K, with the bits `log_derivative` gives each.
+    the nested second difference ill-conditioned and warn, after any
+    warning `wirtinger` gives on the step.  At the points themselves
+    a = dbar log K and b = d log K share one Wirtinger pair and one
+    inverse of K, with the bits `log_derivative` gives each.
     """
-    if scheme.h < 1e-4:
-        warnings.warn(
-            f"h = {scheme.h} < 1e-4 conditions the nested second difference poorly"
-        )
-    z, one = _as_tau(point)
-
-    def dbar_log(w: np.ndarray) -> np.ndarray:
-        return log_derivative("dbar", w, scheme, fn=fn)
-
-    outer_d, _ = wirtinger(dbar_log, z, scheme)
-    d, dbar = wirtinger(fn, z, scheme)
+    outer_d, _ = wirtinger(lambda w: log_derivative("dbar", w, h, fn=fn), z, h)
+    if h < 1e-4:
+        warnings.warn(f"h = {h} < 1e-4 conditions the nested second difference poorly")
+    d, dbar = wirtinger(fn, z, h)
     k_inv = np.linalg.inv(np.asarray(fn(z), dtype=complex))
     a, b = k_inv @ dbar, k_inv @ d
-    return _max_entry(outer_d - 0.5 * (a @ b - b @ a), one)
+    return np.abs(outer_d - 0.5 * (a @ b - b @ a)).max(axis=(-2, -1))
 
 
-def higgs_form_basis(point: UpperHalfPoint | complex) -> np.ndarray:
+def higgs_form_basis(z: np.ndarray) -> np.ndarray:
     """Basis matrix M(tau) carrying a pair of holomorphic functions to a
     dbar_K-closed section."""
-    z, one = _as_tau(point)
     zb = z.conjugate()
-    return _unbatch(_stack(-zb / (z - zb), z, -1.0 / (z - zb), 1.0), one)
+    return _stack(-zb / (z - zb), z, -1.0 / (z - zb), 1.0)
 
 
 def higgs_form_residual(
-    g: Callable[[np.ndarray], complex],
-    h: Callable[[np.ndarray], complex],
-    point: UpperHalfPoint | complex,
-    scheme: FiniteDiffScheme,
-) -> float | np.ndarray:
+    g: Callable[[np.ndarray], complex], h: Callable[[np.ndarray], complex], z: np.ndarray, step: float
+) -> np.ndarray:
     """Residual of dbar f + N f for f = M(tau) (g, h)^T.
 
     Vanishes (to truncation) whenever g and h are holomorphic near the
-    point; only this local identity is checked, no automorphy is imposed.
+    points; only this local identity is checked, no automorphy is imposed.
     """
-    z, one = _as_tau(point)
 
     def section(w: np.ndarray) -> np.ndarray:
         """f as a column (..., 2, 1); a constant g or h is broadcast to w."""
         gw, hw, _ = np.broadcast_arrays(g(w), h(w), w)
         return higgs_form_basis(w) @ np.stack([gw, hw], axis=-1)[..., None]
 
-    _, dbar_f = wirtinger(section, z, scheme)
-    return _max_entry(dbar_f + dbar_correction_closed_form(z) @ section(z), one)
+    _, dbar_f = wirtinger(section, z, step)
+    return np.abs(dbar_f + dbar_correction_closed_form(z) @ section(z)).max(axis=(-2, -1))
 
 
-def conjugated_higgs(point: UpperHalfPoint | complex) -> np.ndarray:
+def conjugated_higgs(z: np.ndarray) -> np.ndarray:
     """M(tau)^{-1} theta M(tau); constant [[0, 1], [0, 0]] up to roundoff."""
-    z, one = _as_tau(point)
     m = higgs_form_basis(z)
-    return _unbatch(np.linalg.inv(m) @ theta_closed_form(z) @ m, one)
+    return np.linalg.inv(m) @ theta_closed_form(z) @ m
 
 
-def a_lambda(point: UpperHalfPoint | complex, lam: complex) -> np.ndarray:
+def a_lambda(z: np.ndarray, lam: complex) -> np.ndarray:
     """Automorphism rescaling the Higgs field by lambda (nonzero)."""
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    z, one = _as_tau(point)
     zb = z.conjugate()
-    mat = _stack(z - lam * zb, (lam - 1) * z * zb, 1 - lam, lam * z - zb) / (z - zb)[..., None, None]
-    return _unbatch(mat, one)
+    return _stack(z - lam * zb, (lam - 1) * z * zb, 1 - lam, lam * z - zb) / (z - zb)[..., None, None]
 
 
-def sample_grid(count: int = 20, seed: int = 0) -> list[UpperHalfPoint]:
+def sample_grid(count: int = 20, seed: int = 0) -> np.ndarray:
     """Deterministic quasi-random sample points in the box -1 <= x < 1, 0.5 <= y < 3.
 
     Uses the R2 additive recurrence (plastic-constant lattice); the seed
-    offsets the start index, so equal seeds reproduce equal grids.
+    offsets the start index, so equal seeds reproduce equal grids.  Each
+    index is a Python int, rounded once to a float, so a seed beyond
+    numpy's int64 gives the same points as the index loop would.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     phi = 1.324717957244746  # real root of t^3 = t + 1
     ax, ay = 1.0 / phi, 1.0 / phi**2
-    points = []
-    for i in range(count):
-        k = 1 + seed * 997 + i
-        ux = (0.5 + k * ax) % 1.0
-        uy = (0.5 + k * ay) % 1.0
-        x = -1.0 + 2.0 * ux
-        y = 0.5 + 2.5 * uy
-        points.append(UpperHalfPoint(x, y))
-    return points
+    start = 1 + seed * 997
+    k = np.array(range(start, start + count), dtype=float)
+    ux, uy = (0.5 + k * ax) % 1.0, (0.5 + k * ay) % 1.0
+    return (-1.0 + 2.0 * ux) + 1j * (0.5 + 2.5 * uy)
 
 
 # --- aggregated verification -------------------------------------------------
@@ -345,7 +286,7 @@ def _check_equivariance(z, h, h_nested, harmonic_at) -> float:
 
 
 def _check_theta_fd(z, h, h_nested, harmonic_at) -> float:
-    return _worst(theta_closed_form(z) - theta_finite_difference(z, FiniteDiffScheme(h)))
+    return _worst(theta_closed_form(z) - theta_finite_difference(z, h))
 
 
 def _check_harmonic(z, h, h_nested, harmonic_at) -> float:
@@ -390,8 +331,7 @@ def _check_scaling_group_law(z, h, h_nested, harmonic_at) -> float:
 
 
 def _check_higgs_forms(z, h, h_nested, harmonic_at) -> float:
-    scheme = FiniteDiffScheme(h)
-    return max(_worst(higgs_form_residual(g, hh, z, scheme)) for g, hh in _POLY_PAIRS)
+    return max(_worst(higgs_form_residual(g, hh, z, h)) for g, hh in _POLY_PAIRS)
 
 
 # The battery, one row per check in report order: name -> (check, default
@@ -432,12 +372,10 @@ def verification_report(
     _require_positive("step", h_nested)
     if tolerance is not None:
         _require_positive("tolerance", tolerance)
-    if grid is None:
-        grid = sample_grid(count=count, seed=seed)
+    z = sample_grid(count=count, seed=seed) if grid is None else np.array([pt.tau for pt in grid], dtype=complex)
     if only is not None and only not in _CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {sorted(_CHECKS)}")
-    z = np.array([pt.tau for pt in grid], dtype=complex)
-    harmonic_at = functools.cache(lambda step: harmonic_residual(z, FiniteDiffScheme(step)))
+    harmonic_at = functools.cache(lambda step: harmonic_residual(z, step))
     rows = []
     for name in [only] if only else _CHECKS:
         check, default = _CHECKS[name]
@@ -453,7 +391,7 @@ def verification_report(
         )
     return {
         "parameters": {
-            "grid_size": len(grid),
+            "grid_size": len(z),
             "seed": seed,
             "h": h,
             "h_nested": h_nested,

@@ -215,7 +215,10 @@ def test_pair_height_the_checker_refuses_exits_one_after_the_report(capsys, monk
     code, out, err = run_cli(capsys, "pair", "--roots", "2,0,-2", "--all-heights")
     assert code == 1
     assert [c["height"] for c in json.loads(out)["certificates"]] == [-2, 0, 2]
-    assert err == "certificate verification failed: [{'height': 0, 'reasons': ['injectivity']}]\n"
+    # the refusal is JSON, in the layout of the counterexample
+    refused = {"refused": [{"height": 0, "reasons": ["injectivity"]}]}
+    assert json.loads(err) == refused
+    assert err == json.dumps(refused, indent=2) + "\n"
 
 
 # --- pinned bytes ------------------------------------------------------------------
@@ -509,7 +512,7 @@ def test_verify_metric_grid_and_seed_default_to_20_and_0(capsys):
 
 
 def test_verify_metric_empty_grid(capsys):
-    assert run_cli(capsys, "verify-metric", "--grid", "0") == (2, "", "error: count must be >= 1, got 0\n")
+    assert run_cli(capsys, "verify-metric", "--grid", "0") == (2, "", "error: --grid must be >= 1, got 0\n")
 
 
 def test_verify_metric_bad_tau(capsys):
