@@ -627,7 +627,7 @@ def test_verify_metric_low_equivariance_image(capsys):
 def test_verify_metric_refuses_a_step_that_leaves_the_half_plane(capsys, flag, step, check):
     code, out, err = run_cli(capsys, "verify-metric", "--tau", "0.3+0.15i", flag, step, "--check", check)
     assert (code, out) == (2, "")
-    # only the last line: a step outside [1e-6, 1e-2] warns first, and a warning names its file
+    # only the last line: a step outside [1e-6, 1e-2] also warns, and a warning on stderr names its file
     assert err.splitlines()[-1] == "error: point (0.3-0.05000000000000002j) is not in the upper half-plane"
 
 
