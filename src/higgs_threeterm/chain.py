@@ -201,9 +201,11 @@ def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermVio
     return (not violations, violations)
 
 
-def enumeration_steps(max_rise: int) -> tuple[int, ...]:
-    """Allowed root increments: the unique drop -2 and even rises up to max_rise."""
-    return (-2,) + tuple(range(2, max_rise + 1, 2))
+def enumeration_steps(max_rise: int, bound: int) -> tuple[int, ...]:
+    """Allowed root increments inside the box |r| <= bound: the unique drop -2
+    and even rises up to max_rise.  A rise above 2*bound leaves the box from
+    any root in it, so the rises stop at min(max_rise, 2*bound)."""
+    return (-2,) + tuple(range(2, min(max_rise, 2 * bound) + 1, 2))
 
 
 # The longest chain a box may hold.  extend_chain recurses once per root,
@@ -246,7 +248,7 @@ def enumerate_chains(
     (see extend_chain), so every chain it yields is stable.
     """
     check_box(n_min, n_max, max_rise, root_bound)
-    steps = enumeration_steps(max_rise)
+    steps = enumeration_steps(max_rise, root_bound)
 
     def generate() -> Iterator[tuple[int, ...]]:
         for n in range(n_min, n_max + 1):

@@ -201,17 +201,12 @@ def _cmd_translate(args) -> int:
     if any(getattr(args, name) is None for name in own):
         raise ValueError(f"translate --from {side} needs {', '.join('--' + name for name in own)}")
     _refuse(f"translate --from {side}", args, [name for name in _TRANSLATE_FLAGS if name not in own])
+    first, second, third = [_parse_fraction(getattr(args, name)) for name in own]
     if side == "representation":
-        block = filtered.ResidueBlock(
-            _parse_fraction(args.beta), _parse_fraction(args.u), _parse_fraction(args.v)
-        )
+        block = filtered.ResidueBlock(first, second, third)
     else:
-        data = filtered.SideResidue(
-            _parse_fraction(args.jump),
-            (_parse_fraction(args.re), _parse_fraction(args.im)),
-        )
         to_rep = filtered.connection_to_rep if side == "connection" else filtered.higgs_to_rep
-        block = to_rep(data)
+        block = to_rep(filtered.SideResidue(first, (second, third)))
 
     representation = {field: serialize.format_rational(value) for field, value in vars(block).items()}  # beta, u, v
     report = {"representation": representation}
@@ -248,20 +243,18 @@ def _cmd_filtered_degree(args) -> int:
     cusps = tuple(tuple(_parse_jumps(text)) for text in args.jumps)
     if args.side == "representation":
         _refuse("filtered-degree --side representation", args, ("rank", "base_degree"))
-        data = filtered.FilteredJumpData("representation", cusps)
-        degree, slope = filtered.filtered_degree_rep(data), filtered.slope_rep(data)
+        data = filtered.FilteredJumpData(cusps)
         extra = {"dimension": data.dimension}
     else:
         if args.rank is None or args.base_degree is None:
             raise ValueError("filtered-degree --side bundle needs --rank and --base-degree")
-        jump_data = filtered.FilteredJumpData("bundle", cusps)
-        data = filtered.FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jump_data)
-        degree, slope = filtered.filtered_degree_bundle(data), filtered.slope_bundle(data)
-        extra = {"rank": args.rank}
+        jumps = filtered.FilteredJumpData(cusps)  # built first: a jump error comes before a bad --base-degree
+        data = filtered.FilteredBundleData(_parse_fraction(args.base_degree), args.rank, jumps)
+        extra = {"rank": data.rank}
     report = {
         "side": args.side,
-        "degree": serialize.format_rational(degree),
-        "slope": serialize.format_rational(slope),
+        "degree": serialize.format_rational(data.degree),
+        "slope": serialize.format_rational(data.slope),
         **extra,
     }
     _emit(args, report, list(report), [list(report.values())])

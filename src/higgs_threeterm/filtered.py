@@ -27,13 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
-
-Side = Literal["representation", "bundle"]
-
-
-class SideMismatchError(ValueError):
-    """Jump data tagged with the wrong side for the requested operation."""
 
 
 class BranchError(ValueError):
@@ -47,32 +40,25 @@ def frac_part(q: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class FilteredJumpData:
-    """Per-cusp jump profile (jump value, graded dimension) of a filtered object.
+    """A filtered representation's per-cusp jump profile: (jump value,
+    graded dimension) pairs, the jumps arbitrary rationals.
 
-    Representation-side jumps are arbitrary rationals; bundle-side jumps are
-    the parabolic weights, reduced by periodicity into [0, 1).
+    Its degree is the sum of jump * dimension over all cusps, and its
+    slope that degree over the dimension.
     """
 
-    side: Side
     cusps: tuple[tuple[tuple[Fraction, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.side not in ("representation", "bundle"):
-            raise ValueError(f"unknown side {self.side!r}")
-        cusps = tuple(
-            tuple((Fraction(j), int(d)) for j, d in cusp) for cusp in self.cusps
-        )
+        cusps = tuple(tuple((Fraction(j), int(d)) for j, d in cusp) for cusp in self.cusps)
         object.__setattr__(self, "cusps", cusps)
         if not cusps:
             raise ValueError("need at least one cusp")
-        dims = set()
         for cusp in cusps:
-            for jump, dim in cusp:
+            for _, dim in cusp:
                 if dim <= 0:
                     raise ValueError(f"graded dimensions must be positive, got {dim}")
-                if self.side == "bundle" and not 0 <= jump < 1:
-                    raise ValueError(f"bundle-side jump {jump} outside [0, 1)")
-            dims.add(sum(d for _, d in cusp))
+        dims = {sum(d for _, d in cusp) for cusp in cusps}
         if len(dims) != 1:
             raise ValueError(f"cusps disagree on total dimension: {sorted(dims)}")
 
@@ -80,13 +66,24 @@ class FilteredJumpData:
     def dimension(self) -> int:
         return sum(d for _, d in self.cusps[0])
 
+    @property
+    def degree(self) -> Fraction:
+        return sum((jump * dim for cusp in self.cusps for jump, dim in cusp), Fraction(0))
+
+    @property
+    def slope(self) -> Fraction:
+        return self.degree / self.dimension
+
 
 @dataclass(frozen=True)
 class FilteredBundleData:
-    """A filtered bundle: degree of the zeroth extension, rank, parabolic weights.
+    """A filtered bundle: degree of the zeroth extension, rank, and the jump
+    profile of its parabolic weights, each of which lies in [0, 1).
 
-    The degree of the zeroth extension is supplied abstractly (no degree
-    normalization of the orbifold line bundles is imposed here).
+    Its degree is the base degree plus the weighted jumps, and its slope
+    that degree over the rank.  The degree of the zeroth extension is
+    supplied abstractly (no degree normalization of the orbifold line
+    bundles is imposed here).
     """
 
     base_degree: Fraction
@@ -95,37 +92,22 @@ class FilteredBundleData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_degree", Fraction(self.base_degree))
+        for cusp in self.jumps.cusps:
+            for jump, _ in cusp:
+                if not 0 <= jump < 1:
+                    raise ValueError(f"bundle-side jump {jump} outside [0, 1)")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.jumps.side != "bundle":
-            raise SideMismatchError("bundle data needs bundle-side jumps")
         if self.jumps.dimension != self.rank:
-            raise ValueError(
-                f"jump dimensions sum to {self.jumps.dimension}, rank is {self.rank}"
-            )
+            raise ValueError(f"jump dimensions sum to {self.jumps.dimension}, rank is {self.rank}")
 
+    @property
+    def degree(self) -> Fraction:
+        return self.base_degree + self.jumps.degree
 
-def filtered_degree_rep(data: FilteredJumpData) -> Fraction:
-    """Degree of a filtered representation: sum of jump * dimension over cusps."""
-    if data.side != "representation":
-        raise SideMismatchError("expected representation-side jump data")
-    return sum((jump * dim for cusp in data.cusps for jump, dim in cusp), Fraction(0))
-
-
-def slope_rep(data: FilteredJumpData) -> Fraction:
-    return filtered_degree_rep(data) / data.dimension
-
-
-def filtered_degree_bundle(data: FilteredBundleData) -> Fraction:
-    """Filtered degree: base degree plus the weighted jump dimensions."""
-    weighted = sum(
-        (jump * dim for cusp in data.jumps.cusps for jump, dim in cusp), Fraction(0)
-    )
-    return data.base_degree + weighted
-
-
-def slope_bundle(data: FilteredBundleData) -> Fraction:
-    return filtered_degree_bundle(data) / data.rank
+    @property
+    def slope(self) -> Fraction:
+        return self.degree / self.rank
 
 
 def _check_character_power(a: int) -> None:

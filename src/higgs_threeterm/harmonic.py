@@ -379,7 +379,10 @@ def verification_report(
     rows = []
     for name in [only] if only else _CHECKS:
         check, default = _CHECKS[name]
-        residual = check(z, h, h_nested, harmonic_at)
+        try:
+            residual = check(z, h, h_nested, harmonic_at)
+        except np.linalg.LinAlgError:  # singular in floats, as K's entries cancel at tau = 1e8 + 1i
+            raise ValueError(f"{name}: a matrix is singular in floating point at the sample points") from None
         tol = tolerance if tolerance is not None else default
         rows.append(
             {

@@ -174,18 +174,10 @@ def verify_certificate(roots: tuple[int, ...], r: int, targets: tuple) -> tuple[
         else:
             return (True, [])
     # refused, or the tuple's length is wrong: work out every reason, in order
-    reasons: list[str] = []
-    entries = targets
-    if len(entries) != n:  # a vertex past the tuple's end reads as unpaired
-        entries = (*entries, *[None] * n)[:n]
-    found, j = [], 0  # the height-r vertices' targets, left to right
-    for _ in range(roots.count(r)):
-        j = roots.index(r, j) + 1
-        found.append(entries[j - 1])
-
-    if len(targets) != n or None in found:
-        reasons.append("source coverage")
-        found = [t for t in found if t is not None]
+    # the height-r vertices' targets, left to right; a vertex past the tuple's end reads as unpaired
+    found = [targets[j] if j < len(targets) else None for j, root in enumerate(roots) if root == r]
+    reasons = ["source coverage"] if len(targets) != n or None in found else []
+    found = [t for t in found if t is not None]
 
     seen, injective, bad = set(), True, {}  # bad: the targets' reasons, once each, in order
     for t in found:

@@ -129,7 +129,7 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
     chains: list[tuple] = []  # (roots, violations) of each chain with any, when written
     counts: dict[int, int] = {}
     get = counts.get
-    steps = enumeration_steps(max_rise)
+    steps = enumeration_steps(max_rise, bound)
     walk = extend_chain((0, first_step), n, steps, bound, stable_only=theorem, three_term=not theorem, counts=counts)
     for roots, is_stable, violated in walk:
         if is_stable:
@@ -243,7 +243,7 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"workers above 1 need os.fork, which this platform lacks; got {workers}")
     started = time.perf_counter()
-    steps = enumeration_steps(params.max_rise)
+    steps = enumeration_steps(params.max_rise, params.root_bound)
     lengths = range(params.n_min, params.n_max + 1)
     tasks = [
         (n, first_step, params.max_rise, params.root_bound, params.mode, records)

@@ -269,7 +269,7 @@ def test_enumerate_contains_normalized_stable_example():
 
 def test_the_walk_reaches_the_longest_box_a_check_allows():
     # the walk recurses once per root; its first descent alternates 0, -2
-    roots, _, _ = next(extend_chain((0,), MAX_LENGTH, enumeration_steps(2), 2))
+    roots, _, _ = next(extend_chain((0,), MAX_LENGTH, enumeration_steps(2, 2), 2))
     assert roots == (0, -2) * (MAX_LENGTH // 2)
     check_box(2, MAX_LENGTH, 2, 2)
     with pytest.raises(ValueError, match=rf"^n_max must be <= {MAX_LENGTH}, got {MAX_LENGTH + 1}$"):
@@ -326,8 +326,8 @@ CUT_BOXES = pytest.mark.parametrize("max_rise", [2, 4, 6])
 CUT_BOUNDS = pytest.mark.parametrize("bound", [0, 1, 3, 5, 8])
 
 
-def box_prefixes(max_rise: int) -> list[tuple[int, ...]]:
-    return [(0,)] + [(0, step) for step in enumeration_steps(max_rise)]
+def box_prefixes(max_rise: int, bound: int) -> list[tuple[int, ...]]:
+    return [(0,)] + [(0, step) for step in enumeration_steps(max_rise, bound)]
 
 
 def is_stable(roots: tuple[int, ...]) -> bool:
@@ -337,8 +337,8 @@ def is_stable(roots: tuple[int, ...]) -> bool:
 @CUT_BOXES
 @pytest.mark.parametrize("bound", range(10))
 def test_stable_only_walk_keeps_every_stable_chain_in_order(max_rise, bound):
-    steps = enumeration_steps(max_rise)
-    for n, prefix in itertools.product(range(2, 9), box_prefixes(max_rise)):
+    steps = enumeration_steps(max_rise, bound)
+    for n, prefix in itertools.product(range(2, 9), box_prefixes(max_rise, bound)):
         full = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound)]
         pruned = [roots for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=True)]
         assert [r for r in pruned if is_stable(r)] == [r for r in full if is_stable(r)]
@@ -349,8 +349,8 @@ def test_stable_only_walk_keeps_every_stable_chain_in_order(max_rise, bound):
 @CUT_BOXES
 @CUT_BOUNDS
 def test_count_chains_matches_the_walk(max_rise, bound):
-    steps = enumeration_steps(max_rise)
-    for n, prefix in itertools.product(range(2, 8), box_prefixes(max_rise)):
+    steps = enumeration_steps(max_rise, bound)
+    for n, prefix in itertools.product(range(2, 8), box_prefixes(max_rise, bound)):
         walked = len(list(extend_chain(prefix, n, steps, bound)))
         assert count_chains(prefix, n, steps, bound)[n] == walked
         if abs(prefix[-1]) > bound:
@@ -358,7 +358,7 @@ def test_count_chains_matches_the_walk(max_rise, bound):
 
 
 def test_count_chains_edge_cases():
-    steps = enumeration_steps(4)
+    steps = (-2, 2, 4)
     assert count_chains((0, -2), 5, steps, 1) == [0] * 6
     assert count_chains((0, 4), 5, steps, 3) == [0] * 6
     assert count_chains((0,), 1, steps, 0) == [0, 1]
@@ -367,6 +367,20 @@ def test_count_chains_edge_cases():
     assert count_chains((0, 2, 4), 2, steps, 4) == [0, 0, 0]
     assert list(extend_chain((0, 2, 4), 2, steps, 4)) == []
     assert list(extend_chain((0, 2, 4), 2, steps, 4, stable_only=True)) == []
+
+
+@pytest.mark.parametrize("max_rise", [2, 8, 20])
+@pytest.mark.parametrize("bound", range(7))
+def test_the_box_bounds_the_step_set(max_rise, bound):
+    # a rise above 2*bound leaves the box from any root in it, so dropping
+    # those rises changes no walk and no count
+    every_rise = (-2, *range(2, max_rise + 1, 2))
+    steps = enumeration_steps(max_rise, bound)
+    assert steps == every_rise[: 1 + min(max_rise, 2 * bound) // 2]
+    for n, stable_only in itertools.product(range(1, 7), [False, True]):
+        walk = extend_chain((0,), n, steps, bound, stable_only=stable_only, three_term=True)
+        assert list(walk) == list(extend_chain((0,), n, every_rise, bound, stable_only=stable_only, three_term=True))
+    assert count_chains((0,), 6, steps, bound) == count_chains((0,), 6, every_rise, bound)
 
 
 def walk_with_counts(prefix, n, steps, bound, stable_only):
@@ -383,8 +397,8 @@ def walk_with_counts(prefix, n, steps, bound, stable_only):
 @CUT_BOUNDS
 @pytest.mark.parametrize("stable_only", [False, True])
 def test_walk_carries_the_multiplicities_of_every_leaf(max_rise, bound, stable_only):
-    steps = enumeration_steps(max_rise)
-    for n, prefix in itertools.product(range(1, 8), box_prefixes(max_rise)):
+    steps = enumeration_steps(max_rise, bound)
+    for n, prefix in itertools.product(range(1, 8), box_prefixes(max_rise, bound)):
         leaves = walk_with_counts(prefix, n, steps, bound, stable_only)
         assert [roots for roots, _, _ in leaves] == [
             roots for roots, _, _ in extend_chain(prefix, n, steps, bound, stable_only=stable_only)
@@ -403,7 +417,7 @@ def test_walk_carries_the_multiplicities_of_every_leaf(max_rise, bound, stable_o
 def test_walk_carries_the_multiplicities_from_any_prefix(prefix, extra, max_rise, bound, stable_only):
     # the depth-first walk is a sequence of pushes and pops from the prefix on
     n = len(prefix) + extra
-    for roots, carried, expected in walk_with_counts(prefix, n, enumeration_steps(max_rise), bound, stable_only):
+    for roots, carried, expected in walk_with_counts(prefix, n, enumeration_steps(max_rise, bound), bound, stable_only):
         assert carried == expected, roots
 
 
@@ -412,7 +426,7 @@ def test_cut_prefixes_have_no_stable_completion(data):
     n = data.draw(st.integers(2, 7))
     max_rise = data.draw(st.sampled_from([2, 4, 6]))
     bound = data.draw(st.integers(0, 9))
-    steps = enumeration_steps(max_rise)
+    steps = enumeration_steps(max_rise, bound)
     prefix = (0,)
     for _ in range(data.draw(st.integers(0, n - 2))):
         inside = [prefix[-1] + d for d in steps if abs(prefix[-1] + d) <= bound]
@@ -450,7 +464,7 @@ def test_the_cut_prunes_as_hard_as_pinned():
     # walks it.  The cut is sound whatever its strength, so a weaker one (">"
     # for ">=", or no clamp at the box floor) keeps the same stable chains and
     # shows only in the pushes: 5,291 and 4,922 of them
-    steps = enumeration_steps(4)
+    steps = enumeration_steps(4, 6)
     counts = PushCounter()
     stable = 0
     for n in range(2, 13):
@@ -466,7 +480,7 @@ def test_the_cut_is_exact_away_from_the_box_floor():
     # Every in-box prefix, n 2-8, rises 2, 4 and 6, bounds 0-9
     witnessed = 0
     for max_rise, bound in itertools.product([2, 4, 6], range(10)):
-        steps = enumeration_steps(max_rise)
+        steps = enumeration_steps(max_rise, bound)
         for k in range(1, 8):
             for prefix, _, _ in extend_chain((0,), k, steps, bound):
                 lowest_mean = min(Fraction(sum(prefix[:j]), j) for j in range(1, k + 1))
@@ -489,7 +503,7 @@ def test_last_step_cut_skips_only_unstable_leaves(data):
     n = data.draw(st.integers(2, 9))
     max_rise = data.draw(st.sampled_from([2, 4, 6, 8]))
     bound = data.draw(st.integers(0, 12))
-    steps = enumeration_steps(max_rise)
+    steps = enumeration_steps(max_rise, bound)
     prefix = (0,)
     while len(prefix) < n - 1:
         inside = [prefix[-1] + d for d in steps if abs(prefix[-1] + d) <= bound]
@@ -560,16 +574,16 @@ def assert_walk_decides_stability(prefix, n, steps, bound):
 def test_walk_decides_stability_exhaustively(max_rise, bound):
     # n 1-8 from every box prefix, so prefixes of length n (n = 1 included)
     # take their flag from the same inequality
-    steps = enumeration_steps(max_rise)
+    steps = enumeration_steps(max_rise, bound)
     verdicts = set()
-    for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise)):
+    for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise, bound)):
         verdicts |= {stable for _, stable, _ in assert_walk_decides_stability(prefix, n, steps, bound)}
     assert verdicts == ({True} if bound < 2 else {True, False})
 
 
 @given(root_lists, st.integers(0, 4), st.sampled_from([2, 4, 6, 8]), st.integers(0, 12))
 def test_walk_decides_stability_from_any_prefix(prefix, extra, max_rise, bound):
-    assert_walk_decides_stability(prefix, len(prefix) + extra, enumeration_steps(max_rise), bound)
+    assert_walk_decides_stability(prefix, len(prefix) + extra, enumeration_steps(max_rise, bound), bound)
 
 
 # --- the walk's own three-term verdict ------------------------------------------
@@ -601,9 +615,9 @@ def assert_walk_decides_three_term(prefix, n, steps, bound, stable_only):
 def test_walk_decides_three_term_exhaustively(max_rise, bound, stable_only):
     # n 1-8 from every box prefix: a prefix of length n takes its verdict
     # from a full scan, a leaf from its parent's violating heights
-    steps = enumeration_steps(max_rise)
+    steps = enumeration_steps(max_rise, bound)
     fates = set()
-    for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise)):
+    for n, prefix in itertools.product(range(1, 9), box_prefixes(max_rise, bound)):
         fates |= assert_walk_decides_three_term(prefix, n, steps, bound, stable_only)
     if bound >= 4 and max_rise >= 4 and not stable_only:
         assert fates == {"stops", "keeps"}
@@ -612,4 +626,4 @@ def test_walk_decides_three_term_exhaustively(max_rise, bound, stable_only):
 @given(root_lists, st.integers(0, 4), st.sampled_from([2, 4, 6, 8]), st.integers(0, 12), st.booleans())
 def test_walk_decides_three_term_from_any_prefix(prefix, extra, max_rise, bound, stable_only):
     # random prefixes start the walk with violations of their own
-    assert_walk_decides_three_term(prefix, len(prefix) + extra, enumeration_steps(max_rise), bound, stable_only)
+    assert_walk_decides_three_term(prefix, len(prefix) + extra, enumeration_steps(max_rise, bound), bound, stable_only)

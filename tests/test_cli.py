@@ -435,6 +435,43 @@ def test_filtered_degree_bad_jump_window(capsys):
     assert code == 2
 
 
+# bundle inputs with two errors, each with the one it names: the jump data,
+# built first, comes before a bad --base-degree, and the bundle's own rule, a
+# weight in [0, 1), is checked when the bundle is built from its base degree
+BUNDLE_TWO_ERRORS = {
+    "weight-and-zero-dimension": (
+        ["--jumps", "3/2:1,1/2:0", "--base-degree", "0", "--rank", "1"],
+        "graded dimensions must be positive, got 0",
+    ),
+    "weight-and-cusps": (
+        ["--jumps", "3/2:1", "--jumps", "1/2:2", "--base-degree", "0", "--rank", "1"],
+        "cusps disagree on total dimension: [1, 2]",
+    ),
+    "zero-dimension-and-base-degree": (
+        ["--jumps", "1/2:0", "--base-degree", "x", "--rank", "1"],
+        "graded dimensions must be positive, got 0",
+    ),
+    "cusps-and-base-degree": (
+        ["--jumps", "1/2:1", "--jumps", "1/2:2", "--base-degree", "x", "--rank", "1"],
+        "cusps disagree on total dimension: [1, 2]",
+    ),
+    "weight-and-base-degree": (
+        ["--jumps", "3/2:1", "--base-degree", "x", "--rank", "1"],
+        "could not parse rational 'x': Invalid literal for Fraction: 'x'",
+    ),
+    "weight-and-rank": (
+        ["--jumps", "3/2:1", "--base-degree", "0", "--rank", "0"],
+        "bundle-side jump 3/2 outside [0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BUNDLE_TWO_ERRORS))
+def test_filtered_degree_bundle_names_one_of_two_errors(capsys, case):
+    argv, message = BUNDLE_TWO_ERRORS[case]
+    assert run_cli(capsys, "filtered-degree", "--side", "bundle", *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text", ["5/6:1,,1/6:2", "5/6:1,", ",5/6:1", ""])
 def test_empty_entry_in_jumps_is_a_usage_error(capsys, text):
     # an empty entry is refused, never dropped, as in --roots
@@ -629,6 +666,23 @@ def test_verify_metric_refuses_a_step_that_leaves_the_half_plane(capsys, flag, s
     assert (code, out) == (2, "")
     # only the last line: a step outside [1e-6, 1e-2] also warns, and a warning on stderr names its file
     assert err.splitlines()[-1] == "error: point (0.3-0.05000000000000002j) is not in the upper half-plane"
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["harmonic_equation", "theta_vs_finite_difference", "harmonic_convergence_order_deviation", "scaling_conjugation"],
+)
+def test_verify_metric_refuses_a_point_where_a_matrix_is_singular(capsys, check):
+    # at tau = 1e8 + 1i the entries of K cancel, and each of these checks inverts a singular matrix
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", "1e8+1i", "--check", check)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {check}: a matrix is singular in floating point at the sample points"
+
+
+def test_metric_shape_inverts_nothing_so_a_singular_point_fails_it(capsys):
+    code, out, _ = run_cli(capsys, "verify-metric", "--tau", "1e8+1i", "--check", "metric_shape")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["pass"] is False
 
 
 def test_verify_metric_csv(capsys):
@@ -925,3 +979,28 @@ def test_a_bound_that_limits_no_chain_costs_no_memory(tmp_path):
         tracemalloc.stop()
     assert found == expected
     assert peak < 2**20
+
+
+# caps the child's address space at 1 GB: at the parent commit, whose step set
+# held every even rise up to --max-rise, the 10^9 rise below died of MemoryError
+LIMITED_ADDRESS_SPACE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import higgs_threeterm.cli as cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "enumerate"])
+def test_a_rise_above_twice_the_bound_is_never_walked(command):
+    # a rise above 2*bound leaves the box |r| <= 4 from any root in it, so
+    # --max-rise 10^9 walks the steps of --max-rise 8 and writes the same rows
+    def csv_of(max_rise):
+        argv = [command, "--n-max", "4", "--max-rise", max_rise, "--bound", "4", "--format", "csv"]
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_ADDRESS_SPACE, *argv], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout
+
+    assert csv_of("1000000000") == csv_of("8")

@@ -11,11 +11,8 @@ from higgs_threeterm.filtered import (
     FilteredBundleData,
     FilteredJumpData,
     ResidueBlock,
-    SideMismatchError,
     SideResidue,
     connection_to_rep,
-    filtered_degree_bundle,
-    filtered_degree_rep,
     frac_part,
     higgs_to_rep,
     rank1_degrees,
@@ -23,8 +20,6 @@ from higgs_threeterm.filtered import (
     rank1_residue_angle,
     rep_to_connection,
     rep_to_higgs,
-    slope_bundle,
-    slope_rep,
 )
 
 F = Fraction
@@ -35,70 +30,64 @@ unit_window = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(
 )
 
 
-def rep_jumps(*pairs):
-    return FilteredJumpData("representation", (pairs,))
-
-
-def bundle_jumps(*pairs):
-    return FilteredJumpData("bundle", (pairs,))
+def one_cusp(*pairs):
+    return FilteredJumpData((pairs,))
 
 
 # --- degrees -------------------------------------------------------------------
 
 
 def test_degree_rep_examples():
-    assert filtered_degree_rep(rep_jumps((F(7, 3), 1))) == F(7, 3)
-    assert filtered_degree_rep(rep_jumps((F(1, 2), 2), (F(-1, 2), 2))) == 0
-    assert filtered_degree_rep(rep_jumps((F(5, 6), 1), (F(1, 6), 2))) == F(7, 6)
+    assert one_cusp((F(7, 3), 1)).degree == F(7, 3)
+    assert one_cusp((F(1, 2), 2), (F(-1, 2), 2)).degree == 0
+    assert one_cusp((F(5, 6), 1), (F(1, 6), 2)).degree == F(7, 6)
 
 
-def test_degree_rep_wrong_side():
-    with pytest.raises(SideMismatchError):
-        filtered_degree_rep(bundle_jumps((F(1, 2), 1)))
-
-
-def test_jump_data_refuses_an_unknown_side_and_no_cusps():
-    with pytest.raises(ValueError, match=r"^unknown side 'connection'$"):
-        FilteredJumpData("connection", (((F(1, 2), 1),),))
+def test_jump_data_refuses_no_cusps():
     with pytest.raises(ValueError, match=r"^need at least one cusp$"):
-        FilteredJumpData("representation", ())
+        FilteredJumpData(())
 
 
 def test_slope_rep_is_degree_over_dimension():
-    data = rep_jumps((F(5, 6), 1), (F(1, 6), 2))
-    assert slope_rep(data) == F(7, 6) / 3
+    data = one_cusp((F(5, 6), 1), (F(1, 6), 2))
+    assert data.slope == F(7, 6) / 3
 
 
 def test_degree_rep_multiple_cusps():
-    data = FilteredJumpData(
-        "representation", (((F(1, 2), 1),), ((F(1, 3), 1),))
-    )
-    assert filtered_degree_rep(data) == F(5, 6)
+    data = FilteredJumpData((((F(1, 2), 1),), ((F(1, 3), 1),)))
+    assert data.degree == F(5, 6)
 
 
 def test_degree_bundle_examples():
-    data = FilteredBundleData(F(-5, 6), 1, bundle_jumps((F(5, 6), 1)))
-    assert filtered_degree_bundle(data) == 0
+    data = FilteredBundleData(F(-5, 6), 1, one_cusp((F(5, 6), 1)))
+    assert data.degree == 0
 
-    plain = FilteredBundleData(F(3), 2, bundle_jumps((F(0), 2)))
-    assert filtered_degree_bundle(plain) == 3
+    plain = FilteredBundleData(F(3), 2, one_cusp((F(0), 2)))
+    assert plain.degree == 3
 
-    split = FilteredBundleData(F(0), 2, bundle_jumps((F(1, 3), 1), (F(2, 3), 1)))
-    assert filtered_degree_bundle(split) == 1
-    assert slope_bundle(split) == F(1, 2)
+    split = FilteredBundleData(F(0), 2, one_cusp((F(1, 3), 1), (F(2, 3), 1)))
+    assert split.degree == 1
+    assert split.slope == F(1, 2)
 
 
 def test_bundle_data_validation():
     with pytest.raises(ValueError):
-        FilteredBundleData(F(0), 0, bundle_jumps((F(0), 1)))
+        FilteredBundleData(F(0), 0, one_cusp((F(0), 1)))
     with pytest.raises(ValueError):
-        FilteredBundleData(F(0), 2, bundle_jumps((F(0), 1)))  # dims sum to 1, rank 2
+        FilteredBundleData(F(0), 2, one_cusp((F(0), 1)))  # dims sum to 1, rank 2
     with pytest.raises(ValueError):
-        bundle_jumps((F(3, 2), 1))  # jump outside [0, 1)
-    with pytest.raises(SideMismatchError):
-        FilteredBundleData(F(0), 1, rep_jumps((F(0), 1)))
+        FilteredBundleData(F(0), 1, one_cusp((F(3, 2), 1)))  # jump outside [0, 1)
     with pytest.raises(ValueError):
-        rep_jumps((F(0), 0))  # nonpositive dimension
+        one_cusp((F(0), 0))  # nonpositive dimension
+
+
+def test_bundle_data_checks_its_weights_then_its_rank():
+    # representation-side jumps are any rationals; the bundle's weights lie in [0, 1)
+    assert one_cusp((F(3, 2), 1)).degree == F(3, 2)
+    with pytest.raises(ValueError, match=r"^bundle-side jump 3/2 outside \[0, 1\)$"):
+        FilteredBundleData(F(0), 0, one_cusp((F(3, 2), 1)))
+    with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+        FilteredBundleData(F(0), 0, one_cusp((F(1, 2), 1)))
 
 
 # --- rank-1 character ------------------------------------------------------------
@@ -143,7 +132,7 @@ def test_rank1_degree_identity(a, b):
 @given(st.integers(0, 5), rationals)
 def test_rank1_degree_preservation(a, b):
     # the one-jump representation-side degree equals the filtered degree
-    rep_degree = filtered_degree_rep(rep_jumps((b, 1)))
+    rep_degree = one_cusp((b, 1)).degree
     assert rep_degree == rank1_degrees(a, b)[1]
 
 

@@ -311,7 +311,7 @@ DIFFERENTIAL_BOX = sorted(
         for rise in (2, 4, 6, 10)
         for bound in (5, 7, 9)
         for n in range(1, 9)
-        for roots, _, _ in extend_chain((0,), n, enumeration_steps(rise), bound)
+        for roots, _, _ in extend_chain((0,), n, enumeration_steps(rise, bound), bound)
     }
 )
 STABLE_BOX = [roots for roots in DIFFERENTIAL_BOX if tail_slopes(roots).is_stable]
@@ -355,7 +355,7 @@ def walked_chains(draw):
     n, max_rise, bound = draw(st.integers(2, 10)), 2 * draw(st.integers(1, 4)), draw(st.integers(0, 12))
     roots = [0]
     while len(roots) < n:
-        nexts = [roots[-1] + step for step in enumeration_steps(max_rise) if abs(roots[-1] + step) <= bound]
+        nexts = [roots[-1] + step for step in enumeration_steps(max_rise, bound) if abs(roots[-1] + step) <= bound]
         if not nexts:
             break
         roots.append(draw(st.sampled_from(nexts)))

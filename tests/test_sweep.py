@@ -65,7 +65,7 @@ def test_counts_match_enumeration():
 @pytest.mark.parametrize("root_bound", [0, 1, 8])
 def test_partitions_cover_enumeration_exactly(root_bound):
     # bounds 0 and 1 put the first step -2 outside the box
-    steps = enumeration_steps(6)
+    steps = enumeration_steps(6, root_bound)
     for n in (2, 3, 4):
         partitioned = [
             roots for first in steps for roots, _, _ in extend_chain((0, first), n, steps, root_bound)
@@ -156,7 +156,7 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
     """One partition's (stable, violations), rebuilt per chain from a RootSequence
     and sorted by the old global key."""
     stable, records = 0, []
-    for roots, _, _ in extend_chain((0, first_step), n, enumeration_steps(max_rise), bound):
+    for roots, _, _ in extend_chain((0, first_step), n, enumeration_steps(max_rise, bound), bound):
         seq = RootSequence(roots)
         if tail_slopes(seq.roots).is_stable:
             stable += 1
@@ -171,7 +171,7 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
 # where the records' text order differs from numeric order
 @pytest.mark.parametrize("bound", [0, 1, 3, 5, 8, 10, 12])
 def test_necessity_partition_matches_brute_force(max_rise, bound):
-    for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise)):
+    for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise, bound)):
         task = (n, first_step, max_rise, bound, MODE_NECESSITY)
         stable, certificates, records, written = sweep._run_partition((*task, True))
         expected_stable, expected = brute_force_necessity(n, first_step, max_rise, bound)
@@ -193,7 +193,7 @@ def test_each_partition_counts_the_records_it_writes(mode, n, max_rise, bound, f
     # records is the number of records in text, and a partition that only
     # counts returns the same numbers with "".  Real theorem boxes have no
     # records, so a failing checker gives each stable chain some
-    first_step = data.draw(st.sampled_from(enumeration_steps(max_rise)))
+    first_step = data.draw(st.sampled_from(enumeration_steps(max_rise, bound)))
     task = (n, first_step, max_rise, bound, mode)
     with pytest.MonkeyPatch.context() as patch:
         if failing:
