@@ -981,8 +981,8 @@ def test_a_bound_that_limits_no_chain_costs_no_memory(tmp_path):
     assert peak < 2**20
 
 
-# caps the child's address space at 1 GB: at the parent commit, whose step set
-# held every even rise up to --max-rise, the 10^9 rise below died of MemoryError
+# caps the child's address space at 1 GB, so a step set holding every even rise
+# up to --max-rise 10^9 fails with MemoryError instead of filling the machine
 LIMITED_ADDRESS_SPACE = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
