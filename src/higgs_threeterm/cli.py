@@ -165,7 +165,7 @@ def _cmd_pair(args) -> int:
     if args.height is not None and args.height % 2:  # every root, so every vertex's height, is even
         raise ValueError(f"--height must be even, got {args.height}")
     roots = seq.roots
-    targets, labels, failures = certify(seq)
+    targets, failures = certify(seq)
     heights = sorted(set(roots)) if args.all_heights else [args.height]
     if failed := [r for r in heights if r in failures]:  # the construction is refuted
         print(serialize.dumps({"counterexample": failures[min(failed)]._asdict()}), file=sys.stderr)
@@ -173,7 +173,7 @@ def _cmd_pair(args) -> int:
 
     blocks, rows, refused = [], [], []
     for r in heights:
-        found = [(s, t, label.value) for s, t, label in pairs(roots, r, targets, labels)]
+        found = pairs(roots, r, targets)
         blocks.append({"height": r, "pairs": [{"source": s, "target": t, "label": label} for s, t, label in found]})
         rows += ([r, *pair] for pair in found)
         ok, reasons = verify_certificate(roots, r, targets)

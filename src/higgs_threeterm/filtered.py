@@ -55,6 +55,8 @@ class FilteredJumpData:
         if not cusps:
             raise ValueError("need at least one cusp")
         for cusp in cusps:
+            if not cusp:  # it would have dimension 0, and no slope
+                raise ValueError("need at least one jump at every cusp")
             for _, dim in cusp:
                 if dim <= 0:
                     raise ValueError(f"graded dimensions must be positive, got {dim}")

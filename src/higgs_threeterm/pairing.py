@@ -23,22 +23,35 @@ chain the boundary rule always applies: either the trailing region starts
 with a drop (label B), or r < r_1 and the vertex just before the leftmost
 height-r vertex sits at r+2 (label LEFT_BOUNDARY).
 
-A chain's certificate is vertex-indexed.  Every vertex j is a source at its
-own height r_j, so the whole pairing is one tuple `targets`, targets[j-1]
-being the vertex j is paired with, and a tuple `labels` of the regions
-that `pair` prints.  The certificate of height r is that pairing read at
-the height-r vertices: `pairs` lists them and `verify_certificate` checks
-them, both from the chain's one (targets, labels).
+Tail-order lemma: an admissible chain with r_n < r_1 satisfies
+m_r <= m_{r-2} + m_{r+2} at every height.  Every height-r vertex but the
+rightmost, j, is paired inside its region, injectively.  If r > r_n, the
+path after j must reach r_n; it moves down only by drops of exactly 2, so
+a rise after j would bring it back to r, and j is followed by a drop: the
+trailing rule pairs it.  If r <= r_n, then r < r_1; the path starts above
+r and first reaches r from r+2, so the left-boundary rule pairs j.  Tail
+stability implies r_n < r_1 (the last tail's slope r_n lies below the
+total slope, which lies below r_1), so the lemma contains the theorem for
+tail-stable chains.  The strict inequality cannot be relaxed: chains with
+r_n = r_1 can violate the inequality.
+
+A chain's certificate is its targets.  Every vertex j is a source at its
+own height r_j, so the whole pairing is one vertex-indexed tuple
+`targets`, targets[j-1] being the vertex j is paired with.  The
+certificate of height r is that tuple read at the height-r vertices:
+`pairs` lists them, naming each one's region from its target, and
+`verify_certificate` checks them.
 
 One left-to-right pass (`_certify`) builds the pairing.  Vertex k at
-height r closes the region opened by j = last[r]: it is A when vertex j+1
-lies above r (target k-1, at r+2); otherwise the target is j+1, at r-2,
-and it is C when vertex k-1 lies above r and B when not.  So a label
-takes O(1): moving in even steps and dropping by exactly 2, the path comes
-back to r from above only by landing on it from r+2.  The public
-builder, `certify`, checks the hypotheses (admissible, tail-stable) once
-per call; the sweep, which establishes both itself, calls `_certify`
-directly.
+height r closes the region opened by j = last[r]: the target is k-1, at
+r+2, when vertex j+1 lies above r (an A region), and j+1, at r-2,
+otherwise.  So a target takes O(1): moving in even steps and dropping by
+exactly 2, the path comes back to r from above only by landing on it
+from r+2.  A region that starts with a drop is C when the vertex just
+before its end lies above r, and B when not; only `pairs` tells them
+apart.  The public builder, `certify`, checks the hypotheses
+(admissible, tail-stable) once per call; the sweep, which establishes
+both itself, calls `_certify` directly.
 
 Vertex indices are 1-based throughout: source j refers to the root r_j.
 
@@ -52,7 +65,6 @@ wrong length, goes on to the full check, which works out every reason.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .chain import RootSequence, is_admissible, tail_slopes
@@ -78,52 +90,39 @@ class PairingFailure(NamedTuple):
     reason: str
 
 
-class RegionKind(Enum):
-    A = "A"
-    B = "B"
-    C = "C"
-    LEFT_BOUNDARY = "LEFT_BOUNDARY"
-
-
-def _certify(roots: tuple[int, ...]) -> tuple[tuple, tuple, dict[int, PairingFailure]]:
-    """The chain's pairing from one pass: (targets, labels, failures).
+def _certify(roots: tuple[int, ...]) -> tuple[tuple, dict[int, PairingFailure]]:
+    """The chain's pairing from one pass: (targets, failures).
 
     failures maps each height whose rightmost vertex has no target to the
     PairingFailure returned for that vertex, its counterexample; nothing is
-    raised.  The vertex's entries stay None, and the other vertices are
+    raised.  The vertex's entry stays None, and the other vertices are
     paired.  The caller checks the hypotheses.
     """
-    A, B, C = RegionKind.A, RegionKind.B, RegionKind.C
     n = len(roots)
     targets: list[int | None] = [None] * n
-    labels: list[RegionKind | None] = [None] * n
     last: dict[int, int] = {}
     for k, r in enumerate(roots, 1):
         j = last.get(r)
         last[r] = k
-        if j is None:  # the leftmost height-r vertex closes no region
-            continue
-        if roots[j] > r:  # vertex j+1 is above r: an A region, closed from r+2
-            targets[j - 1], labels[j - 1] = k - 1, A
-        else:  # a drop to j+1; the region is C when it returns from above
-            targets[j - 1], labels[j - 1] = j + 1, C if roots[k - 2] > r else B
+        if j is not None:  # an A region (vertex j+1 above r) closes from r+2; any other opens with a drop
+            targets[j - 1] = k - 1 if roots[j] > r else j + 1
 
     failures = {}
     for r, j in last.items():
         if j < n and roots[j] < r:
             # the trailing region starts with a drop; its first vertex is at r-2
-            targets[j - 1], labels[j - 1] = j + 1, B
+            targets[j - 1] = j + 1
         elif (i := roots.index(r)) and roots[i - 1] == r + 2:  # vertex i precedes the leftmost source
-            targets[j - 1], labels[j - 1] = i, RegionKind.LEFT_BOUNDARY
+            targets[j - 1] = i
         else:
             reason = "no trailing drop and no r+2 vertex before the leftmost source"
             failures[r] = PairingFailure(roots, r, j, reason)
-    return tuple(targets), tuple(labels), failures
+    return tuple(targets), failures
 
 
-def certify(seq: RootSequence) -> tuple[tuple, tuple, dict[int, PairingFailure]]:
-    """The chain's pairing, (targets, labels, failures) as `_certify` gives
-    it, once the chain is checked to be admissible and tail-stable.
+def certify(seq: RootSequence) -> tuple[tuple, dict[int, PairingFailure]]:
+    """The chain's pairing, (targets, failures) as `_certify` gives it, once
+    the chain is checked to be admissible and tail-stable.
 
     Raises HypothesisViolationError for a chain that is not.  A height in
     failures refutes the matching construction at that height.
@@ -137,10 +136,23 @@ def certify(seq: RootSequence) -> tuple[tuple, tuple, dict[int, PairingFailure]]
     return _certify(seq.roots)
 
 
-def pairs(roots: tuple[int, ...], r: int, targets: tuple, labels: tuple) -> list[tuple[int, int, RegionKind]]:
-    """(source, target, label) of each paired height-r vertex, by source."""
-    found = enumerate(zip(roots, targets, labels), 1)
-    return [(j, t, label) for j, (root, t, label) in found if root == r and t is not None]
+def pairs(roots: tuple[int, ...], r: int, targets: tuple) -> list[tuple[int, int, str]]:
+    """(source, target, region) of each paired height-r vertex, by source.
+
+    The region is read from the target: one at r+2 is "A" after the source
+    and "LEFT_BOUNDARY" before it; one at r-2 is "C" when the vertex just
+    before the next height-r vertex lies above r, and "B" otherwise, the
+    trailing region included.
+    """
+    sources = [j for j, root in enumerate(roots, 1) if root == r]
+    found = []
+    for j, nxt in zip(sources, sources[1:] + [0]):  # nxt: the next height-r vertex, 0 past the last
+        t = targets[j - 1]
+        if t is not None and roots[t - 1] > r:  # at r+2
+            found.append((j, t, "A" if t > j else "LEFT_BOUNDARY"))
+        elif t is not None:  # at r-2: a C region returns to r from above
+            found.append((j, t, "C" if nxt and roots[nxt - 2] > r else "B"))
+    return found
 
 
 def verify_certificate(roots: tuple[int, ...], r: int, targets: tuple) -> tuple[bool, list[str]]:

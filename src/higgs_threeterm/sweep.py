@@ -97,7 +97,7 @@ def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple
         found.append(("tail-order", {"first": roots[0], "last": roots[-1]}))
 
     before = len(found)
-    targets, _, failures = _certify(roots)
+    targets, failures = _certify(roots)
     for r in sorted(counts):
         if r in failures:
             found.append(("certificate-build", failures[r]._asdict()))

@@ -48,6 +48,12 @@ def test_jump_data_refuses_no_cusps():
         FilteredJumpData(())
 
 
+@pytest.mark.parametrize("cusps", [((),), ((), ())])
+def test_jump_data_refuses_a_cusp_with_no_jumps(cusps):
+    with pytest.raises(ValueError, match=r"^need at least one jump at every cusp$"):
+        FilteredJumpData(cusps)
+
+
 def test_slope_rep_is_degree_over_dimension():
     data = one_cusp((F(5, 6), 1), (F(1, 6), 2))
     assert data.slope == F(7, 6) / 3

@@ -23,7 +23,6 @@ from higgs_threeterm import pairing
 from higgs_threeterm.pairing import (
     HypothesisViolationError,
     PairingFailure,
-    RegionKind,
     certify,
     pairs,
     verify_certificate,
@@ -38,47 +37,50 @@ def small_stable_chains() -> list[RootSequence]:
 
 
 def certified(roots):
-    """certify's (targets, labels) for a chain it pairs at every height."""
-    targets, labels, failures = certify(RootSequence(roots))
+    """certify's targets for a chain it pairs at every height."""
+    targets, failures = certify(RootSequence(roots))
     assert failures == {}, roots
-    return targets, labels
+    return targets
 
 
 # --- matching construction -------------------------------------------------------
 
-A, B, C, LEFT = RegionKind.A, RegionKind.B, RegionKind.C, RegionKind.LEFT_BOUNDARY
+A, B, C, LEFT = "A", "B", "C", "LEFT_BOUNDARY"
 
-# ZIGZAG's whole pairing: vertex j is paired with ZIGZAG_TARGETS[j-1]
+# ZIGZAG's whole pairing: vertex j is paired with ZIGZAG_TARGETS[j-1], in
+# the region that pairs names ZIGZAG_LABELS[j-1] at its height
 ZIGZAG_TARGETS = (2, 3, 5, 5, 6, 7, 6)
 ZIGZAG_LABELS = (B, C, A, B, B, B, LEFT)
 
 
 def test_build_matching_zigzag_height_four():
-    targets, labels, failures = certify(ZIGZAG)
-    assert (targets, labels, failures) == (ZIGZAG_TARGETS, ZIGZAG_LABELS, {})
-    assert pairs(ZIGZAG.roots, 4, targets, labels) == [(1, 2, B), (4, 5, B)]
+    targets, failures = certify(ZIGZAG)
+    assert (targets, failures) == (ZIGZAG_TARGETS, {})
+    assert pairs(ZIGZAG.roots, 4, targets) == [(1, 2, B), (4, 5, B)]
+    found = sorted(pair for r in set(ZIGZAG.roots) for pair in pairs(ZIGZAG.roots, r, targets))
+    assert found == list(zip(range(1, 8), ZIGZAG_TARGETS, ZIGZAG_LABELS))
 
 
 def test_build_matching_drop_chain():
-    assert pairs((2, 0, -2), 2, *certified((2, 0, -2))) == [(1, 2, B)]
+    assert pairs((2, 0, -2), 2, certified((2, 0, -2))) == [(1, 2, B)]
 
 
 def test_build_matching_minimal_stable_chain():
-    assert pairs((0, -2), 0, *certified((0, -2))) == [(1, 2, B)]
+    assert pairs((0, -2), 0, certified((0, -2))) == [(1, 2, B)]
 
 
 def test_build_matching_left_boundary_fallback():
-    assert pairs((2, 0, -2), -2, *certified((2, 0, -2))) == [(3, 2, LEFT)]
+    assert pairs((2, 0, -2), -2, certified((2, 0, -2))) == [(3, 2, LEFT)]
 
 
 def test_build_matching_c_region_pairs_right():
-    (source, target, label), _ = pairs(ZIGZAG.roots, 2, *certified(ZIGZAG.roots))
+    (source, target, label), _ = pairs(ZIGZAG.roots, 2, certified(ZIGZAG.roots))
     assert (source, target, label) == (2, 3, C)
     assert ZIGZAG.roots[target - 1] == 0  # the r-2 vertex, not r+2
 
 
 def test_build_matching_unrealized_height():
-    assert pairs((0, -2), -6, *certified((0, -2))) == []
+    assert pairs((0, -2), -6, certified((0, -2))) == []
 
 
 def test_build_matching_rejects_bad_input():
@@ -90,16 +92,16 @@ def test_build_matching_rejects_bad_input():
 
 def test_singleton_chain_has_no_target():
     # a lone vertex has no neighbor at all: the structured failure is correct
-    targets, labels, failures = certify(RootSequence((0,)))
-    assert (targets, labels, list(failures)) == ((None,), (None,), [0])
+    targets, failures = certify(RootSequence((0,)))
+    assert (targets, list(failures)) == ((None,), [0])
     assert isinstance(failures[0], PairingFailure)
     report = failures[0]._asdict()
     assert report["roots"] == (0,)
     assert report["height"] == 0
     assert report["source"] == 1
     # the builder leaves the vertex unpaired and returns the failure by its height
-    targets, labels, failures = pairing._certify((0,))
-    assert (targets, labels, {r: f._asdict() for r, f in failures.items()}) == ((None,), (None,), {0: report})
+    targets, failures = pairing._certify((0,))
+    assert (targets, {r: f._asdict() for r, f in failures.items()}) == ((None,), {0: report})
 
 
 def test_build_matching_deterministic():
@@ -131,7 +133,7 @@ def with_targets(targets, edits):
 
 def test_verify_round_trip():
     for r in (-2, 0, 2, 4):
-        ok, reasons = verify_certificate(ZIGZAG.roots, r, certified(ZIGZAG.roots)[0])
+        ok, reasons = verify_certificate(ZIGZAG.roots, r, certified(ZIGZAG.roots))
         assert ok and reasons == []
 
 
@@ -165,28 +167,28 @@ def test_verify_rejects_out_of_range_target():
 def test_every_stable_chain_certifies_every_height():
     for seq in small_stable_chains():
         profile = multiplicities(seq)
-        targets, labels = certified(seq.roots)
+        targets = certified(seq.roots)
         for r in profile.counts:
             ok, reasons = verify_certificate(seq.roots, r, targets)
             assert ok, (seq.roots, r, reasons)
-            assert len(pairs(seq.roots, r, targets, labels)) == profile[r], (seq.roots, r)
+            assert len(pairs(seq.roots, r, targets)) == profile[r], (seq.roots, r)
 
 
 def test_certificates_and_counting_agree():
     for seq in small_stable_chains():
         holds, _ = three_term_holds(multiplicities(seq).counts)
-        _, _, failures = certify(seq)
+        _, failures = certify(seq)
         assert (not failures) == holds == True  # noqa: E712  (both routes, explicitly)
 
 
 def test_targets_stay_in_their_region():
     for seq in small_stable_chains():
         roots = seq.roots
-        targets, labels = certified(roots)
+        targets = certified(roots)
         for r in sorted(set(roots)):
             sources = [j for j in range(1, len(roots) + 1) if roots[j - 1] == r]
-            for source, target, label in pairs(roots, r, targets, labels):
-                if label is RegionKind.LEFT_BOUNDARY:
+            for source, target, label in pairs(roots, r, targets):
+                if label == LEFT:
                     assert target < sources[0]
                 elif source == sources[-1]:
                     assert target > sources[-1]
@@ -224,11 +226,11 @@ LARGER_FAMILY = list(enumerate_chains(2, 6, 8, 10))
 @given(st.sampled_from(LARGER_FAMILY))
 def test_random_stable_chain_full_certification(roots):
     profile = multiplicities(RootSequence(roots))
-    targets, labels = certified(roots)
+    targets = certified(roots)
     for r in sorted(set(roots)):
         ok, _ = verify_certificate(roots, r, targets)
         assert ok
-        found = pairs(roots, r, targets, labels)
+        found = pairs(roots, r, targets)
         assert len(found) == profile[r]
         for _, target, _ in found:
             assert roots[target - 1] in (r - 2, r + 2)
@@ -247,11 +249,11 @@ def reference_kind(roots, j_left, j_right, r):
     inner = roots[j_left : j_right - 1]  # 1-based vertices j_left+1 .. j_right-1
     if inner[0] > r:
         assert all(v > r for v in inner)
-        return RegionKind.A
+        return A
     assert inner[0] == r - 2, "drops are exactly 2"
     if all(v < r for v in inner):
-        return RegionKind.B
-    return RegionKind.C
+        return B
+    return C
 
 
 def reference_match(roots, r):
@@ -266,7 +268,7 @@ def reference_match(roots, r):
         return matched, None
     for j, nxt in zip(srcs, srcs[1:]):
         kind = reference_kind(roots, j, nxt, r)
-        if kind is RegionKind.A:
+        if kind == A:
             target = nxt - 1
             if roots[target - 1] != r + 2:
                 return failed(j, "A region does not end at r+2")
@@ -280,9 +282,9 @@ def reference_match(roots, r):
         target = rightmost + 1
         if roots[target - 1] != r - 2:
             return failed(rightmost, "trailing drop is not to r-2")
-        matched.append((rightmost, target, RegionKind.B))
+        matched.append((rightmost, target, B))
     elif srcs[0] > 1 and roots[srcs[0] - 2] == r + 2:
-        matched.append((rightmost, srcs[0] - 1, RegionKind.LEFT_BOUNDARY))
+        matched.append((rightmost, srcs[0] - 1, LEFT))
     else:
         return failed(rightmost, "no trailing drop and no r+2 vertex before the leftmost source")
     return matched, None
@@ -294,13 +296,11 @@ def as_comparable(pairs, failure):
 
 def height_views(roots):
     """Each realized height's (pairs, failure report) read from the chain's
-    one certificate, after checking that its tuples cover every vertex and
-    that a vertex has a label exactly when it has a target."""
-    targets, labels, failures = pairing._certify(roots)
-    assert len(targets) == len(labels) == len(roots)
-    assert [t is None for t in targets] == [label is None for label in labels]
+    one certificate, after checking that its tuple covers every vertex."""
+    targets, failures = pairing._certify(roots)
+    assert len(targets) == len(roots)
     assert set(failures) <= set(roots)
-    return {r: as_comparable(pairs(roots, r, targets, labels), failures.get(r)) for r in sorted(set(roots))}
+    return {r: as_comparable(pairs(roots, r, targets), failures.get(r)) for r in sorted(set(roots))}
 
 
 # every admissible chain with n 1-8, rise 2/4/6/10 and bound 5/7/9: 15,386
@@ -373,11 +373,11 @@ def test_one_pass_builder_matches_the_reference_on_random_chains(roots):
 
 def test_public_builders_match_the_reference_on_stable_chains():
     for roots in STABLE_BOX:
-        targets, labels, failures = certify(RootSequence(roots))
+        targets, failures = certify(RootSequence(roots))
         assert set(failures) <= set(roots)
         # every realized height, an unrealized one and one of the wrong parity
         for r in sorted(set(roots)) + [min(roots) - 2, 1]:
-            view = as_comparable(pairs(roots, r, targets, labels), failures.get(r))
+            view = as_comparable(pairs(roots, r, targets), failures.get(r))
             assert view == as_comparable(*reference_match(roots, r)), (roots, r)
 
 
@@ -470,7 +470,7 @@ def test_checker_matches_the_reference_on_real_and_mutated_certificates():
     reasons_seen = set()
     checked_count = 0
     for roots in DIFFERENTIAL_BOX:
-        targets, _, _ = pairing._certify(roots)
+        targets, _ = pairing._certify(roots)
         for r in sorted(set(roots)):
             # the real certificate (partial where a vertex has no target), the
             # same pairing read at a neighbouring height, and the mutants
@@ -490,8 +490,8 @@ def test_checker_matches_the_reference_on_real_and_mutated_certificates():
 def test_checker_verdict_on_each_mutation():
     # height -2 of a stable chain: sources 2, 4 and 7 in an A, a C and a B region
     roots = (0, -2, 0, -2, -4, 0, -2, -4)
-    targets, labels = certified(roots)
-    assert pairs(roots, -2, targets, labels) == [(2, 3, A), (4, 5, C), (7, 8, B)]
+    targets = certified(roots)
+    assert pairs(roots, -2, targets) == [(2, 3, A), (4, 5, C), (7, 8, B)]
     a, c, b = 2, 4, 7
     verdicts = [
         ({}, []),
@@ -529,5 +529,5 @@ def test_checker_verdict_on_each_mutation():
 )
 def test_checker_gives_a_reason_for_an_index_that_is_not_an_int(pair, reasons):
     # (source, target) in vertex form: the source's entry holds the target
-    targets = with_targets(certified((0, -2))[0], dict([pair]))
+    targets = with_targets(certified((0, -2)), dict([pair]))
     assert verify_certificate((0, -2), 0, targets) == (not reasons, reasons)
