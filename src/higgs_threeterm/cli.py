@@ -159,13 +159,20 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    from .chain import is_admissible, tail_slopes
     from .pairing import certify, pairs, verify_certificate
 
     seq = _parse_roots(args.roots)
     if args.height is not None and args.height % 2:  # every root, so every vertex's height, is even
         raise ValueError(f"--height must be even, got {args.height}")
     roots = seq.roots
-    targets, failures = certify(seq)
+    # certify assumes the theorem's hypotheses: a chain that lacks one is refused here
+    admissible, bad = is_admissible(seq)
+    if not admissible:
+        raise ValueError(f"chain {roots} is inadmissible at steps {bad}")
+    if not (stability := tail_slopes(roots)).is_stable:
+        raise ValueError(f"chain {roots} is not tail-stable ({stability.verdict})")
+    targets, failures = certify(roots)
     heights = sorted(set(roots)) if args.all_heights else [args.height]
     if failed := [r for r in heights if r in failures]:  # the construction is refuted
         print(serialize.dumps({"counterexample": failures[min(failed)]._asdict()}), file=sys.stderr)
@@ -385,7 +392,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -50,7 +50,7 @@ class FilteredJumpData:
     cusps: tuple[tuple[tuple[Fraction, int], ...], ...]
 
     def __post_init__(self) -> None:
-        cusps = tuple(tuple((Fraction(j), int(d)) for j, d in cusp) for cusp in self.cusps)
+        cusps = tuple(tuple((Fraction(j), d) for j, d in cusp) for cusp in self.cusps)
         object.__setattr__(self, "cusps", cusps)
         if not cusps:
             raise ValueError("need at least one cusp")
@@ -58,6 +58,8 @@ class FilteredJumpData:
             if not cusp:  # it would have dimension 0, and no slope
                 raise ValueError("need at least one jump at every cusp")
             for _, dim in cusp:
+                if not isinstance(dim, int) or isinstance(dim, bool):  # exact: no float, and no bool read as 0 or 1
+                    raise ValueError(f"graded dimensions must be integers, got {dim!r}")
                 if dim <= 0:
                     raise ValueError(f"graded dimensions must be positive, got {dim}")
         dims = {sum(d for _, d in cusp) for cusp in cusps}
@@ -98,6 +100,8 @@ class FilteredBundleData:
             for jump, _ in cusp:
                 if not 0 <= jump < 1:
                     raise ValueError(f"bundle-side jump {jump} outside [0, 1)")
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):  # exact: a float rank would make the slope a float
+            raise ValueError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.jumps.dimension != self.rank:

@@ -368,8 +368,8 @@ def verification_report(
     `harmonic_residual` runs once per distinct step within one report, so
     each row equals that check's row run alone.
     """
-    _require_positive("step", h)
-    _require_positive("step", h_nested)
+    _require_positive("h", h)
+    _require_positive("h_nested", h_nested)
     if tolerance is not None:
         _require_positive("tolerance", tolerance)
     z = sample_grid(count=count, seed=seed) if grid is None else np.array([pt.tau for pt in grid], dtype=complex)

@@ -42,16 +42,19 @@ certificate of height r is that tuple read at the height-r vertices:
 `pairs` lists them, naming each one's region from its target, and
 `verify_certificate` checks them.
 
-One left-to-right pass (`_certify`) builds the pairing.  Vertex k at
+One left-to-right pass (`certify`) builds the pairing.  Vertex k at
 height r closes the region opened by j = last[r]: the target is k-1, at
 r+2, when vertex j+1 lies above r (an A region), and j+1, at r-2,
 otherwise.  So a target takes O(1): moving in even steps and dropping by
 exactly 2, the path comes back to r from above only by landing on it
 from r+2.  A region that starts with a drop is C when the vertex just
 before its end lies above r, and B when not; only `pairs` tells them
-apart.  The public builder, `certify`, checks the hypotheses
-(admissible, tail-stable) once per call; the sweep, which establishes
-both itself, calls `_certify` directly.
+apart.
+
+`certify` assumes both hypotheses of the theorem (admissible,
+tail-stable) and checks neither: the sweep has them by construction, and
+`pair` refuses a chain that lacks one before it builds.  So this module
+imports nothing from the package.
 
 Vertex indices are 1-based throughout: source j refers to the root r_j.
 
@@ -67,16 +70,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chain import RootSequence, is_admissible, tail_slopes
-
-
-class HypothesisViolationError(ValueError):
-    """Input chain is not admissible or not tail-stable."""
-
 
 class PairingFailure(NamedTuple):
     """The counterexample for a source vertex that has no valid target:
-    `_certify` returns one, and its `_asdict()` is the record that the sweep
+    `certify` returns one, and its `_asdict()` is the record that the sweep
     and `pair` write.
 
     None is returned for a tail-stable admissible chain with n >= 2; one
@@ -90,7 +87,7 @@ class PairingFailure(NamedTuple):
     reason: str
 
 
-def _certify(roots: tuple[int, ...]) -> tuple[tuple, dict[int, PairingFailure]]:
+def certify(roots: tuple[int, ...]) -> tuple[tuple, dict[int, PairingFailure]]:
     """The chain's pairing from one pass: (targets, failures).
 
     failures maps each height whose rightmost vertex has no target to the
@@ -118,22 +115,6 @@ def _certify(roots: tuple[int, ...]) -> tuple[tuple, dict[int, PairingFailure]]:
             reason = "no trailing drop and no r+2 vertex before the leftmost source"
             failures[r] = PairingFailure(roots, r, j, reason)
     return tuple(targets), failures
-
-
-def certify(seq: RootSequence) -> tuple[tuple, dict[int, PairingFailure]]:
-    """The chain's pairing, (targets, failures) as `_certify` gives it, once
-    the chain is checked to be admissible and tail-stable.
-
-    Raises HypothesisViolationError for a chain that is not.  A height in
-    failures refutes the matching construction at that height.
-    """
-    ok, bad = is_admissible(seq)
-    if not ok:
-        raise HypothesisViolationError(f"chain {seq.roots} is inadmissible at steps {bad}")
-    report = tail_slopes(seq.roots)
-    if not report.is_stable:
-        raise HypothesisViolationError(f"chain {seq.roots} is not tail-stable ({report.verdict})")
-    return _certify(seq.roots)
 
 
 def pairs(roots: tuple[int, ...], r: int, targets: tuple) -> list[tuple[int, int, str]]:

@@ -28,9 +28,9 @@ walks the whole partition; the walk also hands over the heights where
 m_r > m_{r-2} + m_{r+2}, decided from the parent's.  Every chain is
 admissible by its step set, so `admissible` equals `generated`, which
 chain.count_chains counts, not walks, in one pass for every length.  As
-both hypotheses hold by construction, pairing._certify builds a stable
-chain's certificate, one target per vertex, without re-checking them,
-and pairing.verify_certificate checks it once per realized height, so its
+both hypotheses hold by construction, pairing.certify, which assumes
+them, builds a stable chain's certificate, one target per vertex, and
+pairing.verify_certificate checks it once per realized height, so its
 calls equal `totals["certificates"]`.
 
 Every partition returns (stable, certificates, records, text): records is
@@ -61,7 +61,7 @@ from .chain import (
     tail_slopes,  # not called; perfbench/run.py's traced run fails unless sweep.tail_slopes exists
     three_term_holds,  # theorem mode's counting route; necessity mode takes the walk's verdict
 )
-from .pairing import _certify, verify_certificate
+from .pairing import certify, verify_certificate
 
 MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
@@ -97,7 +97,7 @@ def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple
         found.append(("tail-order", {"first": roots[0], "last": roots[-1]}))
 
     before = len(found)
-    targets, failures = _certify(roots)
+    targets, failures = certify(roots)
     for r in sorted(counts):
         if r in failures:
             found.append(("certificate-build", failures[r]._asdict()))

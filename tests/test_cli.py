@@ -270,6 +270,8 @@ PINNED_REFUSALS = {
     # no vertex of an even-rooted chain sits at an odd height
     ("pair", "--roots", "0,-2", "--height", "1"): "error: --height must be even, got 1\n",
     ("pair", "--roots", "0,-2", "--height", "1", "--format", "csv"): "error: --height must be even, got 1\n",
+    # the height is checked before the hypotheses
+    ("pair", "--roots", "0,0", "--height", "1"): "error: --height must be even, got 1\n",
 }
 
 
@@ -561,14 +563,14 @@ def test_verify_metric_bad_tau(capsys):
 def test_verify_metric_rejects_non_finite_h(capsys, value):
     code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--h", value)
     assert (code, out) == (2, "")
-    assert err == f"error: step must be finite, got {value}\n"
+    assert err == f"error: h must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_verify_metric_rejects_non_finite_h_nested(capsys, value):
     code, out, err = run_cli(capsys, "verify-metric", "--grid", "5", "--h-nested", value)
     assert (code, out) == (2, "")
-    assert err == f"error: step must be finite, got {value}\n"
+    assert err == f"error: h_nested must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -628,11 +630,12 @@ def test_non_finite_number_in_a_json_report_exits_two(capsys, monkeypatch, tmp_p
     assert code == 1 and "inf" in out
 
 
+# each refusal names its flag's parameter: h for --h, h_nested for --h-nested
 BAD_STEPS = {
-    "nan": "step must be finite, got nan",
-    "inf": "step must be finite, got inf",
-    "0": "step must be positive, got 0.0",
-    "-1": "step must be positive, got -1.0",
+    "nan": "must be finite, got nan",
+    "inf": "must be finite, got inf",
+    "0": "must be positive, got 0.0",
+    "-1": "must be positive, got -1.0",
 }
 
 
@@ -642,7 +645,7 @@ def test_verify_metric_rejects_bad_step_for_a_check_without_differences(capsys, 
     # metric_shape takes no step, so only the up-front check can reject it
     code, out, err = run_cli(capsys, "verify-metric", "--grid", "2", "--check", "metric_shape", flag, value)
     assert (code, out) == (2, "")
-    assert err == f"error: {BAD_STEPS[value]}\n"
+    assert err == f"error: {flag[2:].replace('-', '_')} {BAD_STEPS[value]}\n"
 
 
 def test_verify_metric_low_equivariance_image(capsys):

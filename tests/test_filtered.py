@@ -1,5 +1,6 @@
 """Filtered degrees, the rank-1 character example, residue translation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,16 @@ def test_jump_data_refuses_a_cusp_with_no_jumps(cusps):
         FilteredJumpData(cusps)
 
 
+NOT_INTS = [2.5, 2.0, -2.0, True, False, F(2)]  # -2.0: the type is checked before the sign
+
+
+@pytest.mark.parametrize("dim", NOT_INTS)
+def test_jump_data_refuses_a_dimension_that_is_not_an_int(dim):
+    # a dimension is exact: a float or a bool is refused, not converted
+    with pytest.raises(ValueError, match=f"^{re.escape(f'graded dimensions must be integers, got {dim!r}')}$"):
+        one_cusp((F(1, 2), dim))
+
+
 def test_slope_rep_is_degree_over_dimension():
     data = one_cusp((F(5, 6), 1), (F(1, 6), 2))
     assert data.slope == F(7, 6) / 3
@@ -94,6 +105,13 @@ def test_bundle_data_checks_its_weights_then_its_rank():
         FilteredBundleData(F(0), 0, one_cusp((F(3, 2), 1)))
     with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
         FilteredBundleData(F(0), 0, one_cusp((F(1, 2), 1)))
+
+
+@pytest.mark.parametrize("rank", NOT_INTS)
+def test_bundle_data_refuses_a_rank_that_is_not_an_int(rank):
+    # a float rank would make the slope a float, which format_rational writes like a rational
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rank must be an integer, got {rank!r}')}$"):
+        FilteredBundleData(F(0), rank, one_cusp((F(0), 2)))
 
 
 # --- rank-1 character ------------------------------------------------------------

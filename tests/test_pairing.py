@@ -3,6 +3,8 @@
 Vertex indices are 1-based, matching the r_j notation.
 """
 
+import subprocess
+import sys
 from collections.abc import Hashable
 
 import pytest
@@ -21,15 +23,13 @@ from higgs_threeterm.chain import (
 )
 from higgs_threeterm import pairing
 from higgs_threeterm.pairing import (
-    HypothesisViolationError,
     PairingFailure,
     certify,
     pairs,
     verify_certificate,
 )
-from higgs_threeterm.sweep import SweepParams, run_sweep
 
-ZIGZAG = RootSequence((4, 2, 0, 4, 2, 0, -2))
+ZIGZAG = (4, 2, 0, 4, 2, 0, -2)
 
 
 def small_stable_chains() -> list[RootSequence]:
@@ -38,7 +38,7 @@ def small_stable_chains() -> list[RootSequence]:
 
 def certified(roots):
     """certify's targets for a chain it pairs at every height."""
-    targets, failures = certify(RootSequence(roots))
+    targets, failures = certify(roots)
     assert failures == {}, roots
     return targets
 
@@ -56,8 +56,8 @@ ZIGZAG_LABELS = (B, C, A, B, B, B, LEFT)
 def test_build_matching_zigzag_height_four():
     targets, failures = certify(ZIGZAG)
     assert (targets, failures) == (ZIGZAG_TARGETS, {})
-    assert pairs(ZIGZAG.roots, 4, targets) == [(1, 2, B), (4, 5, B)]
-    found = sorted(pair for r in set(ZIGZAG.roots) for pair in pairs(ZIGZAG.roots, r, targets))
+    assert pairs(ZIGZAG, 4, targets) == [(1, 2, B), (4, 5, B)]
+    found = sorted(pair for r in set(ZIGZAG) for pair in pairs(ZIGZAG, r, targets))
     assert found == list(zip(range(1, 8), ZIGZAG_TARGETS, ZIGZAG_LABELS))
 
 
@@ -74,34 +74,25 @@ def test_build_matching_left_boundary_fallback():
 
 
 def test_build_matching_c_region_pairs_right():
-    (source, target, label), _ = pairs(ZIGZAG.roots, 2, certified(ZIGZAG.roots))
+    (source, target, label), _ = pairs(ZIGZAG, 2, certified(ZIGZAG))
     assert (source, target, label) == (2, 3, C)
-    assert ZIGZAG.roots[target - 1] == 0  # the r-2 vertex, not r+2
+    assert ZIGZAG[target - 1] == 0  # the r-2 vertex, not r+2
 
 
 def test_build_matching_unrealized_height():
     assert pairs((0, -2), -6, certified((0, -2))) == []
 
 
-def test_build_matching_rejects_bad_input():
-    with pytest.raises(HypothesisViolationError):
-        certify(RootSequence((0, 4)))
-    with pytest.raises(HypothesisViolationError):
-        certify(RootSequence((0, 0)))
-
-
 def test_singleton_chain_has_no_target():
     # a lone vertex has no neighbor at all: the structured failure is correct
-    targets, failures = certify(RootSequence((0,)))
+    # the builder leaves the vertex unpaired and returns the failure by its height
+    targets, failures = certify((0,))
     assert (targets, list(failures)) == ((None,), [0])
     assert isinstance(failures[0], PairingFailure)
     report = failures[0]._asdict()
     assert report["roots"] == (0,)
     assert report["height"] == 0
     assert report["source"] == 1
-    # the builder leaves the vertex unpaired and returns the failure by its height
-    targets, failures = pairing._certify((0,))
-    assert (targets, {r: f._asdict() for r, f in failures.items()}) == ((None,), {0: report})
 
 
 def test_build_matching_deterministic():
@@ -119,6 +110,14 @@ def test_the_checker_shares_no_code_with_the_builder():
     assert not names & set(vars(pairing)), names & set(vars(pairing))
 
 
+def test_the_builder_cannot_recheck_a_hypothesis():
+    # pairing imports nothing from the package: a fresh interpreter that
+    # imports it has no chain module, so certify assumes both hypotheses
+    probe = "import sys, higgs_threeterm.pairing; print('higgs_threeterm.chain' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 # --- independent verification -----------------------------------------------------
 
 
@@ -133,30 +132,30 @@ def with_targets(targets, edits):
 
 def test_verify_round_trip():
     for r in (-2, 0, 2, 4):
-        ok, reasons = verify_certificate(ZIGZAG.roots, r, certified(ZIGZAG.roots))
+        ok, reasons = verify_certificate(ZIGZAG, r, certified(ZIGZAG))
         assert ok and reasons == []
 
 
 def test_verify_rejects_duplicate_target():
-    ok, reasons = verify_certificate(ZIGZAG.roots, 4, with_targets(ZIGZAG_TARGETS, {4: 2}))
+    ok, reasons = verify_certificate(ZIGZAG, 4, with_targets(ZIGZAG_TARGETS, {4: 2}))
     assert not ok
     assert "injectivity" in reasons
 
 
 def test_verify_rejects_target_at_source_height():
-    ok, reasons = verify_certificate(ZIGZAG.roots, 4, with_targets(ZIGZAG_TARGETS, {1: 4}))
+    ok, reasons = verify_certificate(ZIGZAG, 4, with_targets(ZIGZAG_TARGETS, {1: 4}))
     assert not ok
     assert "target height" in reasons
 
 
 def test_verify_rejects_missing_source():
-    ok, reasons = verify_certificate(ZIGZAG.roots, 4, with_targets(ZIGZAG_TARGETS, {4: None}))
+    ok, reasons = verify_certificate(ZIGZAG, 4, with_targets(ZIGZAG_TARGETS, {4: None}))
     assert not ok
     assert "source coverage" in reasons
 
 
 def test_verify_rejects_out_of_range_target():
-    ok, reasons = verify_certificate(ZIGZAG.roots, 4, with_targets(ZIGZAG_TARGETS, {1: 9}))
+    ok, reasons = verify_certificate(ZIGZAG, 4, with_targets(ZIGZAG_TARGETS, {1: 9}))
     assert not ok
     assert "target range" in reasons
 
@@ -177,7 +176,7 @@ def test_every_stable_chain_certifies_every_height():
 def test_certificates_and_counting_agree():
     for seq in small_stable_chains():
         holds, _ = three_term_holds(multiplicities(seq).counts)
-        _, failures = certify(seq)
+        _, failures = certify(seq.roots)
         assert (not failures) == holds == True  # noqa: E712  (both routes, explicitly)
 
 
@@ -195,29 +194,6 @@ def test_targets_stay_in_their_region():
                 else:
                     nxt = min(s for s in sources if s > source)
                     assert source < target < nxt
-
-
-def test_hypotheses_checked_once_per_call(monkeypatch):
-    checked = []
-
-    def counting(name):
-        check = getattr(pairing, name)
-
-        def counting_check(chain):
-            checked.append(name)
-            return check(chain)
-
-        return counting_check
-
-    for name in ("is_admissible", "tail_slopes"):
-        monkeypatch.setattr(pairing, name, counting(name))
-    # the sweep establishes both hypotheses itself and never re-checks them
-    report = run_sweep(SweepParams(2, 6, 8, 10), workers=1)
-    assert report["totals"]["certificates"] > 0
-    assert checked == []
-    # the public builder checks each once per call, not once per height
-    certify(ZIGZAG)
-    assert checked == ["is_admissible", "tail_slopes"]
 
 
 LARGER_FAMILY = list(enumerate_chains(2, 6, 8, 10))
@@ -297,7 +273,7 @@ def as_comparable(pairs, failure):
 def height_views(roots):
     """Each realized height's (pairs, failure report) read from the chain's
     one certificate, after checking that its tuple covers every vertex."""
-    targets, failures = pairing._certify(roots)
+    targets, failures = certify(roots)
     assert len(targets) == len(roots)
     assert set(failures) <= set(roots)
     return {r: as_comparable(pairs(roots, r, targets), failures.get(r)) for r in sorted(set(roots))}
@@ -373,7 +349,7 @@ def test_one_pass_builder_matches_the_reference_on_random_chains(roots):
 
 def test_public_builders_match_the_reference_on_stable_chains():
     for roots in STABLE_BOX:
-        targets, failures = certify(RootSequence(roots))
+        targets, failures = certify(roots)
         assert set(failures) <= set(roots)
         # every realized height, an unrealized one and one of the wrong parity
         for r in sorted(set(roots)) + [min(roots) - 2, 1]:
@@ -470,7 +446,7 @@ def test_checker_matches_the_reference_on_real_and_mutated_certificates():
     reasons_seen = set()
     checked_count = 0
     for roots in DIFFERENTIAL_BOX:
-        targets, _ = pairing._certify(roots)
+        targets, _ = certify(roots)
         for r in sorted(set(roots)):
             # the real certificate (partial where a vertex has no target), the
             # same pairing read at a neighbouring height, and the mutants

@@ -563,7 +563,7 @@ def test_stable_chain_check_records_every_kind():
 
 def test_stable_chain_check_records_bad_certificates(monkeypatch):
     # a pairing that leaves both vertices unpaired, and no build failure
-    monkeypatch.setattr(sweep, "_certify", lambda roots: ((None, None), {}))
+    monkeypatch.setattr(sweep, "certify", lambda roots: ((None, None), {}))
     found, heights = sweep._check_stable_chain((0, -2), {0: 1, -2: 1})
     assert heights == 2
     # the checker reports a height-r vertex without a target as source coverage

@@ -11,7 +11,7 @@ from collections import Counter
 from itertools import accumulate, product
 
 from higgs_threeterm.chain import extend_chain, tail_slopes, three_term_holds
-from higgs_threeterm.pairing import _certify, verify_certificate
+from higgs_threeterm.pairing import certify, verify_certificate
 
 STEPS = (-2, 2, 4, 6)  # a drop of exactly 2, or an even rise: every step is admissible
 
@@ -58,7 +58,7 @@ def test_the_dual_keeps_every_verdict_and_a_stable_dual_certifies():
         assert walk_flag(other) == walk_flag(roots), roots
         if walk_flag(other):
             stable += 1
-            targets, failures = _certify(other)
+            targets, failures = certify(other)
             assert failures == {}, other
             for r in set(other):
                 assert verify_certificate(other, r, targets) == (True, []), (other, r)
