@@ -30,7 +30,7 @@ def main() -> int:
     args = parser.parse_args()
 
     point = UpperHalfPoint.parse(args.tau)
-    z = np.array([point.tau])  # one point, as an array of one
+    z = np.array([point])  # one point, as an array of one
     steps = [float(s) for s in args.steps.split(",")]
 
     rows = []
@@ -46,7 +46,7 @@ def main() -> int:
             rows.append((h, residual, order))
             previous = (h, residual)
 
-    print(f"tau = {point.tau}")
+    print(f"tau = {point}")
     print(f"{'h':>10}  {'residual':>12}  {'order':>7}")
     for h, residual, order in rows:
         print(f"{h:>10.1e}  {residual:>12.4e}  {order:>7}")

@@ -20,6 +20,10 @@ enumeration, pruned by branch and bound when only stable chains are
 wanted and counted by a dynamic program.  All arithmetic is exact; nothing here touches
 floating point: the stability verdict is decided from integer prefix
 sums, and slopes become Fractions only when a report reads them.
+
+A chain from outside the program is checked once, where it enters, by
+building a RootSequence; that is a root tuple itself, and every function
+here takes a plain root tuple.
 """
 
 from __future__ import annotations
@@ -36,17 +40,19 @@ class MalformedSequenceError(ValueError):
     """Root list is empty or contains a non-even entry."""
 
 
-class RootSequence:
-    """Ordered even twist exponents (r_1, ..., r_n).
+class RootSequence(tuple):
+    """A checked chain: the root tuple (r_1, ..., r_n) of even twist exponents.
 
     Order is significant: it encodes the direction of the Higgs field.
-    Immutable, and compared, hashed and shown by its roots.
+    The checks run once, where it is built; after that it is the plain
+    root tuple, so it goes wherever one goes, and compares, hashes,
+    pickles and copies as one.
     """
 
-    __slots__ = ("roots",)
+    __slots__ = ()
 
-    def __init__(self, roots: tuple[int, ...]) -> None:
-        roots = tuple(roots)
+    def __new__(cls, roots: tuple[int, ...]) -> RootSequence:
+        roots = super().__new__(cls, roots)
         if not roots:
             raise MalformedSequenceError("root sequence must be nonempty")
         for r in roots:  # an int subclass other than bool passes
@@ -54,33 +60,7 @@ class RootSequence:
                 raise MalformedSequenceError(f"roots must be integers, got {r!r}")
             if r % 2 != 0:
                 raise MalformedSequenceError(f"roots must all be even, got {r}")
-        object.__setattr__(self, "roots", roots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return RootSequence, (self.roots,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.roots == other.roots
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.roots,))
-
-    def __repr__(self) -> str:
-        return f"RootSequence(roots={self.roots!r})"
-
-    @property
-    def step_weights(self) -> tuple[int, ...]:
-        """Weights w_j = r_{j+1} + 2 - r_j of the Higgs components, j = 1..n-1."""
-        r = self.roots
-        return tuple(r[j + 1] + 2 - r[j] for j in range(len(r) - 1))
+        return roots
 
 
 class MultiplicityProfile(NamedTuple):
@@ -146,22 +126,26 @@ def weight_has_nonzero_form(k: int) -> bool:
     return k >= 0 and k % 2 == 0 and k != 2
 
 
-def is_admissible(seq: RootSequence) -> tuple[bool, list[int]]:
+def step_weights(roots: tuple[int, ...]) -> tuple[int, ...]:
+    """Weights w_j = r_{j+1} + 2 - r_j of the Higgs components, j = 1..n-1."""
+    return tuple(roots[j + 1] + 2 - roots[j] for j in range(len(roots) - 1))
+
+
+def is_admissible(roots: tuple[int, ...]) -> tuple[bool, list[int]]:
     """Check the three step rules; return (ok, violated 1-based step indices).
 
     Step j fails when no nonzero form of weight w_j exists: the path moves
     horizontally (w_j = 2), drops by more than 2 (w_j < 0), or changes
     parity (w_j odd; impossible for even roots, kept for safety).
     """
-    bad = [j for j, w in enumerate(seq.step_weights, start=1) if not weight_has_nonzero_form(w)]
+    bad = [j for j, w in enumerate(step_weights(roots), start=1) if not weight_has_nonzero_form(w)]
     return (not bad, bad)
 
 
 def tail_slopes(roots: tuple[int, ...]) -> StabilityReport:
     """Tail-slope stability verdict of a root tuple, decided in integers.
 
-    The tuple is read as given (a RootSequence passes its .roots).  With
-    prefix sums P_j, the tail from k = j+1 has slope above (equal to)
+    With prefix sums P_j, the tail from k = j+1 has slope above (equal to)
     the total slope exactly when n*P_j - j*P_n is negative (zero).  A
     strict destabilizer wins over a marginal tie when both occur; the
     reported k is the first offender in k = 2..n.
@@ -182,9 +166,9 @@ def tail_slopes(roots: tuple[int, ...]) -> StabilityReport:
     return StabilityReport(roots, "stable", None)
 
 
-def multiplicities(seq: RootSequence) -> MultiplicityProfile:
+def multiplicities(roots: tuple[int, ...]) -> MultiplicityProfile:
     """Count each twist value among the roots."""
-    return MultiplicityProfile(dict(Counter(seq.roots)))
+    return MultiplicityProfile(dict(Counter(roots)))
 
 
 def three_term_holds(counts: Mapping[int, int]) -> tuple[bool, list[ThreeTermViolation]]:

@@ -98,16 +98,16 @@ def _emit(args, json_obj, csv_header, csv_rows) -> None:
 def _cmd_check(args) -> int:
     from .chain import is_admissible, multiplicities, tail_slopes, three_term_holds
 
-    seq = _parse_roots(args.roots)
-    admissible, _ = is_admissible(seq)
-    stability = tail_slopes(seq.roots)
+    roots = _parse_roots(args.roots)
+    admissible, _ = is_admissible(roots)
+    stability = tail_slopes(roots)
     total_slope = serialize.format_rational(stability.total_slope)
     slopes = [serialize.format_rational(mu) for mu in stability.tail_slopes]
-    counts = multiplicities(seq).counts
+    counts = multiplicities(roots).counts
     profile = {str(r): counts[r] for r in sorted(counts, reverse=True)}  # descending heights
     holds, violations = three_term_holds(counts)
     report = {
-        "roots": list(seq.roots),
+        "roots": list(roots),
         "admissible": admissible,
         "stability": {
             "total_slope": total_slope,
@@ -121,7 +121,7 @@ def _cmd_check(args) -> int:
         },
     }
     row = {
-        "roots": " ".join(map(str, seq.roots)),
+        "roots": " ".join(map(str, roots)),
         "admissible": admissible,
         "total_slope": total_slope,
         "tail_slopes": " ".join(slopes),
@@ -162,12 +162,11 @@ def _cmd_pair(args) -> int:
     from .chain import is_admissible, tail_slopes
     from .pairing import certify, pairs, verify_certificate
 
-    seq = _parse_roots(args.roots)
+    roots = _parse_roots(args.roots)
     if args.height is not None and args.height % 2:  # every root, so every vertex's height, is even
         raise ValueError(f"--height must be even, got {args.height}")
-    roots = seq.roots
     # certify assumes the theorem's hypotheses: a chain that lacks one is refused here
-    admissible, bad = is_admissible(seq)
+    admissible, bad = is_admissible(roots)
     if not admissible:
         raise ValueError(f"chain {roots} is inadmissible at steps {bad}")
     if not (stability := tail_slopes(roots)).is_stable:

@@ -20,6 +20,8 @@ representation-side block written as jump beta and eigenvalue angle u + vi
 
 Angles and eigenvalue components are carried as exact rationals; no
 transcendental function is ever evaluated, so round trips are exact.
+Each rational input (a jump, a base degree, b, a residue entry) must be
+an int or a Fraction: a float or a bool is refused, naming its field.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from fractions import Fraction
 
 class BranchError(ValueError):
     """Inverse translation input is outside the canonical branch window."""
+
+
+def _exact(name: str, value) -> Fraction:
+    """value as a Fraction; only an int (not a bool) or a Fraction is exact."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):  # 0.1 is a binary fraction, not 1/10
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def frac_part(q: Fraction) -> Fraction:
@@ -50,7 +59,7 @@ class FilteredJumpData:
     cusps: tuple[tuple[tuple[Fraction, int], ...], ...]
 
     def __post_init__(self) -> None:
-        cusps = tuple(tuple((Fraction(j), d) for j, d in cusp) for cusp in self.cusps)
+        cusps = tuple(tuple((_exact("jump", j), d) for j, d in cusp) for cusp in self.cusps)
         object.__setattr__(self, "cusps", cusps)
         if not cusps:
             raise ValueError("need at least one cusp")
@@ -95,7 +104,7 @@ class FilteredBundleData:
     jumps: FilteredJumpData
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_degree", Fraction(self.base_degree))
+        object.__setattr__(self, "base_degree", _exact("base_degree", self.base_degree))
         for cusp in self.jumps.cusps:
             for jump, _ in cusp:
                 if not 0 <= jump < 1:
@@ -124,7 +133,7 @@ def _check_character_power(a: int) -> None:
 def rank1_jump(a: int, b: Fraction) -> Fraction:
     """Bundle-side jump in [0, 1) of the filtered character (a, b)."""
     _check_character_power(a)
-    return frac_part(Fraction(b) - Fraction(a, 6))
+    return frac_part(_exact("b", b) - Fraction(a, 6))
 
 
 def rank1_degrees(a: int, b: Fraction) -> tuple[Fraction, Fraction]:
@@ -135,7 +144,7 @@ def rank1_degrees(a: int, b: Fraction) -> tuple[Fraction, Fraction]:
     correspondence preserves degree, exactly visible in rank 1.
     """
     _check_character_power(a)
-    b = Fraction(b)
+    b = _exact("b", b)
     unfiltered = Fraction(a, 6) + math.floor(b - Fraction(a, 6))
     return (unfiltered, b)
 
@@ -156,9 +165,8 @@ class ResidueBlock:
     v: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "v", Fraction(self.v))
+        for field in ("beta", "u", "v"):
+            object.__setattr__(self, field, _exact(field, getattr(self, field)))
         if not 0 <= self.u < 1:
             raise BranchError(f"u must lie in [0, 1), got {self.u}")
 
@@ -172,9 +180,10 @@ class SideResidue:
     eigenvalue: tuple[Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "jump", Fraction(self.jump))
+        object.__setattr__(self, "jump", _exact("jump", self.jump))
         re, im = self.eigenvalue
-        object.__setattr__(self, "eigenvalue", (Fraction(re), Fraction(im)))
+        eigenvalue = (_exact("eigenvalue real part", re), _exact("eigenvalue imaginary part", im))
+        object.__setattr__(self, "eigenvalue", eigenvalue)
 
 
 def rep_to_connection(block: ResidueBlock) -> SideResidue:

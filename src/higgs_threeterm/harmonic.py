@@ -28,13 +28,14 @@ dbar = (d/dx + i d/dy)/2 with second-order central differences.
 Every operator takes a complex array z of points and, if it differences,
 a float step h; matrices come back with shape z.shape + (2, 2) and
 residuals with shape z.shape, so each check runs once over the whole
-sample grid, and one point is an array of one.  A point is checked where
-it is made: `UpperHalfPoint` keeps a given point above the conditioning
-floor, `wirtinger` refuses a step whose lowest difference point z - ih
-leaves the upper half-plane, and `equivariance_residual` keeps each
-Moebius image above the floor; no operator re-checks its input.  Within
-one report the harmonic residual, the costliest operator, is evaluated
-once per distinct step and shared by the checks that read it.
+sample grid, and one point is an array of one.  A point is a complex
+number checked where it is made: an `UpperHalfPoint` is one above the
+conditioning floor, `wirtinger` refuses a step whose lowest difference
+point z - ih leaves the upper half-plane, and `equivariance_residual`
+keeps each Moebius image above the floor; no operator re-checks its
+input.  Within one report the harmonic residual, the costliest
+operator, is evaluated once per distinct step and shared by the checks
+that read it.
 
 The battery `verification_report` runs is the table `_CHECKS`: one row
 per check, in report order, holding the check and its default tolerance.
@@ -45,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -59,24 +59,20 @@ GAMMA_T = ((1, 1), (0, 1))
 MatrixFn = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """A finite point tau = x + iy with y above the conditioning floor MIN_Y."""
+class UpperHalfPoint(complex):
+    """A finite point tau = x + iy with y above the conditioning floor MIN_Y:
+    the complex number itself, checked where it is made."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"need finite x and y, got x = {self.x}, y = {self.y}")
-        if not math.isfinite(self.x * self.x + self.y * self.y):  # the metric's corner entry
-            raise ValueError(f"need finite x*x + y*y, got x = {self.x}, y = {self.y}")
-        if not self.y > MIN_Y:
-            raise ValueError(f"need y > {MIN_Y}, got y = {self.y}")
-
-    @property
-    def tau(self) -> complex:
-        return complex(self.x, self.y)
+    def __new__(cls, x: float, y: float) -> UpperHalfPoint:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"need finite x and y, got x = {x}, y = {y}")
+        if not math.isfinite(x * x + y * y):  # the metric's corner entry
+            raise ValueError(f"need finite x*x + y*y, got x = {x}, y = {y}")
+        if not y > MIN_Y:
+            raise ValueError(f"need y > {MIN_Y}, got y = {y}")
+        return super().__new__(cls, x, y)
 
     @classmethod
     def parse(cls, text: str) -> UpperHalfPoint:
@@ -361,7 +357,10 @@ def verification_report(
     tolerance: float | None = None,
 ) -> dict:
     """Run the full battery (or a single named check) over a sample grid:
-    `grid` if given, else `count` points chosen by `seed`.
+    `grid` if given, else `count` points chosen by `seed`.  Each point of
+    `grid` must be an UpperHalfPoint (TypeError otherwise).  A check whose
+    floats overflow or turn invalid, or whose matrix is singular, is
+    refused by a ValueError naming it, never reported on what is left.
 
     Returns {parameters, checks: [{check_name, max_residual, tolerance,
     pass}], pass}; the order-deviation row reports |empirical order - 2|.
@@ -372,17 +371,22 @@ def verification_report(
     _require_positive("h_nested", h_nested)
     if tolerance is not None:
         _require_positive("tolerance", tolerance)
-    z = sample_grid(count=count, seed=seed) if grid is None else np.array([pt.tau for pt in grid], dtype=complex)
+    if grid is not None and (unchecked := [pt for pt in grid if not isinstance(pt, UpperHalfPoint)]):
+        raise TypeError(f"grid point {unchecked[0]!r} is not an UpperHalfPoint")
+    z = sample_grid(count=count, seed=seed) if grid is None else np.array(grid, dtype=complex)
     if only is not None and only not in _CHECKS:
         raise ValueError(f"unknown check {only!r}; choose from {sorted(_CHECKS)}")
     harmonic_at = functools.cache(lambda step: harmonic_residual(z, step))
     rows = []
     for name in [only] if only else _CHECKS:
         check, default = _CHECKS[name]
-        try:
-            residual = check(z, h, h_nested, harmonic_at)
+        try:  # an overflow would leave zeros or infinities where a residual should be
+            with np.errstate(over="raise", invalid="raise"):
+                residual = check(z, h, h_nested, harmonic_at)
         except np.linalg.LinAlgError:  # singular in floats, as K's entries cancel at tau = 1e8 + 1i
             raise ValueError(f"{name}: a matrix is singular in floating point at the sample points") from None
+        except FloatingPointError as exc:  # as (2y)^2 in theta at tau = 1e154i
+            raise ValueError(f"{name}: {exc} at the sample points") from None
         tol = tolerance if tolerance is not None else default
         rows.append(
             {

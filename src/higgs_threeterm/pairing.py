@@ -144,8 +144,7 @@ def verify_certificate(roots: tuple[int, ...], r: int, targets: tuple) -> tuple[
     vertices' targets are pairwise distinct; each is a real vertex at
     height r-2 or r+2.  The other vertices' targets are not read.  A
     target that is no vertex index is "target range", and one that cannot
-    be hashed is left out of the distinctness test.  The roots are read as
-    given (a RootSequence passes its .roots).
+    be hashed is left out of the distinctness test.
 
     A tuple of length n whose height-r targets are distinct ints (of type
     int itself, so no bool or subclass), each a vertex at r-2 or r+2, is

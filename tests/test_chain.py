@@ -20,6 +20,7 @@ from higgs_threeterm.chain import (
     extend_chain,
     is_admissible,
     multiplicities,
+    step_weights,
     tail_slopes,
     three_term_holds,
     weight_has_nonzero_form,
@@ -47,18 +48,21 @@ class Tagged(int):
 
 def test_root_sequence_is_an_immutable_value():
     seq = RootSequence((0, 2))
-    assert seq == RootSequence(roots=[0, 2])
-    assert seq != RootSequence((0, -2)) and seq != (0, 2)
-    assert hash(seq) == hash(RootSequence((0, 2)))
-    assert repr(seq) == "RootSequence(roots=(0, 2))"
-    assert copy.copy(seq) == seq == pickle.loads(pickle.dumps(seq))
-    with pytest.raises(AttributeError, match="cannot assign to field 'roots'"):
-        seq.roots = (4,)
+    assert type(seq) is RootSequence and isinstance(seq, tuple)
+    assert seq == RootSequence(roots=[0, 2]) == (0, 2) and seq != (0, -2)
+    assert hash(seq) == hash((0, 2)) and {seq: 1}[(0, 2)] == 1
+    assert repr(seq) == "(0, 2)"
+    for back in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+        assert type(back) is RootSequence and back == seq
+    with pytest.raises(TypeError):
+        seq[0] = 4
     with pytest.raises(AttributeError):
         seq.extra = 1
     with pytest.raises(AttributeError):
-        del seq.roots
-    assert seq.roots == (0, 2)
+        seq.roots = (4,)
+    with pytest.raises(AttributeError):
+        seq.roots  # no field to unwrap
+    assert seq == (0, 2)
     # the first bad root is named, its type checked before its parity
     messages = {
         (): "root sequence must be nonempty",
@@ -77,13 +81,13 @@ def test_root_sequence_is_an_immutable_value():
         assert str(info.value) == message
     # an int subclass other than bool is a root, kept as given
     seq = RootSequence((Tagged(0), 2, Tagged(-2)))
-    assert seq == RootSequence((0, 2, -2)) and [type(r) for r in seq.roots] == [Tagged, int, Tagged]
+    assert seq == RootSequence((0, 2, -2)) and [type(r) for r in seq] == [Tagged, int, Tagged]
 
 
 def test_step_weights():
-    assert RootSequence((2, 0, -2)).step_weights == (0, 0)
-    assert RootSequence((0, 4)).step_weights == (6,)
-    assert RootSequence((0, 0)).step_weights == (2,)
+    assert step_weights(RootSequence((2, 0, -2))) == (0, 0)
+    assert step_weights((0, 4)) == (6,)
+    assert step_weights((0, 0)) == (2,)
 
 
 # --- admissibility ------------------------------------------------------------
@@ -108,9 +112,9 @@ def test_is_admissible(roots, ok, bad_steps):
 def test_admissibility_agrees_with_weight_predicate(roots):
     seq = RootSequence(roots)
     ok, bad = is_admissible(seq)
-    weights_ok = all(weight_has_nonzero_form(w) for w in seq.step_weights)
+    weights_ok = all(weight_has_nonzero_form(w) for w in step_weights(seq))
     assert ok == weights_ok
-    for j, w in enumerate(seq.step_weights, start=1):
+    for j, w in enumerate(step_weights(seq), start=1):
         assert (j in bad) == (not weight_has_nonzero_form(w))
 
 
@@ -127,7 +131,7 @@ def test_weight_has_nonzero_form():
 
 
 def test_tail_slopes_stable_example():
-    report = tail_slopes(RootSequence((2, 0, -2)).roots)
+    report = tail_slopes(RootSequence((2, 0, -2)))
     assert report.total_slope == 0
     assert report.tail_slopes == (Fraction(-1), Fraction(-2))
     assert report.verdict == "stable"
@@ -135,7 +139,7 @@ def test_tail_slopes_stable_example():
 
 
 def test_tail_slopes_unstable_example():
-    report = tail_slopes(RootSequence((0, 4)).roots)
+    report = tail_slopes(RootSequence((0, 4)))
     assert report.total_slope == 2
     assert report.tail_slopes == (Fraction(4),)
     assert report.verdict == "strictly-destabilized-at-2"
@@ -143,7 +147,7 @@ def test_tail_slopes_unstable_example():
 
 
 def test_tail_slopes_singleton():
-    report = tail_slopes(RootSequence((6,)).roots)
+    report = tail_slopes(RootSequence((6,)))
     assert report.total_slope == 6
     assert report.tail_slopes == ()
     assert report.is_stable
@@ -152,7 +156,7 @@ def test_tail_slopes_singleton():
 def test_marginal_is_not_stable():
     # (0, -2, -4, -2): every tail is strictly below the total slope -2
     # except the last summand alone, which ties it exactly
-    report = tail_slopes(RootSequence((0, -2, -4, -2)).roots)
+    report = tail_slopes(RootSequence((0, -2, -4, -2)))
     assert report.total_slope == -2
     assert report.tail_slopes == (Fraction(-8, 3), Fraction(-3), Fraction(-2))
     assert report.verdict == "marginal-at-4"
@@ -174,7 +178,7 @@ def reference_stability(roots: tuple[int, ...]) -> tuple:
 
 
 def observed_stability(roots: tuple[int, ...]) -> tuple:
-    report = tail_slopes(RootSequence(roots).roots)
+    report = tail_slopes(RootSequence(roots))
     return (report.kind, report.at_k, report.total_slope, report.tail_slopes)
 
 
@@ -197,7 +201,7 @@ def test_tail_slopes_matches_fraction_reference(roots):
 
 def test_strict_destabilizer_wins_over_marginal():
     # (0, 0, 4): k=2 tail slope 2 > 4/3 total; k=3 tail slope 4 > total too
-    report = tail_slopes(RootSequence((0, 0, 4)).roots)
+    report = tail_slopes(RootSequence((0, 0, 4)))
     assert report.kind == "strictly-destabilized"
     assert report.at_k == 2
 
@@ -240,7 +244,7 @@ def test_shift_invariance(roots, shift):
 
     assert is_admissible(seq) == is_admissible(moved)
 
-    rep_a, rep_b = tail_slopes(seq.roots), tail_slopes(moved.roots)
+    rep_a, rep_b = tail_slopes(seq), tail_slopes(moved)
     assert rep_a.kind == rep_b.kind
     assert rep_a.at_k == rep_b.at_k
     assert rep_b.total_slope == rep_a.total_slope + shift
@@ -331,7 +335,7 @@ def box_prefixes(max_rise: int, bound: int) -> list[tuple[int, ...]]:
 
 
 def is_stable(roots: tuple[int, ...]) -> bool:
-    return tail_slopes(RootSequence(roots).roots).is_stable
+    return tail_slopes(RootSequence(roots)).is_stable
 
 
 @CUT_BOXES

@@ -683,6 +683,24 @@ def test_verify_metric_refuses_a_point_where_a_matrix_is_singular(capsys, check)
     assert err.splitlines()[-1] == f"error: {check}: a matrix is singular in floating point at the sample points"
 
 
+@pytest.mark.parametrize(
+    "tau, check, message",
+    [
+        ("0+1e154i", "theta_nilpotent", "overflow encountered in square"),
+        ("0+1e154i", "scaling_conjugation", "overflow encountered in square"),
+        ("0+1e154i", "higgs_form_closedness", "overflow encountered in square"),
+        ("1e153+1i", "higgs_form_closedness", "overflow encountered in matmul"),
+        ("1e153+1i", "theta_nilpotent", "overflow encountered in matmul"),
+    ],
+)
+def test_verify_metric_refuses_a_point_where_the_floats_overflow(capsys, tau, check, message):
+    # unchecked, (2y)^2 overflowing left theta = 0, so the first two passed with
+    # residual 0.0; the others reported residuals of 1.25e154 or 2.5e144, or an inf
+    # that only the JSON writer refused
+    code, out, err = run_cli(capsys, "verify-metric", "--tau", tau, "--check", check)
+    assert (code, out, err) == (2, "", f"error: {check}: {message} at the sample points\n")
+
+
 def test_metric_shape_inverts_nothing_so_a_singular_point_fails_it(capsys):
     code, out, _ = run_cli(capsys, "verify-metric", "--tau", "1e8+1i", "--check", "metric_shape")
     assert code == 1
@@ -927,6 +945,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     after_rank1, after_verify_metric = loaded_after_each(rank1, ["verify-metric", "--grid", "2"])
     assert "higgs_threeterm.filtered" in after_rank1 and "numpy" in after_verify_metric
     assert not (after_rank1 | after_verify_metric) & set(SWEEP_MODULES)
+    # alone it loads numpy and nothing else on demand: a point is a complex number, not a dataclass
+    assert loaded_after_each(["verify-metric", "--grid", "2"]) == [{"numpy"}]
 
 
 def test_emit_writes_nothing_when_a_later_entry_cannot_be_json(capsys, tmp_path):

@@ -223,3 +223,32 @@ def test_branch_errors():
         higgs_to_rep(SideResidue(F(1, 2), (F(0), F(0))))  # -jump < 0
     with pytest.raises(BranchError):
         higgs_to_rep(SideResidue(F(-1), (F(0), F(0))))  # -jump >= 1
+
+
+# --- exact input ------------------------------------------------------------------
+
+# each entry point of the exact calculus: (the field its refusal names, a call
+# with the value in that field)
+EXACT_INPUTS = {
+    "jump-data": ("jump", lambda x: one_cusp((x, 1))),
+    "bundle-base-degree": ("base_degree", lambda x: FilteredBundleData(x, 1, one_cusp((F(0), 1)))),
+    "rank1-jump": ("b", lambda x: rank1_jump(1, x)),
+    "rank1-degrees": ("b", lambda x: rank1_degrees(1, x)),
+    "block-beta": ("beta", lambda x: ResidueBlock(x, F(0), F(0))),
+    "block-u": ("u", lambda x: ResidueBlock(F(0), x, F(0))),
+    "block-v": ("v", lambda x: ResidueBlock(F(0), F(0), x)),
+    "side-jump": ("jump", lambda x: SideResidue(x, (F(0), F(0)))),
+    "side-re": ("eigenvalue real part", lambda x: SideResidue(F(0), (x, F(0)))),
+    "side-im": ("eigenvalue imaginary part", lambda x: SideResidue(F(0), (F(0), x))),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, True])
+@pytest.mark.parametrize("entry", list(EXACT_INPUTS))
+def test_exact_calculus_takes_only_an_int_or_a_fraction(entry, value):
+    # a float entered as its binary fraction (0.1 as 3602879701896397/36028797018963968)
+    # and a bool as 0 or 1; each is refused by type, before any range check
+    field, build = EXACT_INPUTS[entry]
+    build(0), build(F(1, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an int or a Fraction, got {value!r}')}$"):
+        build(value)

@@ -1,6 +1,7 @@
 """Numeric checks of the explicit equivariant metric and its operators."""
 
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -73,12 +74,34 @@ def test_metric_rejects_lower_half_plane():
 
 
 def test_point_parsing():
-    assert UpperHalfPoint.parse("0.3+1.2i").tau == complex(0.3, 1.2)
-    assert UpperHalfPoint.parse("i").tau == 1j
-    assert UpperHalfPoint.parse("2i").tau == 2j
-    assert UpperHalfPoint.parse("-0.5+2.5i").tau == complex(-0.5, 2.5)
+    assert UpperHalfPoint.parse("0.3+1.2i") == complex(0.3, 1.2)
+    assert UpperHalfPoint.parse("i") == 1j
+    assert UpperHalfPoint.parse("2i") == 2j
+    assert UpperHalfPoint.parse("-0.5+2.5i") == complex(-0.5, 2.5)
     with pytest.raises(ValueError):
         UpperHalfPoint.parse("1-2i")
+
+
+def test_upper_half_point_is_its_complex_number():
+    pt = UpperHalfPoint(0.3, 1.2)
+    assert type(pt) is UpperHalfPoint and isinstance(pt, complex)
+    assert pt == complex(0.3, 1.2) and hash(pt) == hash(complex(0.3, 1.2))
+    assert (pt.real, pt.imag) == (0.3, 1.2) and str(pt) == str(complex(0.3, 1.2))
+    back = pickle.loads(pickle.dumps(pt))
+    assert type(back) is UpperHalfPoint and back == pt
+    with pytest.raises(AttributeError):
+        pt.tau  # no field to unwrap
+    with pytest.raises(AttributeError):
+        pt.x = 1.0
+
+
+def test_report_takes_only_checked_points():
+    # a plain complex has skipped UpperHalfPoint's checks, so the report refuses it
+    good = UpperHalfPoint(0.3, 1.2)
+    assert verification_report(grid=[good], only="metric_shape")["pass"]
+    for pt in (complex(0.3, 1.2), 0.3 + 0.05j, (0.3, 1.2)):
+        with pytest.raises(TypeError, match=r" is not an UpperHalfPoint$"):
+            verification_report(grid=[good, pt], only="metric_shape")
 
 
 # --- equivariance ------------------------------------------------------------------
@@ -250,7 +273,7 @@ def test_harmonic_residual_equals_the_composed_operators_bit_for_bit(count, seed
 
 
 def test_harmonic_residual_at_one_point_equals_the_composed_operators():
-    z = one(UpperHalfPoint(0.3, 1.2).tau)
+    z = one(UpperHalfPoint(0.3, 1.2))
     residual = harmonic_residual(z, 1e-3)
     assert residual.shape == (1,)
     assert residual.tobytes() == composed_harmonic_residual(z, 1e-3).tobytes()
@@ -516,7 +539,7 @@ def test_low_image_error_names_the_first_point_then_the_first_gamma():
         messages = []
         for pt, gamma in pairs:
             try:
-                equivariance_residual(one(pt.tau), gamma)
+                equivariance_residual(one(pt), gamma)
             except ValueError as exc:
                 messages.append(str(exc))
         return messages

@@ -166,23 +166,22 @@ def test_verify_rejects_out_of_range_target():
 def test_every_stable_chain_certifies_every_height():
     for seq in small_stable_chains():
         profile = multiplicities(seq)
-        targets = certified(seq.roots)
+        targets = certified(seq)
         for r in profile.counts:
-            ok, reasons = verify_certificate(seq.roots, r, targets)
-            assert ok, (seq.roots, r, reasons)
-            assert len(pairs(seq.roots, r, targets)) == profile[r], (seq.roots, r)
+            ok, reasons = verify_certificate(seq, r, targets)
+            assert ok, (seq, r, reasons)
+            assert len(pairs(seq, r, targets)) == profile[r], (seq, r)
 
 
 def test_certificates_and_counting_agree():
     for seq in small_stable_chains():
         holds, _ = three_term_holds(multiplicities(seq).counts)
-        _, failures = certify(seq.roots)
+        _, failures = certify(seq)
         assert (not failures) == holds == True  # noqa: E712  (both routes, explicitly)
 
 
 def test_targets_stay_in_their_region():
-    for seq in small_stable_chains():
-        roots = seq.roots
+    for roots in small_stable_chains():
         targets = certified(roots)
         for r in sorted(set(roots)):
             sources = [j for j in range(1, len(roots) + 1) if roots[j - 1] == r]

@@ -80,7 +80,7 @@ def count_calls(monkeypatch) -> dict:
     count every RootSequence built anywhere; the sweep must not call
     tail_slopes."""
     calls = {"yields": [], "RootSequence": 0}
-    original_walk, original_init = sweep.extend_chain, RootSequence.__init__
+    original_walk, original_new = sweep.extend_chain, RootSequence.__new__
 
     def refused(roots):
         raise AssertionError("the walk decides stability; the sweep calls no tail_slopes")
@@ -90,14 +90,22 @@ def count_calls(monkeypatch) -> dict:
             calls["yields"].append(leaf)
             yield leaf
 
-    def counted_init(seq, roots):
+    def counted_new(cls, roots):
         calls["RootSequence"] += 1
-        original_init(seq, roots)
+        return original_new(cls, roots)
 
     monkeypatch.setattr(sweep, "extend_chain", counted_walk)
     monkeypatch.setattr(sweep, "tail_slopes", refused)
-    monkeypatch.setattr(RootSequence, "__init__", counted_init)
+    monkeypatch.setattr(RootSequence, "__new__", staticmethod(counted_new))
     return calls
+
+
+def test_the_counter_counts_each_root_sequence_built(monkeypatch, capsys):
+    # without this, the == 0 counts below would pass on a counter that counts nothing
+    calls = count_calls(monkeypatch)
+    assert cli.main(["check", "--roots", "0,-2"]) == 0
+    assert calls["RootSequence"] == 1
+    assert json.loads(capsys.readouterr().out)["roots"] == [0, -2]
 
 
 def test_theorem_walk_yields_only_the_stable_chains(monkeypatch):
@@ -158,7 +166,7 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
     stable, records = 0, []
     for roots, _, _ in extend_chain((0, first_step), n, enumeration_steps(max_rise, bound), bound):
         seq = RootSequence(roots)
-        if tail_slopes(seq.roots).is_stable:
+        if tail_slopes(seq).is_stable:
             stable += 1
             continue
         _, found = three_term_holds(multiplicities(seq).counts)
