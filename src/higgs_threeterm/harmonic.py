@@ -385,8 +385,8 @@ def verification_report(
                 residual = check(z, h, h_nested, harmonic_at)
         except np.linalg.LinAlgError:  # singular in floats, as K's entries cancel at tau = 1e8 + 1i
             raise ValueError(f"{name}: a matrix is singular in floating point at the sample points") from None
-        except FloatingPointError as exc:  # as (2y)^2 in theta at tau = 1e154i
-            raise ValueError(f"{name}: {exc} at the sample points") from None
+        except FloatingPointError:  # as (2y)^2 in theta at tau = 1e154i
+            raise ValueError(f"{name}: the arithmetic overflows or turns invalid in floating point at the sample points") from None
         tol = tolerance if tolerance is not None else default
         rows.append(
             {

@@ -264,7 +264,9 @@ def test_shift_invariance(roots, shift):
 
 
 def test_enumerate_smallest_stable_family():
-    assert list(enumerate_chains(2, 2, 4, 4)) == [(0, -2)]  # root tuples, not RootSequences
+    chains = list(enumerate_chains(2, 2, 4, 4))
+    # root tuples, not RootSequences: a RootSequence equals its tuple, so check the type
+    assert chains == [(0, -2)] and [type(c) for c in chains] == [tuple]
 
 
 def test_enumerate_contains_normalized_stable_example():

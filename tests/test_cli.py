@@ -684,21 +684,22 @@ def test_verify_metric_refuses_a_point_where_a_matrix_is_singular(capsys, check)
 
 
 @pytest.mark.parametrize(
-    "tau, check, message",
+    "tau, check",
     [
-        ("0+1e154i", "theta_nilpotent", "overflow encountered in square"),
-        ("0+1e154i", "scaling_conjugation", "overflow encountered in square"),
-        ("0+1e154i", "higgs_form_closedness", "overflow encountered in square"),
-        ("1e153+1i", "higgs_form_closedness", "overflow encountered in matmul"),
-        ("1e153+1i", "theta_nilpotent", "overflow encountered in matmul"),
+        ("0+1e154i", "theta_nilpotent"),
+        ("0+1e154i", "scaling_conjugation"),
+        ("0+1e154i", "higgs_form_closedness"),
+        ("1e153+1i", "higgs_form_closedness"),
+        ("1e153+1i", "theta_nilpotent"),
     ],
 )
-def test_verify_metric_refuses_a_point_where_the_floats_overflow(capsys, tau, check, message):
+def test_verify_metric_refuses_a_point_where_the_floats_overflow(capsys, tau, check):
     # unchecked, (2y)^2 overflowing left theta = 0, so the first two passed with
     # residual 0.0; the others reported residuals of 1.25e154 or 2.5e144, or an inf
-    # that only the JSON writer refused
+    # that only the JSON writer refused; the text is the package's, not numpy's
     code, out, err = run_cli(capsys, "verify-metric", "--tau", tau, "--check", check)
-    assert (code, out, err) == (2, "", f"error: {check}: {message} at the sample points\n")
+    message = "the arithmetic overflows or turns invalid in floating point at the sample points"
+    assert (code, out, err) == (2, "", f"error: {check}: {message}\n")
 
 
 def test_metric_shape_inverts_nothing_so_a_singular_point_fails_it(capsys):
