@@ -64,15 +64,10 @@ class RootSequence(tuple):
 
 
 class MultiplicityProfile(NamedTuple):
-    """Multiplicities m_r of each twist r among the roots; absent keys read 0.
-
-    Indexing reads a multiplicity, profile[r] = m_r, not a tuple field.
-    """
+    """Multiplicities m_r of each twist r among the roots, as {r: m_r};
+    absent keys read 0."""
 
     counts: dict[int, int]
-
-    def __getitem__(self, r: int) -> int:
-        return self.counts.get(r, 0)
 
 
 class ThreeTermViolation(NamedTuple):
@@ -200,8 +195,12 @@ MAX_LENGTH = 500
 
 
 def check_box(n_min: int, n_max: int, max_rise: int, root_bound: int) -> None:
-    """Raise ValueError unless 2 <= n_min <= n_max <= MAX_LENGTH, max_rise
-    is even and >= 2, and root_bound >= 0."""
+    """Raise ValueError unless each bound is an int (not a bool), 2 <= n_min
+    <= n_max <= MAX_LENGTH, max_rise is even and >= 2, and root_bound >= 0.
+    The types are checked first, so a float or a bool is named as such."""
+    for name, value in zip(("n_min", "n_max", "max_rise", "root_bound"), (n_min, n_max, max_rise, root_bound)):
+        if not isinstance(value, int) or isinstance(value, bool):  # True would read as 1, and 2.5 pass a range check
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if n_max > MAX_LENGTH:

@@ -214,7 +214,7 @@ def _cmd_translate(args) -> int:
         to_rep = filtered.connection_to_rep if side == "connection" else filtered.higgs_to_rep
         block = to_rep(filtered.SideResidue(first, (second, third)))
 
-    representation = {field: serialize.format_rational(value) for field, value in vars(block).items()}  # beta, u, v
+    representation = {field: serialize.format_rational(value) for field, value in block._asdict().items()}  # beta, u, v
     report = {"representation": representation}
     row = dict(representation)
     for side, to_side in (("connection", filtered.rep_to_connection), ("higgs", filtered.rep_to_higgs)):

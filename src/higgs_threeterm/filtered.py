@@ -22,13 +22,18 @@ Angles and eigenvalue components are carried as exact rationals; no
 transcendental function is ever evaluated, so round trips are exact.
 Each rational input (a jump, a base degree, b, a residue entry) must be
 an int or a Fraction: a float or a bool is refused, naming its field.
+
+Each record here is a named tuple, checked where it is built: by its
+constructor, and so by _make and _replace, which go through it.  After
+that it is a plain tuple of its exact fields, and compares, hashes,
+pickles and copies as one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class BranchError(ValueError):
@@ -47,8 +52,7 @@ def frac_part(q: Fraction) -> Fraction:
     return q - math.floor(q)
 
 
-@dataclass(frozen=True)
-class FilteredJumpData:
+class FilteredJumpData(NamedTuple("FilteredJumpData", [("cusps", tuple[tuple[tuple[Fraction, int], ...], ...])])):
     """A filtered representation's per-cusp jump profile: (jump value,
     graded dimension) pairs, the jumps arbitrary rationals.
 
@@ -56,11 +60,10 @@ class FilteredJumpData:
     slope that degree over the dimension.
     """
 
-    cusps: tuple[tuple[tuple[Fraction, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cusps = tuple(tuple((_exact("jump", j), d) for j, d in cusp) for cusp in self.cusps)
-        object.__setattr__(self, "cusps", cusps)
+    def __new__(cls, cusps: tuple[tuple[tuple[Fraction, int], ...], ...]) -> FilteredJumpData:
+        cusps = tuple(tuple((_exact("jump", j), d) for j, d in cusp) for cusp in cusps)
         if not cusps:
             raise ValueError("need at least one cusp")
         for cusp in cusps:
@@ -74,6 +77,9 @@ class FilteredJumpData:
         dims = {sum(d for _, d in cusp) for cusp in cusps}
         if len(dims) != 1:
             raise ValueError(f"cusps disagree on total dimension: {sorted(dims)}")
+        return super().__new__(cls, cusps)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else _make and _replace skip the checks
 
     @property
     def dimension(self) -> int:
@@ -88,8 +94,7 @@ class FilteredJumpData:
         return self.degree / self.dimension
 
 
-@dataclass(frozen=True)
-class FilteredBundleData:
+class FilteredBundleData(NamedTuple("FilteredBundleData", [("base_degree", Fraction), ("rank", int), ("jumps", FilteredJumpData)])):
     """A filtered bundle: degree of the zeroth extension, rank, and the jump
     profile of its parabolic weights, each of which lies in [0, 1).
 
@@ -99,22 +104,23 @@ class FilteredBundleData:
     bundles is imposed here).
     """
 
-    base_degree: Fraction
-    rank: int
-    jumps: FilteredJumpData
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base_degree", _exact("base_degree", self.base_degree))
-        for cusp in self.jumps.cusps:
+    def __new__(cls, base_degree: Fraction, rank: int, jumps: FilteredJumpData) -> FilteredBundleData:
+        base_degree = _exact("base_degree", base_degree)
+        for cusp in jumps.cusps:
             for jump, _ in cusp:
                 if not 0 <= jump < 1:
                     raise ValueError(f"bundle-side jump {jump} outside [0, 1)")
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):  # exact: a float rank would make the slope a float
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.jumps.dimension != self.rank:
-            raise ValueError(f"jump dimensions sum to {self.jumps.dimension}, rank is {self.rank}")
+        if not isinstance(rank, int) or isinstance(rank, bool):  # exact: a float rank would make the slope a float
+            raise ValueError(f"rank must be an integer, got {rank!r}")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if jumps.dimension != rank:
+            raise ValueError(f"jump dimensions sum to {jumps.dimension}, rank is {rank}")
+        return super().__new__(cls, base_degree, rank, jumps)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def degree(self) -> Fraction:
@@ -126,6 +132,8 @@ class FilteredBundleData:
 
 
 def _check_character_power(a: int) -> None:
+    if not isinstance(a, int) or isinstance(a, bool):  # True would read as 1, and 2.0 fail in Fraction(a, 6)
+        raise ValueError(f"character power must be an integer, got {a!r}")
     if not 0 <= a <= 5:
         raise ValueError(f"character power must be in 0..5, got {a}")
 
@@ -145,8 +153,7 @@ def rank1_degrees(a: int, b: Fraction) -> tuple[Fraction, Fraction]:
     """
     _check_character_power(a)
     b = _exact("b", b)
-    unfiltered = Fraction(a, 6) + math.floor(b - Fraction(a, 6))
-    return (unfiltered, b)
+    return (Fraction(a, 6) + math.floor(b - Fraction(a, 6)), b)
 
 
 def rank1_residue_angle(a: int) -> Fraction:
@@ -155,35 +162,32 @@ def rank1_residue_angle(a: int) -> Fraction:
     return Fraction(a, 6)
 
 
-@dataclass(frozen=True)
-class ResidueBlock:
+class ResidueBlock(NamedTuple("ResidueBlock", [("beta", Fraction), ("u", Fraction), ("v", Fraction)])):
     """One Jordan block on the representation side: jump beta, eigenvalue
     angle u + vi with u in [0, 1)."""
 
-    beta: Fraction
-    u: Fraction
-    v: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in ("beta", "u", "v"):
-            object.__setattr__(self, field, _exact(field, getattr(self, field)))
-        if not 0 <= self.u < 1:
-            raise BranchError(f"u must lie in [0, 1), got {self.u}")
+    def __new__(cls, beta: Fraction, u: Fraction, v: Fraction) -> ResidueBlock:
+        beta, u, v = _exact("beta", beta), _exact("u", u), _exact("v", v)
+        if not 0 <= u < 1:
+            raise BranchError(f"u must lie in [0, 1), got {u}")
+        return super().__new__(cls, beta, u, v)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SideResidue:
+class SideResidue(NamedTuple("SideResidue", [("jump", Fraction), ("eigenvalue", tuple[Fraction, Fraction])])):
     """Residue data on the connection or Higgs side: a jump and an exact
     complex eigenvalue (re, im)."""
 
-    jump: Fraction
-    eigenvalue: tuple[Fraction, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jump", _exact("jump", self.jump))
-        re, im = self.eigenvalue
-        eigenvalue = (_exact("eigenvalue real part", re), _exact("eigenvalue imaginary part", im))
-        object.__setattr__(self, "eigenvalue", eigenvalue)
+    def __new__(cls, jump: Fraction, eigenvalue: tuple[Fraction, Fraction]) -> SideResidue:
+        jump, (re, im) = _exact("jump", jump), eigenvalue
+        return super().__new__(cls, jump, (_exact("eigenvalue real part", re), _exact("eigenvalue imaginary part", im)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def rep_to_connection(block: ResidueBlock) -> SideResidue:

@@ -358,9 +358,10 @@ def verification_report(
 ) -> dict:
     """Run the full battery (or a single named check) over a sample grid:
     `grid` if given, else `count` points chosen by `seed`.  Each point of
-    `grid` must be an UpperHalfPoint (TypeError otherwise).  A check whose
-    floats overflow or turn invalid, or whose matrix is singular, is
-    refused by a ValueError naming it, never reported on what is left.
+    `grid` must be an UpperHalfPoint (TypeError otherwise), and an empty
+    `grid` is refused (ValueError).  A check whose floats overflow or turn
+    invalid, or whose matrix is singular, is refused by a ValueError naming
+    it, never reported on what is left.
 
     Returns {parameters, checks: [{check_name, max_residual, tolerance,
     pass}], pass}; the order-deviation row reports |empirical order - 2|.
@@ -371,6 +372,8 @@ def verification_report(
     _require_positive("h_nested", h_nested)
     if tolerance is not None:
         _require_positive("tolerance", tolerance)
+    if grid is not None and len(grid) == 0:  # no point to take a maximum or a median over
+        raise ValueError("grid must hold at least one point")
     if grid is not None and (unchecked := [pt for pt in grid if not isinstance(pt, UpperHalfPoint)]):
         raise TypeError(f"grid point {unchecked[0]!r} is not an UpperHalfPoint")
     z = sample_grid(count=count, seed=seed) if grid is None else np.array(grid, dtype=complex)

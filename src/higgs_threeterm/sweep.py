@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from typing import NamedTuple
 
 from . import serialize
 from .chain import (
@@ -67,22 +68,19 @@ MODE_THEOREM = "theorem"
 MODE_NECESSITY = "necessity"
 
 
-class SweepParams:
-    """A sweep's box and mode, checked when built; immutable."""
+class SweepParams(NamedTuple("SweepParams", [("n_min", int), ("n_max", int), ("max_rise", int), ("root_bound", int), ("mode", str)])):
+    """A sweep's box and mode, checked when built (by _make and _replace
+    too, which go through the constructor); a named tuple."""
 
-    __slots__ = ("n_min", "n_max", "max_rise", "root_bound", "mode")
+    __slots__ = ()
 
-    def __init__(
-        self, n_min: int, n_max: int, max_rise: int, root_bound: int, mode: str = MODE_THEOREM
-    ) -> None:
+    def __new__(cls, n_min: int, n_max: int, max_rise: int, root_bound: int, mode: str = MODE_THEOREM) -> SweepParams:
         if mode not in (MODE_THEOREM, MODE_NECESSITY):
             raise ValueError(f"unknown sweep mode {mode!r}")
         check_box(n_min, n_max, max_rise, root_bound)
-        for name, value in zip(self.__slots__, (n_min, n_max, max_rise, root_bound, mode)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, n_min, n_max, max_rise, root_bound, mode)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _check_stable_chain(roots: tuple[int, ...], counts: dict[int, int]) -> tuple[list[tuple[str, dict]], int]:
@@ -269,7 +267,7 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     }
     totals["certificates"] = certificates
     report = {
-        "parameters": {name: getattr(params, name) for name in SweepParams.__slots__},
+        "parameters": params._asdict(),
         "totals": totals,
         "per_n": per_n,
     }

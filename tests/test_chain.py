@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -219,7 +220,7 @@ def test_multiplicities_examples():
 def test_multiplicities_total(roots):
     profile = multiplicities(RootSequence(roots))
     assert sum(profile.counts.values()) == len(roots)
-    assert all(profile[r] > 0 for r in profile.counts)
+    assert all(profile.counts.get(r, 0) > 0 for r in profile.counts)
 
 
 def test_three_term_examples():
@@ -280,6 +281,28 @@ def test_the_walk_reaches_the_longest_box_a_check_allows():
     check_box(2, MAX_LENGTH, 2, 2)
     with pytest.raises(ValueError, match=rf"^n_max must be <= {MAX_LENGTH}, got {MAX_LENGTH + 1}$"):
         check_box(2, MAX_LENGTH + 1, 2, 2)
+
+
+NOT_INT_BOUNDS = [True, False, 2.0, 2.5, Fraction(2)]
+
+
+@pytest.mark.parametrize("value", NOT_INT_BOUNDS)
+@pytest.mark.parametrize("field", range(4))
+def test_box_bounds_must_be_ints(field, value):
+    # a bool reads as 0 or 1 and a float passes the range checks, so each is refused
+    # by type, naming its bound, before any range check
+    box = [2, 3, 2, 2]
+    box[field] = value
+    name = ("n_min", "n_max", "max_rise", "root_bound")[field]
+    for call in (check_box, enumerate_chains):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            call(*box)
+
+
+def test_enumerate_refuses_a_float_bound():
+    # it used to yield [(0, -2)]
+    with pytest.raises(ValueError, match=r"^root_bound must be an integer, got 2\.5$"):
+        enumerate_chains(2, 3, 2, 2.5)
 
 
 def test_enumerate_zero_bound_is_empty():

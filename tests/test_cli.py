@@ -910,7 +910,7 @@ def test_numpy_is_loaded_only_for_verify_metric():
 
 ON_DEMAND_MODULES = (
     "concurrent.futures", "csv", "dataclasses", "decimal", "fractions", "higgs_threeterm.filtered",
-    "multiprocessing", "numpy",
+    "inspect", "multiprocessing", "numpy",
 )
 SWEEP_MODULES = ("higgs_threeterm.chain", "higgs_threeterm.pairing", "higgs_threeterm.sweep")
 # runs the commands of argv[1] in turn in one process; after each, prints which of argv[2] are loaded
@@ -946,8 +946,14 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     after_rank1, after_verify_metric = loaded_after_each(rank1, ["verify-metric", "--grid", "2"])
     assert "higgs_threeterm.filtered" in after_rank1 and "numpy" in after_verify_metric
     assert not (after_rank1 | after_verify_metric) & set(SWEEP_MODULES)
-    # alone it loads numpy and nothing else on demand: a point is a complex number, not a dataclass
-    assert loaded_after_each(["verify-metric", "--grid", "2"]) == [{"numpy"}]
+    # alone it loads numpy, which loads inspect itself, and nothing else on demand
+    assert loaded_after_each(["verify-metric", "--grid", "2"]) == [{"numpy", "inspect"}]
+
+    # the exact calculus loads neither dataclasses nor the inspect that dataclasses would bring
+    translate = ["translate", "--from", "higgs", "--jump=-1/3", "--re=-1/4", "--im=-1/2"]
+    filtered_degree = ["filtered-degree", "--side", "bundle", "--jumps", "1/2:2", "--rank", "2", "--base-degree", "0"]
+    for after in loaded_after_each(rank1, translate, filtered_degree):
+        assert "higgs_threeterm.filtered" in after and not after & {"dataclasses", "inspect"}
 
 
 def test_emit_writes_nothing_when_a_later_entry_cannot_be_json(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Filtered degrees, the rank-1 character example, residue translation."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -145,6 +147,14 @@ def test_rank1_rejects_bad_power():
             rank1_residue_angle(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, F(2)])
+def test_rank1_refuses_a_power_that_is_not_an_int(bad):
+    # True read as 1 (a jump of 5/6), and 2.0 failed inside Fraction with a TypeError
+    for call in (lambda a: rank1_jump(a, 1), lambda a: rank1_degrees(a, 1), rank1_residue_angle):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'character power must be an integer, got {bad!r}')}$"):
+            call(bad)
+
+
 @given(st.integers(0, 5), rationals)
 def test_rank1_degree_identity(a, b):
     unfiltered, filtered = rank1_degrees(a, b)
@@ -252,3 +262,48 @@ def test_exact_calculus_takes_only_an_int_or_a_fraction(entry, value):
     build(0), build(F(1, 2))
     with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be an int or a Fraction, got {value!r}')}$"):
         build(value)
+
+
+# --- the records are checked named tuples ------------------------------------------
+
+# each record, built well, with a field it refuses: (name, value, its error, its message)
+RECORDS = {
+    "jump-data": (one_cusp((F(1, 2), 2)), "cusps", ((),), ValueError, "need at least one jump at every cusp"),
+    "bundle": (
+        FilteredBundleData(F(1), 2, one_cusp((F(1, 2), 2))), "rank", 3, ValueError, "jump dimensions sum to 2, rank is 3"
+    ),
+    "block": (ResidueBlock(F(1, 2), F(1, 3), F(1)), "u", 5, BranchError, "u must lie in [0, 1), got 5"),
+    "side": (SideResidue(F(1, 6), (F(-1, 6), F(0))), "jump", 0.5, ValueError, "jump must be an int or a Fraction, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("entry", list(RECORDS))
+def test_a_record_is_a_tuple_that_copies_and_pickles_as_itself(entry):
+    record = RECORDS[entry][0]
+    assert isinstance(record, tuple) and record == tuple(record) and hash(record) == hash(tuple(record))
+    for back in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(back) is type(record) and back == record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], F(0))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("entry", list(RECORDS))
+def test_replace_and_make_run_the_records_checks(entry):
+    # a named tuple's own _make is tuple.__new__, which would build the record unchecked
+    record, field, bad, error, message = RECORDS[entry]
+    assert record._replace() == record and type(record._make(record)) is type(record)
+    fields = [bad if name == field else value for name, value in record._asdict().items()]
+    for build in (lambda: record._replace(**{field: bad}), lambda: type(record)._make(fields), lambda: type(record)(*fields)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_a_record_stores_its_rationals_as_fractions():
+    block = ResidueBlock(1, 0, 2)
+    assert block._asdict() == {"beta": F(1), "u": F(0), "v": F(2)} and all(type(x) is F for x in block)
+    side = SideResidue(1, (2, 3))
+    assert type(side.jump) is F and all(type(x) is F for x in side.eigenvalue)
+    bundle = FilteredBundleData(1, 1, FilteredJumpData((((0, 1),),)))
+    assert type(bundle.base_degree) is F and type(bundle.jumps.cusps[0][0][0]) is F

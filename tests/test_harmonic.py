@@ -104,6 +104,13 @@ def test_report_takes_only_checked_points():
             verification_report(grid=[good, pt], only="metric_shape")
 
 
+@pytest.mark.parametrize("only", [None, "harmonic_convergence_order_deviation"])
+def test_report_refuses_an_empty_grid(only):
+    # no point to take a maximum or a median over: one ValueError, not numpy's or an IndexError
+    with pytest.raises(ValueError, match=r"^grid must hold at least one point$"):
+        verification_report(grid=[], only=only)
+
+
 # --- equivariance ------------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
 """Sweep harness: counts, violations, worker determinism."""
 
+import copy
 import hashlib
 import itertools
 import json
 import os
+import pickle
+import re
 import time
 
 import pytest
@@ -506,9 +509,43 @@ def test_parameter_validation():
 
 def test_params_are_immutable():
     params = SweepParams(2, 3, 4, 4)
-    with pytest.raises(AttributeError, match=r"^cannot assign to field 'n_max'$"):
+    with pytest.raises(AttributeError):  # the text is CPython's
         params.n_max = 9
+    with pytest.raises(AttributeError):
+        params.extra = 1
     assert params.n_max == 3
+    assert params == (2, 3, 4, 4, "theorem") and hash(params) == hash((2, 3, 4, 4, "theorem"))
+    assert params._asdict() == run_sweep(params)["parameters"]
+    for back in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert type(back) is SweepParams and back == params
+
+
+@pytest.mark.parametrize(
+    ("field", "bad", "message"),
+    [
+        ("root_bound", True, "root_bound must be an integer, got True"),
+        ("n_max", 3.0, "n_max must be an integer, got 3.0"),
+        ("root_bound", -2, "root_bound must be >= 0, got -2"),
+        ("mode", "nonsense", "unknown sweep mode 'nonsense'"),
+    ],
+)
+def test_replace_and_make_run_the_params_checks(field, bad, message):
+    # a named tuple's own _make is tuple.__new__, which would build the params unchecked
+    params = SweepParams(2, 3, 4, 4)
+    assert params._replace() == params and type(SweepParams._make(params)) is SweepParams
+    fields = [bad if name == field else value for name, value in params._asdict().items()]
+    for build in (lambda: params._replace(**{field: bad}), lambda: SweepParams._make(fields), lambda: SweepParams(*fields)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_params_refuse_a_bool_or_a_float_bound():
+    # True was written as "root_bound": true, which the schema refuses, and 3.0
+    # raised a TypeError from range() only once the report was written
+    with pytest.raises(ValueError, match=r"^root_bound must be an integer, got True$"):
+        run_sweep(SweepParams(2, 3, 2, True))
+    with pytest.raises(ValueError, match=r"^n_max must be an integer, got 3\.0$"):
+        sweep.written_report(SweepParams(2, 3.0, 2, 2))
 
 
 # sha256 of the report as the CLI writes it, timing_seconds removed; the
