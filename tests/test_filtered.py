@@ -266,7 +266,7 @@ def test_exact_calculus_takes_only_an_int_or_a_fraction(entry, value):
 
 # --- the records are checked named tuples ------------------------------------------
 
-# each record, built well, with a field it refuses: (name, value, its error, its message)
+# each record built well: (record, a field, a value the constructor refuses there, its error, its message)
 RECORDS = {
     "jump-data": (one_cusp((F(1, 2), 2)), "cusps", ((),), ValueError, "need at least one jump at every cusp"),
     "bundle": (
