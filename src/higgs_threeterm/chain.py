@@ -232,13 +232,8 @@ def enumerate_chains(
     """
     check_box(n_min, n_max, max_rise, root_bound)
     steps = enumeration_steps(max_rise, root_bound)
-
-    def generate() -> Iterator[tuple[int, ...]]:
-        for n in range(n_min, n_max + 1):
-            for roots, _, _ in extend_chain((0,), n, steps, root_bound, stable_only=require_stable):
-                yield roots
-
-    return generate()
+    lengths = range(n_min, n_max + 1)
+    return (roots for n in lengths for roots, _, _ in extend_chain((0,), n, steps, root_bound, stable_only=require_stable))
 
 
 def extend_chain(
@@ -251,15 +246,18 @@ def extend_chain(
     three_term: bool = False,
     counts: dict[int, int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], bool, tuple[int, ...] | None]]:
-    """Yield (roots, stable, violated) for every length-n root tuple that
-    extends prefix by the given steps and keeps |r_j| <= bound from the
-    prefix's last root on; stable is tail_slopes(roots).is_stable.  With
+    """Yield (roots, stable, violated) for length-n root tuples that extend
+    prefix by the given steps and keep |r_j| <= bound from the prefix's
+    last root on; stable is tail_slopes(roots).is_stable.  With
     three_term, violated holds the heights of three_term_holds's
     violations, ascending; without it, violated is None.
 
-    The steps must ascend, as enumeration_steps gives them; the order is
-    then lexicographic.  A prefix longer than n, or whose last root
-    already leaves the box, yields nothing.
+    Without stable_only or three_term the walk yields every such tuple.
+    With three_term it yields only the tuples that are stable or violate
+    the inequality: an unstable tuple with no violation witnesses nothing,
+    and nobody reads it.  The steps must ascend, as enumeration_steps
+    gives them; the order is then lexicographic.  A prefix longer than n,
+    or whose last root already leaves the box, yields nothing.
 
     Stability is decided in O(1) per tuple from what the walk carries: the
     sum P_k of each node and the pair (P_j, j) of smallest prefix mean over
@@ -283,12 +281,13 @@ def extend_chain(
     at the new root, a pop takes it away, and a count of 0 is deleted.  At
     each yield counts equals Counter(roots).
 
-    The three-term verdict of a leaf comes from its parent's, found once
-    per parent.  Appending the root x raises m_x and nothing else, so:
-    height x can start to violate m_r <= m_{r-2} + m_{r+2}; heights x-2
-    and x+2 can only stop; every other height keeps the parent's verdict.
-    So a leaf tests x, and rechecks the parent's violating heights only
-    when x starts to violate or x-2 or x+2 is among them.
+    With three_term every node, the prefix's roots included, also carries
+    its violating heights, and a push updates them by one rule (_pushed):
+    appending the root x raises m_x and nothing else, so height x can start
+    to violate m_r <= m_{r-2} + m_{r+2}, heights x-2 and x+2 can only stop,
+    and every other height keeps its verdict.  So a push tests x, and
+    rechecks the node's violating heights only when x starts to violate or
+    x-2 or x+2 is among them; no node scans all its heights.
     """
     counts = {} if counts is None else counts
     counts.clear()
@@ -300,15 +299,15 @@ def extend_chain(
         counts[r] = counts.get(r, 0) + 1
         if stable := total * low_len < low_sum * j:
             low_sum, low_len = total, j
+    bad = _violating(counts, counts) if three_term else None  # the prefix's violating heights, found once
 
-    def walk(roots, total, low_sum, low_len):
+    def walk(roots, total, low_sum, low_len, bad):
         k = len(roots)
         last = roots[-1]
+        get = counts.get
         if k + 1 == n:  # the last push: yield each leaf directly, with no generator per leaf
             most = (n * low_sum - 1) // low_len - total  # the largest stable last root
             top = min(bound, most) if stable_only else bound
-            get = counts.get
-            bad = _violating(counts, counts) if three_term else None  # the parent's violating heights
             for delta in steps:
                 nxt = last + delta
                 if nxt > top:  # the steps ascend, so every later root is above top too
@@ -316,13 +315,9 @@ def extend_chain(
                 if nxt >= -bound:
                     m = get(nxt, 0)
                     counts[nxt] = m + 1
-                    if bad is None:
-                        violated = None
-                    elif m < get(nxt - 2, 0) + get(nxt + 2, 0) or nxt in bad:  # x keeps its verdict
-                        violated = _violating(counts, bad) if nxt - 2 in bad or nxt + 2 in bad else bad
-                    else:  # x starts to violate
-                        violated = _violating(counts, (nxt, *bad)) if bad else (nxt,)
-                    yield roots + (nxt,), nxt <= most, violated
+                    violated = None if bad is None else _pushed(counts, bad, nxt)
+                    if violated != () or nxt <= most:  # () is an unstable leaf that witnesses nothing
+                        yield roots + (nxt,), nxt <= most, violated
                     if m:
                         counts[nxt] = m
                     else:
@@ -339,17 +334,26 @@ def extend_chain(
                     floor = grown + drops * nxt - drops * (drops + 1) - (left - drops) * bound
                     if floor * low[1] >= n * low[0]:
                         continue
-                counts[nxt] = counts.get(nxt, 0) + 1
-                yield from walk(roots + (nxt,), grown, *low)
-                if counts[nxt] == 1:
-                    del counts[nxt]
+                m = get(nxt, 0)
+                counts[nxt] = m + 1
+                yield from walk(roots + (nxt,), grown, *low, bad if bad is None else _pushed(counts, bad, nxt))
+                if m:
+                    counts[nxt] = m
                 else:
-                    counts[nxt] -= 1
+                    del counts[nxt]
 
     if len(prefix) < n:
-        yield from walk(prefix, total, low_sum, low_len)
-    elif stable or not stable_only:
-        yield prefix, stable, _violating(counts, counts) if three_term else None
+        yield from walk(prefix, total, low_sum, low_len, bad)
+    elif stable or not stable_only and bad != ():
+        yield prefix, stable, bad
+
+
+def _pushed(counts: Mapping[int, int], bad: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The violating heights once a push of x has raised m_x by one in
+    counts, from bad, those before it (see extend_chain)."""
+    if counts[x] <= counts.get(x - 2, 0) + counts.get(x + 2, 0) or x in bad:  # x keeps its verdict
+        return _violating(counts, bad) if x - 2 in bad or x + 2 in bad else bad
+    return _violating(counts, (x, *bad)) if bad else (x,)  # x starts to violate
 
 
 def _violating(counts: Mapping[int, int], heights) -> tuple[int, ...]:

@@ -54,6 +54,8 @@ def _parse_jumps(text: str) -> list[tuple[Fraction, int]]:
     jumps = []
     for item in text.replace(" ", "").split(","):
         try:
+            if item.count(":") != 1:
+                raise ValueError("expected one jump:dimension pair; each cusp is its own --jumps flag")
             jump_text, dim_text = item.split(":")
             jumps.append((_parse_fraction(jump_text), int(dim_text)))
         except ValueError as exc:
@@ -81,10 +83,7 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
 def _emit(args, json_obj, csv_header, csv_rows) -> None:
     """Write the report in the pieces serialize.pieces gives; a NaN or infinity
     in it raises ValueError (exit 2) before anything is written."""
-    if args.format == "json":
-        parts = [*serialize.pieces(json_obj), "\n"]
-    else:
-        parts = [_csv_text(csv_header, csv_rows)]
+    parts = [*serialize.pieces(json_obj), "\n"] if args.format == "json" else [_csv_text(csv_header, csv_rows)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.writelines(parts)
@@ -185,10 +184,7 @@ def _cmd_pair(args) -> int:
         ok, reasons = verify_certificate(roots, r, targets)
         if not ok:
             refused.append({"height": r, "reasons": reasons})
-    if args.all_heights:
-        report = {"roots": list(roots), "certificates": blocks}
-    else:
-        report = blocks[0]
+    report = {"roots": list(roots), "certificates": blocks} if args.all_heights else blocks[0]
     _emit(args, report, ["height", "source", "target", "label"], rows)
     if refused:
         print(serialize.dumps({"refused": refused}), file=sys.stderr)

@@ -238,8 +238,13 @@ def sample_grid(count: int = 20, seed: int = 0) -> np.ndarray:
     Uses the R2 additive recurrence (plastic-constant lattice); the seed
     offsets the start index, so equal seeds reproduce equal grids.  Each
     index is a Python int, rounded once to a float, so a seed beyond
-    numpy's int64 gives the same points as the index loop would.
+    numpy's int64 gives the same points as the index loop would.  count
+    and seed must be ints, not bools: True would read as 1, and 2.5 fail
+    inside the sampler.
     """
+    for name, value in (("count", count), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     phi = 1.324717957244746  # real root of t^3 = t + 1

@@ -17,20 +17,26 @@ A list may be written in pieces: `write_items` writes some of its items as
 `dumps` would write them inside a list that is a value of the top-level
 dict, and `Written(pieces)` keeps such pieces, with the brackets and the
 separators between them, as its `parts`.  The sweep writes its violation
-records this way, in the worker that finds them: each partition hands
-over its chains in (length, roots) order, each with its violations, and
-`theorem_items` or `three_term_items` orders and writes them.  A chain's
-records sort by (kind, detail as JSON with sorted keys), so numbers
-compare as text ("above": 10 before "above": 2), and sorting each chain's
-records orders the whole report without a global sort.  Necessity records
-all have one shape, so `three_term_items` sorts a chain's violations by
-that key's text less the prefix they all share.  It and `int_list_items`
-(`enumerate`'s root lists) lay out nothing themselves: for each length
-they meet, `write_items` writes one item of zeros and its 0s become %d,
-and each item of that length is that template filled with its numbers,
-with no record dict.  So `write_items` is the one code that lays out an
-item, and the stdlib's pure-Python encoder, which json.dumps uses
-whenever indent is set, runs once per length, not once per item.
+records this way, in the worker that finds them, chain by chain in
+(length, roots) order.  A chain's records sort by (kind, detail as JSON
+with sorted keys), so numbers compare as text ("above": 10 before
+"above": 2), and sorting each chain's records orders the whole report
+without a global sort.  A theorem partition hands its chains, each with
+its violations, to `theorem_items` when it ends.  A necessity partition
+writes each witness's records as the walk hands the witness over, with
+`three_term_writer(n)`, and joins them by ITEM_SEPARATOR; the records
+all have one shape, so it sorts a chain's violations by that key's text
+less the prefix they all share, and only when there are two or more.
+It and `int_list_items` (`enumerate`'s root lists) lay out nothing
+themselves: for each length they meet, `write_items` writes one item of
+zeros and its 0s become %d (no key, kind or indentation holds a 0, so
+the %d are exactly the item's numbers, in the order written), and each
+item of that length is that template filled with its numbers, with no
+record dict; a three-term record fills the part before its detail with
+the roots, once per chain, and the detail after it.  So `write_items` is
+the one code that lays out an item, and the stdlib's pure-Python
+encoder, which json.dumps uses whenever indent is set, runs once per
+length, not once per item.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ _INDENT = "  "
 # newline and indent at each depth: every written list is a value of the
 # top-level dict, so it opens at depth 1 and its items sit at depth 2
 _LINE = tuple("\n" + _INDENT * depth for depth in range(3))
-_SEPARATOR = "," + _LINE[2]  # between the items of such a list
+ITEM_SEPARATOR = "," + _LINE[2]  # between the items of such a list
 
 
 class Written:
@@ -74,7 +80,7 @@ class Written:
         parts = ["[", _LINE[2]]  # the line of the first item, if any
         for piece in pieces:
             if piece:
-                parts += (piece, _SEPARATOR)
+                parts += (piece, ITEM_SEPARATOR)
         parts[-1:] = (_LINE[1], "]") if len(parts) > 2 else ("]",)  # in place of the last separator
         self.parts = parts
 
@@ -109,19 +115,11 @@ def write_items(items: list) -> str:
     return text.replace("\n", _LINE[1])
 
 
-def _templates(zero):
-    """n -> write_items([zero(n)]) with every 0 made %d, built once per n.
-    No key, kind or indentation holds a 0, so the %d are exactly the
-    item's numbers, in the order written: an item of n numbers is its
-    length's template % the numbers."""
-    return functools.cache(lambda n: write_items([zero(n)]).replace("0", "%d"))
-
-
 def int_list_items(lists) -> str:
     """write_items(lists) for lists of ints, each filled into its length's
-    template (see `_templates`)."""
-    template = _templates(lambda n: [0] * n)
-    return _SEPARATOR.join([template(len(ints)) % tuple(ints) for ints in lists])
+    template, built once per length (see the module docstring)."""
+    template = functools.cache(lambda n: write_items([[0] * n]).replace("0", "%d"))
+    return ITEM_SEPARATOR.join([template(len(ints)) % tuple(ints) for ints in lists])
 
 
 def theorem_items(chains) -> str:
@@ -142,21 +140,27 @@ def _three_term_key(v) -> str:
     return f'{v[3]}, "below": {v[2]}, "count": {v[1]}, "height": {v[0]}}}'
 
 
-def three_term_items(chains) -> str:
-    """write_items of the records {"roots": list(roots), "kind":
-    "three-term", "detail": v._asdict()} for each v of each (roots,
-    violations) in chains, in report order, with no dict per record; a v
-    is a 4-tuple in ThreeTermViolation's field order, also `_asdict`'s key
-    order.  A record is its roots and v filled into its length's template
-    (see `_templates`)."""
+@functools.cache
+def three_term_writer(n: int):
+    """The writer of a chain of n roots' three-term records: given (roots,
+    violations) it returns [write_items([record]) for each record] in
+    report order, for the records {"roots": list(roots), "kind":
+    "three-term", "detail": v._asdict()} of each v of violations, with no
+    dict per record; a v is a 4-tuple in ThreeTermViolation's field
+    order, also `_asdict`'s key order.  The template, the record of n
+    zeros with its 0s made %d, is cut where the detail starts: the roots
+    fill the part before it once per chain, and each v the part after."""
     from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
 
     detail = dict.fromkeys(ThreeTermViolation._fields, 0)
-    template = _templates(lambda n: {"roots": [0] * n, "kind": "three-term", "detail": detail})
-    items = []
-    for roots, violations in chains:
-        filled = template(len(roots))
+    template = write_items([{"roots": [0] * n, "kind": "three-term", "detail": detail}]).replace("0", "%d")
+    cut = template.index('"detail": ') + len('"detail": ')
+    head, tail = template[:cut], template[cut:]
+
+    def write(roots, violations) -> list[str]:
+        filled = head % roots
         if len(violations) > 1:
             violations = sorted(violations, key=_three_term_key)
-        items += [filled % (*roots, *v) for v in violations]
-    return _SEPARATOR.join(items)
+        return [filled + tail % v for v in violations]
+
+    return write

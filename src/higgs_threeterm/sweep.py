@@ -23,9 +23,13 @@ The walk, chain.extend_chain, hands over each chain as a plain root tuple
 with its stability, decided in O(1) from the prefix sums it carries, and
 carries its multiplicities {r: m_r}, one push or pop at a time.  Theorem
 mode walks only prefixes that can still be stable, so it is handed
-exactly the stable chains.  Necessity mode needs every unstable chain and
-walks the whole partition; the walk also hands over the heights where
-m_r > m_{r-2} + m_{r+2}, decided from the parent's.  Every chain is
+exactly the stable chains.  Necessity mode walks the whole partition,
+and the walk carries each node's heights where m_r > m_{r-2} + m_{r+2}
+down the tree, one push at a time; it hands over only what the report
+reads: the stable chains, which are counted, and the witnesses, the
+unstable chains with a violation, each with its violating heights.  An
+unstable chain that holds the inequality (10,141 of the benchmark box's
+18,848 chains) never leaves the walk.  Every chain is
 admissible by its step set, so `admissible` equals `generated`, which
 chain.count_chains counts, not walks, in one pass for every length.  As
 both hypotheses hold by construction, pairing.certify, which assumes
@@ -35,11 +39,18 @@ calls equal `totals["certificates"]`.
 
 Every partition returns (stable, certificates, records, text): records is
 the number of its violations, and text their records as serialize writes
-them inside the report's violation list (theorem_items, or
-three_term_items, which fills each record into its length's template).
-The writing runs in the pool worker that runs the partition, so only text
-crosses the pipes, and the parent keeps the texts, in canonical order, as
-the pieces of a serialize.Written; `pass` comes from the counts.
+them inside the report's violation list.  A theorem partition hands its
+chains with violations to serialize.theorem_items when it ends.  A
+necessity partition writes each witness's records when the walk hands
+the witness over, with serialize.three_term_writer: the roots fill their
+part of the length's template once per chain, and each violation its
+detail after it; its text is those records joined by
+serialize.ITEM_SEPARATOR.  The writing runs in the pool worker that runs
+the partition, so only text crosses the pipes: the worker writes the
+three counts on one line, then the text encoded once, then a NUL, and
+the parent decodes the text once.  The parent keeps the texts, in
+canonical order, as the pieces of a serialize.Written, which the command
+line writes one piece at a time; `pass` comes from the counts.
 `written_report` is the report the command line writes, and its
 `timing_seconds` includes the writing; `run_sweep` reads the records back
 as dicts.  A CSV report prints only the counts, so for it the partitions
@@ -117,16 +128,20 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
     records is the number of the partition's violations, and text their
     records written by serialize as the items of the report's violation
     list: "" when the task's last field is false, since nobody reads them.
-    The walk hands over plain root tuples with their stability (and, in
-    necessity mode, their three-term verdict) and carries their
-    multiplicities; a stable chain goes to pairing as its root tuple.
+    The walk hands over plain root tuples with their stability and
+    carries their multiplicities; a stable chain goes to pairing as its
+    root tuple.  In necessity mode it hands over only the stable chains
+    and the witnesses, each witness with its violating heights, and the
+    witness's records are written then, into the partition's list of
+    record texts.
     """
     n, first_step, max_rise, bound, mode, write = args
     theorem = mode == MODE_THEOREM
     stable = certificates = records = 0
-    chains: list[tuple] = []  # (roots, violations) of each chain with any, when written
+    written: list = []  # when written: (roots, found) of each chain with any, or each three-term record
     counts: dict[int, int] = {}
     get = counts.get
+    write_chain = None if theorem else serialize.three_term_writer(n)
     steps = enumeration_steps(max_rise, bound)
     walk = extend_chain((0, first_step), n, steps, bound, stable_only=theorem, three_term=not theorem, counts=counts)
     for roots, is_stable, violated in walk:
@@ -137,13 +152,12 @@ def _run_partition(args: tuple[int, int, int, int, str, bool]) -> tuple[int, int
                 certificates += n_heights
                 records += len(found)
                 if write and found:
-                    chains.append((roots, found))
-        elif violated:  # necessity mode: only there does the walk yield unstable chains
+                    written.append((roots, found))
+        else:  # a witness, the only unstable chain the (necessity) walk yields: its records are written now
             records += len(violated)
             if write:
-                chains.append((roots, [(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated]))
-    write_records = serialize.theorem_items if theorem else serialize.three_term_items
-    return stable, certificates, records, write_records(chains)  # "" for no chains
+                written += write_chain(roots, [(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated])
+    return stable, certificates, records, serialize.theorem_items(written) if theorem else serialize.ITEM_SEPARATOR.join(written)
 
 
 class WorkerDied(ChildProcessError):
@@ -159,7 +173,8 @@ def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> N
             os.close(fd)
         results = open(out, "wb")  # left to os._exit to close, so EOF means the worker is gone
         while index := os.read(orders, 4):
-            results.write(("%d %d %d %s\0" % _run_partition(tasks[int.from_bytes(index, "little")])).encode())
+            *numbers, text = _run_partition(tasks[int.from_bytes(index, "little")])
+            results.writelines((b"%d %d %d\n" % tuple(numbers), text.encode(), b"\0"))  # the text encoded once
             results.flush()
         os._exit(0)
     except BrokenPipeError:  # the parent is gone: nobody reads the result, nor a traceback
@@ -172,13 +187,23 @@ def _work(tasks: list[tuple], orders: int, out: int, parent_ends: set[int]) -> N
         os._exit(1)
 
 
+def _result(chunks: list[bytes]) -> tuple[int, int, int, str]:
+    """A partition's result from a worker's bytes, which `chunks` holds and
+    gives up: the header line of three counts, the text, and a NUL."""
+    data = b"".join(chunks)
+    chunks.clear()
+    end = data.index(b"\n")  # the header's: the counts hold none
+    return (*map(int, data[:end].split()), str(memoryview(data)[end + 1 : -1], "utf-8"))  # one copy of the text
+
+
 def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, int, str]]:
     """Run each partition in `workers` forked processes; results in task order.
 
     A worker reads one partition index at a time, longest chains first
-    (descending n, then ascending first step), and writes back b"stable
-    certificates records text" and a NUL (JSON text has none).  EOF before the
-    NUL means it died in that partition.  Workers leave by os._exit, never
+    (descending n, then ascending first step), and writes back the line
+    b"stable certificates records\n", the text encoded once, and a NUL
+    (JSON text has none); the parent decodes the text once (_result).  EOF
+    before the NUL means it died in that partition.  Workers leave by os._exit, never
     flushing the parent's stdio buffers, and none outlives this call.
     """
     import selectors
@@ -203,9 +228,7 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, int, s
                     order_end, index, chunks, _ = key.data
                     chunks.append(os.read(key.fd, 1 << 16))
                     if chunks[-1].endswith(b"\0"):
-                        stable, certificates, records, text = b"".join(chunks)[:-1].decode().split(" ", 3)
-                        results[index] = (int(stable), int(certificates), int(records), text)
-                        chunks.clear()
+                        results[index] = _result(chunks)
                         key.data[1] = index = next(pending, -1)
                         if index >= 0:
                             os.write(order_end, index.to_bytes(4, "little"))
@@ -257,15 +280,13 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
 
     generated = count_chains((0,), params.n_max, steps, params.root_bound)
     per_n = {str(n): {"generated": generated[n], "admissible": generated[n], "stable": 0} for n in lengths}
-    certificates = 0
-    for (n, *_), (stable, n_certificates, *_) in zip(tasks, results):
+    for (n, *_), (stable, *_) in zip(tasks, results):
         per_n[str(n)]["stable"] += stable
-        certificates += n_certificates
     totals = {
         key: sum(bucket[key] for bucket in per_n.values())
         for key in ("generated", "admissible", "stable")
     }
-    totals["certificates"] = certificates
+    totals["certificates"] = sum(certificates for _, certificates, _, _ in results)
     report = {
         "parameters": params._asdict(),
         "totals": totals,

@@ -612,23 +612,52 @@ def test_walk_decides_stability_from_any_prefix(prefix, extra, max_rise, bound):
 # --- the walk's own three-term verdict ------------------------------------------
 
 
+def box_leaves(prefix, n, steps, bound):
+    """Brute force: every length-n tuple that extends prefix by the steps
+    inside the box from the prefix's last root on, in lexicographic order."""
+    if abs(prefix[-1]) > bound or len(prefix) > n:
+        return []
+    if len(prefix) == n:
+        return [prefix]
+    children = [prefix + (prefix[-1] + step,) for step in steps if abs(prefix[-1] + step) <= bound]
+    return [leaf for child in children for leaf in box_leaves(child, n, steps, bound)]
+
+
+def violating_heights(roots):
+    """Brute force: the heights of three_term_holds's violations, from a RootSequence."""
+    _, found = three_term_holds(multiplicities(RootSequence(roots)).counts)
+    return tuple(v.height for v in found)
+
+
 def assert_walk_decides_three_term(prefix, n, steps, bound, stable_only):
-    """At every yield the walk's violated heights are those of
-    three_term_holds on the leaf's multiplicities.  Returns what became of
-    the parent's violations at the leaves past the prefix: each one that
+    """With three_term the walk yields exactly the brute-force leaves that
+    are stable or violate the inequality (every stable one with
+    stable_only), in order, each with its stability and the heights of
+    three_term_holds's violations, and carries each leaf's multiplicities.
+    Every leaf it skips is unstable and holds the inequality, or, with
+    stable_only, is unstable.  Returns what became of the parent's
+    violations at the brute-force leaves past the prefix: each one that
     "stops" or "keeps"."""
-    fates = set()
-    walk = list(extend_chain(prefix, n, steps, bound, stable_only=stable_only, three_term=True))
-    # the verdict is asked for: the same tuples, and None without it
-    unasked = list(extend_chain(prefix, n, steps, bound, stable_only=stable_only))
-    assert unasked == [(roots, stable, None) for roots, stable, _ in walk]
-    for roots, _, violated in walk:
-        _, expected = three_term_holds(multiplicities(RootSequence(roots)).counts)
+    counts = {}
+    yielded = [
+        (roots, stable, violated, dict(counts))
+        for roots, stable, violated in extend_chain(prefix, n, steps, bound, stable_only=stable_only, three_term=True, counts=counts)
+    ]
+    leaves = [(roots, is_stable(roots), violating_heights(roots)) for roots in box_leaves(prefix, n, steps, bound)]
+    kept = [leaf for leaf in leaves if leaf[1] or (leaf[2] and not stable_only)]
+    assert [(roots, stable, violated) for roots, stable, violated, _ in yielded] == kept
+    for roots, _, violated, carried in yielded:
         assert type(violated) is tuple
-        assert violated == tuple(v.height for v in expected), roots
+        assert carried == multiplicities(RootSequence(roots)).counts, roots
+    skipped = [leaf for leaf in leaves if leaf not in kept]
+    assert all(not stable and (stable_only or not violated) for _, stable, violated in skipped)
+    # without the verdict: the same walk yields every brute-force leaf (every stable one with stable_only)
+    unasked = list(extend_chain(prefix, n, steps, bound, stable_only=stable_only))
+    assert unasked == [(roots, stable, None) for roots, stable, _ in leaves if stable or not stable_only]
+    fates = set()
+    for roots, _, violated in leaves:
         if len(roots) > len(prefix):
-            _, before = three_term_holds(multiplicities(RootSequence(roots[:-1])).counts)
-            fates |= {"keeps" if v.height in violated else "stops" for v in before}
+            fates |= {"keeps" if height in violated else "stops" for height in violating_heights(roots[:-1])}
     return fates
 
 

@@ -482,6 +482,16 @@ def test_empty_entry_in_jumps_is_a_usage_error(capsys, text):
     assert err.startswith("error: could not parse jump item '': ")
 
 
+@pytest.mark.parametrize("text", ["1/2:1;1/3:1", "1/2"])
+def test_a_jump_item_that_is_not_one_pair_names_the_form(capsys, text):
+    # two cusps in one flag, or a jump with no dimension: the error names the form, not Python's unpacking
+    assert run_cli(capsys, "filtered-degree", "--side", "representation", "--jumps", text) == (
+        2,
+        "",
+        f"error: could not parse jump item {text!r}: expected one jump:dimension pair; each cusp is its own --jumps flag\n",
+    )
+
+
 STRAY_FILTERED_DEGREE_FLAGS = {
     "both": (["--rank", "1", "--base-degree", "0"], "--rank, --base-degree"),
     "rank": (["--rank", "2"], "--rank"),

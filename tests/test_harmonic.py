@@ -353,6 +353,17 @@ def test_sample_grid_reproducible_and_in_box():
     assert np.all((0.5 <= GRID.imag) & (GRID.imag <= 3.0))
 
 
+@pytest.mark.parametrize(("field", "value"), [("count", True), ("count", 2.5), ("seed", 1.5)])
+def test_sample_grid_refuses_a_count_or_seed_that_is_not_an_int(field, value):
+    # True would read as one point, and 2.5 fail inside the sampler with a TypeError
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError) as direct:
+        sample_grid(**{field: value})
+    with pytest.raises(ValueError) as reported:
+        verification_report(only="metric_shape", **{field: value})
+    assert str(direct.value) == str(reported.value) == message
+
+
 @pytest.mark.parametrize("seed", [0, 7, 11, -3, 10**17])  # 10**17 * 997 is beyond int64
 def test_sample_grid_equals_the_index_loop(seed):
     # the R2 recurrence one Python float at a time, as a loop over the indices

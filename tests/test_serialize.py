@@ -17,7 +17,7 @@ from higgs_threeterm.serialize import (
     int_list_items,
     parse_rational,
     pieces,
-    three_term_items,
+    three_term_writer,
     write_items,
 )
 
@@ -153,14 +153,19 @@ def test_pieces_join_to_json_indent_two_and_keep_each_written_piece(entries):
         max_size=4,
     ),
 )
-def test_three_term_items_match_write_items_of_the_records(chains):
-    # each chain's records in report order: by their detail as JSON with sorted keys
-    records = []
+def test_three_term_writer_matches_write_items_of_the_records(chains):
+    # each chain's records in report order: by their detail as JSON with sorted keys;
+    # the writer gives one item per record, and its items join as write_items joins them
+    records, items = [], []
     for roots, violations in chains:
         details = [ThreeTermViolation(*v)._asdict() for v in violations]
         details.sort(key=lambda detail: json.dumps(detail, sort_keys=True))
-        records += [{"roots": list(roots), "kind": "three-term", "detail": detail} for detail in details]
-    assert three_term_items(chains) == write_items(records)
+        chain_records = [{"roots": list(roots), "kind": "three-term", "detail": detail} for detail in details]
+        written = three_term_writer(len(roots))(roots, violations)
+        assert written == [write_items([record]) for record in chain_records]
+        records += chain_records
+        items += written
+    assert serialize.ITEM_SEPARATOR.join(items) == write_items(records)
 
 
 @settings(max_examples=100, deadline=None)
