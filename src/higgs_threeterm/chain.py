@@ -359,9 +359,7 @@ def _pushed(counts: Mapping[int, int], bad: tuple[int, ...], x: int) -> tuple[in
 def _violating(counts: Mapping[int, int], heights) -> tuple[int, ...]:
     """The heights r among `heights` where m_r > m_{r-2} + m_{r+2}, ascending."""
     get = counts.get
-    bad = [r for r in heights if counts[r] > get(r - 2, 0) + get(r + 2, 0)]
-    bad.sort()
-    return tuple(bad)
+    return tuple(sorted([r for r in heights if counts[r] > get(r - 2, 0) + get(r + 2, 0)]))
 
 
 def count_chains(prefix: tuple[int, ...], n_max: int, steps: tuple[int, ...], bound: int) -> list[int]:

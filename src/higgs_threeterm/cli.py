@@ -184,7 +184,10 @@ def _cmd_pair(args) -> int:
         ok, reasons = verify_certificate(roots, r, targets)
         if not ok:
             refused.append({"height": r, "reasons": reasons})
-    report = {"roots": list(roots), "certificates": blocks} if args.all_heights else blocks[0]
+    if args.all_heights:
+        report = {"roots": list(roots), "certificates": blocks}
+    else:
+        report = blocks[0]
     _emit(args, report, ["height", "source", "target", "label"], rows)
     if refused:
         print(serialize.dumps({"refused": refused}), file=sys.stderr)

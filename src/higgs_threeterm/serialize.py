@@ -29,11 +29,10 @@ all have one shape, so it sorts a chain's violations by that key's text
 less the prefix they all share, and only when there are two or more.
 It and `int_list_items` (`enumerate`'s root lists) lay out nothing
 themselves: for each length they meet, `write_items` writes one item of
-zeros and its 0s become %d (no key, kind or indentation holds a 0, so
-the %d are exactly the item's numbers, in the order written), and each
-item of that length is that template filled with its numbers, with no
-record dict; a three-term record fills the part before its detail with
-the roots, once per chain, and the detail after it.  So `write_items` is
+zeros and its 0s become %d (`_template`), and each item of that length
+is that template filled with its numbers, with no record dict; a
+three-term record fills the part before its detail with the roots, once
+per chain, and the detail after it.  So `write_items` is
 the one code that lays out an item, and the stdlib's pure-Python
 encoder, which json.dumps uses whenever indent is set, runs once per
 length, not once per item.
@@ -115,10 +114,17 @@ def write_items(items: list) -> str:
     return text.replace("\n", _LINE[1])
 
 
+def _template(item) -> str:
+    """write_items([item]) with every 0 made %d.  No key, kind or
+    indentation holds a 0, so the %d are exactly the item's numbers, in
+    the order written: an item of those numbers is the template % them."""
+    return write_items([item]).replace("0", "%d")
+
+
 def int_list_items(lists) -> str:
     """write_items(lists) for lists of ints, each filled into its length's
-    template, built once per length (see the module docstring)."""
-    template = functools.cache(lambda n: write_items([[0] * n]).replace("0", "%d"))
+    template, built once per length."""
+    template = functools.cache(lambda n: _template([0] * n))
     return ITEM_SEPARATOR.join([template(len(ints)) % tuple(ints) for ints in lists])
 
 
@@ -147,18 +153,16 @@ def three_term_writer(n: int):
     report order, for the records {"roots": list(roots), "kind":
     "three-term", "detail": v._asdict()} of each v of violations, with no
     dict per record; a v is a 4-tuple in ThreeTermViolation's field
-    order, also `_asdict`'s key order.  The template, the record of n
-    zeros with its 0s made %d, is cut where the detail starts: the roots
-    fill the part before it once per chain, and each v the part after."""
+    order, also `_asdict`'s key order.  The template of a record of n
+    roots is cut where the detail starts: the roots fill the part before
+    it once per chain, and each v the part after."""
     from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
 
     detail = dict.fromkeys(ThreeTermViolation._fields, 0)
-    template = write_items([{"roots": [0] * n, "kind": "three-term", "detail": detail}]).replace("0", "%d")
-    cut = template.index('"detail": ') + len('"detail": ')
-    head, tail = template[:cut], template[cut:]
+    head, detail_key, tail = _template({"roots": [0] * n, "kind": "three-term", "detail": detail}).partition('"detail": ')
 
     def write(roots, violations) -> list[str]:
-        filled = head % roots
+        filled = head % roots + detail_key
         if len(violations) > 1:
             violations = sorted(violations, key=_three_term_key)
         return [filled + tail % v for v in violations]
