@@ -32,10 +32,10 @@ themselves: for each length they meet, `write_items` writes one item of
 zeros and its 0s become %d (`_template`), and each item of that length
 is that template filled with its numbers, with no record dict; a
 three-term record fills the part before its detail with the roots, once
-per chain, and the detail after it.  So `write_items` is
-the one code that lays out an item, and the stdlib's pure-Python
-encoder, which json.dumps uses whenever indent is set, runs once per
-length, not once per item.
+per chain, and the detail after it.  So `write_items` is the one code
+that lays out an item, and the stdlib's pure-Python encoder, which
+json.dumps uses whenever indent is set, runs once per length, not once
+per item.
 """
 
 from __future__ import annotations

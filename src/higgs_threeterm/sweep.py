@@ -202,9 +202,10 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[tuple[int, int, int, s
     A worker reads one partition index at a time, longest chains first
     (descending n, then ascending first step), and writes back the line
     b"stable certificates records\n", the text encoded once, and a NUL
-    (JSON text has none); the parent decodes the text once (_result).  EOF
-    before the NUL means it died in that partition.  Workers leave by os._exit, never
-    flushing the parent's stdio buffers, and none outlives this call.
+    (JSON text has none); the parent decodes the text once (_result).
+    EOF before the NUL means it died in that partition.  Workers leave by
+    os._exit, never flushing the parent's stdio buffers, and none outlives
+    this call.
     """
     import selectors
     import signal
