@@ -83,6 +83,8 @@ class UpperHalfPoint(complex):
 
 
 def _require_positive(name: str, value: float) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # True would run as 1
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if value <= 0:

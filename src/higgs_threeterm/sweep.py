@@ -260,6 +260,8 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     false (nobody reads them) the partitions only count their records and
     the report has no `violations`.
     """
+    if not isinstance(workers, int) or isinstance(workers, bool):  # True would run as 1, 2.5 fail in the pool
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and not hasattr(os, "fork"):

@@ -2,9 +2,6 @@
 
 import math
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,22 +231,17 @@ def test_harmonic_residual_on_grid():
     assert np.all(harmonic_residual(GRID, 1e-3) < 1e-4)
 
 
-def test_harmonic_residual_second_order_decay():
+@pytest.mark.parametrize(("big_h", "small_h"), [(3e-2, 1e-2), (1e-2, 3e-3), (3e-3, 1e-3), (1e-3, 3e-4), (3e-4, 1e-4)])
+def test_harmonic_residual_second_order_decay(big_h, small_h):
     z0 = one(0.3 + 1.2j)
-    big = harmonic_residual(z0, 1e-2).item()
-    small = harmonic_residual(z0, 1e-3).item()
-    order = math.log(big / small) / math.log(10.0)
+    if big_h > 1e-2:
+        with pytest.warns(UserWarning, match=r"^step h = 0\.03 > 1e-2, truncation will dominate$"):
+            big = harmonic_residual(z0, big_h).item()
+    else:
+        big = harmonic_residual(z0, big_h).item()
+    small = harmonic_residual(z0, small_h).item()
+    order = math.log(big / small) / math.log(big_h / small_h)
     assert abs(order - 2.0) <= 0.3
-
-
-def test_metric_convergence_script_prints_order_two():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "metric_convergence.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]  # after tau and the header
-    assert len(rows) == 6 and len(rows[0]) == 2  # h and residual; the first row has no order
-    orders = [float(order) for _, _, order in rows[1:]]
-    assert all(abs(order - 2.0) <= 0.3 for order in orders), orders
 
 
 def test_harmonic_residual_warns_below_nested_window():
@@ -398,11 +390,12 @@ def test_verification_report_tolerance_override_can_fail():
 
 @pytest.mark.parametrize("h_nested", [1e-3, 1e-2, 5e-4])  # the small step's, the big step's, neither's
 def test_each_battery_row_equals_its_check_run_alone(h_nested):
-    report = verification_report(count=1000, seed=7, h_nested=h_nested)
-    assert [row["check_name"] for row in report["checks"]] == list(TOLERANCES)
-    for row in report["checks"]:
-        alone = verification_report(count=1000, seed=7, h_nested=h_nested, only=row["check_name"])
-        assert alone["checks"] == [row]
+    for grid in (None, [UpperHalfPoint(0.3, 1.2)]):  # the benchmark grid, and one --tau point
+        report = verification_report(grid, count=1000, seed=7, h_nested=h_nested)
+        assert [row["check_name"] for row in report["checks"]] == list(TOLERANCES)
+        for row in report["checks"]:
+            alone = verification_report(grid, count=1000, seed=7, h_nested=h_nested, only=row["check_name"])
+            assert alone == {**report, "checks": [row], "pass": row["pass"]}
 
 
 def test_reports_in_one_process_carry_nothing_over():
@@ -414,6 +407,13 @@ def test_reports_in_one_process_carry_nothing_over():
         row = next(row for row in report["checks"] if row["check_name"] == "harmonic_equation")
         assert row["max_residual"] == harmonic_residual(z, h_nested).max()
     assert verification_report(count=50, seed=7) == first
+
+
+@pytest.mark.parametrize("name", ["h", "h_nested", "tolerance"])
+def test_verification_report_refuses_a_bool_step_or_tolerance(name):
+    # True would run as a step or a tolerance of 1, and a row's "tolerance": true fails the schema
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got True$"):
+        verification_report(count=5, only="metric_shape", **{name: True})
 
 
 def test_verification_report_unknown_check():

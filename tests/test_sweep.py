@@ -531,6 +531,13 @@ def test_parameter_validation():
         run_sweep(SweepParams(2, 2, 4, 4), workers=0)
 
 
+@pytest.mark.parametrize("workers", [True, 2.5, "2"])
+def test_written_report_refuses_workers_that_are_not_an_int(workers):
+    # True would run as one worker, 2.5 fail inside the pool and "2" at the comparison
+    with pytest.raises(ValueError, match=f"^workers must be an integer, got {re.escape(repr(workers))}$"):
+        sweep.written_report(SweepParams(2, 2, 4, 4), workers)
+
+
 def test_params_are_immutable():
     params = SweepParams(2, 3, 4, 4)
     with pytest.raises(AttributeError):  # the text is CPython's
