@@ -17,8 +17,10 @@ from higgs_threeterm.harmonic import (
     harmonic_residual,
     higgs_form_basis,
     higgs_form_residual,
+    inverse,
     log_derivative,
     metric_at,
+    product,
     sample_grid,
     theta_closed_form,
     theta_finite_difference,
@@ -252,7 +254,8 @@ def test_harmonic_residual_warns_below_nested_window():
 def composed_harmonic_residual(z: np.ndarray, h: float) -> np.ndarray:
     """The residual as separate operators compose it: d of the nested
     dbar log K, then dbar log K and d log K at z, each with its own
-    Wirtinger pair and its own inverse of K."""
+    Wirtinger pair and its own inverse of K; the commutator takes the
+    package's product, as the residual does."""
 
     def dbar_log(w: np.ndarray) -> np.ndarray:
         return log_derivative("dbar", w, h)
@@ -260,7 +263,7 @@ def composed_harmonic_residual(z: np.ndarray, h: float) -> np.ndarray:
     outer_d, _ = wirtinger(dbar_log, z, h)
     a = dbar_log(z)
     b = log_derivative("d", z, h)
-    return np.abs(outer_d - 0.5 * (a @ b - b @ a)).max(axis=(-2, -1))
+    return np.abs(outer_d - 0.5 * (product(a, b) - product(b, a))).max(axis=(-2, -1))
 
 
 @pytest.mark.parametrize("count", [1, 20, 1000])
@@ -419,6 +422,104 @@ def test_verification_report_refuses_a_bool_step_or_tolerance(name):
 def test_verification_report_unknown_check():
     with pytest.raises(ValueError):
         verification_report(only="nope")
+
+
+def test_a_given_grid_records_no_seed():
+    # the grid was not drawn, so whatever seed the caller passed is not the report's
+    for seed in (0, 7, None, "x"):
+        report = verification_report([UpperHalfPoint(0.3, 1.2)], seed=seed, only="metric_shape")
+        assert report["parameters"]["seed"] is None
+    assert verification_report(count=5, seed=7, only="metric_shape")["parameters"]["seed"] == 7
+
+
+# --- the entrywise 2x2 product and inverse against numpy's -----------------------------
+
+ULPS = 8 * np.finfo(float).eps
+
+
+def helper_operands(z: np.ndarray) -> dict:
+    """The stacks the battery multiplies: K, theta, M, a_lambda, and the
+    Wirtinger pairs of K and of M."""
+    d_k, dbar_k = wirtinger(metric_at, z, 1e-4)
+    d_m, dbar_m = wirtinger(higgs_form_basis, z, 1e-4)
+    return {
+        "K": metric_at(z).astype(complex),
+        "theta": theta_closed_form(z),
+        "M": higgs_form_basis(z),
+        "a_2": a_lambda(z, 2.0 + 0j),
+        "a_i": a_lambda(z, 1j),
+        "d K": d_k,
+        "dbar K": dbar_k,
+        "d M": d_m,
+        "dbar M": dbar_m,
+    }
+
+
+@pytest.mark.parametrize("count", [1, 20, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_product_equals_numpy_matmul_within_8_ulps(count, seed):
+    # each entry within 8 ulps of the sum of its terms' magnitudes, |a| @ |b|
+    operands = helper_operands(sample_grid(count=count, seed=seed))
+    for a in operands.values():
+        for b in operands.values():
+            assert np.all(np.abs(product(a, b) - a @ b) <= ULPS * (np.abs(a) @ np.abs(b)))
+        column = a[..., :, :1]  # a 2x1 right factor, as the Higgs form section is
+        assert np.all(np.abs(product(a, column) - a @ column) <= ULPS * (np.abs(a) @ np.abs(column)))
+
+
+@pytest.mark.parametrize("count", [1, 20, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_inverse_equals_numpy_inv_within_8_ulps(count, seed):
+    # the stacks the battery inverts; each entry within 8 ulps of the largest
+    # entry of its matrix's inverse
+    operands = helper_operands(sample_grid(count=count, seed=seed))
+    for name in ("K", "M", "a_2", "a_i"):
+        expected = np.linalg.inv(operands[name])
+        scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(inverse(operands[name]) - expected) <= ULPS * scale), name
+
+
+@pytest.mark.parametrize(
+    ("matrix", "singular"),
+    [
+        (((0.0, 0.0), (0.0, 0.0)), True),
+        (((1.0, 2.0), (2.0, 4.0)), True),
+        (((1.0, 1.0), (1.0, 1.0 + 2 * np.finfo(float).eps)), True),  # det 2 eps, lost to cancellation
+        (((1.0, 1.0), (1.0, 1.0 + 4 * np.finfo(float).eps)), False),
+        (((0.0, 1.0), (-1.0, 0.0)), False),
+    ],
+)
+def test_inverse_refuses_a_determinant_lost_to_cancellation(matrix, singular):
+    a = np.array([np.eye(2), matrix], dtype=complex)
+    if singular:
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse(a)
+    else:
+        assert np.array_equal(product(inverse(a), a), np.array([np.eye(2)] * 2))
+
+
+def test_the_cancellation_rule_refuses_what_lapack_refuses_at_the_singular_point():
+    # at 1e8 + 1i the entries of K and of a_i cancel, and LAPACK finds both
+    # singular, as the rule does; so the four checks that invert them are
+    # refused there (test_cli pins each one's message).  K at the difference
+    # points cancels as well, and the rule refuses each, where LAPACK inverts
+    # some into noise
+    z = one(1e8 + 1j)
+    for a in (metric_at(z).astype(complex), a_lambda(z, 1j)):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse(a)
+    for h in (1e-4, 1e-3, 1e-2):
+        for w in (z + h, z - h, z + 1j * h, z - 1j * h):
+            with pytest.raises(np.linalg.LinAlgError):
+                inverse(metric_at(w).astype(complex))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_cancellation_rule_accepts_every_default_grid_point(seed):
+    # a refused point would raise; the prototype of the rule refused none of seeds 0-99
+    assert verification_report(count=1000, seed=seed)["pass"]
 
 
 # --- the batched battery against the point-wise loop ------------------------------------

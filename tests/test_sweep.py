@@ -7,7 +7,10 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,8 @@ from higgs_threeterm.sweep import (
     SweepParams,
     run_sweep,
 )
+
+import stable_counts
 
 
 def canonical(report: dict) -> str:
@@ -659,3 +664,62 @@ def test_the_checker_runs_once_per_certificate(monkeypatch):
     assert len(heights) == report["totals"]["certificates"] == 478
     stable = list(enumerate_chains(2, 9, 2, 9, require_stable=True))
     assert heights == [(roots, r) for roots in stable for r in sorted(set(roots))]
+
+
+# --- an independent count of the stable chains ------------------------------------------
+#
+# stable_counts counts the chains of a box by a dynamic program that shares
+# no code with the walk; its per-length counts must equal the report's
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        (2, 7, 12, 12, MODE_THEOREM),  # box A
+        (2, 8, 16, 20, MODE_THEOREM),  # the theorem-wide benchmark box
+        (2, 13, 2, 13, MODE_THEOREM),  # the theorem-dense benchmark box
+        (2, 9, 10, 10, MODE_NECESSITY),  # the necessity benchmark box
+        (2, 9, 16, 20, MODE_THEOREM),  # box B
+    ],
+    ids=["box-a", "theorem-wide", "theorem-dense", "necessity", "box-b"],
+)
+def test_per_n_equals_the_independent_count(box):
+    report = sweep.written_report(SweepParams(*box), records=False)
+    counted = stable_counts.per_n(*box[:4])
+    assert {n: {k: bucket[k] for k in ("generated", "stable")} for n, bucket in report["per_n"].items()} == counted
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([MODE_THEOREM, MODE_NECESSITY]),
+    st.integers(2, 7),
+    st.integers(0, 3),
+    st.sampled_from([2, 4, 6, 8]),
+    st.integers(0, 11),
+)
+def test_per_n_equals_the_independent_count_on_small_boxes(mode, n_min, extra, max_rise, bound):
+    report = sweep.written_report(SweepParams(n_min, n_min + extra, max_rise, bound, mode), records=False)
+    counted = stable_counts.per_n(n_min, n_min + extra, max_rise, bound)
+    assert {n: {k: bucket[k] for k in ("generated", "stable")} for n, bucket in report["per_n"].items()} == counted
+
+
+def test_the_independent_count_reads_a_written_report(tmp_path):
+    # the command line CI runs on box C's report: exit 0 on equal stable counts, 1 otherwise
+    report = sweep.written_report(SweepParams(2, 7, 12, 12), records=False)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(report), encoding="utf-8")
+    report["per_n"]["5"]["stable"] += 1
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    assert stable_counts.main([str(good)]) == 0
+    assert stable_counts.main([str(good), str(bad)]) == 1
+
+
+def test_the_independent_count_imports_nothing_from_the_package():
+    # a fresh interpreter that imports it has loaded no module of the package
+    tests = str(Path(__file__).resolve().parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {tests!r}); import stable_counts; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'higgs_threeterm'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
