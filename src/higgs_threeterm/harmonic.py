@@ -41,8 +41,8 @@ Every product and inverse of these stacks is written out entrywise:
 `product` multiplies 2x2 by 2xk matrices, and `inverse` takes the
 adjugate over the determinant, refusing with np.linalg.LinAlgError any
 matrix whose determinant is lost to cancellation, |det| <= eps (|a00
-a11| + |a01 a10|).  On a grid of 1,000 points each takes about a fifth
-of the time of numpy's stacked matmul or LAPACK inverse.
+a11| + |a01 a10|).  On a grid of 1,000 points each takes a quarter of
+the time of numpy's stacked matmul or LAPACK inverse, or less.
 
 The battery `verification_report` runs is the table `_CHECKS`: one row
 per check, in report order, holding the check and its default tolerance.

@@ -672,6 +672,12 @@ def test_the_checker_runs_once_per_certificate(monkeypatch):
 # no code with the walk; its per-length counts must equal the report's
 
 
+def reported_counts(box: tuple) -> dict:
+    """The report's per_n for box, cut to the two counts stable_counts makes."""
+    report = sweep.written_report(SweepParams(*box), records=False)
+    return {n: {k: bucket[k] for k in ("generated", "stable")} for n, bucket in report["per_n"].items()}
+
+
 @pytest.mark.parametrize(
     "box",
     [
@@ -684,9 +690,7 @@ def test_the_checker_runs_once_per_certificate(monkeypatch):
     ids=["box-a", "theorem-wide", "theorem-dense", "necessity", "box-b"],
 )
 def test_per_n_equals_the_independent_count(box):
-    report = sweep.written_report(SweepParams(*box), records=False)
-    counted = stable_counts.per_n(*box[:4])
-    assert {n: {k: bucket[k] for k in ("generated", "stable")} for n, bucket in report["per_n"].items()} == counted
+    assert reported_counts(box) == stable_counts.per_n(*box[:4])
 
 
 @settings(max_examples=40, deadline=None)
@@ -698,9 +702,8 @@ def test_per_n_equals_the_independent_count(box):
     st.integers(0, 11),
 )
 def test_per_n_equals_the_independent_count_on_small_boxes(mode, n_min, extra, max_rise, bound):
-    report = sweep.written_report(SweepParams(n_min, n_min + extra, max_rise, bound, mode), records=False)
-    counted = stable_counts.per_n(n_min, n_min + extra, max_rise, bound)
-    assert {n: {k: bucket[k] for k in ("generated", "stable")} for n, bucket in report["per_n"].items()} == counted
+    box = (n_min, n_min + extra, max_rise, bound, mode)
+    assert reported_counts(box) == stable_counts.per_n(*box[:4])
 
 
 def test_the_independent_count_reads_a_written_report(tmp_path):
