@@ -2,6 +2,7 @@
 """Alternating parent/change pairs of one benchmark workload, kept as a file.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S
+    python scripts/bench_pairs.py --trajectory
 
 Each ref is exported with `git archive` into its own directory under a
 temporary directory, and every run is that tree's own, unmodified
@@ -19,6 +20,13 @@ A/A file, whose spread is the noise floor a claim must clear). It holds
 both SHAs, the run context, every pair's metrics for both sides, and per
 metric each side's median and quartiles and the number of pairs the change
 wins; a tie wins for neither side.
+
+--trajectory runs nothing: it reads the committed BENCH files and prints,
+per workload, one line per file in the commit order of its change (files
+whose change is not in HEAD's history last): its `wall_vs_ref` parent and
+change medians, the change's wins out of its pairs, whether it gains
+beyond the parent's IQR, and the running product of change/parent median
+ratios. An A/A file is marked, and its ratio is left out of the product.
 """
 
 from __future__ import annotations
@@ -138,14 +146,49 @@ def run_pairs(trees: dict[str, Path], workload: str, pairs: int, seconds: int) -
     return context, records
 
 
+def commit_order() -> list[str]:
+    """The full SHAs of HEAD's history, oldest first ([] outside a git checkout)."""
+    done = subprocess.run(["git", "rev-list", "--reverse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    return done.stdout.split() if done.returncode == 0 else []
+
+
+def trajectory(benches: list[dict], order: list[str]) -> list[str]:
+    """The --trajectory lines of `benches`, BENCH file contents, given the
+    commit order of the SHAs; see the module docstring."""
+    position = {sha: i for i, sha in enumerate(order)}
+    lines = []
+    for workload in sorted({bench["workload"] for bench in benches}):
+        lines.append(f"{workload}: wall_vs_ref")
+        product = 1.0
+        ordered = sorted((b for b in benches if b["workload"] == workload), key=lambda b: position.get(b["change"], len(order)))
+        for bench in ordered:
+            row, aa = bench["summary"]["wall_vs_ref"], bench["parent"] == bench["change"]
+            parent, change = row["parent"]["median"], row["change"]["median"]
+            if not aa:
+                product *= change / parent
+            lines.append(
+                f"  {bench['change'][:12]} {'A/A' if aa else '   '} parent {parent:.4f} change {change:.4f}"
+                f" wins {row['change_wins']}/{row['pairs']} beyond_iqr {'yes' if row['gain_beyond_parent_iqr'] else 'no '}"
+                f" product {product:.4f}"
+            )
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=12)
+    parser.add_argument("--trajectory", action="store_true", help="print the committed BENCH files' trajectory")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        benches = [json.loads(path.read_text()) for path in sorted(OUT_DIR.glob("BENCH_*.json"))]
+        print("\n".join(trajectory(benches, commit_order())))
+        return 0
+    if args.parent is None or args.change is None or args.workload is None:
+        parser.error("PARENT, CHANGE and --workload are needed unless --trajectory is given")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
 

@@ -242,22 +242,27 @@ def extend_chain(
     steps: tuple[int, ...],
     bound: int,
     *,
+    n_min: int | None = None,
     stable_only: bool = False,
     three_term: bool = False,
     counts: dict[int, int] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], bool, tuple[int, ...] | None]]:
-    """Yield (roots, stable, violated) for length-n root tuples that extend
-    prefix by the given steps and keep |r_j| <= bound from the prefix's
-    last root on; stable is tail_slopes(roots).is_stable.  With
-    three_term, violated holds the heights of three_term_holds's
-    violations, ascending; without it, violated is None.
+    """Yield (roots, stable, violated) for root tuples of each length
+    n_min..n (n_min defaults to n) that extend prefix by the given steps
+    and keep |r_j| <= bound from the prefix's last root on; stable is
+    tail_slopes(roots).is_stable.  With three_term, violated holds the
+    heights of three_term_holds's violations, ascending; without it,
+    violated is None.
 
     Without stable_only or three_term the walk yields every such tuple.
     With three_term it yields only the tuples that are stable or violate
     the inequality: an unstable tuple with no violation witnesses nothing,
-    and nobody reads it.  The steps must ascend, as enumeration_steps
-    gives them; the order is then lexicographic.  A prefix longer than n,
-    or whose last root already leaves the box, yields nothing.
+    and nobody reads it.  A tuple shorter than n is yielded, by the same
+    rule as a leaf, when the walk reaches it, before any of its
+    extensions: so one walk hands over every length, and the order is
+    depth first.  The steps must ascend, as enumeration_steps gives them;
+    the order within each length is then lexicographic.  A prefix longer
+    than n, or whose last root already leaves the box, yields nothing.
 
     Stability is decided in O(1) per tuple from what the walk carries: the
     sum P_k of each node and the pair (P_j, j) of smallest prefix mean over
@@ -268,11 +273,12 @@ def extend_chain(
     r_n, the leaves of one parent are stable up to a last root and
     unstable above it.
 
-    With stable_only the walk yields exactly the stable tuples, in the same
-    order.  The leaf loop stops at the first unstable last root, and a
+    With stable_only the walk yields exactly the stable tuples of length
+    n, in the same order; its cut depends on n, so it takes n_min = n
+    only.  The leaf loop stops at the first unstable last root, and a
     node of length k < n below the prefix is cut, in its parent's loop
-    before it is built, when no completion can be stable (branch and
-    bound): no completion totals less than L = P_k + sum of
+    before it is built, when no completion can be stable
+    (branch and bound): no completion totals less than L = P_k + sum of
     max(last - 2t, -bound) over t = 1..n-k (drop at every step, clamped at
     the box), so the node is cut when L*j >= n*P_j for its pair (P_j, j).
 
@@ -289,6 +295,7 @@ def extend_chain(
     rechecks the node's violating heights only when x starts to violate or
     x-2 or x+2 is among them; no node scans all its heights.
     """
+    n_min = n if n_min is None else n_min
     counts = {} if counts is None else counts
     counts.clear()
     if abs(prefix[-1]) > bound or len(prefix) > n:
@@ -324,11 +331,13 @@ def extend_chain(
                         del counts[nxt]
             return
         left = n - k - 1  # the steps after a child's
+        handed = k + 1 >= n_min  # whether a child is handed over before its extensions
         for delta in steps:
             nxt = last + delta
             if abs(nxt) <= bound:
                 grown = total + nxt
-                low = (grown, k + 1) if grown * low_len < low_sum * (k + 1) else (low_sum, low_len)
+                stable = grown * low_len < low_sum * (k + 1)  # the child's verdict, which makes it the new pair
+                low = (grown, k + 1) if stable else (low_sum, low_len)
                 if stable_only:  # the branch-and-bound cut, before the child is built
                     drops = min(left, (nxt + bound) // 2)  # drops that stay inside the box
                     floor = grown + drops * nxt - drops * (drops + 1) - (left - drops) * bound
@@ -336,16 +345,19 @@ def extend_chain(
                         continue
                 m = get(nxt, 0)
                 counts[nxt] = m + 1
-                yield from walk(roots + (nxt,), grown, *low, bad if bad is None else _pushed(counts, bad, nxt))
+                child, violated = roots + (nxt,), bad if bad is None else _pushed(counts, bad, nxt)
+                if handed and (stable or violated != ()):
+                    yield child, stable, violated
+                yield from walk(child, grown, *low, violated)
                 if m:
                     counts[nxt] = m
                 else:
                     del counts[nxt]
 
+    if len(prefix) >= n_min and (stable or not stable_only and bad != ()):
+        yield prefix, stable, bad
     if len(prefix) < n:
         yield from walk(prefix, total, low_sum, low_len, bad)
-    elif stable or not stable_only and bad != ():
-        yield prefix, stable, bad
 
 
 def _pushed(counts: Mapping[int, int], bad: tuple[int, ...], x: int) -> tuple[int, ...]:

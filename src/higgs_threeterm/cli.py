@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
@@ -81,14 +82,14 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
 
 
 def _emit(args, json_obj, csv_header, csv_rows) -> None:
-    """Write the report in the pieces serialize.pieces gives; a NaN or infinity
+    """Write the report in the pieces serialize.strings gives; a NaN or infinity
     in it raises ValueError (exit 2) before anything is written."""
     parts = [*serialize.pieces(json_obj), "\n"] if args.format == "json" else [_csv_text(csv_header, csv_rows)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(parts)
+            handle.writelines(serialize.strings(parts))
     else:
-        sys.stdout.writelines(parts)
+        sys.stdout.writelines(serialize.strings(parts))
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rise", type=int, default=12)
     p.add_argument("--bound", type=int, default=12)
     p.add_argument("--mode", choices=("theorem", "necessity"), default="theorem")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="processes that run partitions: this one and up to N-1 forked (default 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser
@@ -386,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+            open(args.out, "w").close()  # open()'s own error, before any work
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,15 +10,16 @@ ValueError and an object JSON cannot hold raises TypeError, with one rule
 the stdlib lacks.  A `Written` value of a top-level dict is a list already
 written for that place, and `pieces` passes its `parts` through as they
 stand; a `Written` anywhere else is an object JSON cannot hold.  The
-command line writes the pieces one by one, never joined, and `dumps(obj)`
-is "".join(pieces(obj)).
+command line writes the pieces as `strings` gives them, in chunks of at
+most CHUNK characters, never joined, and `dumps(obj)` joins them.
 
 A list may be written in pieces: `write_items` writes some of its items as
 `dumps` would write them inside a list that is a value of the top-level
 dict, and `Written(pieces)` keeps such pieces, with the brackets and the
 separators between them, as its `parts`.  The sweep writes its violation
-records this way, in the worker that finds them, chain by chain in
-(length, roots) order.  A chain's records sort by (kind, detail as JSON
+records this way, in the process that finds them, chain by chain in
+(length, roots) order; a piece a forked worker wrote stays in its spill
+file (pool.Spilled), and `strings` reads it back in chunks.  A chain's records sort by (kind, detail as JSON
 with sorted keys), so numbers compare as text ("above": 10 before
 "above": 2), and sorting each chain's records orders the whole report
 without a global sort.  A theorem partition hands its chains, each with
@@ -67,11 +68,29 @@ _LINE = tuple("\n" + _INDENT * depth for depth in range(3))
 ITEM_SEPARATOR = "," + _LINE[2]  # between the items of such a list
 
 
+CHUNK = 1 << 20  # the most characters of text `strings` gives in one string
+
+
+def strings(parts):
+    """The text of `parts` in strings of at most CHUNK characters, a short
+    string given as it is: a longer one is sliced, and a piece that is not
+    a string (a sweep's spilled text) gives its own chunks, so that whoever
+    writes them encodes a bounded piece at a time."""
+    for part in parts:
+        if type(part) is not str:
+            yield from part.chunks()
+        elif len(part) <= CHUNK:
+            yield part
+        else:
+            yield from (part[start : start + CHUNK] for start in range(0, len(part), CHUNK))
+
+
 class Written:
     """A list that opens at depth 1, written in pieces, each one as
-    `write_items` writes some of its items ("" for none).  Its `parts` join
-    to the list's text: "[", the nonempty pieces as they are, not copied,
-    with the item separator between them, and "]"."""
+    `write_items` writes some of its items ("" for none), as a string or
+    as a sweep's spilled text.  Its `parts` are the list's text: "[", the nonempty
+    pieces as they are, not copied, with the item separator between them,
+    and "]"."""
 
     __slots__ = ("parts",)
 
@@ -102,7 +121,7 @@ def pieces(obj) -> list[str]:
 
 def dumps(obj) -> str:
     """The text of pieces(obj), joined: for a caller that needs one string."""
-    return "".join(pieces(obj))
+    return "".join(strings(pieces(obj)))
 
 
 def write_items(items: list) -> str:

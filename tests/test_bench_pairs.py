@@ -159,6 +159,54 @@ def test_main_refuses_an_incorrect_run_and_writes_nothing(monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def synthetic_bench(workload: str, parent: str, change: str, readings: list[tuple[float, float]]) -> dict:
+    """A BENCH file's content with the given (parent, change) wall_vs_ref pairs."""
+    pairs = [pair(p, c) for p, c in readings]
+    return {"workload": workload, "parent": parent, "change": change, "pairs": pairs, "summary": bench_pairs.summarize(pairs, BETTER)}
+
+
+def test_trajectory_follows_commit_order_and_marks_aa_files():
+    a, b, c, d = (letter * 40 for letter in "abcd")
+    benches = [
+        synthetic_bench("necessity", b, c, [(0.60, 0.54), (0.62, 0.56), (0.64, 0.58)]),  # 10% better, 3/3
+        synthetic_bench("necessity", a, b, [(0.80, 0.60), (0.82, 0.62), (0.84, 0.64)]),
+        synthetic_bench("necessity", b, b, [(0.60, 0.66), (0.62, 0.58), (0.64, 0.70)]),  # A/A: not in the product
+        synthetic_bench("necessity", c, d, [(0.50, 0.50), (0.52, 0.52), (0.54, 0.54)]),  # d is not in the history
+        synthetic_bench("metric-battery", a, b, [(0.70, 0.71), (0.72, 0.73), (0.74, 0.75)]),
+    ]
+    assert bench_pairs.trajectory(benches, [a, b, c]) == [
+        "metric-battery: wall_vs_ref",
+        f"  {'b' * 12}     parent 0.7200 change 0.7300 wins 0/3 beyond_iqr no  product 1.0139",
+        "necessity: wall_vs_ref",
+        f"  {'b' * 12}     parent 0.8200 change 0.6200 wins 3/3 beyond_iqr yes product 0.7561",
+        f"  {'b' * 12} A/A parent 0.6200 change 0.6600 wins 1/3 beyond_iqr no  product 0.7561",
+        f"  {'c' * 12}     parent 0.6200 change 0.5600 wins 3/3 beyond_iqr yes product 0.6829",
+        f"  {'d' * 12}     parent 0.5200 change 0.5200 wins 0/3 beyond_iqr no  product 0.6829",
+    ]
+
+
+def test_main_prints_the_trajectory_of_the_bench_files(monkeypatch, tmp_path, capsys):
+    a, b = "a" * 40, "b" * 40
+    bench = synthetic_bench("necessity", a, b, [(0.7, 0.6), (0.8, 0.65)])
+    (tmp_path / bench_pairs.bench_name("necessity", a, b)).write_text(json.dumps(bench))
+    (tmp_path / "unrelated.json").write_text("{}")
+    monkeypatch.setattr(bench_pairs, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(bench_pairs, "commit_order", lambda: [a, b])
+    assert bench_pairs.main(["--trajectory"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "necessity: wall_vs_ref",
+        f"  {'b' * 12}     parent 0.7500 change 0.6250 wins 2/2 beyond_iqr yes product 0.8333",
+    ]
+
+
+def test_main_needs_both_refs_and_a_workload_without_trajectory(capsys):
+    for argv in ([], ["HEAD~1", "HEAD"], ["HEAD", "--workload", "necessity"]):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+        assert exit_info.value.code == 2
+    assert "unless --trajectory is given" in capsys.readouterr().err
+
+
 ROOT = SCRIPT.parent.parent
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 

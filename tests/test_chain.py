@@ -679,3 +679,47 @@ def test_walk_decides_three_term_exhaustively(max_rise, bound, stable_only):
 def test_walk_decides_three_term_from_any_prefix(prefix, extra, max_rise, bound, stable_only):
     # random prefixes start the walk with violations of their own
     assert_walk_decides_three_term(prefix, len(prefix) + extra, enumeration_steps(max_rise, bound), bound, stable_only)
+
+
+# --- one walk for a range of lengths ----------------------------------------------
+
+
+def assert_range_walk_is_the_per_length_walks(prefix, n_min, n, steps, bound, three_term):
+    """The walk over lengths n_min..n yields, for each length, what the walk
+    of that length alone yields, in its order, with the same stability,
+    violating heights and carried multiplicities; and it hands each tuple
+    over before any of its extensions, so the whole order is lexicographic."""
+    counts = {}
+    ranged = [
+        (roots, stable, violated, dict(counts))
+        for roots, stable, violated in extend_chain(prefix, n, steps, bound, n_min=n_min, three_term=three_term, counts=counts)
+    ]
+    per_length = [
+        (roots, stable, violated, dict(counts))
+        for k in range(n_min, n + 1)
+        for roots, stable, violated in extend_chain(prefix, k, steps, bound, three_term=three_term, counts=counts)
+    ]
+    assert sorted(ranged, key=lambda leaf: len(leaf[0])) == per_length  # sorted() keeps each length's order
+    assert [leaf[0] for leaf in ranged] == sorted(leaf[0] for leaf in ranged)
+    return ranged
+
+
+@pytest.mark.parametrize("max_rise", [2, 4, 6])
+@pytest.mark.parametrize("bound", range(10))
+def test_range_walk_matches_the_per_length_walks_exhaustively(max_rise, bound):
+    # every box n 2-7, from (0,) and from each first step, as a necessity
+    # partition walks it; and without the verdict, every tuple
+    steps = enumeration_steps(max_rise, bound)
+    for prefix, three_term in itertools.product(box_prefixes(max_rise, bound), [True, False]):
+        for n_min, n in itertools.combinations_with_replacement(range(2, 8), 2):
+            ranged = assert_range_walk_is_the_per_length_walks(prefix, n_min, n, steps, bound, three_term)
+            if not three_term:
+                assert len(ranged) == sum(count_chains(prefix, n, steps, bound)[n_min:])
+
+
+@given(root_lists, st.integers(0, 3), st.integers(0, 4), st.sampled_from([2, 4, 6, 8]), st.integers(0, 12), st.booleans())
+def test_range_walk_matches_the_per_length_walks_from_any_prefix(prefix, below, extra, max_rise, bound, three_term):
+    # random prefixes, some already in the range and with violations of their own
+    n_min = max(1, len(prefix) - below)
+    assert_range_walk_is_the_per_length_walks(prefix, n_min, len(prefix) + extra, enumeration_steps(max_rise, bound), bound, three_term)
+

@@ -815,17 +815,20 @@ def test_a_box_longer_than_the_walk_can_go_deep_is_refused(capsys, argv, time_bo
 def test_sweep_worker_that_dies_exits_two(capsys, monkeypatch, time_bound):
     from higgs_threeterm import sweep
 
-    original = sweep._run_partition
+    original, tester = sweep._run_partition, os.getpid()
 
     def dies_in_one(task):
-        if task[:2] == (3, 4):
+        # (4, -2) is handed out first, so the forked worker runs it; this
+        # process must never run a partition that exits
+        if task[1:3] == (4, -2):
+            assert os.getpid() != tester, "the test process ran the partition that exits"
             os._exit(3)
         return original(task)
 
     monkeypatch.setattr(sweep, "_run_partition", dies_in_one)
     code, out, err = run_cli(capsys, "sweep", "--n-max", "4", "--max-rise", "4", "--bound", "6", "--workers", "2")
     assert (code, out) == (2, "")
-    assert err == "error: sweep worker died in partition (n=3, first step=4)\n"
+    assert err == "error: sweep worker died in partition (n=4, first step=-2)\n"
 
 
 def test_sweep_workers_above_one_need_fork(capsys, monkeypatch):
@@ -868,6 +871,27 @@ def test_sweep_out_file(capsys, tmp_path):
     assert out == ""
     report = json.loads(target.read_text())
     validate(report, "sweepReport")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_out_in_a_directory_that_does_not_exist_is_refused_before_any_work(capsys, monkeypatch, tmp_path, workers):
+    # refused before the sweep runs, so a long box wastes no work, with the
+    # error open() raises, and nothing is made
+    from higgs_threeterm import sweep
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(sweep, "written_report", refused)
+    target = tmp_path / "missing" / "r.json"
+    argv = ["sweep", "--mode", "necessity", "--n-max", "9", "--max-rise", "16", "--bound", "20", "--workers", workers]
+    assert run_cli(capsys, *argv, "--out", str(target)) == (2, "", f"error: [Errno 2] No such file or directory: {str(target)!r}\n")
+    assert not target.parent.exists()
+    # a file where the directory should be: open()'s own error
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "r.json"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (2, "", f"error: [Errno 20] Not a directory: {str(target)!r}\n")
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_sweep_csv(capsys):
@@ -922,7 +946,7 @@ ON_DEMAND_MODULES = (
     "concurrent.futures", "csv", "dataclasses", "decimal", "fractions", "higgs_threeterm.filtered",
     "inspect", "multiprocessing", "numpy",
 )
-SWEEP_MODULES = ("higgs_threeterm.chain", "higgs_threeterm.pairing", "higgs_threeterm.sweep")
+SWEEP_MODULES = ("higgs_threeterm.chain", "higgs_threeterm.pairing", "higgs_threeterm.pool", "higgs_threeterm.sweep")
 # runs the commands of argv[1] in turn in one process; after each, prints which of argv[2] are loaded
 IMPORT_PROBE = """
 import json, os, sys
@@ -949,7 +973,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs():
     sweep = ["sweep", "--n-max", "3", "--max-rise", "4", "--bound", "4", "--workers"]
     rank1 = ["rank1", "--a", "3", "--b", "5/4"]
     after_sweep, after_pooled_sweep, after_rank1 = loaded_after_each(sweep + ["1"], sweep + ["2"], rank1)
-    assert after_sweep == after_pooled_sweep == set(SWEEP_MODULES)
+    assert after_sweep == set(SWEEP_MODULES) - {"higgs_threeterm.pool"}  # only a pooled sweep compiles the pool
+    assert after_pooled_sweep == set(SWEEP_MODULES)
     assert "higgs_threeterm.filtered" in after_rank1
 
     # verify-metric and rank1 run no chain, so they load none of the sweep's modules
@@ -979,10 +1004,11 @@ def test_emit_writes_nothing_when_a_later_entry_cannot_be_json(capsys, tmp_path)
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_a_necessity_report_is_written_without_being_held_whole(workers, tmp_path, time_bound):
     # the benchmark's necessity box, 2.7 MB of records: written in pieces,
-    # the command's traced peak stays under twice the report's bytes.  Joined
+    # and a forked worker's pieces copied from its spill file in chunks, the
+    # command's traced peak stays under twice the report's bytes.  Joined
     # into one string, then encoded whole, it read 3.1 times
     import tracemalloc
 

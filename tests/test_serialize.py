@@ -113,6 +113,37 @@ def test_records_written_in_pieces_join_to_dumps_of_the_whole_report(records, cu
     assert dumps({**report, "violations": Written(texts)}) == expected
 
 
+class Chunked:
+    """A piece that is not a string, as a sweep's spilled text: it gives
+    its own text in chunks of at most serialize.CHUNK characters."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def chunks(self):
+        size = serialize.CHUNK
+        return (self.text[start : start + size] for start in range(0, len(self.text), size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RECORDS, max_size=8), st.lists(st.integers(0, 8), max_size=5), st.lists(st.booleans(), max_size=10), st.integers(1, 200))
+def test_strings_write_the_same_text_in_bounded_chunks(records, cuts, spilled, chunk):
+    # any piece may be spilled; a string no longer than CHUNK is given as
+    # it is (not copied), a longer one sliced, and dumps joins them
+    bounds = [0, *sorted(min(cut, len(records)) for cut in cuts), len(records)]
+    texts = [write_items(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+    pieces = [Chunked(text) if text and spill else text for text, spill in zip(texts, [*spilled, *[False] * len(texts)])]
+    report = {"totals": {"stable": 1}, "violations": Written(pieces), "pass": True}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "CHUNK", chunk)
+        parts = serialize.pieces(report)
+        written = list(serialize.strings(parts))
+        assert "".join(written) == dumps(report) == oracle({**report, "violations": records})
+        assert all(len(text) <= chunk for text in written)
+        given = {id(text) for text in written}
+        assert all(id(part) in given for part in parts if type(part) is str and len(part) <= chunk)
+
+
 # a report's entries in order: a value with cuts is a list written in
 # pieces, cut there, so a Written; a value without goes to json.dumps
 ENTRIES = st.lists(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higgs_threeterm import cli, serialize, sweep
+from higgs_threeterm import cli, pool, serialize, sweep
 from higgs_threeterm.chain import (
     RootSequence,
     ThreeTermViolation,
@@ -143,10 +143,13 @@ def test_necessity_walk_yields_each_chain_once_and_builds_no_root_sequence(monke
         seq = RootSequence(roots)
         _, found = three_term_holds(multiplicities(seq).counts)
         verdicts[roots] = (tail_slopes(seq).is_stable, tuple(v.height for v in found))
-    assert calls["yields"] == [(roots, *verdicts[roots]) for roots in everything if any(verdicts[roots])]
+    # one walk per first step, depth first: a chain before its extensions, so
+    # the walks together hand the chains over in lexicographic order
+    assert calls["yields"] == [(roots, *verdicts[roots]) for roots in sorted(everything) if any(verdicts[roots])]
     assert all(not stable and not violated for stable, violated in (verdicts[roots] for roots in set(everything) - set(yielded)))
-    # one record per violated height of each unstable chain, as the walk decided it
-    witnessed = [(roots, violated) for roots, stable, violated in calls["yields"] if not stable]
+    # one record per violated height of each unstable chain, as the walk decided it,
+    # in the report's (length, roots) order
+    witnessed = sorted(((roots, violated) for roots, stable, violated in calls["yields"] if not stable), key=lambda w: (len(w[0]), w[0]))
     assert all(violated for _, violated in witnessed)
     assert [(list(roots), len(violated)) for roots, violated in witnessed] == [
         (roots, len(list(records))) for roots, records in itertools.groupby(r["roots"] for r in report["violations"])
@@ -210,13 +213,16 @@ def brute_force_necessity(n: int, first_step: int, max_rise: int, bound: int) ->
 # where the records' text order differs from numeric order
 @pytest.mark.parametrize("bound", [0, 1, 3, 5, 8, 10, 12])
 def test_necessity_partition_matches_brute_force(max_rise, bound):
-    for n, first_step in itertools.product(range(2, 8), enumeration_steps(max_rise, bound)):
-        task = (n, first_step, max_rise, bound, MODE_NECESSITY)
-        stable, certificates, records, written = sweep._run_partition((*task, True))
-        expected_stable, expected = brute_force_necessity(n, first_step, max_rise, bound)
-        assert (stable, records, written) == (expected_stable, len(expected), serialize.write_items(expected))
-        assert certificates == 0
-        assert sweep._run_partition((*task, False)) == (stable, 0, len(expected), "")
+    # one partition per first step, n 2-7, gives each length's counts and text
+    for first_step in enumeration_steps(max_rise, bound):
+        task = (2, 7, first_step, max_rise, bound, MODE_NECESSITY)
+        written, counted = sweep._run_partition((*task, True)), sweep._run_partition((*task, False))
+        assert len(written) == len(counted) == 6
+        for n, (stable, certificates, records, text), only_counted in zip(range(2, 8), written, counted):
+            expected_stable, expected = brute_force_necessity(n, first_step, max_rise, bound)
+            assert (stable, records, text) == (expected_stable, len(expected), serialize.write_items(expected))
+            assert certificates == 0
+            assert only_counted == (stable, 0, len(expected), "")
 
 
 @settings(max_examples=80, deadline=None)
@@ -230,16 +236,19 @@ def test_necessity_partition_matches_brute_force(max_rise, bound):
 )
 def test_each_partition_counts_the_records_it_writes(mode, n, max_rise, bound, failing, data):
     # records is the number of records in text, and a partition that only
-    # counts returns the same numbers with "".  Real theorem boxes have no
-    # records, so a failing checker gives each stable chain some
+    # counts returns the same numbers with "", for each of its lengths: one
+    # in theorem mode, n_min..n in necessity mode.  Real theorem boxes have
+    # no records, so a failing checker gives each stable chain some
     first_step = data.draw(st.sampled_from(enumeration_steps(max_rise, bound)))
-    task = (n, first_step, max_rise, bound, mode)
+    n_min = n if mode == MODE_THEOREM else data.draw(st.integers(2, n))
+    task = (n_min, n, first_step, max_rise, bound, mode)
     with pytest.MonkeyPatch.context() as patch:
         if failing:
             patch.setattr(sweep, "verify_certificate", lambda roots, r, targets: (False, ["injectivity"]))
-        stable, certificates, records, text = sweep._run_partition((*task, True))
-        assert records == len(json.loads(f"[{text}]"))
-        assert sweep._run_partition((*task, False)) == (stable, certificates, records, "")
+        written = sweep._run_partition((*task, True))
+        assert len(written) == n - n_min + 1
+        assert all(records == len(json.loads(f"[{text}]")) for _, _, records, text in written)
+        assert sweep._run_partition((*task, False)) == [(*counts, "") for *counts, _ in written]
 
 
 def dict_report(params: SweepParams) -> dict:
@@ -311,7 +320,7 @@ def test_a_report_without_records_keeps_the_counts_and_pass(mode, fails, monkeyp
     for workers in (1, 2):
         written = sweep.written_report(params, workers)
         counted = sweep.written_report(params, workers, records=False)
-        found = "".join(written.pop("violations").parts) != "[]"
+        found = "".join(serialize.strings(written.pop("violations").parts)) != "[]"
         assert found == (fails == (mode == MODE_THEOREM))
         del written["timing_seconds"], counted["timing_seconds"]
         assert counted == written
@@ -421,10 +430,12 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks 
 @needs_fork
 @pytest.mark.parametrize(
     ("n_max", "max_rise", "workers", "pools"),
-    [(2, 2, 64, [2]), (3, 2, 64, [4]), (2, 2, 1, []), (2, 4, 2, [2])],
+    [(2, 2, 64, [1]), (3, 2, 64, [3]), (2, 2, 1, []), (2, 4, 2, [1])],
 )
 def test_worker_pool_never_exceeds_partitions(monkeypatch, n_max, max_rise, workers, pools, time_bound):
-    # `pools` lists the worker count of each pool the sweep starts (one at most)
+    # `pools` lists the forks of each pool the sweep starts (one at most): the
+    # parent runs partitions too, so N workers fork N - 1, and 64 workers on
+    # a box of two partitions fork one
     forks = counting_forks(monkeypatch)
     params = SweepParams(2, n_max, max_rise, 2)
     report = run_sweep(params, workers=workers)
@@ -433,73 +444,128 @@ def test_worker_pool_never_exceeds_partitions(monkeypatch, n_max, max_rise, work
 
 
 @needs_fork
+def test_a_necessity_pool_forks_one_worker_less_than_its_first_steps(monkeypatch, time_bound):
+    # a necessity partition is a first step with every length: rise 4 has three
+    forks = counting_forks(monkeypatch)
+    params = SweepParams(2, 5, 4, 4, MODE_NECESSITY)
+    report = run_sweep(params, workers=64)
+    assert len(forks) == 2
+    assert canonical(report) == canonical(run_sweep(params, workers=1))
+
+
+@needs_fork
 def test_pool_takes_the_longest_chains_first(monkeypatch, tmp_path, time_bound):
-    # A pool of one worker runs the partitions in the order the pool hands
-    # them out; each appends its (n, first step) to a file the test reads.
+    # A pool that forks nothing runs every partition in this process, in the
+    # order the pool hands them out; each appends its lengths and first step
+    # to a file the test reads.  A necessity partition holds every length
     log = tmp_path / "handed-out"
-    run_partition, run_pooled = sweep._run_partition, sweep._run_pooled
+    run_partition, run_pooled = sweep._run_partition, pool.run
 
     def logged(task):
         with open(log, "a") as handle:
-            handle.write("%d %d\n" % task[:2])
+            handle.write("%d %d %d\n" % task[:3])
         return run_partition(task)
 
     monkeypatch.setattr(sweep, "_run_partition", logged)
-    monkeypatch.setattr(sweep, "_run_pooled", lambda tasks, workers: run_pooled(tasks, 1))
-    run_sweep(SweepParams(2, 4, 4, 4), workers=2)
-    handed_out = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    assert handed_out == [(4, -2), (4, 2), (4, 4), (3, -2), (3, 2), (3, 4), (2, -2), (2, 2), (2, 4)]
+    monkeypatch.setattr(pool, "run", lambda tasks, workers, partition: run_pooled(tasks, 1, partition))
+    expected = {
+        MODE_THEOREM: [(n, n, first) for n in (4, 3, 2) for first in (-2, 2, 4)],
+        MODE_NECESSITY: [(2, 4, -2), (2, 4, 2), (2, 4, 4)],
+    }
+    for mode, order in expected.items():
+        log.write_text("")
+        run_sweep(SweepParams(2, 4, 4, 4, mode), workers=2)
+        assert [tuple(map(int, line.split())) for line in log.read_text().splitlines()] == order
+
+
+def only_in_a_worker(partition):
+    """`partition`, made to fail the test instead when this process runs it:
+    a partition patched to exit must never run in the test process."""
+    tester = os.getpid()
+
+    def guarded(task):
+        if os.getpid() == tester:
+            raise AssertionError(f"the test process ran partition {task[:3]}")
+        return partition(task)
+
+    return guarded
 
 
 @needs_fork
 def test_dead_worker_names_its_partition(monkeypatch, time_bound):
-    # The forked workers inherit the patch.  (6, -2) goes in first and
-    # sleeps, so the pool stops its worker in the middle of it when the
-    # worker running (6, 2) dies; only (6, 2) is named.
+    # The forked workers inherit the patch, and the first partitions handed
+    # out go to them: first steps -2 and 2.  -2 sleeps, so the pool stops its
+    # worker in the middle of it when the worker running 2 dies; only 2 is
+    # named, with the lengths its partition covers.  This process runs 4 and 6
     original = sweep._run_partition
 
-    def dies_in_one(task):
-        time.sleep(0.05 if task[:2] == (6, 2) else 0.5)
-        if task[:2] == (6, 2):
+    @only_in_a_worker
+    def dies_in_two(task):
+        time.sleep(0.05 if task[2] == 2 else 0.5)
+        if task[2] == 2:
             os._exit(3)
         return original(task)
 
-    monkeypatch.setattr(sweep, "_run_partition", dies_in_one)
-    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=6, first step=2\)$"):
-        run_sweep(SweepParams(2, 6, 6, 8, MODE_NECESSITY), workers=2)
+    def patched(task):
+        return dies_in_two(task) if task[2] in (-2, 2) else original(task)
+
+    monkeypatch.setattr(sweep, "_run_partition", patched)
+    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=2\.\.6, first step=2\)$"):
+        run_sweep(SweepParams(2, 6, 6, 8, MODE_NECESSITY), workers=3)
     assert_no_child_left()
 
 
 @needs_fork
 def test_partition_that_raises_names_its_partition(monkeypatch, capfd, time_bound):
+    # (4, -2) is handed out first, so a forked worker runs it
     original = sweep._run_partition
 
-    def raises_in_one(task):
-        if task[:2] == (3, 4):
-            raise RuntimeError("no such partition")
-        return original(task)
+    @only_in_a_worker
+    def raises(task):
+        raise RuntimeError("no such partition")
 
-    monkeypatch.setattr(sweep, "_run_partition", raises_in_one)
-    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=3, first step=4\)$"):
+    monkeypatch.setattr(sweep, "_run_partition", lambda task: raises(task) if task[1:3] == (4, -2) else original(task))
+    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=4, first step=-2\)$"):
         run_sweep(SweepParams(2, 4, 4, 6), workers=2)
     assert_no_child_left()
     assert "RuntimeError: no such partition" in capfd.readouterr().err
 
 
 @needs_fork
+@pytest.mark.parametrize("mode", [MODE_THEOREM, MODE_NECESSITY])
+def test_partition_that_raises_in_the_parent_propagates(monkeypatch, mode, time_bound):
+    # as with one worker: the exception itself, and the workers are ended.
+    # Rise 8 has five first steps: by the time this process takes its first
+    # partition, its two workers can have taken at most four
+    original, tester = sweep._run_partition, os.getpid()
+
+    def raises_here(task):
+        if os.getpid() == tester:
+            raise RuntimeError("in the parent")
+        return original(task)
+
+    monkeypatch.setattr(sweep, "_run_partition", raises_here)
+    for workers in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="^in the parent$"):
+            run_sweep(SweepParams(2, 4, 8, 6, mode), workers=workers)
+        assert_no_child_left()
+
+
+@needs_fork
 def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
     # the parent was killed: nobody holds the result pipe's read end, so the
     # worker's write fails with EPIPE; it exits nonzero and prints nothing
-    tasks = [(4, -2, 4, 6, MODE_THEOREM, True)]
+    tasks = [(2, 4, -2, 4, 6, MODE_NECESSITY, True)]
     (orders, order_end), (result_end, out) = os.pipe(), os.pipe()
     os.write(order_end, (0).to_bytes(4, "little"))
     os.close(order_end)
     os.close(result_end)
     stderr = tmp_path / "stderr"
+    spill = pool._spill_file()
     if (pid := os.fork()) == 0:
         try:
             os.dup2(os.open(stderr, os.O_WRONLY | os.O_CREAT), 2)
-            sweep._work(tasks, orders, out, set())
+            pool._work(tasks, sweep._run_partition, orders, out, set(), spill)
         finally:
             os._exit(3)  # never return into pytest
     os.close(orders)
@@ -507,6 +573,7 @@ def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 1
     assert stderr.read_bytes() == b""
+    assert os.fstat(spill.fd).st_size > 0  # it had spilled its text before the write
 
 
 @needs_fork
@@ -517,10 +584,69 @@ def test_pooled_sweep_leaves_no_child(time_bound):
 
 @needs_fork
 def test_partition_larger_than_a_pipe_buffer(time_bound):
-    # (8, -2) writes about 100 KB of records, more than a 64 KB pipe buffer holds
+    # first step -2 writes about 100 KB of records at n = 8, more than a
+    # 64 KB pipe buffer holds; it is handed out first, so a forked worker
+    # writes it to its spill file, and the report reads it back
     params = SweepParams(2, 8, 6, 8, MODE_NECESSITY)
-    assert len(sweep._run_partition((8, -2, 6, 8, MODE_NECESSITY, True))[3]) > 1 << 16
+    assert len(sweep._run_partition((2, 8, -2, 6, 8, MODE_NECESSITY, True))[-1][3]) > 1 << 16
+    parts = sweep.written_report(params, workers=2)["violations"].parts
+    assert max(part.size for part in parts if isinstance(part, pool.Spilled)) > 1 << 16
     assert canonical(run_sweep(params, workers=2)) == canonical(run_sweep(params, workers=1))
+
+
+def test_a_spilled_text_reads_back_in_bounded_chunks(monkeypatch):
+    spill = pool._spill_file()
+    os.write(spill.fd, b"0123456789abcdef")
+    monkeypatch.setattr(serialize, "CHUNK", 4)
+    assert list(pool.Spilled(spill, 3, 10).chunks()) == ["3456", "789a", "bc"]
+    assert list(pool.Spilled(spill, 0, 0).chunks()) == []
+    with pytest.raises(OSError, match="^spill file ends at byte 16, before 20$"):
+        list(pool.Spilled(spill, 12, 8).chunks())
+
+
+def open_descriptors() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts this process's descriptors in /proc")
+def test_no_spill_file_outlives_the_run(monkeypatch, tmp_path, capsys, time_bound):
+    # spill files go to the temporary directory, each unlinked as soon as it
+    # is made and closed with the report: after a run, a refusal and a dead
+    # worker the directory is empty and no descriptor is left open
+    import tempfile
+
+    spills = tmp_path / "spills"
+    spills.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spills))
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def recorded(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        made.append(path)
+        return fd, path
+
+    monkeypatch.setattr(tempfile, "mkstemp", recorded)
+    box = ["sweep", "--mode", "necessity", "--n-max", "6", "--max-rise", "6", "--bound", "8"]
+    before = open_descriptors()
+    for workers in ("2", "3"):
+        assert cli.main([*box, "--workers", workers, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(made) == 3 and all(Path(path).parent == spills for path in made)
+    assert cli.main([*box, "--workers", "2", "--out", str(tmp_path / "missing" / "report.json")]) == 2
+
+    original = sweep._run_partition
+
+    @only_in_a_worker
+    def dies(task):
+        os._exit(3)
+
+    monkeypatch.setattr(sweep, "_run_partition", lambda task: dies(task) if task[2] == -2 else original(task))
+    assert cli.main([*box, "--workers", "2", "--out", str(tmp_path / "died.json")]) == 2
+    assert capsys.readouterr().err.endswith("error: sweep worker died in partition (n=2..6, first step=-2)\n")
+    assert len(made) == 4
+    assert list(spills.iterdir()) == []
+    assert open_descriptors() == before
 
 
 def test_parameter_validation():
