@@ -19,10 +19,10 @@ dict, and `Written(pieces)` keeps such pieces, with the brackets and the
 separators between them, as its `parts`.  The sweep writes its violation
 records this way, in the process that finds them, chain by chain in
 (length, roots) order; a piece a forked worker wrote stays in its spill
-file (pool.Spilled), and `strings` reads it back in chunks.  A chain's records sort by (kind, detail as JSON
-with sorted keys), so numbers compare as text ("above": 10 before
-"above": 2), and sorting each chain's records orders the whole report
-without a global sort.  A theorem partition hands its chains, each with
+file (pool.Spilled), and `strings` reads it back in chunks.  A chain's
+records sort by (kind, detail as JSON with sorted keys), so numbers
+compare as text ("above": 10 before "above": 2), and sorting each
+chain's records orders the whole report without a global sort.  A theorem partition hands its chains, each with
 its violations, to `theorem_items` when it ends.  A necessity partition
 writes each witness's records as the walk hands the witness over, with
 `three_term_writer(n)`, and joins them by ITEM_SEPARATOR; the records
@@ -31,9 +31,9 @@ less the prefix they all share, and only when there are two or more.
 It and `int_list_items` (`enumerate`'s root lists) lay out nothing
 themselves: for each length they meet, `write_items` writes one item of
 zeros and its 0s become %d (`_template`), and each item of that length
-is that template filled with its numbers, with no record dict; a
-three-term record fills the part before its detail with the roots, once
-per chain, and the detail after it.  So `write_items` is the one code
+is that template filled with its numbers, with no record dict; of a
+chain with several three-term records, the part before the detail is
+filled with the roots once, and the detail after it once per record.  So `write_items` is the one code
 that lays out an item, and the stdlib's pure-Python encoder, which
 json.dumps uses whenever indent is set, runs once per length, not once
 per item.
@@ -172,18 +172,20 @@ def three_term_writer(n: int):
     report order, for the records {"roots": list(roots), "kind":
     "three-term", "detail": v._asdict()} of each v of violations, with no
     dict per record; a v is a 4-tuple in ThreeTermViolation's field
-    order, also `_asdict`'s key order.  The template of a record of n
-    roots is cut where the detail starts: the roots fill the part before
-    it once per chain, and each v the part after."""
+    order, also `_asdict`'s key order.  A chain with one violation fills
+    the template of a record of n roots at once; with more, the template
+    is cut where the detail starts: the roots fill the part before it once
+    per chain, and each v the part after."""
     from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
 
     detail = dict.fromkeys(ThreeTermViolation._fields, 0)
-    head, detail_key, tail = _template({"roots": [0] * n, "kind": "three-term", "detail": detail}).partition('"detail": ')
+    whole = _template({"roots": [0] * n, "kind": "three-term", "detail": detail})
+    head, detail_key, tail = whole.partition('"detail": ')
 
     def write(roots, violations) -> list[str]:
+        if len(violations) == 1:  # most witnesses: the whole template, filled at once
+            return [whole % (*roots, *violations[0])]
         filled = head % roots + detail_key
-        if len(violations) > 1:
-            violations = sorted(violations, key=_three_term_key)
-        return [filled + tail % v for v in violations]
+        return [filled + tail % v for v in sorted(violations, key=_three_term_key)]
 
     return write

@@ -46,17 +46,17 @@ text their records as serialize writes them inside the report's
 violation list.  A theorem partition hands its chains with violations to
 serialize.theorem_items when it ends.  A necessity partition writes each
 witness's records when the walk hands the witness over, with
-serialize.three_term_writer: the roots fill their part of the length's
-template once per chain, and each violation its detail after it; each
-length's text is its records joined by serialize.ITEM_SEPARATOR.  The
-writing runs in the process that runs the partition: with more than one
-worker, the pool module's forked workers write their texts to spill
-files and send back only counts and sizes.  The parent keeps the texts,
-in canonical order, as the pieces of a serialize.Written, a worker's as
-pool.Spilled ranges of its spill file, which the command line writes in
-bounded chunks; `pass` comes from the counts.  `written_report` is the report the command line writes,
-and its `timing_seconds` includes the writing; `run_sweep` reads the
-records back as dicts.  A CSV report prints only the counts, so for it
+serialize.three_term_writer, which fills the length's record template
+with the roots and each violation; each length's text is its records
+joined by serialize.ITEM_SEPARATOR.  The writing runs in the process
+that runs the partition: with more than one worker, the pool module's
+forked workers write their texts to spill files and send back only
+counts and sizes.  The parent keeps the texts, in canonical order, as
+the pieces of a serialize.Written, a worker's as pool.Spilled ranges of
+its spill file, which the command line writes in bounded chunks; `pass`
+comes from the counts.  `written_report` is the report the command line
+writes, and its `timing_seconds` includes the writing; `run_sweep` reads
+the records back as dicts.  A CSV report prints only the counts, so for it
 the partitions keep and write no record, their text is "", and no spill
 file is made.
 """
