@@ -22,21 +22,22 @@ records this way, in the process that finds them, chain by chain in
 file (pool.Spilled), and `strings` reads it back in chunks.  A chain's
 records sort by (kind, detail as JSON with sorted keys), so numbers
 compare as text ("above": 10 before "above": 2), and sorting each
-chain's records orders the whole report without a global sort.  A theorem partition hands its chains, each with
-its violations, to `theorem_items` when it ends.  A necessity partition
-writes each witness's records as the walk hands the witness over, with
-`three_term_writer(n)`, and joins them by ITEM_SEPARATOR; the records
-all have one shape, so it sorts a chain's violations by that key's text
-less the prefix they all share, and only when there are two or more.
-It and `int_list_items` (`enumerate`'s root lists) lay out nothing
-themselves: for each length they meet, `write_items` writes one item of
-zeros and its 0s become %d (`_template`), and each item of that length
-is that template filled with its numbers, with no record dict; of a
-chain with several three-term records, the part before the detail is
-filled with the roots once, and the detail after it once per record.  So `write_items` is the one code
-that lays out an item, and the stdlib's pure-Python encoder, which
-json.dumps uses whenever indent is set, runs once per length, not once
-per item.
+chain's records orders the whole report without a global sort.  A
+theorem partition hands its chains, each with its violations, to
+`theorem_items` when it ends.  A necessity partition gathers the numbers
+of each witness's records as the walk hands the witness over, in report
+order: the records all have one shape, so `three_term_order` sorts a
+chain's violations by that key's text less the prefix they all share
+(the partition calls it only for a witness with two or more), and
+`three_term_items` then writes each length's records at once.  It and
+`int_list_items` (`enumerate`'s root lists) lay out nothing themselves:
+for each length they meet, `write_items` writes one item of zeros and
+its 0s become %d (`_template`), and each item of that length is that
+template filled with its numbers, with no record dict;
+`three_term_items` fills the templates of all of a length's records,
+joined, in one format.  So `write_items` is the one code that lays out
+an item, and the stdlib's pure-Python encoder, which json.dumps uses
+whenever indent is set, runs once per length, not once per item.
 """
 
 from __future__ import annotations
@@ -165,27 +166,25 @@ def _three_term_key(v) -> str:
     return f'{v[3]}, "below": {v[2]}, "count": {v[1]}, "height": {v[0]}}}'
 
 
+def three_term_order(violations) -> list:
+    """violations, 4-tuples in ThreeTermViolation's field order, sorted
+    into report order (see the module docstring)."""
+    return sorted(violations, key=_three_term_key)
+
+
 @functools.cache
-def three_term_writer(n: int):
-    """The writer of a chain of n roots' three-term records: given (roots,
-    violations) it returns [write_items([record]) for each record] in
-    report order, for the records {"roots": list(roots), "kind":
-    "three-term", "detail": v._asdict()} of each v of violations, with no
-    dict per record; a v is a 4-tuple in ThreeTermViolation's field
-    order, also `_asdict`'s key order.  A chain with one violation fills
-    the template of a record of n roots at once; with more, the template
-    is cut where the detail starts: the roots fill the part before it once
-    per chain, and each v the part after."""
+def _three_term_template(n: int) -> str:
+    """The template (see _template) of a three-term record of n roots."""
     from .chain import ThreeTermViolation  # loaded already: only a sweep calls this
 
-    detail = dict.fromkeys(ThreeTermViolation._fields, 0)
-    whole = _template({"roots": [0] * n, "kind": "three-term", "detail": detail})
-    head, detail_key, tail = whole.partition('"detail": ')
+    return _template({"roots": [0] * n, "kind": "three-term", "detail": dict.fromkeys(ThreeTermViolation._fields, 0)})
 
-    def write(roots, violations) -> list[str]:
-        if len(violations) == 1:  # most witnesses: the whole template, filled at once
-            return [whole % (*roots, *violations[0])]
-        filled = head % roots + detail_key
-        return [filled + tail % v for v in sorted(violations, key=_three_term_key)]
 
-    return write
+def three_term_items(n: int, numbers: list[int]) -> str:
+    """write_items of three-term records of n roots, given their numbers:
+    each record's roots, then its detail in ThreeTermViolation's field
+    order, `_asdict`'s key order too, one record after another.  They fill
+    the records' templates, joined, in one format, with no dict or string
+    per record."""
+    count = len(numbers) // (n + 4)
+    return ITEM_SEPARATOR.join([_three_term_template(n)] * count) % tuple(numbers)

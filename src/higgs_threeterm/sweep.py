@@ -45,10 +45,10 @@ of its lengths: records is the number of that length's violations, and
 text their records as serialize writes them inside the report's
 violation list.  A theorem partition hands its chains with violations to
 serialize.theorem_items when it ends.  A necessity partition writes each
-witness's records when the walk hands the witness over, with
-serialize.three_term_writer, which fills the length's record template
-with the roots and each violation; each length's text is its records
-joined by serialize.ITEM_SEPARATOR.  The writing runs in the process
+witness's records with serialize.three_term_items: as the walk hands a
+witness over, it gathers the roots and each violation in report order
+into its length's numbers, and at the end each length's records fill
+their templates in one format.  The writing runs in the process
 that runs the partition: with more than one worker, the pool module's
 forked workers write their texts to spill files and send back only
 counts and sizes.  The parent keeps the texts, in canonical order, as
@@ -138,18 +138,17 @@ def _run_partition(args: tuple[int, int, int, int, int, str, bool]) -> list[tupl
     root tuple.  A theorem partition has one length, since its cut
     depends on it.  In necessity mode one walk hands over every length's
     stable chains and witnesses, depth first, each witness with its
-    violating heights, and the witness's records are written then, into
-    its length's list of record texts.
+    violating heights; the numbers of the witness's records go then into
+    its length's list, and each length's records are written at the end.
     """
     n_min, n, first_step, max_rise, bound, mode, write = args
     theorem = mode == MODE_THEOREM
     lengths = range(n_min, n + 1)
     # per length: stable, certificates, records, and when written: (roots, found) of
-    # each chain with any, or each three-term record
+    # each chain with any, or the numbers of each three-term record
     results = [[0, 0, 0, []] for _ in lengths]
     counts: dict[int, int] = {}
     get = counts.get
-    writers = None if theorem else [serialize.three_term_writer(k) for k in lengths]
     steps = enumeration_steps(max_rise, bound)
     walk = extend_chain((0, first_step), n, steps, bound, n_min=n_min, stable_only=theorem, three_term=not theorem, counts=counts)
     for roots, is_stable, violated in walk:
@@ -162,13 +161,20 @@ def _run_partition(args: tuple[int, int, int, int, int, str, bool]) -> list[tupl
                 result[2] += len(found)
                 if write and found:
                     result[3].append((roots, found))
-        else:  # a witness, the only unstable chain the (necessity) walk yields: its records are written now
+        else:  # a witness, the only unstable chain the (necessity) walk yields: its records' numbers, now
             result[2] += len(violated)
             if write:
-                result[3] += writers[len(roots) - n_min](roots, [(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated])
-    join = serialize.theorem_items if theorem else serialize.ITEM_SEPARATOR.join
-    for result in results:  # each length's list goes once it is joined
-        result[3] = join(result[3])
+                numbers = result[3]
+                if len(violated) == 1:  # most witnesses: nothing to sort
+                    r = violated[0]
+                    numbers += roots
+                    numbers += r, counts[r], get(r - 2, 0), get(r + 2, 0)
+                else:
+                    for detail in serialize.three_term_order([(r, counts[r], get(r - 2, 0), get(r + 2, 0)) for r in violated]):
+                        numbers += roots
+                        numbers += detail
+    for k, result in enumerate(results, start=n_min):  # each length's list goes once it is written
+        result[3] = serialize.theorem_items(result[3]) if theorem else serialize.three_term_items(k, result[3])
     return [tuple(result) for result in results]
 
 

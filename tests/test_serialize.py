@@ -17,7 +17,8 @@ from higgs_threeterm.serialize import (
     int_list_items,
     parse_rational,
     pieces,
-    three_term_writer,
+    three_term_items,
+    three_term_order,
     write_items,
 )
 
@@ -184,19 +185,25 @@ def test_pieces_join_to_json_indent_two_and_keep_each_written_piece(entries):
         max_size=4,
     ),
 )
-def test_three_term_writer_matches_write_items_of_the_records(chains):
+def test_three_term_items_match_write_items_of_the_records(chains):
     # each chain's records in report order: by their detail as JSON with sorted keys;
-    # the writer gives one item per record, and its items join as write_items joins them
-    records, items = [], []
+    # three_term_items writes them from their numbers, the chains of one length at
+    # once, and its items join as write_items joins them
+    records, items, by_length = [], [], {}
     for roots, violations in chains:
         details = [ThreeTermViolation(*v)._asdict() for v in violations]
         details.sort(key=lambda detail: json.dumps(detail, sort_keys=True))
         chain_records = [{"roots": list(roots), "kind": "three-term", "detail": detail} for detail in details]
-        written = three_term_writer(len(roots))(roots, violations)
-        assert written == [write_items([record]) for record in chain_records]
+        numbers = [number for v in three_term_order(violations) for number in (*roots, *v)]
+        written = three_term_items(len(roots), numbers)
+        assert written == write_items(chain_records)
         records += chain_records
-        items += written
+        items += [written] if written else []
+        by_length.setdefault(len(roots), ([], []))[0].extend(chain_records)
+        by_length[len(roots)][1].extend(numbers)
     assert serialize.ITEM_SEPARATOR.join(items) == write_items(records)
+    for n, (length_records, numbers) in by_length.items():
+        assert three_term_items(n, numbers) == write_items(length_records)
 
 
 @settings(max_examples=100, deadline=None)

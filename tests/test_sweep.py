@@ -383,7 +383,7 @@ def test_necessity_records_from_the_template_match_the_dict_records(chains):
     for roots, found in chains:
         dicts = [{"roots": list(roots), "kind": "three-term", "detail": v._asdict()} for v in found]
         records += sorted(dicts, key=old_global_key)
-        items += serialize.three_term_writer(len(roots))(roots, found)
+        items.append(serialize.three_term_items(len(roots), [x for v in serialize.three_term_order(found) for x in (*roots, *v)]))
     written = serialize.ITEM_SEPARATOR.join(items)
     assert written == serialize.write_items(records)
     as_found = [(roots, [("three-term", v._asdict()) for v in found]) for roots, found in chains]
