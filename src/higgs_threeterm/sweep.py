@@ -161,7 +161,7 @@ def _run_partition(args: tuple[int, int, int, int, int, str, bool]) -> list[tupl
                 result[2] += len(found)
                 if write and found:
                     result[3].append((roots, found))
-        else:  # a witness, the only unstable chain the (necessity) walk yields: its records' numbers, now
+        else:  # a witness, the only unstable chain the (necessity) walk yields: its records' numbers go in now
             result[2] += len(violated)
             if write:
                 numbers = result[3]
