@@ -14,12 +14,12 @@ Evaluation", OOPSLA 2007). A run that does not end with `correct: true`
 and 0 failed stops the script, since its metrics would time a wrong
 report.
 
-The result goes to BENCH_<workload>-<change sha>.json at the repository
-root, or BENCH_<workload>-<sha>-aa.json when both refs are one commit (an
-A/A file, whose spread is the noise floor a claim must clear). It holds
-both SHAs, the run context, every pair's metrics for both sides, and per
-metric each side's median and quartiles and the number of pairs the change
-wins; a tie wins for neither side.
+The result goes to bench/BENCH_<workload>-<change sha>.json in the
+repository, or bench/BENCH_<workload>-<sha>-aa.json when both refs are one
+commit (an A/A file, whose spread is the noise floor a claim must clear).
+It holds both SHAs, the run context, every pair's metrics for both sides,
+and per metric each side's median and quartiles and the number of pairs
+the change wins; a tie wins for neither side.
 
 --trajectory runs nothing: it reads the committed BENCH files and prints,
 per workload, one line per file in the commit order of its change (files
@@ -40,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT_DIR = ROOT  # where the BENCH file goes
+OUT_DIR = ROOT / "bench"  # where the BENCH files go, and where --trajectory reads them
 SIDES = ("parent", "change")
 
 

@@ -20,7 +20,9 @@ length, in one walk.  Partitions share nothing, and their texts are
 merged in (length, first step) order, so the report is independent of
 the worker count (the timing field aside).  One worker runs inline.
 With N, the sweep forks at most N - 1 workers, never more than the
-partitions less one, and runs partitions itself too.
+partitions less one, and runs partitions itself too: each process takes
+its next partition from one queue that all of them share, not from
+another process (see pool.run).
 
 The walk, chain.extend_chain, hands over each chain as a plain root tuple
 with its stability, decided in O(1) from the prefix sums it carries, and

@@ -208,7 +208,7 @@ def test_main_needs_both_refs_and_a_workload_without_trajectory(capsys):
 
 
 ROOT = SCRIPT.parent.parent
-BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+BENCH_FILES = sorted((ROOT / "bench").glob("BENCH_*.json"))
 
 
 def test_bench_files_are_committed():

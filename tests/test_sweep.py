@@ -494,9 +494,10 @@ def only_in_a_worker(partition):
 @needs_fork
 def test_dead_worker_names_its_partition(monkeypatch, time_bound):
     # The forked workers inherit the patch, and the first partitions handed
-    # out go to them: first steps -2 and 2.  -2 sleeps, so the pool stops its
-    # worker in the middle of it when the worker running 2 dies; only 2 is
-    # named, with the lengths its partition covers.  This process runs 4 and 6
+    # out go to them: first steps -2 and 2.  The worker running 2 dies; the
+    # one running -2 sleeps, then finishes it, while this process takes 4 and
+    # 6 from the queue.  Only 2 is named, with the lengths its partition
+    # covers, once the queue is empty
     original = sweep._run_partition
 
     @only_in_a_worker
@@ -535,13 +536,15 @@ def test_partition_that_raises_names_its_partition(monkeypatch, capfd, time_boun
 @pytest.mark.parametrize("mode", [MODE_THEOREM, MODE_NECESSITY])
 def test_partition_that_raises_in_the_parent_propagates(monkeypatch, mode, time_bound):
     # as with one worker: the exception itself, and the workers are ended.
-    # Rise 8 has five first steps: by the time this process takes its first
-    # partition, its two workers can have taken at most four
+    # Each forked worker sleeps 0.2 s in every partition it runs, so the
+    # queue, which rise 8's five first steps leave nonempty, still holds a
+    # partition when this process takes its first
     original, tester = sweep._run_partition, os.getpid()
 
     def raises_here(task):
         if os.getpid() == tester:
             raise RuntimeError("in the parent")
+        time.sleep(0.2)
         return original(task)
 
     monkeypatch.setattr(sweep, "_run_partition", raises_here)
@@ -556,19 +559,18 @@ def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
     # the parent was killed: nobody holds the result pipe's read end, so the
     # worker's write fails with EPIPE; it exits nonzero and prints nothing
     tasks = [(2, 4, -2, 4, 6, MODE_NECESSITY, True)]
-    (orders, order_end), (result_end, out) = os.pipe(), os.pipe()
-    os.write(order_end, (0).to_bytes(4, "little"))
-    os.close(order_end)
+    queue = pool._unlinked_file("queue")  # empty: the worker runs only its first partition
+    result_end, out = os.pipe()
     os.close(result_end)
     stderr = tmp_path / "stderr"
-    spill = pool._spill_file()
+    spill = pool.SpillFile(pool._unlinked_file("spill"))
     if (pid := os.fork()) == 0:
         try:
             os.dup2(os.open(stderr, os.O_WRONLY | os.O_CREAT), 2)
-            pool._work(tasks, sweep._run_partition, orders, out, set(), spill)
+            pool._work(tasks, sweep._run_partition, 0, queue, out, set(), spill)
         finally:
             os._exit(3)  # never return into pytest
-    os.close(orders)
+    os.close(queue)
     os.close(out)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 1
@@ -579,6 +581,62 @@ def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
 @needs_fork
 def test_pooled_sweep_leaves_no_child(time_bound):
     run_sweep(SweepParams(2, 5, 4, 6, MODE_NECESSITY), workers=3)
+    assert_no_child_left()
+
+
+def logged_stub(log: int, counts):
+    """A stub partition: appends "pid index" to the O_APPEND descriptor
+    `log`, then returns counts(index) and its text for its one length."""
+
+    def run_partition(task):
+        os.write(log, b"%d %d\n" % (os.getpid(), task[0]))
+        time.sleep(0.001)  # long enough that every process takes some
+        return [(*counts(task[0]), f"[{task[0]}]" if task[-1] else "")]
+
+    return run_partition
+
+
+def read_back(outcome: list[tuple]) -> list[tuple]:
+    """A pool result with each spilled text read back as a string."""
+    return [(*counts, "".join(text.chunks()) if isinstance(text, pool.Spilled) else text) for *counts, text in outcome]
+
+
+@needs_fork
+@pytest.mark.parametrize("records", [True, False])
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_every_queued_partition_runs_exactly_once(workers, records, tmp_path, time_bound):
+    # every process takes partitions from one shared queue: each of 200 runs
+    # once, each forked worker runs at least its first, and the results,
+    # spilled texts included, come back in task order
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    tasks = [(index, index % 7, 0, records) for index in range(200)]
+    counts = lambda index: (index, 2 * index, 1)
+    try:
+        results = pool.run(tasks, workers, logged_stub(log, counts))
+    finally:
+        os.close(log)
+    assert [read_back(outcome) for outcome in results] == [[(*counts(i), f"[{i}]" if records else "")] for i in range(200)]
+    ran = [tuple(map(int, line.split())) for line in (tmp_path / "ran").read_text().splitlines()]
+    assert sorted(index for _, index in ran) == list(range(200))
+    assert len({pid for pid, _ in ran} - {os.getpid()}) == workers - 1
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+def test_result_lines_larger_than_a_pipe_buffer_complete(workers, tmp_path, time_bound):
+    # 3 counts of 4,000 digits for each of 100 partitions: 1.2 MB of result
+    # lines, more than any pipe holds, written while this process still runs
+    # partitions and read only once the queue is empty
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    tasks = [(index, 0, 0, False) for index in range(100)]
+    counts = lambda index: (10**3999 + index, 10**3999 + 2 * index, 10**3999 + 3 * index)
+    try:
+        results = pool.run(tasks, workers, logged_stub(log, counts))
+    finally:
+        os.close(log)
+    assert sum(len(b"%d %d %d" % counts(i)) for i in range(100)) > 1 << 20
+    assert results == [[(*counts(i), "")] for i in range(100)]
     assert_no_child_left()
 
 
@@ -595,7 +653,7 @@ def test_partition_larger_than_a_pipe_buffer(time_bound):
 
 
 def test_a_spilled_text_reads_back_in_bounded_chunks(monkeypatch):
-    spill = pool._spill_file()
+    spill = pool.SpillFile(pool._unlinked_file("spill"))
     os.write(spill.fd, b"0123456789abcdef")
     monkeypatch.setattr(serialize, "CHUNK", 4)
     assert list(pool.Spilled(spill, 3, 10).chunks()) == ["3456", "789a", "bc"]
@@ -611,9 +669,11 @@ def open_descriptors() -> set[str]:
 @needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts this process's descriptors in /proc")
 def test_no_spill_file_outlives_the_run(monkeypatch, tmp_path, capsys, time_bound):
-    # spill files go to the temporary directory, each unlinked as soon as it
-    # is made and closed with the report: after a run, a refusal and a dead
-    # worker the directory is empty and no descriptor is left open
+    # spill files and partition queues go to the temporary directory, each
+    # unlinked as soon as it is made and closed with the report or the pool:
+    # after a run, a refusal and a dead worker the directory is empty and no
+    # descriptor is left open.  A pool of N workers makes one queue and N - 1
+    # spill files
     import tempfile
 
     spills = tmp_path / "spills"
@@ -632,7 +692,8 @@ def test_no_spill_file_outlives_the_run(monkeypatch, tmp_path, capsys, time_boun
     before = open_descriptors()
     for workers in ("2", "3"):
         assert cli.main([*box, "--workers", workers, "--out", str(tmp_path / "report.json")]) == 0
-    assert len(made) == 3 and all(Path(path).parent == spills for path in made)
+    assert len(made) == 5 and all(Path(path).parent == spills for path in made)
+    assert sorted(Path(path).name.split("-")[2] for path in made) == ["queue"] * 2 + ["spill"] * 3
     assert cli.main([*box, "--workers", "2", "--out", str(tmp_path / "missing" / "report.json")]) == 2
 
     original = sweep._run_partition
@@ -644,7 +705,7 @@ def test_no_spill_file_outlives_the_run(monkeypatch, tmp_path, capsys, time_boun
     monkeypatch.setattr(sweep, "_run_partition", lambda task: dies(task) if task[2] == -2 else original(task))
     assert cli.main([*box, "--workers", "2", "--out", str(tmp_path / "died.json")]) == 2
     assert capsys.readouterr().err.endswith("error: sweep worker died in partition (n=2..6, first step=-2)\n")
-    assert len(made) == 4
+    assert len(made) == 7
     assert list(spills.iterdir()) == []
     assert open_descriptors() == before
 
