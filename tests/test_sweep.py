@@ -584,13 +584,14 @@ def test_pooled_sweep_leaves_no_child(time_bound):
     assert_no_child_left()
 
 
-def logged_stub(log: int, counts):
-    """A stub partition: appends "pid index" to the O_APPEND descriptor
-    `log`, then returns counts(index) and its text for its one length."""
+def logged_stub(log: Path, counts):
+    """A stub partition: appends "pid index" to the file `log`, opened
+    O_APPEND, then returns counts(index) and its text for its one length."""
 
     def run_partition(task):
-        os.write(log, b"%d %d\n" % (os.getpid(), task[0]))
-        time.sleep(0.001)  # long enough that every process takes some
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {task[0]}\n")
+        time.sleep(0.001)  # so the processes contend for the queue
         return [(*counts(task[0]), f"[{task[0]}]" if task[-1] else "")]
 
     return run_partition
@@ -608,18 +609,13 @@ def test_every_queued_partition_runs_exactly_once(workers, records, tmp_path, ti
     # every process takes partitions from one shared queue: each of 200 runs
     # once, each forked worker runs at least its first, and the results,
     # spilled texts included, come back in task order
-    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     tasks = [(index, index % 7, 0, records) for index in range(200)]
     counts = lambda index: (index, 2 * index, 1)
-    try:
-        results = pool.run(tasks, workers, logged_stub(log, counts))
-    finally:
-        os.close(log)
+    results = pool.run(tasks, workers, logged_stub(tmp_path / "ran", counts))
     assert [read_back(outcome) for outcome in results] == [[(*counts(i), f"[{i}]" if records else "")] for i in range(200)]
     ran = [tuple(map(int, line.split())) for line in (tmp_path / "ran").read_text().splitlines()]
     assert sorted(index for _, index in ran) == list(range(200))
     assert len({pid for pid, _ in ran} - {os.getpid()}) == workers - 1
-    assert_no_child_left()
 
 
 @needs_fork
@@ -628,16 +624,11 @@ def test_result_lines_larger_than_a_pipe_buffer_complete(workers, tmp_path, time
     # 3 counts of 4,000 digits for each of 100 partitions: 1.2 MB of result
     # lines, more than any pipe holds, written while this process still runs
     # partitions and read only once the queue is empty
-    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     tasks = [(index, 0, 0, False) for index in range(100)]
     counts = lambda index: (10**3999 + index, 10**3999 + 2 * index, 10**3999 + 3 * index)
-    try:
-        results = pool.run(tasks, workers, logged_stub(log, counts))
-    finally:
-        os.close(log)
+    results = pool.run(tasks, workers, logged_stub(tmp_path / "ran", counts))
     assert sum(len(b"%d %d %d" % counts(i)) for i in range(100)) > 1 << 20
     assert results == [[(*counts(i), "")] for i in range(100)]
-    assert_no_child_left()
 
 
 @needs_fork
