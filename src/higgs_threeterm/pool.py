@@ -1,12 +1,14 @@
-"""The sweep's process pool: forked workers, their partition queue, result
-pipes and spill files.
+"""The sweep's process pool: forked workers, their partition queue and
+their spill files.
 
 sweep.written_report runs its partitions here when it has more than one
-worker, and only then is this module loaded.  Every process takes its
-partitions from one queue, an unlinked temporary file of partition
-indices.  A worker's texts stay in its spill file, and come back as
-Spilled ranges of it, which serialize.strings reads back in chunks; see
-`run`.
+worker, and only then is this module loaded.  The pool knows nothing of
+a task: it hands each one, in list order, to the function it is given.
+Every process takes its partitions from one queue, an unlinked temporary
+file of partition indices.  Each forked worker has one spill file, its
+only channel back: a line of counts and sizes for each partition it
+ran, then that partition's texts, which come back as Spilled ranges of
+the file, read back in chunks by serialize.strings; see `run`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import os
 import signal
 
 from . import serialize
-from .sweep import WorkerDied
 
 
 class SpillFile:
     """The descriptor of a spill file, an unlinked temporary file that a
-    forked worker writes its texts to; closed, and so gone, with the last
-    reference to it."""
+    forked worker writes its results to; closed, and so gone, with the
+    last reference to it."""
 
     __slots__ = ("fd",)
 
@@ -70,28 +71,22 @@ def _take(queue: int) -> int:
     return int.from_bytes(index, "little") if index else -1
 
 
-def _work(tasks: list[tuple], run_partition, index: int, queue: int, out: int, parent_ends: set[int], spill) -> None:
-    """A forked pool worker, starting with partition `index` (see run); it leaves only by os._exit."""
+def _work(tasks: list, run_partition, index: int, queue: int, spill: SpillFile) -> None:
+    """A forked pool worker, starting with partition `index` (see run); it
+    leaves only by os._exit, and takes no partition once its parent is gone."""
     try:
-        for fd in parent_ends:  # the other workers' read ends too, so a write fails once the parent is gone
-            os.close(fd)
-        results = open(out, "wb")  # left to os._exit to close, so EOF means the worker is gone
-        spilled = None if spill is None else open(spill.fd, "wb", closefd=False)
-        while index >= 0:
+        parent = os.getppid()
+        spilled = open(spill.fd, "wb", closefd=False)
+        while index >= 0 and os.getppid() == parent:
+            outcome = run_partition(tasks[index])
             sizes = [index]
-            for *numbers, text in run_partition(tasks[index]):
-                data = text.encode()  # "" when there is no spill file: nobody reads the records
-                if data:
-                    spilled.write(data)
-                sizes += (*numbers, len(data))
-            if spilled is not None:
-                spilled.flush()  # before the parent hears of it
-            results.write(b" ".join(b"%d" % size for size in sizes) + b"\n")
-            results.flush()
+            for *numbers, text in outcome:
+                sizes += (*numbers, len(text))
+            spilled.write(b" ".join(b"%d" % size for size in sizes) + b"\n")
+            spilled.writelines(text.encode("ascii") for *_, text in outcome)
+            spilled.flush()  # a partition is whole in the file before the next one runs
             index = _take(queue)
         os._exit(0)
-    except BrokenPipeError:  # the parent is gone: nobody reads the result, nor a traceback
-        pass
     except BaseException:  # KeyboardInterrupt too
         import traceback
 
@@ -100,61 +95,60 @@ def _work(tasks: list[tuple], run_partition, index: int, queue: int, out: int, p
         os._exit(1)
 
 
-def run(tasks: list[tuple], workers: int, run_partition) -> list[list[tuple]]:
-    """run_partition of each task, in this process and `workers` - 1
-    forked ones; results in task order.
+def _read(spill: SpillFile, results: list) -> None:
+    """Put each whole partition in a worker's spill file into results: a
+    partition whose line lacks its newline, or whose texts end short of
+    its sizes, was cut when its worker died, and has no result."""
+    with open(spill.fd, "rb", closefd=False) as file:
+        file.seek(0)  # the worker's writes left the offset it shares with this process at the end
+        while (line := file.readline()).endswith(b"\n"):
+            index, *numbers = map(int, line.split())
+            outcome, position = [], file.tell()
+            for *counts, size in zip(*[iter(numbers)] * 4):  # each result's numbers and text size
+                outcome.append((*counts, Spilled(spill, position, size) if size else ""))
+                position += size
+            if position > os.fstat(spill.fd).st_size:
+                return
+            results[index] = outcome
+            file.seek(position)
 
-    The partitions go longest chains first (descending n, then ascending
-    first step): the first one to each forked worker as it starts, and
-    the others into the queue, from which every process, this one too,
-    takes its next partition as soon as it has run its last.  A worker
-    writes its texts to its spill file (none when no record is written),
-    then one line on its result pipe: the partition's index, then stable,
-    certificates, records and the text's size, for each length.  Once the
-    queue is empty, this process reads the result pipes to EOF, one after
-    the other; a partition without its line died in its worker, which is
-    reported then.  Workers leave by os._exit, never flushing this
-    process's stdio buffers, and none outlives this call.
+
+def run(tasks: list, workers: int, run_partition) -> list:
+    """run_partition of each task, in this process and `workers` - 1
+    forked ones; results in task order, None for a partition whose
+    worker died.
+
+    The tasks go in list order: the first one to each forked worker as it
+    starts, and the others into the queue, from which every process, this
+    one too, takes its next partition as soon as it has run its last.  A
+    worker appends to its spill file, for each partition it runs, one
+    line, the partition's index, then each of its results' numbers and
+    the size of its text, and then the texts.  Once the queue is empty,
+    this process waits for each worker to exit and then reads its spill
+    file.  Workers leave by os._exit, never flushing this process's stdio
+    buffers, and none outlives this call.
     """
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
     results: list = [None] * len(tasks)
     queue = _unlinked_file("queue")
-    pids, ends, pipes = [], {queue}, []  # the workers, this process's descriptors, (result end, spill file)
+    pids, spills = [], []  # the workers not yet reaped, and every worker's spill file
     try:
-        with open(queue, "wb", closefd=False) as handle:
-            handle.write(b"".join(index.to_bytes(4, "little") for index in order[workers - 1 :]))
-        os.lseek(queue, 0, os.SEEK_SET)
-        for index in order[: workers - 1]:
-            result_end, out = os.pipe()
-            ends.add(result_end)
-            spill = SpillFile(_unlinked_file("spill")) if tasks[0][-1] else None  # none when no record is written
+        os.pwrite(queue, b"".join(index.to_bytes(4, "little") for index in range(workers - 1, len(tasks))), 0)
+        for index in range(workers - 1):
+            spills.append(SpillFile(_unlinked_file("spill")))
             if (pid := os.fork()) == 0:
-                _work(tasks, run_partition, index, queue, out, ends - {queue}, spill)
+                _work(tasks, run_partition, index, queue, spills[-1])
             pids.append(pid)
-            os.close(out)
-            pipes.append((result_end, spill))
         while (index := _take(queue)) >= 0:
             results[index] = run_partition(tasks[index])
-        for result_end, spill in pipes:
-            position = 0
-            with open(result_end, "rb", closefd=False) as pipe:
-                for line in pipe.read().split(b"\n")[:-1]:  # a last line without its newline is unfinished
-                    index, *numbers = map(int, line.split())
-                    outcome = []
-                    for i in range(0, len(numbers), 4):
-                        *counts, size = numbers[i : i + 4]
-                        outcome.append((*counts, Spilled(spill, position, size) if size else ""))
-                        position += size
-                    results[index] = outcome
-        if None in results:  # (n=6, first step=2) in theorem mode, (n=2..9, first step=2) in necessity mode
-            n_min, n, first_step = tasks[results.index(None)][:3]
-            lengths = n if n_min == n else f"{n_min}..{n}"
-            raise WorkerDied(f"sweep worker died in partition (n={lengths}, first step={first_step})")
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()  # only once reaped: a reaped pid may be reused, and is never signalled
+        for spill in spills:
+            _read(spill, results)
         return results
     finally:
         for pid in pids:  # a worker is still running only when this process raised
             os.kill(pid, signal.SIGTERM)
-        for fd in ends:
-            os.close(fd)
+        os.close(queue)
         for pid in pids:
             os.waitpid(pid, 0)

@@ -18,11 +18,14 @@ from the prefix (0, first step): a theorem partition holds one length,
 since its cut depends on the length, and a necessity partition every
 length, in one walk.  Partitions share nothing, and their texts are
 merged in (length, first step) order, so the report is independent of
-the worker count (the timing field aside).  One worker runs inline.
-With N, the sweep forks at most N - 1 workers, never more than the
-partitions less one, and runs partitions itself too: each process takes
-its next partition from one queue that all of them share, not from
-another process (see pool.run).
+the worker count (the timing field aside).  The sweep lists them
+longest chains first, and runs them in that order.  One worker runs
+inline.  With N, pool.run forks at most N - 1 workers, never more than
+the partitions less one, and runs partitions in this process too: each
+process takes its next partition from one queue that all of them share,
+not from another process.  The pool knows nothing of a task; it returns
+None for a partition whose worker died, and the sweep names that
+partition in WorkerDied.
 
 The walk, chain.extend_chain, hands over each chain as a plain root tuple
 with its stability, decided in O(1) from the prefix sums it carries, and
@@ -51,16 +54,16 @@ witness's records with serialize.three_term_items: as the walk hands a
 witness over, it gathers the roots and each violation in report order
 into its length's numbers, and at the end each length's records fill
 their templates in one format.  The writing runs in the process
-that runs the partition: with more than one worker, the pool module's
-forked workers write their texts to spill files and send back only
-counts and sizes.  The parent keeps the texts, in canonical order, as
+that runs the partition: with more than one worker, each of the pool
+module's forked workers writes its counts, sizes and texts to its one
+spill file.  The parent keeps the texts, in canonical order, as
 the pieces of a serialize.Written, a worker's as pool.Spilled ranges of
 its spill file, which the command line writes in bounded chunks; `pass`
 comes from the counts.  `written_report` is the report the command line
 writes, and its `timing_seconds` includes the writing; `run_sweep` reads
 the records back as dicts.  A CSV report prints only the counts, so for it
-the partitions keep and write no record, their text is "", and no spill
-file is made.
+the partitions keep and write no record, their text is "", and a
+worker's spill file holds only its lines of counts.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
     started = time.perf_counter()
     steps = enumeration_steps(params.max_rise, params.root_bound)
     lengths = range(params.n_min, params.n_max + 1)
-    # a theorem partition is one length, a necessity partition every length
-    spans = [(n, n) for n in lengths] if params.mode == MODE_THEOREM else [(params.n_min, params.n_max)]
+    # a theorem partition is one length, a necessity partition every length; the longest chains go first
+    spans = [(n, n) for n in reversed(lengths)] if params.mode == MODE_THEOREM else [(params.n_min, params.n_max)]
     tasks = [
         (n_min, n, first_step, params.max_rise, params.root_bound, params.mode, records)
         for n_min, n in spans
@@ -221,6 +224,9 @@ def written_report(params: SweepParams, workers: int = 1, records: bool = True) 
         from . import pool  # only a pooled sweep compiles it
 
         outcomes = pool.run(tasks, workers, _run_partition)
+    if None in outcomes:  # (n=6, first step=2) in theorem mode, (n=2..9, first step=2) in necessity mode
+        n_min, n, first_step = tasks[outcomes.index(None)][:3]
+        raise WorkerDied(f"sweep worker died in partition (n={n if n_min == n else f'{n_min}..{n}'}, first step={first_step})")
     by_part = {
         (n, task[2]): result
         for task, outcome in zip(tasks, outcomes)

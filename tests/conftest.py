@@ -9,7 +9,7 @@ import pytest
 @pytest.fixture
 def time_bound():
     """Fail the test after 60 s instead of hanging the run (a sweep pool
-    that never ends its workers would otherwise block on a result pipe or in waitpid).
+    that never ends its workers would otherwise block in waitpid).
     Forked workers inherit the handler but not the alarm."""
 
     def expire(signum, frame):

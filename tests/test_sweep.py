@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -35,6 +36,7 @@ from higgs_threeterm.sweep import (
 )
 
 import stable_counts
+import witness_counts
 
 
 def canonical(report: dict) -> str:
@@ -455,9 +457,10 @@ def test_a_necessity_pool_forks_one_worker_less_than_its_first_steps(monkeypatch
 
 @needs_fork
 def test_pool_takes_the_longest_chains_first(monkeypatch, tmp_path, time_bound):
-    # A pool that forks nothing runs every partition in this process, in the
-    # order the pool hands them out; each appends its lengths and first step
-    # to a file the test reads.  A necessity partition holds every length
+    # The sweep lists its tasks longest first, and the pool hands them out in
+    # list order.  A pool that forks nothing runs every partition in this
+    # process, in that order; each appends its lengths and first step to a
+    # file the test reads.  A necessity partition holds every length
     log = tmp_path / "handed-out"
     run_partition, run_pooled = sweep._run_partition, pool.run
 
@@ -517,6 +520,38 @@ def test_dead_worker_names_its_partition(monkeypatch, time_bound):
 
 
 @needs_fork
+@pytest.mark.parametrize(("cut", "records"), [("in its line", True), ("in its line", False), ("in its text", True)])
+def test_a_cut_spill_file_names_its_partition(monkeypatch, cut, records, time_bound):
+    # a worker killed while it writes leaves its last partition cut in its
+    # spill file: that partition has no result.  The first forked worker
+    # runs only first step -2, sleeping while the others empty the queue;
+    # its file is cut before it is read, where a kill could have cut it.
+    # Without records every text size is 0, so the line's newline alone
+    # tells a whole line from one cut after a number
+    original, read = sweep._run_partition, pool._read
+    cuts = []
+
+    @only_in_a_worker
+    def slow(task):
+        time.sleep(0.3)
+        return original(task)
+
+    def cut_first(spill, results):
+        if not cuts:  # the first worker's file: one line, then the texts
+            data = os.pread(spill.fd, os.fstat(spill.fd).st_size, 0)
+            cuts.append(data.index(b"\n") - 1 if cut == "in its line" else len(data) - 1)  # one digit less, or one byte
+            assert data.startswith(b"0 ") and (len(data) - 1 > data.index(b"\n")) == records  # partition 0, its text
+            os.ftruncate(spill.fd, cuts[0])
+        read(spill, results)
+
+    monkeypatch.setattr(sweep, "_run_partition", lambda task: slow(task) if task[2] == -2 else original(task))
+    monkeypatch.setattr(pool, "_read", cut_first)
+    with pytest.raises(sweep.WorkerDied, match=r"^sweep worker died in partition \(n=2\.\.6, first step=-2\)$"):
+        sweep.written_report(SweepParams(2, 6, 6, 8, MODE_NECESSITY), 3, records)
+    assert_no_child_left()
+
+
+@needs_fork
 def test_partition_that_raises_names_its_partition(monkeypatch, capfd, time_bound):
     # (4, -2) is handed out first, so a forked worker runs it
     original = sweep._run_partition
@@ -556,26 +591,45 @@ def test_partition_that_raises_in_the_parent_propagates(monkeypatch, mode, time_
 
 @needs_fork
 def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
-    # the parent was killed: nobody holds the result pipe's read end, so the
-    # worker's write fails with EPIPE; it exits nonzero and prints nothing
-    tasks = [(2, 4, -2, 4, 6, MODE_NECESSITY, True)]
-    queue = pool._unlinked_file("queue")  # empty: the worker runs only its first partition
-    result_end, out = os.pipe()
-    os.close(result_end)
-    stderr = tmp_path / "stderr"
+    # the worker's parent is killed while the worker runs its first partition:
+    # the worker runs none of the queued ones and writes nothing to stderr.
+    # Its parent is a process forked here, so nobody here reaps the worker:
+    # this process reads a pipe only the worker holds to EOF instead
+    log, stderr = tmp_path / "ran", tmp_path / "stderr"
+
+    def kills_its_parent(task):
+        with open(log, "a") as handle:
+            handle.write(f"{task}\n")
+        if task == 0:
+            parent = os.getppid()
+            os.kill(parent, signal.SIGKILL)
+            while os.getppid() == parent:  # until the worker is reparented
+                time.sleep(0.001)
+        return [(0, 0, 0, "")]
+
+    queue = pool._unlinked_file("queue")
+    os.write(queue, (1).to_bytes(4, "little") + (2).to_bytes(4, "little"))
+    os.lseek(queue, 0, os.SEEK_SET)
     spill = pool.SpillFile(pool._unlinked_file("spill"))
-    if (pid := os.fork()) == 0:
+    held, worker_end = os.pipe()
+    if (parent := os.fork()) == 0:
         try:
-            os.dup2(os.open(stderr, os.O_WRONLY | os.O_CREAT), 2)
-            pool._work(tasks, sweep._run_partition, 0, queue, out, set(), spill)
+            os.close(held)
+            if os.fork() == 0:
+                os.dup2(os.open(stderr, os.O_WRONLY | os.O_CREAT), 2)
+                pool._work([0, 1, 2], kills_its_parent, 0, queue, spill)
+            os.close(worker_end)
+            time.sleep(60)
         finally:
             os._exit(3)  # never return into pytest
+    os.close(worker_end)
+    with open(held, "rb") as pipe:
+        assert pipe.read() == b""  # EOF: the worker has exited
+    os.waitpid(parent, 0)
     os.close(queue)
-    os.close(out)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 1
+    assert log.read_text() == "0\n"
     assert stderr.read_bytes() == b""
-    assert os.fstat(spill.fd).st_size > 0  # it had spilled its text before the write
+    assert os.pread(spill.fd, 100, 0) == b"0 0 0 0 0\n"  # it had written its partition's line
 
 
 @needs_fork
@@ -584,15 +638,16 @@ def test_pooled_sweep_leaves_no_child(time_bound):
     assert_no_child_left()
 
 
-def logged_stub(log: Path, counts):
-    """A stub partition: appends "pid index" to the file `log`, opened
-    O_APPEND, then returns counts(index) and its text for its one length."""
+def logged_stub(log: Path, counts, records: bool):
+    """A stub partition whose task is a plain int, an index: appends "pid
+    index" to the file `log`, opened O_APPEND, then returns counts(index)
+    and its text, "" without records, for its one length."""
 
-    def run_partition(task):
+    def run_partition(index):
         with open(log, "a") as handle:
-            handle.write(f"{os.getpid()} {task[0]}\n")
+            handle.write(f"{os.getpid()} {index}\n")
         time.sleep(0.001)  # so the processes contend for the queue
-        return [(*counts(task[0]), f"[{task[0]}]" if task[-1] else "")]
+        return [(*counts(index), f"[{index}]" if records else "")]
 
     return run_partition
 
@@ -608,10 +663,10 @@ def read_back(outcome: list[tuple]) -> list[tuple]:
 def test_every_queued_partition_runs_exactly_once(workers, records, tmp_path, time_bound):
     # every process takes partitions from one shared queue: each of 200 runs
     # once, each forked worker runs at least its first, and the results,
-    # spilled texts included, come back in task order
-    tasks = [(index, index % 7, 0, records) for index in range(200)]
+    # spilled texts included, come back in task order.  The tasks are plain
+    # ints, so the pool reads no field of a task
     counts = lambda index: (index, 2 * index, 1)
-    results = pool.run(tasks, workers, logged_stub(tmp_path / "ran", counts))
+    results = pool.run(list(range(200)), workers, logged_stub(tmp_path / "ran", counts, records))
     assert [read_back(outcome) for outcome in results] == [[(*counts(i), f"[{i}]" if records else "")] for i in range(200)]
     ran = [tuple(map(int, line.split())) for line in (tmp_path / "ran").read_text().splitlines()]
     assert sorted(index for _, index in ran) == list(range(200))
@@ -622,11 +677,11 @@ def test_every_queued_partition_runs_exactly_once(workers, records, tmp_path, ti
 @pytest.mark.parametrize("workers", [2, 3])
 def test_result_lines_larger_than_a_pipe_buffer_complete(workers, tmp_path, time_bound):
     # 3 counts of 4,000 digits for each of 100 partitions: 1.2 MB of result
-    # lines, more than any pipe holds, written while this process still runs
-    # partitions and read only once the queue is empty
-    tasks = [(index, 0, 0, False) for index in range(100)]
+    # lines, each longer than a buffered read, written to the spill files
+    # while this process still runs partitions and read only once the
+    # workers have exited
     counts = lambda index: (10**3999 + index, 10**3999 + 2 * index, 10**3999 + 3 * index)
-    results = pool.run(tasks, workers, logged_stub(tmp_path / "ran", counts))
+    results = pool.run(list(range(100)), workers, logged_stub(tmp_path / "ran", counts, False))
     assert sum(len(b"%d %d %d" % counts(i)) for i in range(100)) > 1 << 20
     assert results == [[(*counts(i), "")] for i in range(100)]
 
@@ -635,7 +690,7 @@ def test_result_lines_larger_than_a_pipe_buffer_complete(workers, tmp_path, time
 def test_partition_larger_than_a_pipe_buffer(time_bound):
     # first step -2 writes about 100 KB of records at n = 8, more than a
     # 64 KB pipe buffer holds; it is handed out first, so a forked worker
-    # writes it to its spill file, and the report reads it back
+    # writes it to its spill file after its line, and the report reads it back
     params = SweepParams(2, 8, 6, 8, MODE_NECESSITY)
     assert len(sweep._run_partition((2, 8, -2, 6, 8, MODE_NECESSITY, True))[-1][3]) > 1 << 16
     parts = sweep.written_report(params, workers=2)["violations"].parts
@@ -840,7 +895,7 @@ def test_the_checker_runs_once_per_certificate(monkeypatch):
     report = run_sweep(SweepParams(2, 9, 2, 9), workers=1)
     assert report["pass"]
     assert len(heights) == report["totals"]["certificates"] == 478
-    stable = list(enumerate_chains(2, 9, 2, 9, require_stable=True))
+    stable = sorted(enumerate_chains(2, 9, 2, 9, require_stable=True), key=lambda roots: -len(roots))  # longest first
     assert heights == [(roots, r) for roots in stable for r in sorted(set(roots))]
 
 
@@ -896,11 +951,78 @@ def test_the_independent_count_reads_a_written_report(tmp_path):
 
 
 def test_the_independent_count_imports_nothing_from_the_package():
-    # a fresh interpreter that imports it has loaded no module of the package
+    # a fresh interpreter that imports both counts has loaded no module of the package
     tests = str(Path(__file__).resolve().parent)
     probe = (
-        f"import sys; sys.path.insert(0, {tests!r}); import stable_counts; "
+        f"import sys; sys.path.insert(0, {tests!r}); import stable_counts, witness_counts; "
         "print([m for m in sys.modules if m.split('.')[0] == 'higgs_threeterm'])"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# --- an independent count of the necessity witnesses and records ---------------------------
+#
+# witness_counts lists a box's chains as numpy arrays, sharing no code with the
+# walk, tail_slopes or three_term_holds; each length's witnesses, records and
+# digest of the sorted (roots, height) set must equal the report's
+
+
+def reported_witnesses(box: tuple, workers: int = 1) -> dict:
+    """witness_counts.reported of the necessity report of box, run with `workers`."""
+    report = run_sweep(SweepParams(*box, MODE_NECESSITY), workers)
+    rows = [(*record["roots"], record["detail"]["height"]) for record in report["violations"]]
+    return witness_counts.reported(rows, *box[:2])
+
+
+@pytest.mark.parametrize(
+    ("box", "workers"),
+    [((2, 7, 12, 12), 1), ((2, 9, 10, 10), 1), ((2, 9, 10, 10), 2)],
+    ids=["box-a", "necessity-1-worker", "necessity-2-workers"],
+)
+def test_witnesses_equal_the_independent_count(box, workers, time_bound):
+    assert reported_witnesses(box, workers) == witness_counts.counted(*box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 3), st.sampled_from([2, 4, 6, 8]), st.integers(0, 11))
+def test_witnesses_equal_the_independent_count_on_small_boxes(n_min, extra, max_rise, bound):
+    box = (n_min, n_min + extra, max_rise, bound)
+    assert reported_witnesses(box) == witness_counts.counted(*box)
+
+
+@needs_fork
+def test_box_b_witnesses_equal_the_independent_count(tmp_path, capsys, time_bound):
+    # the command line CI runs on box B's necessity report, read a line at a
+    # time: 171,950 witnesses and 287,010 records, 117,385 and 192,362 of them at n = 9
+    path = tmp_path / "box-b.json"
+    box = ["--mode", "necessity", "--n-max", "9", "--max-rise", "16", "--bound", "20", "--workers", "2"]
+    assert cli.main(["sweep", *box, "--out", str(path)]) == 0
+    assert witness_counts.main([str(path)]) == 0
+    assert capsys.readouterr().out.endswith(": 171950 witnesses and 287010 records counted, 171950 and 287010 in the report\n")
+    assert {k: v for k, v in witness_counts.counted(9, 9, 16, 20)["9"].items() if k != "digest"} == {
+        "witnesses": 117385,
+        "records": 192362,
+    }
+
+
+def test_the_witness_count_refuses_a_doctored_report(tmp_path, capsys):
+    # box A's necessity report passes; with one record dropped, or one
+    # record's height changed, it is refused, and so is a theorem report
+    path = tmp_path / "report.json"
+    assert cli.main(["sweep", "--mode", "necessity", "--n-max", "7", "--max-rise", "12", "--bound", "12", "--out", str(path)]) == 0
+    assert witness_counts.main([str(path)]) == 0
+    report = json.loads(path.read_text(encoding="utf-8"))
+    dropped, moved = tmp_path / "dropped.json", tmp_path / "moved.json"
+    dropped.write_text(json.dumps({**report, "violations": report["violations"][:-1]}, indent=2) + "\n", encoding="utf-8")
+    report["violations"][0]["detail"]["height"] += 2
+    moved.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    assert witness_counts.main([str(dropped)]) == 1
+    assert witness_counts.main([str(moved)]) == 1
+    theorem = tmp_path / "theorem.json"
+    assert cli.main(["sweep", "--n-max", "4", "--max-rise", "4", "--bound", "4", "--out", str(theorem)]) == 0
+    assert witness_counts.main([str(theorem)]) == 1
+    err = capsys.readouterr().err
+    assert f"{dropped}: the records of lengths ['7'] differ from the count" in err
+    assert f"{moved}: the records of lengths ['2'] differ from the count" in err
+    assert f"{theorem}: not a necessity report of three-term records" in err
