@@ -608,8 +608,7 @@ def test_worker_whose_parent_is_gone_leaves_quietly(tmp_path, time_bound):
         return [(0, 0, 0, "")]
 
     queue = pool._unlinked_file("queue")
-    os.write(queue, (1).to_bytes(4, "little") + (2).to_bytes(4, "little"))
-    os.lseek(queue, 0, os.SEEK_SET)
+    os.pwrite(queue, (1).to_bytes(4, "little") + (2).to_bytes(4, "little"), 0)
     spill = pool.SpillFile(pool._unlinked_file("spill"))
     held, worker_end = os.pipe()
     if (parent := os.fork()) == 0:
